@@ -16,7 +16,6 @@ import json
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -113,12 +112,10 @@ class LlmBackend:
         self,
         endpoint: LlmEndpointConfig,
         dual: bool = True,
-        concurrency: int = 1,
         client: ChatClient | None = None,
     ):
         self.endpoint = endpoint
         self.dual = dual
-        self.concurrency = max(1, concurrency)
         self.client = client or ChatClient(endpoint)
         self.exchange_sink = None  # set by the engine to log raw exchanges
         self._bounded_preamble = load_prompt("preamble_bounded.txt").strip()
@@ -210,11 +207,8 @@ class LlmBackend:
         return self._decide(ctx, prompt, "work_hours")
 
     def decide_work_hours_batch(self, contexts):
-        """Bounded-concurrency fan-out; results return in context order."""
-        if self.concurrency == 1 or len(contexts) <= 1:
-            return [self._safe_decide_hours(ctx) for ctx in contexts]
-        with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
-            return list(pool.map(self._safe_decide_hours, contexts))
+        """Decide each context in order; a failed decision is returned as its error."""
+        return [self._safe_decide_hours(ctx) for ctx in contexts]
 
     def _safe_decide_hours(self, ctx: DecisionContext):
         try:

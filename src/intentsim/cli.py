@@ -36,7 +36,7 @@ from .pipeline import (
     write_analysis_outputs,
     write_similarity_csv,
 )
-from .trace import IngestMapping, load_trace
+from .trace import IngestMapping, iter_trace, load_trace
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -247,9 +247,10 @@ def analyze(
 @_guarded
 def metrics(trace_path, out_dir, window_ticks, downsample):
     """Write the CSV report bundle for a simulation trace."""
-    log = load_trace(trace_path)
+    events = iter_trace(trace_path)
+    next(events)  # the header
     written = write_metrics_reports(
-        log.events, out_dir, window_ticks=window_ticks, downsample=downsample
+        events, out_dir, window_ticks=window_ticks, downsample=downsample
     )
     click.echo(f"wrote {len(written)} report file(s) under {out_dir}")
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .backends.types import DecisionContext, OfferedOrder, ThoughtPair
 from .config import SimConfig, config_digest
 from .errors import BackendError, DecisionParseError
+from .mining import combine_pair
 from .trace import TraceWriter
 from .world import (
     ASSIGNED,
@@ -114,35 +115,21 @@ class SimulationSession:
             self.writer.emit(kind, self.world.tick, payload)
 
     def record_thought(self, rider_id: int, decision_kind: str, pair: ThoughtPair | None) -> None:
-        if pair is None:
-            self.emit(
-                "thought",
-                {
-                    "agent": rider_id,
-                    "decision": decision_kind,
-                    "bounded": "",
-                    "rational": "",
-                    "missing": True,
-                },
-            )
-            return
-        bounded = pair.bounded if self.inspector else ""
+        missing = pair is None
+        if missing or not self.inspector:
+            pair = ThoughtPair(bounded="", rational="" if missing else pair.rational)
         self.emit(
             "thought",
             {
                 "agent": rider_id,
                 "decision": decision_kind,
-                "bounded": bounded,
+                "bounded": pair.bounded,
                 "rational": pair.rational,
-                "missing": False,
+                "missing": missing,
             },
         )
-        text = (
-            f"bounded: {bounded} | rational: {pair.rational}"
-            if bounded
-            else f"rational: {pair.rational}"
-        )
-        self.memories[rider_id].append(text)
+        if not missing:
+            self.memories[rider_id].append(combine_pair(pair))
 
 
 def _base_context(session: SimulationSession, rider, stats: DayStats) -> DecisionContext:

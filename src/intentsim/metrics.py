@@ -3,25 +3,84 @@
 All reports are pure functions of the event stream: the daily labor cost
 per delivered order (the over-competition index), rider position heat
 maps, effective working hours (ticks spent holding at least one order),
-and per-agent hours-vs-orders totals. Re-running any report on the same
-trace yields byte-identical CSV output.
+and per-agent hours-vs-orders totals. :func:`fold_events` reads the events
+once and gathers every total the reports need. Each report function takes
+either the events or their :class:`TraceTotals` and is a view over that
+fold, so :func:`write_metrics_reports` makes one pass over a trace (which
+may be a stream) for the whole CSV bundle. Re-running any report on the
+same trace yields byte-identical CSV output.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import AuditError
 
+DEFAULT_WINDOW_TICKS = 1200
 
-def sim_config_from_events(events) -> dict:
-    for event in events:
-        if event.kind == "sim_start":
-            return event.payload["config"]
-    raise AuditError("trace has no sim_start event")
+
+class TraceTotals:
+    """Every total the reports read, gathered in one pass over the events.
+
+    A day is ``tick // steps_per_day`` and a heat-map window is
+    ``tick // window_ticks``.
+    """
+
+    def __init__(self, config: dict, window_ticks: int):
+        self.config = config
+        self.window_ticks = window_ticks
+        self.cost: dict[int, float] = defaultdict(float)  # day -> labor cost
+        self.delivered: dict[int, int] = defaultdict(int)  # day -> orders delivered
+        self.worked: dict[tuple[int, int], int] = defaultdict(int)  # (day, agent) -> ticks at work
+        self.holding: dict[tuple[int, int], int] = defaultdict(int)  # (day, agent) -> ticks holding
+        self.orders: dict[tuple[int, int], int] = defaultdict(int)  # (day, agent) -> orders delivered
+        # window -> (y, x) -> position events
+        self.visits: dict[int, dict[tuple[int, int], int]] = defaultdict(lambda: defaultdict(int))
+
+    @property
+    def n_days(self) -> int:
+        return self.config["total_steps"] // self.config["steps_per_day"]
+
+
+def fold_events(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals:
+    """Read the events (any iterable, starting with ``sim_start``) once."""
+    stream = iter(events)
+    start = next(stream, None)
+    if start is None or start.kind != "sim_start":
+        raise AuditError("trace does not start with a sim_start event")
+    totals = TraceTotals(config=start.payload["config"], window_ticks=window_ticks)
+    spd = totals.config["steps_per_day"]
+    for event in stream:
+        kind = event.kind
+        payload = event.payload
+        if kind == "position":
+            key = (event.tick // spd, payload["agent"])
+            totals.worked[key] += 1
+            if payload.get("held", 0) > 0:
+                totals.holding[key] += 1
+            totals.visits[event.tick // window_ticks][payload["y"], payload["x"]] += 1
+        elif kind == "order_event" and payload.get("event") == "delivered":
+            day = event.tick // spd
+            totals.delivered[day] += 1
+            totals.orders[day, payload["agent"]] += 1
+        elif kind == "cost_accrual":
+            totals.cost[event.tick // spd] += payload["amount"]
+    return totals
+
+
+def _totals(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals:
+    return events if isinstance(events, TraceTotals) else fold_events(events, window_ticks)
+
+
+def _csv(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 @dataclass
@@ -33,12 +92,10 @@ class InvolutionSeries:
     flagged_days: list[int] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["day", "cost", "orders", "index"])
-        for i, day in enumerate(self.days):
-            writer.writerow([day, f"{self.cost[i]:.6f}", self.delivered[i], f"{self.index[i]:.6f}"])
-        return out.getvalue()
+        rows = zip(self.days, self.cost, self.delivered, self.index)
+        return _csv([["day", "cost", "orders", "index"]] + [
+            [day, f"{cost:.6f}", delivered, f"{index:.6f}"] for day, cost, delivered, index in rows
+        ])
 
 
 def involution_index(events) -> InvolutionSeries:
@@ -47,27 +104,16 @@ def involution_index(events) -> InvolutionSeries:
     Days with zero deliveries keep the raw cost (divisor clamped to 1) and
     are flagged rather than dropped, preserving the series length.
     """
-    events = list(events)
-    config = sim_config_from_events(events)
-    spd = config["steps_per_day"]
-    n_days = config["total_steps"] // spd
-    cost = [0.0] * n_days
-    delivered = [0] * n_days
-    for event in events:
-        day = event.tick // spd
-        if day >= n_days:
-            continue
-        if event.kind == "cost_accrual":
-            cost[day] += event.payload["amount"]
-        elif event.kind == "order_event" and event.payload.get("event") == "delivered":
-            delivered[day] += 1
+    totals = _totals(events)
     series = InvolutionSeries()
-    for day in range(n_days):
+    for day in range(totals.n_days):
+        cost = totals.cost.get(day, 0.0)
+        delivered = totals.delivered.get(day, 0)
         series.days.append(day)
-        series.cost.append(cost[day])
-        series.delivered.append(delivered[day])
-        series.index.append(cost[day] / max(delivered[day], 1))
-        if delivered[day] == 0:
+        series.cost.append(cost)
+        series.delivered.append(delivered)
+        series.index.append(cost / max(delivered, 1))
+        if delivered == 0:
             series.flagged_days.append(day)
     return series
 
@@ -80,11 +126,7 @@ class HeatmapGrid:
     total_events: int
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        for row in self.counts:
-            writer.writerow([f"{v:g}" for v in row])
-        return out.getvalue()
+        return _csv([f"{v:g}" for v in row] for row in self.counts)
 
 
 def position_heatmap(events, window: int, window_ticks: int, downsample: int = 1) -> HeatmapGrid:
@@ -92,30 +134,22 @@ def position_heatmap(events, window: int, window_ticks: int, downsample: int = 1
 
     ``downsample`` > 1 averages f x f blocks into one cell (the raw grid
     conserves total event mass; averaged grids trade that for compactness).
+    :class:`TraceTotals` must have been gathered over ``window_ticks``.
     """
-    events = list(events)
-    config = sim_config_from_events(events)
-    size = config["grid_size"]
+    totals = _totals(events, window_ticks)
+    if totals.window_ticks != window_ticks:
+        raise ValueError(
+            f"totals were gathered over {totals.window_ticks}-tick windows, not {window_ticks}"
+        )
+    f = max(downsample, 1)
+    size = (totals.config["grid_size"] + f - 1) // f
     counts = [[0.0] * size for _ in range(size)]
     total = 0
-    lo = window * window_ticks
-    hi = lo + window_ticks
-    for event in events:
-        if event.kind != "position" or not lo <= event.tick < hi:
-            continue
-        counts[event.payload["y"]][event.payload["x"]] += 1.0
-        total += 1
-    if downsample > 1:
-        f = downsample
-        reduced_size = (size + f - 1) // f
-        reduced = [[0.0] * reduced_size for _ in range(reduced_size)]
-        for y in range(size):
-            for x in range(size):
-                reduced[y // f][x // f] += counts[y][x]
-        for y in range(reduced_size):
-            for x in range(reduced_size):
-                reduced[y][x] /= f * f
-        return HeatmapGrid(window=window, size=reduced_size, counts=reduced, total_events=total)
+    for (y, x), n in totals.visits.get(window, {}).items():
+        counts[y // f][x // f] += n
+        total += n
+    if f > 1:
+        counts = [[v / (f * f) for v in row] for row in counts]
     return HeatmapGrid(window=window, size=size, counts=counts, total_events=total)
 
 
@@ -129,113 +163,72 @@ class HoursRow:
 
 def effective_hours(events, day: int) -> list[HoursRow]:
     """Per-agent worked vs order-holding hours for one day."""
-    events = list(events)
-    config = sim_config_from_events(events)
-    spd = config["steps_per_day"]
-    lo, hi = day * spd, (day + 1) * spd
-    worked: dict[int, int] = {}
-    holding: dict[int, int] = {}
-    orders: dict[int, int] = {}
-    for event in events:
-        if not lo <= event.tick < hi:
-            continue
-        if event.kind == "position":
-            agent = event.payload["agent"]
-            worked[agent] = worked.get(agent, 0) + 1
-            if event.payload.get("held", 0) > 0:
-                holding[agent] = holding.get(agent, 0) + 1
-        elif event.kind == "order_event" and event.payload.get("event") == "delivered":
-            agent = event.payload["agent"]
-            orders[agent] = orders.get(agent, 0) + 1
-    to_hours = 24.0 / spd
-    rows = []
-    for agent in range(config["n_riders"]):
-        rows.append(
-            HoursRow(
-                agent_id=agent,
-                total_hours_worked=worked.get(agent, 0) * to_hours,
-                effective_hours=holding.get(agent, 0) * to_hours,
-                total_orders=orders.get(agent, 0),
-            )
+    totals = _totals(events)
+    to_hours = 24.0 / totals.config["steps_per_day"]
+    return [
+        HoursRow(
+            agent_id=agent,
+            total_hours_worked=totals.worked.get((day, agent), 0) * to_hours,
+            effective_hours=totals.holding.get((day, agent), 0) * to_hours,
+            total_orders=totals.orders.get((day, agent), 0),
         )
-    return rows
+        for agent in range(totals.config["n_riders"])
+    ]
 
 
 def hours_vs_orders(events) -> list[tuple[int, float, int]]:
     """Whole-run (agent, hours worked, orders delivered) totals."""
-    events = list(events)
-    config = sim_config_from_events(events)
-    spd = config["steps_per_day"]
-    worked: dict[int, int] = {}
-    orders: dict[int, int] = {}
-    for event in events:
-        if event.kind == "position":
-            agent = event.payload["agent"]
-            worked[agent] = worked.get(agent, 0) + 1
-        elif event.kind == "order_event" and event.payload.get("event") == "delivered":
-            agent = event.payload["agent"]
-            orders[agent] = orders.get(agent, 0) + 1
-    to_hours = 24.0 / spd
+    totals = _totals(events)
+    worked: dict[int, int] = defaultdict(int)
+    orders: dict[int, int] = defaultdict(int)
+    for (_, agent), ticks in totals.worked.items():
+        worked[agent] += ticks
+    for (_, agent), count in totals.orders.items():
+        orders[agent] += count
+    to_hours = 24.0 / totals.config["steps_per_day"]
     return [
-        (agent, worked.get(agent, 0) * to_hours, orders.get(agent, 0))
-        for agent in range(config["n_riders"])
+        (agent, worked[agent] * to_hours, orders[agent])
+        for agent in range(totals.config["n_riders"])
     ]
 
 
 def hours_vs_orders_csv(rows: list[tuple[int, float, int]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["agent_id", "hours", "orders"])
-    for agent, hours, orders in rows:
-        writer.writerow([agent, f"{hours:.6f}", orders])
-    return out.getvalue()
+    return _csv([["agent_id", "hours", "orders"]] + [
+        [agent, f"{hours:.6f}", orders] for agent, hours, orders in rows
+    ])
 
 
 def effective_hours_csv(rows_by_day: dict[int, list[HoursRow]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["day", "agent_id", "total_hours", "effective_hours", "orders"])
-    for day in sorted(rows_by_day):
-        for row in rows_by_day[day]:
-            writer.writerow(
-                [
-                    day,
-                    row.agent_id,
-                    f"{row.total_hours_worked:.6f}",
-                    f"{row.effective_hours:.6f}",
-                    row.total_orders,
-                ]
-            )
-    return out.getvalue()
+    header = ["day", "agent_id", "total_hours", "effective_hours", "orders"]
+    return _csv([header] + [
+        [day, row.agent_id, f"{row.total_hours_worked:.6f}", f"{row.effective_hours:.6f}", row.total_orders]
+        for day in sorted(rows_by_day)
+        for row in rows_by_day[day]
+    ])
 
 
-def write_metrics_reports(events, out_dir: str | Path, window_ticks: int = 1200, downsample: int = 4) -> list[Path]:
-    """Emit the standard CSV bundle for one trace; returns written paths."""
-    events = list(events)
-    config = sim_config_from_events(events)
+def write_metrics_reports(
+    events, out_dir: str | Path, window_ticks: int = DEFAULT_WINDOW_TICKS, downsample: int = 4
+) -> list[Path]:
+    """Emit the standard CSV bundle for one trace from a single pass over
+    its events (any iterable, such as a stream); returns written paths."""
+    totals = fold_events(events, window_ticks)
+    reports = {
+        "involution.csv": involution_index(totals).to_csv(),
+        "hours_vs_orders.csv": hours_vs_orders_csv(hours_vs_orders(totals)),
+        "effective_hours.csv": effective_hours_csv(
+            {day: effective_hours(totals, day) for day in range(totals.n_days)}
+        ),
+    }
+    n_windows = max(1, (totals.config["total_steps"] + window_ticks - 1) // window_ticks)
+    for window in range(n_windows):
+        grid = position_heatmap(totals, window, window_ticks, downsample=downsample)
+        reports[f"heatmap_window{window}.csv"] = grid.to_csv()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    involution_path = out / "involution.csv"
-    involution_path.write_text(involution_index(events).to_csv(), encoding="utf-8")
-    written.append(involution_path)
-
-    rows = hours_vs_orders(events)
-    hours_path = out / "hours_vs_orders.csv"
-    hours_path.write_text(hours_vs_orders_csv(rows), encoding="utf-8")
-    written.append(hours_path)
-
-    n_days = config["total_steps"] // config["steps_per_day"]
-    per_day = {day: effective_hours(events, day) for day in range(n_days)}
-    effective_path = out / "effective_hours.csv"
-    effective_path.write_text(effective_hours_csv(per_day), encoding="utf-8")
-    written.append(effective_path)
-
-    n_windows = max(1, (config["total_steps"] + window_ticks - 1) // window_ticks)
-    for window in range(n_windows):
-        grid = position_heatmap(events, window, window_ticks, downsample=downsample)
-        path = out / f"heatmap_window{window}.csv"
-        path.write_text(grid.to_csv(), encoding="utf-8")
+    for name, text in reports.items():
+        path = out / name
+        path.write_text(text, encoding="utf-8")
         written.append(path)
     return written

@@ -53,11 +53,10 @@ class ThoughtRecord:
 
 
 class ThoughtLog:
-    """Assigns record ids and (optionally) mirrors records to a trace."""
+    """Assigns record ids to thought records."""
 
-    def __init__(self, writer=None):
+    def __init__(self):
         self._next_id = 0
-        self.writer = writer
 
     def record_thoughts(
         self,
@@ -78,18 +77,6 @@ class ThoughtLog:
             missing=missing,
         )
         self._next_id += 1
-        if self.writer is not None:
-            self.writer.emit(
-                "thought",
-                tick,
-                {
-                    "agent": agent_id,
-                    "decision": decision_kind,
-                    "bounded": record.pair.bounded,
-                    "rational": record.pair.rational,
-                    "missing": missing,
-                },
-            )
         return record
 
 

@@ -73,6 +73,41 @@ class TraceEvent:
         return {"seq": self.seq, "tick": self.tick, "kind": self.kind, "payload": self.payload}
 
 
+class OrderGuard:
+    """The ordering rules of a trace, checked one event at a time.
+
+    The writer and the reader share this guard, so a trace one accepts is a
+    trace the other accepts. Violations raise :class:`TraceOrderError`.
+    """
+
+    def __init__(self):
+        self.last_seq = -1
+        self.last_tick = -1
+        self.started = False
+        self.ended = False
+
+    def check(self, event: TraceEvent) -> None:
+        if self.ended:
+            raise TraceOrderError("event after sim_end")
+        if event.kind not in EVENT_KINDS:
+            raise TraceOrderError(f"unknown event kind {event.kind!r}")
+        if event.seq != self.last_seq + 1:
+            raise TraceOrderError(
+                f"seq {event.seq} breaks contiguity (expected {self.last_seq + 1})"
+            )
+        if self.started and event.tick < self.last_tick:
+            raise TraceOrderError(f"tick {event.tick} decreases (last was {self.last_tick})")
+        if not self.started:
+            if event.kind != "sim_start":
+                raise TraceOrderError("first event must be sim_start")
+            self.started = True
+        elif event.kind == "sim_start":
+            raise TraceOrderError("duplicate sim_start")
+        self.last_seq = event.seq
+        self.last_tick = event.tick
+        self.ended = event.kind == "sim_end"
+
+
 class TraceWriter:
     """Single-writer append stream with ordering enforcement."""
 
@@ -87,39 +122,16 @@ class TraceWriter:
         self.header = TraceHeader(SCHEMA_VERSION, config_digest, seed, created)
         self._fh = self.path.open("w", encoding="utf-8", newline="\n")
         self._fh.write(canonical_json(self.header.to_dict()) + "\n")
-        self._last_seq = -1
-        self._last_tick = -1
-        self._started = False
-        self._ended = False
+        self._guard = OrderGuard()
 
     def append_event(self, event: TraceEvent) -> None:
-        if self._ended:
-            raise TraceOrderError("cannot append after sim_end")
-        if event.kind not in EVENT_KINDS:
-            raise TraceOrderError(f"unknown event kind {event.kind!r}")
-        if event.seq != self._last_seq + 1:
-            raise TraceOrderError(
-                f"seq {event.seq} breaks contiguity (expected {self._last_seq + 1})"
-            )
-        if self._last_seq >= 0 and event.tick < self._last_tick:
-            raise TraceOrderError(
-                f"tick {event.tick} decreases (last was {self._last_tick})"
-            )
-        if not self._started:
-            if event.kind != "sim_start":
-                raise TraceOrderError("first event must be sim_start")
-            self._started = True
-        elif event.kind == "sim_start":
-            raise TraceOrderError("duplicate sim_start")
+        self._guard.check(event)
         self._fh.write(canonical_json(event.to_dict()) + "\n")
-        self._last_seq = event.seq
-        self._last_tick = event.tick
         if event.kind == "sim_end":
-            self._ended = True
             self._fh.flush()
 
     def emit(self, kind: str, tick: int, payload: dict) -> TraceEvent:
-        event = TraceEvent(seq=self._last_seq + 1, tick=tick, kind=kind, payload=payload)
+        event = TraceEvent(seq=self._guard.last_seq + 1, tick=tick, kind=kind, payload=payload)
         self.append_event(event)
         return event
 
@@ -133,6 +145,13 @@ class TraceWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _decode(raw: bytes, line_no: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(line_no, f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from exc
 
 
 def _parse_header(line: str) -> TraceHeader:
@@ -157,20 +176,15 @@ def _parse_header(line: str) -> TraceHeader:
 def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
     """Yield the header then every event, validating as it streams."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         first = fh.readline()
         if not first.strip():
             raise TraceHeaderError(f"{path}: empty file, missing header")
-        header = _parse_header(first)
+        header = _parse_header(_decode(first, 1))
         yield header
-        last_seq = -1
-        last_tick = -1
-        started = False
-        ended = False
-        line_no = 1
-        for line in fh:
-            line_no += 1
-            stripped = line.strip()
+        guard = OrderGuard()
+        for line_no, raw in enumerate(fh, start=2):
+            stripped = _decode(raw, line_no).strip()
             if not stripped:
                 raise TraceFormatError(line_no, "blank line inside trace")
             try:
@@ -182,41 +196,29 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
             event = TraceEvent(
                 seq=data["seq"], tick=data["tick"], kind=data["kind"], payload=data["payload"]
             )
-            if ended:
-                raise TraceOrderError(f"line {line_no}: event after sim_end")
-            if event.kind not in EVENT_KINDS:
-                raise TraceFormatError(line_no, f"unknown event kind {event.kind!r}")
-            if event.seq != last_seq + 1:
-                raise TraceOrderError(
-                    f"line {line_no}: seq {event.seq} breaks contiguity (expected {last_seq + 1})"
-                )
-            if last_seq >= 0 and event.tick < last_tick:
-                raise TraceOrderError(f"line {line_no}: tick decreases")
-            if not started:
-                if event.kind != "sim_start":
-                    raise TraceOrderError(f"line {line_no}: first event must be sim_start")
-                started = True
-                if header.config_digest and isinstance(event.payload.get("config"), dict):
-                    from .config import SimConfig, config_digest
+            try:
+                guard.check(event)
+            except TraceOrderError as exc:
+                raise TraceOrderError(f"line {line_no}: {exc}") from None
+            if (
+                event.kind == "sim_start"
+                and header.config_digest
+                and isinstance(event.payload.get("config"), dict)
+            ):
+                from .config import SimConfig, config_digest
 
-                    try:
-                        embedded = config_digest(SimConfig.from_dict(event.payload["config"]))
-                    except Exception as exc:
-                        raise TraceFormatError(line_no, f"unusable embedded config: {exc}") from exc
-                    if embedded != header.config_digest:
-                        raise TraceHeaderError(
-                            "header config digest does not match the embedded config"
-                        )
-            elif event.kind == "sim_start":
-                raise TraceOrderError(f"line {line_no}: duplicate sim_start")
-            if event.kind == "sim_end":
-                ended = True
-            last_seq = event.seq
-            last_tick = event.tick
+                try:
+                    embedded = config_digest(SimConfig.from_dict(event.payload["config"]))
+                except Exception as exc:
+                    raise TraceFormatError(line_no, f"unusable embedded config: {exc}") from exc
+                if embedded != header.config_digest:
+                    raise TraceHeaderError(
+                        "header config digest does not match the embedded config"
+                    )
             yield event
-        if not started:
+        if not guard.started:
             raise TraceOrderError("trace contains no events")
-        if not ended:
+        if not guard.ended:
             raise TraceOrderError("trace not terminated by sim_end")
 
 

@@ -166,13 +166,18 @@ def test_bad_config_exits_4(runner, tmp_path):
     assert "grid_size" in result.output
 
 
-def test_corrupt_trace_exits_5(runner, tmp_path):
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda line: line[:10], lambda line: line[:10] + b"\xff" + line[10:]],
+    ids=["truncated", "non_utf8"],
+)
+def test_corrupt_trace_exits_5(runner, tmp_path, corrupt):
     cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
     trace = tmp_path / "t.jsonl"
     runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
-    lines = trace.read_text().splitlines()
-    lines[5] = lines[5][:10]
-    trace.write_text("\n".join(lines) + "\n")
+    lines = trace.read_bytes().splitlines()
+    lines[5] = corrupt(lines[5])
+    trace.write_bytes(b"\n".join(lines) + b"\n")
     result = runner.invoke(
         main, ["metrics", "--trace", str(trace), "--out", str(tmp_path / "r")]
     )

@@ -239,16 +239,17 @@ def test_simulation_with_llm_backend_logs_exchanges(stub_server, tmp_path):
     # One day of 10 ticks, no orders: two riders decide hours once each.
     cfg = SimConfig(grid_size=20, total_steps=10, steps_per_day=10, n_riders=2,
                     base_order_rate=0.0, peak_ticks_per_day=(5,), seed=1)
-    stub_server.script = [
-        {"chat": "<think>rider 0 gut</think>"},
-        {"chat": '<think>rider 0 math</think>{"go_to_work_time":"9:00","get_off_work_time":"17:00"}'},
-        {"chat": "<think>rider 1 gut</think>"},
-        {"chat": '<think>rider 1 math</think>{"go_to_work_time":"8:00","get_off_work_time":"16:00"}'},
-    ]
-    backend = LlmBackend(endpoint_for(stub_server))
-    path = tmp_path / "llm.jsonl"
-    run_simulation(cfg, backend, path)
-    events = load_trace(path).events
+    paths = [tmp_path / "llm_a.jsonl", tmp_path / "llm_b.jsonl"]
+    for path in paths:
+        stub_server.script = [
+            {"chat": "<think>rider 0 gut</think>"},
+            {"chat": '<think>rider 0 math</think>{"go_to_work_time":"9:00","get_off_work_time":"17:00"}'},
+            {"chat": "<think>rider 1 gut</think>"},
+            {"chat": '<think>rider 1 math</think>{"go_to_work_time":"8:00","get_off_work_time":"16:00"}'},
+        ]
+        run_simulation(cfg, LlmBackend(endpoint_for(stub_server)), path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    events = load_trace(paths[0]).events
     exchanges = [e for e in events if e.kind == "llm_exchange"]
     assert len(exchanges) == 4
     assert all("request" in e.payload and "response" in e.payload for e in exchanges)
