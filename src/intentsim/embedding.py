@@ -34,7 +34,7 @@ def l2_normalize(vec: np.ndarray) -> np.ndarray:
 
 
 def is_zero(vec: np.ndarray) -> bool:
-    return not np.any(vec)
+    return not np.asarray(vec).any()
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import AuditError
+from .errors import AuditError, TraceFormatError
 
 DEFAULT_WINDOW_TICKS = 1200
 
@@ -55,15 +55,20 @@ def fold_events(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals
         raise AuditError("trace does not start with a sim_start event")
     totals = TraceTotals(config=start.payload["config"], window_ticks=window_ticks)
     spd = totals.config["steps_per_day"]
+    grid = totals.config["grid_size"]
     for event in stream:
         kind = event.kind
         payload = event.payload
         if kind == "position":
+            x, y = payload["x"], payload["y"]
+            if not (0 <= x < grid and 0 <= y < grid):
+                # Line numbers follow the header line, so seq s is on line s + 2.
+                raise TraceFormatError(event.seq + 2, f"position ({x}, {y}) is outside the grid")
             key = (event.tick // spd, payload["agent"])
             totals.worked[key] += 1
             if payload.get("held", 0) > 0:
                 totals.holding[key] += 1
-            totals.visits[event.tick // window_ticks][payload["y"], payload["x"]] += 1
+            totals.visits[event.tick // window_ticks][y, x] += 1
         elif kind == "order_event" and payload.get("event") == "delivered":
             day = event.tick // spd
             totals.delivered[day] += 1

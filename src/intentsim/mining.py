@@ -20,6 +20,7 @@ import numpy as np
 
 from .backends.types import ThoughtPair
 from .embedding import cosine_similarity, is_zero
+from .errors import TraceFormatError
 
 DECISION_KINDS = ("work_hours", "order_selection", "external")
 DEFAULT_THETA = 0.8
@@ -89,16 +90,43 @@ class MemoryEntry:
 
 @dataclass
 class AgentMemory:
-    """Bounded FIFO of an agent's recent thoughts."""
+    """Bounded FIFO of an agent's recent thoughts.
+
+    Each remembered vector is stored once, as a row of a ``capacity × dim``
+    ring with its norm in ``norms``; the entry's ``embedding`` becomes a view
+    of that row. A ``None`` or zero embedding gets a zero row and norm 0.
+    The ring is allocated (uninitialised) on the first non-zero vector, and
+    its first ``len(entries)`` rows are always the remembered ones.
+    """
 
     agent_id: int
     capacity: int = DEFAULT_MEMORY_CAPACITY
     entries: deque = field(default_factory=deque)
+    vectors: np.ndarray | None = field(default=None, init=False, repr=False)
+    norms: np.ndarray | None = field(default=None, init=False, repr=False)
+    _appended: int = field(default=0, init=False, repr=False)
 
     def append(self, entry: MemoryEntry) -> None:
         self.entries.append(entry)
         while len(self.entries) > self.capacity:
             self.entries.popleft()
+        if not self.entries:
+            return  # capacity 0 remembers nothing
+        slot = self._appended % self.capacity
+        self._appended += 1
+        vec = entry.embedding
+        norm = 0.0 if vec is None else float(np.linalg.norm(vec))
+        if self.vectors is None:
+            if norm == 0.0:
+                return
+            self.vectors = np.empty((self.capacity, len(vec)))
+            self.vectors[: len(self.entries)] = 0.0  # earlier entries were all zero
+            self.norms = np.zeros(self.capacity)
+        row = self.vectors[slot]
+        row[:] = 0.0 if vec is None else vec
+        self.norms[slot] = norm
+        if vec is not None:
+            entry.embedding = row
 
 
 @dataclass
@@ -185,13 +213,21 @@ class SimilarityDetector:
     def detect(self, embedding: np.ndarray, memory: AgentMemory) -> bool:
         if is_zero(embedding):
             return False
-        best = -1.0
-        for entry in memory.entries:
-            if entry.embedding is None or is_zero(entry.embedding):
-                continue
-            best = max(best, cosine_similarity(embedding, entry.embedding))
-        if best < 0.0:
+        n = len(memory.entries)
+        norms = None if memory.vectors is None else memory.norms[:n]
+        if norms is None or not norms.any():
             return True  # empty (or unembeddable) memory: vacuously novel
+        live = norms > 0.0
+        dots = (memory.vectors[:n] @ embedding)[live]
+        best = float((dots / (norms[live] * float(np.linalg.norm(embedding)))).max())
+        if abs(best - self.theta) <= 1e-9:
+            # The matrix product may round differently from one dot per
+            # entry; decide a near tie with the pairwise formula itself.
+            best = max(
+                cosine_similarity(embedding, entry.embedding)
+                for entry in memory.entries
+                if entry.embedding is not None and not is_zero(entry.embedding)
+            )
         return best < self.theta
 
 
@@ -272,13 +308,11 @@ def mine_records(
     detector,
     embedder,
     memory_capacity: int = DEFAULT_MEMORY_CAPACITY,
-    intention_sink: Callable[[ThoughtRecord], None] | None = None,
 ) -> MiningResult:
     """Run detection over records in (tick, agent) order.
 
     Missing records are skipped entirely: they carry no text to embed or
-    remember. Each emergent record is appended to the repository and
-    reported to ``intention_sink`` (used to emit analysis trace events).
+    remember. Each emergent record is appended to the repository.
     """
     ordered = sorted(records, key=lambda r: (r.tick, r.agent_id, r.record_id))
     repo = IntentionRepository()
@@ -296,8 +330,6 @@ def mine_records(
         embedding = embedder.embed(record.combined_text)
         emergent = detect_emergence(record, memory, detector, embedding)
         update_repository(repo, record, emergent, memory, embedding)
-        if emergent and intention_sink is not None:
-            intention_sink(record)
         processed += 1
     return MiningResult(
         repository=repo, memories=memories, processed=processed, skipped_missing=skipped
@@ -317,6 +349,8 @@ def records_from_trace(events, inspector: bool = True) -> list[ThoughtRecord]:
         if event.kind != "thought":
             continue
         payload = event.payload
+        if "agent" not in payload:
+            raise TraceFormatError(event.seq + 2, "thought event has no agent")
         raw.append((event.tick, payload["agent"], index, payload))
     raw.sort(key=lambda item: item[:3])
     log = ThoughtLog()

@@ -118,7 +118,6 @@ def analyze_records(
     options: AnalysisOptions,
 ) -> AnalysisResult:
     warnings: list[str] = []
-    intention_hits: list[ThoughtRecord] = []
 
     if options.analyzer and records:
         embedder = make_embedder(options)
@@ -128,7 +127,6 @@ def analyze_records(
             detector,
             embedder,
             memory_capacity=options.memory_capacity,
-            intention_sink=intention_hits.append,
         )
         repo = mining.repository
         skipped = mining.skipped_missing

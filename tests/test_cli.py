@@ -185,6 +185,46 @@ def test_corrupt_trace_exits_5(runner, tmp_path, corrupt):
     assert "line 6" in result.output
 
 
+def edit_first_event(trace, kind, edit):
+    """Apply ``edit`` to the payload of the first ``kind`` event; return its line number."""
+    lines = trace.read_text().splitlines()
+    for index, line in enumerate(lines):
+        event = json.loads(line)
+        if event.get("kind") == kind:
+            edit(event["payload"])
+            lines[index] = json.dumps(event)
+            trace.write_text("\n".join(lines) + "\n")
+            return index + 1
+    raise AssertionError(f"no {kind} event in the trace")
+
+
+def test_thought_without_agent_exits_5(runner, tmp_path):
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    line_no = edit_first_event(trace, "thought", lambda payload: payload.pop("agent"))
+    result = runner.invoke(
+        main, ["analyze", "--trace", str(trace), "--out", str(tmp_path / "an"),
+               "--window-ticks", "120"]
+    )
+    assert result.exit_code == 5, result.output
+    assert f"line {line_no}:" in result.output
+
+
+@pytest.mark.parametrize("x", [999, -1])
+def test_out_of_grid_position_exits_5(runner, tmp_path, x):
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    line_no = edit_first_event(trace, "position", lambda payload: payload.update(x=x))
+    result = runner.invoke(
+        main, ["metrics", "--trace", str(trace), "--out", str(tmp_path / "r"),
+               "--window-ticks", "120"]
+    )
+    assert result.exit_code == 5, result.output
+    assert f"line {line_no}:" in result.output
+
+
 def test_analyze_requires_exactly_one_source(runner, tmp_path):
     result = runner.invoke(main, ["analyze", "--out", str(tmp_path)])
     assert result.exit_code == 2

@@ -1,9 +1,13 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from intentsim.backends.types import ThoughtPair
-from intentsim.embedding import HashingEmbedder, cosine_similarity
+from intentsim.embedding import HashingEmbedder, cosine_similarity, is_zero
 from intentsim.mining import (
+    DEFAULT_MEMORY_CAPACITY,
     AgentMemory,
     IntentionRepository,
     MemoryEntry,
@@ -219,3 +223,78 @@ def test_llm_detector_falls_back_to_similarity():
     )
     assert failing.detect(record, vec, memory) is True
     assert len(fallbacks) == 2
+
+
+def pairwise_emergent(embedding, remembered, theta):
+    """The detector as one cosine per remembered vector (the reference)."""
+    if is_zero(embedding):
+        return False
+    best = -1.0
+    for vec in remembered:
+        if vec is None or is_zero(vec):
+            continue
+        best = max(best, cosine_similarity(embedding, vec))
+    if best < 0.0:
+        return True
+    return best < theta
+
+
+EMBEDDER = HashingEmbedder(dim=384, seed=0)
+WORDS = "alpha beta gamma delta route river market station rain vote mayor order rider shift".split()
+
+# Texts over a few words make duplicates and exact cosine ties common, a
+# sign flip gives negative cosines, and no words embeds to the zero vector.
+vectors = st.one_of(
+    st.none(),
+    st.builds(
+        lambda words, sign: sign * EMBEDDER.embed(" ".join(words)),
+        st.lists(st.sampled_from(WORDS), max_size=12),
+        st.sampled_from((1.0, -1.0)),
+    ),
+)
+
+
+@given(
+    capacity=st.integers(0, DEFAULT_MEMORY_CAPACITY),
+    appended=st.lists(vectors, max_size=DEFAULT_MEMORY_CAPACITY + 10),
+    query=vectors.filter(lambda v: v is not None),
+    theta=st.floats(1e-6, 1.0),
+)
+def test_detector_matches_pairwise_oracle(capacity, appended, query, theta):
+    memory = AgentMemory(agent_id=1, capacity=capacity)
+    remembered = deque(maxlen=capacity)
+    for tick, vec in enumerate(appended):
+        memory.append(MemoryEntry(tick=tick, text=f"t{tick}", embedding=vec))
+        remembered.append(None if vec is None else vec.copy())
+        for t in (0.05, 0.5, 0.8, 1.0, theta):
+            detector = SimilarityDetector(theta=t)
+            assert detector.detect(query, memory) == pairwise_emergent(query, remembered, t)
+    # Each remembered cosine as theta: there the decision rests on its last bit.
+    ties = [cosine_similarity(query, vec) for vec in remembered
+            if vec is not None and not is_zero(vec) and not is_zero(query)]
+    for t in ties:
+        if 0.0 < t <= 1.0:
+            detector = SimilarityDetector(theta=t)
+            assert detector.detect(query, memory) == pairwise_emergent(query, remembered, t)
+
+
+def test_exact_tie_at_theta_matches_pairwise_formula():
+    old = EMBEDDER.embed("alpha alpha beta")
+    new = EMBEDDER.embed("alpha beta beta")
+    assert cosine_similarity(new, old) == 0.8000000000000002
+    memory = AgentMemory(agent_id=1)
+    memory.append(MemoryEntry(tick=0, text="alpha alpha beta", embedding=old))
+    assert SimilarityDetector(theta=0.8).detect(new, memory) is False
+
+
+def test_near_tie_decided_by_pairwise_formula():
+    # For these texts the matrix product can round the best cosine below its
+    # pairwise value; with theta equal to that value, nothing is emergent.
+    memory = AgentMemory(agent_id=1)
+    texts = ["order mayor", "shift market gamma rider delta mayor shift order beta market",
+             "market station mayor"]
+    for tick, text in enumerate(texts):
+        memory.append(MemoryEntry(tick=tick, text=text, embedding=EMBEDDER.embed(text)))
+    query = EMBEDDER.embed("rider shift rain vote market alpha gamma beta beta station river rider")
+    best = max(cosine_similarity(query, EMBEDDER.embed(text)) for text in texts)
+    assert SimilarityDetector(theta=best).detect(query, memory) is False
