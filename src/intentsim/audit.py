@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import AuditError
+from .trace import start_config
 
 _LEGAL_TRANSITIONS = {
     ("created", "assigned"),
@@ -27,9 +28,15 @@ class AuditReport:
     riders_seen: set = field(default_factory=set)
 
 
-def audit_trace(events, config: dict | None = None) -> AuditReport:
-    """Validate a loaded trace; raises :class:`AuditError` on any violation."""
-    report = AuditReport()
+def audit_trace(events) -> AuditReport:
+    """Validate a trace's events (any iterable, starting with a ``sim_start``
+    that carries the config); raises :class:`AuditError` on any violation."""
+    stream = iter(events)
+    start = next(stream, None)
+    config = start_config(start)
+    if config is None:
+        raise AuditError("trace does not start with a sim_start event carrying the config")
+    report = AuditReport(events=1)
     order_state: dict[int, str] = {}
     order_created_tick: dict[int, int] = {}
     order_payment: dict[int, float] = {}
@@ -42,17 +49,15 @@ def audit_trace(events, config: dict | None = None) -> AuditReport:
     distance: dict[int, int] = {}
     last_accrual_mark: dict[int, int] = {}
     sim_end_payload: dict | None = None
+    for rider_id, point in start.payload.get("rider_start", {}).items():
+        last_pos[int(rider_id)] = (point[0], point[1])
+    grid = config["grid_size"]
 
-    for event in events:
+    for event in stream:
         report.events += 1
         kind = event.kind
         payload = event.payload
-        if kind == "sim_start":
-            if config is None:
-                config = payload["config"]
-            for rider_id, point in payload.get("rider_start", {}).items():
-                last_pos[int(rider_id)] = (point[0], point[1])
-        elif kind == "order_event":
+        if kind == "order_event":
             what = payload["event"]
             oid = payload["order"]
             if what == "created":
@@ -62,15 +67,14 @@ def audit_trace(events, config: dict | None = None) -> AuditReport:
                 order_created_tick[oid] = event.tick
                 order_payment[oid] = payload["payment"]
                 report.orders_created += 1
-                if config is not None:
-                    lo, hi = config["payment_range"]
-                    if not lo <= payload["payment"] <= hi:
-                        raise AuditError(
-                            f"order {oid} payment {payload['payment']} outside range [{lo}, {hi}]"
-                        )
-                    for point in (payload["pickup"], payload["dropoff"]):
-                        if not (0 <= point[0] < config["grid_size"] and 0 <= point[1] < config["grid_size"]):
-                            raise AuditError(f"order {oid} endpoint {point} outside grid")
+                lo, hi = config["payment_range"]
+                if not lo <= payload["payment"] <= hi:
+                    raise AuditError(
+                        f"order {oid} payment {payload['payment']} outside range [{lo}, {hi}]"
+                    )
+                for point in (payload["pickup"], payload["dropoff"]):
+                    if not (0 <= point[0] < grid and 0 <= point[1] < grid):
+                        raise AuditError(f"order {oid} endpoint {point} outside grid")
             else:
                 previous = order_state.get(oid)
                 if previous is None or (previous, what) not in _LEGAL_TRANSITIONS:
@@ -81,7 +85,7 @@ def audit_trace(events, config: dict | None = None) -> AuditReport:
                 agent = payload["agent"]
                 if what == "assigned":
                     held[agent] = held.get(agent, 0) + 1
-                    if config is not None and held[agent] > config["order_cap"]:
+                    if held[agent] > config["order_cap"]:
                         raise AuditError(
                             f"rider {agent} exceeds order cap at tick {event.tick}"
                         )
@@ -99,7 +103,7 @@ def audit_trace(events, config: dict | None = None) -> AuditReport:
             x, y = payload["x"], payload["y"]
             report.position_events += 1
             report.riders_seen.add(agent)
-            if config is not None and not (0 <= x < config["grid_size"] and 0 <= y < config["grid_size"]):
+            if not (0 <= x < grid and 0 <= y < grid):
                 raise AuditError(f"rider {agent} position ({x}, {y}) outside grid")
             if payload["held"] != held.get(agent, 0):
                 raise AuditError(
@@ -110,7 +114,7 @@ def audit_trace(events, config: dict | None = None) -> AuditReport:
             if previous is not None:
                 moved = abs(x - previous[0]) + abs(y - previous[1])
                 report.max_displacement = max(report.max_displacement, moved)
-                if config is not None and moved > config["max_move_per_step"]:
+                if moved > config["max_move_per_step"]:
                     raise AuditError(
                         f"rider {agent} moved {moved} > cap {config['max_move_per_step']}"
                     )
@@ -120,18 +124,17 @@ def audit_trace(events, config: dict | None = None) -> AuditReport:
         elif kind == "cost_accrual":
             agent = payload["agent"]
             accrued[agent] = accrued.get(agent, 0.0) + payload["amount"]
-            if config is not None:
-                worked = at_work_ticks.get(agent, 0) - last_accrual_mark.get(agent, 0)
-                if payload["ticks"] != worked:
-                    raise AuditError(
-                        f"rider {agent} cost accrual covers {payload['ticks']} ticks "
-                        f"but {worked} position events were seen since the last accrual"
-                    )
-                expected = config["wage_rate"] * payload["ticks"]
-                if not math.isclose(payload["amount"], expected, rel_tol=1e-9, abs_tol=1e-9):
-                    raise AuditError(
-                        f"rider {agent} accrual amount {payload['amount']} != wage x ticks {expected}"
-                    )
+            worked = at_work_ticks.get(agent, 0) - last_accrual_mark.get(agent, 0)
+            if payload["ticks"] != worked:
+                raise AuditError(
+                    f"rider {agent} cost accrual covers {payload['ticks']} ticks "
+                    f"but {worked} position events were seen since the last accrual"
+                )
+            expected = config["wage_rate"] * payload["ticks"]
+            if not math.isclose(payload["amount"], expected, rel_tol=1e-9, abs_tol=1e-9):
+                raise AuditError(
+                    f"rider {agent} accrual amount {payload['amount']} != wage x ticks {expected}"
+                )
             last_accrual_mark[agent] = at_work_ticks.get(agent, 0)
         elif kind == "sim_end":
             sim_end_payload = payload
@@ -150,7 +153,6 @@ def audit_trace(events, config: dict | None = None) -> AuditReport:
                 f"sim_end reports {sim_end_payload.get('orders_created')} orders, "
                 f"trace contains {report.orders_created}"
             )
-        wage = (config or {}).get("wage_rate")
         for rider_id, summary in sim_end_payload.get("riders", {}).items():
             agent = int(rider_id)
             if not math.isclose(
@@ -167,15 +169,12 @@ def audit_trace(events, config: dict | None = None) -> AuditReport:
                     f"rider {agent} distance {summary['distance_ridden']} != "
                     f"sum of displacements {distance.get(agent, 0)}"
                 )
-            if wage is not None:
-                expected_cost = wage * at_work_ticks.get(agent, 0)
-                if not math.isclose(
-                    summary["labor_cost"], expected_cost, rel_tol=1e-9, abs_tol=1e-6
-                ):
-                    raise AuditError(
-                        f"rider {agent} labor cost {summary['labor_cost']} != "
-                        f"wage x at-work ticks {expected_cost}"
-                    )
+            expected_cost = config["wage_rate"] * at_work_ticks.get(agent, 0)
+            if not math.isclose(summary["labor_cost"], expected_cost, rel_tol=1e-9, abs_tol=1e-6):
+                raise AuditError(
+                    f"rider {agent} labor cost {summary['labor_cost']} != "
+                    f"wage x at-work ticks {expected_cost}"
+                )
             if not math.isclose(
                 accrued.get(agent, 0.0), summary["labor_cost"], rel_tol=1e-9, abs_tol=1e-6
             ):

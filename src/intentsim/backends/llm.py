@@ -1,7 +1,7 @@
 """Chat-completion decision backend.
 
 Wire protocol: POST {"model", "temperature", "messages": [{"role",
-"content"}]} to the configured endpoint and read
+"content"}]} to the configured endpoint, with temperature pinned to 0, and read
 {"choices": [{"message": {"content": ...}}]} back. Each decision renders a
 prompt template twice — once under the instinct-flavoured system preamble
 and once under the calculation-flavoured one — so both reasoning streams
@@ -28,15 +28,15 @@ from .parsing import (
 from .types import DecisionContext, OrderSelection, ThoughtPair, WorkHoursDecision
 
 
+TEMPERATURE = 0.0
+
+
 @dataclass(frozen=True)
 class LlmEndpointConfig:
     base_url: str
     model_id: str
-    temperature: float = 0.0
     timeout_ms: int = 30000
     max_retries: int = 2
-    think_tag_open: str = "<think>"
-    think_tag_close: str = "</think>"
     retry_backoff_s: float = 0.2
 
 
@@ -59,7 +59,7 @@ class ChatClient:
         body = json.dumps(
             {
                 "model": self.endpoint.model_id,
-                "temperature": self.endpoint.temperature,
+                "temperature": TEMPERATURE,
                 "messages": messages,
             }
         ).encode("utf-8")
@@ -127,7 +127,7 @@ class LlmBackend:
         return {
             "kind": self.kind,
             "model": self.endpoint.model_id,
-            "temperature": self.endpoint.temperature,
+            "temperature": TEMPERATURE,
             "dual": self.dual,
         }
 
@@ -142,7 +142,7 @@ class LlmBackend:
                 {
                     "request": {
                         "model": self.endpoint.model_id,
-                        "temperature": self.endpoint.temperature,
+                        "temperature": TEMPERATURE,
                         "messages": messages,
                     },
                     "response": reply,
@@ -151,9 +151,7 @@ class LlmBackend:
         return reply
 
     def _thought_from(self, reply: str) -> str:
-        block = extract_think_block(
-            reply, self.endpoint.think_tag_open, self.endpoint.think_tag_close
-        )
+        block = extract_think_block(reply)
         if block is not None:
             return block
         return prose_before_payload(reply)

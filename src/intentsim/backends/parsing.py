@@ -20,32 +20,32 @@ THINK_CLOSE = "</think>"
 _HOUR_RE = re.compile(r"^(\d{1,2}):(\d{2})$")
 
 
-def strip_think_blocks(text: str, open_tag: str = THINK_OPEN, close_tag: str = THINK_CLOSE) -> str:
-    """Remove every open..close tagged span (unterminated spans drop to end)."""
+def strip_think_blocks(text: str) -> str:
+    """Remove every think-tagged span (unterminated spans drop to end)."""
     out: list[str] = []
     pos = 0
     while True:
-        start = text.find(open_tag, pos)
+        start = text.find(THINK_OPEN, pos)
         if start < 0:
             out.append(text[pos:])
             break
         out.append(text[pos:start])
-        end = text.find(close_tag, start + len(open_tag))
+        end = text.find(THINK_CLOSE, start + len(THINK_OPEN))
         if end < 0:
             break
-        pos = end + len(close_tag)
+        pos = end + len(THINK_CLOSE)
     return "".join(out)
 
 
-def extract_think_block(text: str, open_tag: str = THINK_OPEN, close_tag: str = THINK_CLOSE) -> str | None:
-    """Content of the first tagged span, or None when no tags are present."""
-    start = text.find(open_tag)
+def extract_think_block(text: str) -> str | None:
+    """Content of the first think-tagged span, or None when no tags are present."""
+    start = text.find(THINK_OPEN)
     if start < 0:
         return None
-    end = text.find(close_tag, start + len(open_tag))
+    end = text.find(THINK_CLOSE, start + len(THINK_OPEN))
     if end < 0:
-        return text[start + len(open_tag):].strip()
-    return text[start + len(open_tag):end].strip()
+        return text[start + len(THINK_OPEN):].strip()
+    return text[start + len(THINK_OPEN):end].strip()
 
 
 def find_json_objects(text: str) -> list[tuple[int, int, dict]]:

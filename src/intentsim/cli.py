@@ -19,7 +19,7 @@ import click
 from .backends.llm import LlmBackend, LlmEndpointConfig
 from .backends.scripted import ScriptedBackend, ScriptedPolicy
 from .config import SimConfig, load_config
-from .diagram import EmergenceDiagram, render_diagram
+from .diagram import DEFAULT_WINDOW_TICKS, EmergenceDiagram, render_diagram
 from .embedding import EmbeddingEndpointConfig
 from .engine import run_simulation
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
     TraceError,
 )
 from .metrics import write_metrics_reports
+from .mining import DEFAULT_MEMORY_CAPACITY, DEFAULT_THETA
 from .pipeline import (
     AnalysisOptions,
     analyze_external,
@@ -36,7 +37,7 @@ from .pipeline import (
     write_analysis_outputs,
     write_similarity_csv,
 )
-from .trace import IngestMapping, iter_trace, load_trace
+from .trace import IngestMapping, iter_trace
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -144,13 +145,13 @@ def simulate(
 @click.option("--mapping", "mapping_path", type=click.Path(), default=None, help="Field mapping file for --external.")
 @click.option("--out", "out_dir", type=click.Path(), required=True, help="Output directory.")
 @click.option("--k", type=int, default=5, show_default=True, help="Number of intention clusters.")
-@click.option("--theta", type=float, default=0.8, show_default=True, help="Novelty threshold for the similarity detector.")
-@click.option("--window-ticks", type=int, default=1200, show_default=True)
+@click.option("--theta", type=float, default=DEFAULT_THETA, show_default=True, help="Novelty threshold for the similarity detector.")
+@click.option("--window-ticks", type=int, default=DEFAULT_WINDOW_TICKS, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for embedding/clustering.")
 @click.option("--embedder", type=click.Choice(["fallback", "remote"]), default="fallback", show_default=True)
 @click.option("--embed-url", default=None, help="Embedding endpoint URL (remote embedder).")
 @click.option("--embed-model", default=None, help="Embedding model id (remote embedder).")
-@click.option("--memory-capacity", type=int, default=50, show_default=True)
+@click.option("--memory-capacity", type=int, default=DEFAULT_MEMORY_CAPACITY, show_default=True)
 @click.option("--scan-k", is_flag=True, help="Pick k by silhouette scan over 2..10.")
 @click.option("--detector", type=click.Choice(["similarity", "llm"]), default="similarity", show_default=True)
 @click.option("--llm-url", default=None, help="Chat endpoint for --detector llm / --label-llm.")
@@ -190,14 +191,12 @@ def analyze(
         theta=theta,
         window_ticks=window_ticks,
         seed=seed,
-        embedder_kind="fallback_hash" if embedder == "fallback" else "remote",
-        detector_kind=detector,
         inspector=not no_inspector,
         analyzer=not no_analyzer,
         memory_capacity=memory_capacity,
         scan_k=scan_k,
     )
-    if options.embedder_kind == "remote":
+    if embedder == "remote":
         if not embed_url or not embed_model:
             raise click.UsageError("--embedder remote requires --embed-url and --embed-model")
         options.embed_endpoint = EmbeddingEndpointConfig(base_url=embed_url, model_id=embed_model)
@@ -219,9 +218,9 @@ def analyze(
                 + "\n- ".join(texts[:20])
             )
     if trace_path is not None:
-        log = load_trace(trace_path)
-        result = analyze_trace_events(log.events, options)
-        digest = log.header.config_digest
+        stream = iter_trace(trace_path)
+        digest = next(stream).config_digest
+        result = analyze_trace_events(stream, options)
     else:
         if mapping_path is None:
             raise click.UsageError("--external requires --mapping")
@@ -242,7 +241,7 @@ def analyze(
 @main.command()
 @click.option("--trace", "trace_path", type=click.Path(), required=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--window-ticks", type=int, default=1200, show_default=True)
+@click.option("--window-ticks", type=int, default=DEFAULT_WINDOW_TICKS, show_default=True)
 @click.option("--downsample", type=int, default=4, show_default=True, help="Heatmap block size (1 = raw grid).")
 @_guarded
 def metrics(trace_path, out_dir, window_ticks, downsample):

@@ -22,6 +22,10 @@ import numpy as np
 from .embedding import cosine_similarity
 from .errors import ClusteringError
 
+MAX_ITER = 100
+TOL = 1e-6  # objective improvement below which a stable labelling has converged
+SAMPLE_CAP = 2000  # scan_k subsamples larger inputs for the O(n^2) silhouette
+
 
 @dataclass
 class Clustering:
@@ -65,13 +69,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: random.Random) -> np.ndarra
     return centroids
 
 
-def kmeans_cluster(
-    vectors,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-) -> Clustering:
+def kmeans_cluster(vectors, k: int, seed: int) -> Clustering:
     """Lloyd's algorithm with k-means++ seeding on the non-zero vectors."""
     matrix = np.asarray(vectors, dtype=float)
     if matrix.ndim != 2:
@@ -92,7 +90,7 @@ def kmeans_cluster(
     repaired: list[int] = []
     objective = float("inf")
     iterations = 0
-    for iteration in range(max_iter):
+    for iteration in range(MAX_ITER):
         iterations = iteration + 1
         sq = _squared_distances(points, centroids)
         labels = np.argmin(sq, axis=1)
@@ -136,7 +134,7 @@ def kmeans_cluster(
         # Converge only once assignments are stable as well: at that fixed
         # point the centroids are exactly the means of their members and
         # every point already sits on its nearest centroid.
-        if improved < tol and np.array_equal(labels, update_labels):
+        if improved < TOL and np.array_equal(labels, update_labels):
             break
     assignments = np.full(matrix.shape[0], -1, dtype=int)
     assignments[index_map] = labels
@@ -200,26 +198,20 @@ def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(scores))
 
 
-def scan_k(
-    vectors,
-    seed: int,
-    k_min: int = 2,
-    k_max: int = 10,
-    sample_cap: int = 2000,
-) -> tuple[int, dict[int, float]]:
+def scan_k(vectors, seed: int, k_min: int = 2, k_max: int = 10) -> tuple[int, dict[int, float]]:
     """Silhouette sweep over k; returns (best k, score per k).
 
-    Large inputs are subsampled deterministically to keep the O(n^2)
-    silhouette affordable.
+    Inputs above ``SAMPLE_CAP`` are subsampled deterministically to keep the
+    O(n^2) silhouette affordable.
     """
     matrix = np.asarray(vectors, dtype=float)
     nonzero = matrix[np.any(matrix != 0.0, axis=1)]
     n = nonzero.shape[0]
     if n < 3:
         raise ClusteringError("need at least 3 non-zero vectors to scan k")
-    if n > sample_cap:
+    if n > SAMPLE_CAP:
         rng = random.Random(seed)
-        idx = sorted(rng.sample(range(n), sample_cap))
+        idx = sorted(rng.sample(range(n), SAMPLE_CAP))
         sample = nonzero[idx]
     else:
         sample = nonzero

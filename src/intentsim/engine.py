@@ -362,10 +362,12 @@ def replay_simulation(trace_path, out_path) -> WorldState:
     byte; callers compare the two paths to prove it.
     """
     from .backends.scripted import scripted_from_descriptor
-    from .trace import load_trace
+    from .trace import iter_trace
 
-    log = load_trace(trace_path)
-    start = log.events[0]
+    stream = iter_trace(trace_path)
+    header = next(stream)
+    start = next(stream)
+    deque(stream, maxlen=0)  # read to the end, so a corrupt trace is refused
     config = SimConfig.from_dict(start.payload["config"])
     backend = scripted_from_descriptor(start.payload["backend"])
     return run_simulation(
@@ -373,7 +375,7 @@ def replay_simulation(trace_path, out_path) -> WorldState:
         backend,
         out_path,
         inspector=start.payload.get("inspector", True),
-        created=log.header.created,
+        created=header.created,
     )
 
 
@@ -384,11 +386,9 @@ def run_simulation(
     *,
     inspector: bool = True,
     created: str | None = None,
-    world: WorldState | None = None,
 ) -> WorldState:
     """Run the full configured horizon, writing the event trace."""
-    if world is None:
-        world = init_world(config)
+    world = init_world(config)
     digest = config_digest(config)
     with TraceWriter(trace_path, digest, config.seed, created) as writer:
         writer.emit(

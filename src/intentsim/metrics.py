@@ -19,9 +19,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import AuditError, TraceFormatError
-
-DEFAULT_WINDOW_TICKS = 1200
+from .diagram import DEFAULT_WINDOW_TICKS
+from .errors import TraceFormatError
+from .trace import event_line, start_config
 
 
 class TraceTotals:
@@ -50,10 +50,10 @@ class TraceTotals:
 def fold_events(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals:
     """Read the events (any iterable, starting with ``sim_start``) once."""
     stream = iter(events)
-    start = next(stream, None)
-    if start is None or start.kind != "sim_start":
-        raise AuditError("trace does not start with a sim_start event")
-    totals = TraceTotals(config=start.payload["config"], window_ticks=window_ticks)
+    config = start_config(next(stream, None))
+    if config is None:
+        raise TraceFormatError(event_line(0), "the first event is not a sim_start carrying the config")
+    totals = TraceTotals(config=config, window_ticks=window_ticks)
     spd = totals.config["steps_per_day"]
     grid = totals.config["grid_size"]
     for event in stream:
@@ -62,14 +62,13 @@ def fold_events(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals
         if kind == "position":
             x, y = payload["x"], payload["y"]
             if not (0 <= x < grid and 0 <= y < grid):
-                # Line numbers follow the header line, so seq s is on line s + 2.
-                raise TraceFormatError(event.seq + 2, f"position ({x}, {y}) is outside the grid")
+                raise TraceFormatError(event_line(event.seq), f"position ({x}, {y}) is outside the grid")
             key = (event.tick // spd, payload["agent"])
             totals.worked[key] += 1
-            if payload.get("held", 0) > 0:
+            if payload["held"] > 0:
                 totals.holding[key] += 1
             totals.visits[event.tick // window_ticks][y, x] += 1
-        elif kind == "order_event" and payload.get("event") == "delivered":
+        elif kind == "order_event" and payload["event"] == "delivered":
             day = event.tick // spd
             totals.delivered[day] += 1
             totals.orders[day, payload["agent"]] += 1

@@ -21,6 +21,7 @@ import numpy as np
 from .backends.types import ThoughtPair
 from .embedding import cosine_similarity, is_zero
 from .errors import TraceFormatError
+from .trace import event_line
 
 DECISION_KINDS = ("work_hours", "order_selection", "external")
 DEFAULT_THETA = 0.8
@@ -105,6 +106,10 @@ class AgentMemory:
     vectors: np.ndarray | None = field(default=None, init=False, repr=False)
     norms: np.ndarray | None = field(default=None, init=False, repr=False)
     _appended: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.capacity < 0:
+            raise ValueError(f"memory capacity must be >= 0, got {self.capacity}")
 
     def append(self, entry: MemoryEntry) -> None:
         self.entries.append(entry)
@@ -298,8 +303,6 @@ def update_repository(
 @dataclass
 class MiningResult:
     repository: IntentionRepository
-    memories: dict[int, AgentMemory]
-    processed: int
     skipped_missing: int
 
 
@@ -317,7 +320,6 @@ def mine_records(
     ordered = sorted(records, key=lambda r: (r.tick, r.agent_id, r.record_id))
     repo = IntentionRepository()
     memories: dict[int, AgentMemory] = {}
-    processed = 0
     skipped = 0
     for record in ordered:
         if record.missing:
@@ -330,10 +332,7 @@ def mine_records(
         embedding = embedder.embed(record.combined_text)
         emergent = detect_emergence(record, memory, detector, embedding)
         update_repository(repo, record, emergent, memory, embedding)
-        processed += 1
-    return MiningResult(
-        repository=repo, memories=memories, processed=processed, skipped_missing=skipped
-    )
+    return MiningResult(repository=repo, skipped_missing=skipped)
 
 
 def records_from_trace(events, inspector: bool = True) -> list[ThoughtRecord]:
@@ -349,8 +348,8 @@ def records_from_trace(events, inspector: bool = True) -> list[ThoughtRecord]:
         if event.kind != "thought":
             continue
         payload = event.payload
-        if "agent" not in payload:
-            raise TraceFormatError(event.seq + 2, "thought event has no agent")
+        if payload.get("decision", "external") not in DECISION_KINDS:
+            raise TraceFormatError(event_line(event.seq), f"unknown decision kind {payload['decision']!r}")
         raw.append((event.tick, payload["agent"], index, payload))
     raw.sort(key=lambda item: item[:3])
     log = ThoughtLog()

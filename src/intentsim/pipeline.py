@@ -29,12 +29,8 @@ from .diagram import (
     build_diagram,
     render_diagram,
 )
-from .embedding import (
-    DEFAULT_DIM,
-    EmbeddingEndpointConfig,
-    HashingEmbedder,
-    RemoteEmbedder,
-)
+from .embedding import EmbeddingEndpointConfig, HashingEmbedder, RemoteEmbedder
+from .errors import TraceOrderError
 from .mining import (
     DEFAULT_MEMORY_CAPACITY,
     DEFAULT_THETA,
@@ -47,9 +43,7 @@ from .mining import (
     records_from_rows,
     records_from_trace,
 )
-from .trace import TraceWriter, ingest_external
-
-ANALYSIS_FILES = ("repository.jsonl", "clusters.csv", "diagram.json", "diagram.dot")
+from .trace import TraceWriter, ingest_external, start_config
 
 
 @dataclass
@@ -58,16 +52,13 @@ class AnalysisOptions:
     theta: float = DEFAULT_THETA
     window_ticks: int = DEFAULT_WINDOW_TICKS
     seed: int = 0
-    embedder_kind: str = "fallback_hash"
-    embed_dim: int = DEFAULT_DIM
-    embed_endpoint: EmbeddingEndpointConfig | None = None
-    detector_kind: str = "similarity"
+    embed_endpoint: EmbeddingEndpointConfig | None = None  # unset: the hashing embedder
+    # Optional callable(prompt) -> reply that judges novelty; unset: similarity.
     detector_ask: object = None
     inspector: bool = True
     analyzer: bool = True
     memory_capacity: int = DEFAULT_MEMORY_CAPACITY
     scan_k: bool = False
-    total_ticks: int | None = None
     # Optional callable(list of member texts) -> short label; medoid text
     # labeling is the default.
     label_summarizer: object = None
@@ -87,36 +78,32 @@ class AnalysisResult:
 
 
 def make_embedder(options: AnalysisOptions):
-    if options.embedder_kind == "fallback_hash":
-        return HashingEmbedder(dim=options.embed_dim, seed=options.seed)
-    if options.embedder_kind == "remote":
-        if options.embed_endpoint is None:
-            raise ValueError("remote embedder requires an endpoint config")
+    if options.embed_endpoint is not None:
         return RemoteEmbedder(endpoint=options.embed_endpoint)
-    raise ValueError(f"unknown embedder kind {options.embedder_kind!r}")
+    return HashingEmbedder(seed=options.seed)
 
 
 def make_detector(options: AnalysisOptions, warn_sink):
-    if options.detector_kind == "similarity":
-        return SimilarityDetector(theta=options.theta)
-    if options.detector_kind == "llm":
-        if options.detector_ask is None:
-            raise ValueError("llm detector requires an ask callable")
-        from .backends.llm import load_prompt
+    similarity = SimilarityDetector(theta=options.theta)
+    if options.detector_ask is None:
+        return similarity
+    from .backends.llm import load_prompt
 
-        return LlmEmergenceDetector(
-            ask=options.detector_ask,
-            template=load_prompt("emergence_check.txt"),
-            fallback=SimilarityDetector(theta=options.theta),
-            on_fallback=warn_sink,
-        )
-    raise ValueError(f"unknown detector kind {options.detector_kind!r}")
+    return LlmEmergenceDetector(
+        ask=options.detector_ask,
+        template=load_prompt("emergence_check.txt"),
+        fallback=similarity,
+        on_fallback=warn_sink,
+    )
 
 
 def analyze_records(
     records: list[ThoughtRecord],
     options: AnalysisOptions,
+    total_ticks: int | None = None,
 ) -> AnalysisResult:
+    """Mine, cluster and window the records over ``total_ticks`` (the run's
+    length; by default, up to the last record's tick)."""
     warnings: list[str] = []
 
     if options.analyzer and records:
@@ -136,7 +123,6 @@ def analyze_records(
         if not options.analyzer:
             warnings.append("emergence detection disabled: repository left empty")
 
-    total_ticks = options.total_ticks
     if total_ticks is None:
         total_ticks = max((r.tick for r in records), default=-1) + 1
     spec = WindowSpec.for_span(total_ticks, options.window_ticks)
@@ -277,13 +263,15 @@ def write_similarity_csv(repo: IntentionRepository, path: str | Path) -> Path:
 
 
 def analyze_trace_events(events, options: AnalysisOptions) -> AnalysisResult:
-    records = records_from_trace(events, inspector=options.inspector)
-    if options.total_ticks is None:
-        for event in events:
-            if event.kind == "sim_start" and "config" in event.payload:
-                options.total_ticks = event.payload["config"]["total_steps"]
-                break
-    return analyze_records(records, options)
+    """Analyze a trace's events (any iterable, such as a stream) in one pass;
+    the diagram spans the ``total_steps`` of the ``sim_start`` config."""
+    stream = iter(events)
+    start = next(stream, None)
+    if start is None or start.kind != "sim_start":
+        raise TraceOrderError("first event must be sim_start")
+    config = start_config(start)
+    records = records_from_trace(stream, inspector=options.inspector)
+    return analyze_records(records, options, config["total_steps"] if config else None)
 
 
 def analyze_external(path, mapping, options: AnalysisOptions):

@@ -2,9 +2,10 @@
 
 File layout: line 1 is the header object, then one event object per line.
 Events carry a contiguous ``seq``, a non-decreasing ``tick``, a ``kind``
-from :data:`EVENT_KINDS`, and a kind-specific ``payload``. The first event
-must be ``sim_start`` and the last ``sim_end``; any ordering violation is a
-hard error because trace corruption must never pass silently.
+from :data:`EVENT_KINDS`, and a kind-specific ``payload`` holding at least
+the keys in :data:`PAYLOAD_KEYS`. The first event must be ``sim_start`` and
+the last ``sim_end``; any ordering violation or missing key is a hard error
+because trace corruption must never pass silently.
 
 All lines are canonical JSON (sorted keys, no spaces), which makes a run's
 trace byte-reproducible and lets tests compare whole files.
@@ -42,6 +43,17 @@ EVENT_KINDS = frozenset(
 )
 
 
+# Payload keys that readers index, by event kind; "created" holds the keys
+# of an order event whose event is "created".
+PAYLOAD_KEYS = {
+    "position": frozenset({"agent", "x", "y", "held"}),
+    "thought": frozenset({"agent"}),
+    "order_event": frozenset({"event", "order", "agent"}),
+    "created": frozenset({"event", "order", "pickup", "dropoff", "payment"}),
+    "cost_accrual": frozenset({"agent", "amount", "ticks"}),
+}
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
@@ -71,6 +83,19 @@ class TraceEvent:
 
     def to_dict(self) -> dict:
         return {"seq": self.seq, "tick": self.tick, "kind": self.kind, "payload": self.payload}
+
+
+def event_line(seq: int) -> int:
+    """The file line of the event with this ``seq`` (the header is line 1)."""
+    return seq + 2
+
+
+def start_config(event: TraceEvent | None) -> dict | None:
+    """The config dict a ``sim_start`` event carries, or None."""
+    if event is None or event.kind != "sim_start":
+        return None
+    config = event.payload.get("config")
+    return config if isinstance(config, dict) else None
 
 
 class OrderGuard:
@@ -200,15 +225,17 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
                 guard.check(event)
             except TraceOrderError as exc:
                 raise TraceOrderError(f"line {line_no}: {exc}") from None
-            if (
-                event.kind == "sim_start"
-                and header.config_digest
-                and isinstance(event.payload.get("config"), dict)
-            ):
+            created = event.kind == "order_event" and event.payload.get("event") == "created"
+            required = PAYLOAD_KEYS.get("created" if created else event.kind)
+            if required is not None and not required <= event.payload.keys():
+                missing = min(required - event.payload.keys())
+                raise TraceFormatError(line_no, f"{event.kind} event has no {missing!r}")
+            config = start_config(event)
+            if config is not None and header.config_digest:
                 from .config import SimConfig, config_digest
 
                 try:
-                    embedded = config_digest(SimConfig.from_dict(event.payload["config"]))
+                    embedded = config_digest(SimConfig.from_dict(config))
                 except Exception as exc:
                     raise TraceFormatError(line_no, f"unusable embedded config: {exc}") from exc
                 if embedded != header.config_digest:

@@ -7,7 +7,7 @@ from intentsim.backends.scripted import ScriptedBackend
 from intentsim.config import SimConfig
 from intentsim.engine import run_simulation
 from intentsim.errors import AuditError
-from intentsim.trace import load_trace
+from intentsim.trace import TraceEvent, load_trace
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +35,17 @@ def tamper(path, tmp_path, mutate):
 def test_clean_trace_passes(clean_trace):
     report = audit_trace(load_trace(clean_trace).events)
     assert report.orders_delivered > 0
+
+
+def test_sim_start_without_config_rejected(clean_trace):
+    events = load_trace(clean_trace).events
+    start = events[0]
+    bare = TraceEvent(start.seq, start.tick, start.kind,
+                      {k: v for k, v in start.payload.items() if k != "config"})
+    with pytest.raises(AuditError, match="carrying the config"):
+        audit_trace([bare, *events[1:]])
+    with pytest.raises(AuditError, match="carrying the config"):
+        audit_trace(events[1:])
 
 
 def test_speed_cap_violation_detected(tmp_path):

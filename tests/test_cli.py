@@ -225,6 +225,18 @@ def test_out_of_grid_position_exits_5(runner, tmp_path, x):
     assert f"line {line_no}:" in result.output
 
 
+def test_negative_memory_capacity_exits_4(runner, tmp_path):
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    result = runner.invoke(
+        main, ["analyze", "--trace", str(trace), "--out", str(tmp_path / "an"),
+               "--memory-capacity", "-1"]
+    )
+    assert result.exit_code == 4, result.output
+    assert "memory capacity" in result.output
+
+
 def test_analyze_requires_exactly_one_source(runner, tmp_path):
     result = runner.invoke(main, ["analyze", "--out", str(tmp_path)])
     assert result.exit_code == 2

@@ -22,9 +22,9 @@ ROUTINE_BOUNDED = "I like my calm mornings and my quiet familiar routes"
 ROUTINE_RATIONAL = "Short routes minimize time per delivery so I keep choosing them"
 
 
-def thought_trace(tmp_path):
+def thought_trace(tmp_path, total_steps=240):
     """Four agents; only the instinct-side texts carry the imitate phrase."""
-    cfg = SimConfig(grid_size=10, total_steps=240, steps_per_day=120, n_riders=4, seed=0)
+    cfg = SimConfig(grid_size=10, total_steps=total_steps, steps_per_day=120, n_riders=4, seed=0)
     events = [
         TraceEvent(0, 0, "sim_start", {"config": cfg.to_dict(), "backend": {}, "rider_start": {}})
     ]
@@ -58,6 +58,18 @@ def test_analyze_builds_repository_and_diagram(tmp_path):
     assert len(result.repository) == 4
     assert result.chosen_k == 2
     assert any("imitate" in label for label in result.cluster_labels.values())
+
+
+def test_shared_options_keep_each_trace_span(tmp_path):
+    # The diagram spans each trace's own total_steps, even when one options
+    # object analyses a 240-tick trace first.
+    options = AnalysisOptions(k=2, window_ticks=120)
+    analyze_trace_events(load_trace(thought_trace(tmp_path)).events, options)
+    (tmp_path / "long").mkdir()
+    long_events = load_trace(thought_trace(tmp_path / "long", total_steps=720)).events
+    shared = analyze_trace_events(long_events, options)
+    fresh = analyze_trace_events(long_events, AnalysisOptions(k=2, window_ticks=120))
+    assert shared.diagram.n_windows == fresh.diagram.n_windows == 6
 
 
 def test_no_analyzer_leaves_repository_empty(tmp_path):
