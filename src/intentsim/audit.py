@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import AuditError
-from .trace import start_config
+from .trace import FIELD_TYPES, field_error, is_point, start_config
 
 _LEGAL_TRANSITIONS = {
     ("created", "assigned"),
@@ -49,7 +49,12 @@ def audit_trace(events) -> AuditReport:
     distance: dict[int, int] = {}
     last_accrual_mark: dict[int, int] = {}
     sim_end_payload: dict | None = None
-    for rider_id, point in start.payload.get("rider_start", {}).items():
+    rider_start = start.payload.get("rider_start", {})
+    if not isinstance(rider_start, dict) or not all(
+        rider_id.isdecimal() and is_point(point) for rider_id, point in rider_start.items()
+    ):
+        raise AuditError("sim_start rider_start does not map rider ids to [x, y] points")
+    for rider_id, point in rider_start.items():
         last_pos[int(rider_id)] = (point[0], point[1])
     grid = config["grid_size"]
 
@@ -153,8 +158,18 @@ def audit_trace(events) -> AuditReport:
                 f"sim_end reports {sim_end_payload.get('orders_created')} orders, "
                 f"trace contains {report.orders_created}"
             )
-        for rider_id, summary in sim_end_payload.get("riders", {}).items():
+        riders = sim_end_payload.get("riders")
+        if not isinstance(riders, dict) or not all(map(str.isdecimal, riders)):
+            raise AuditError("sim_end riders does not map rider ids to summaries")
+        for rider_id, summary in riders.items():
             agent = int(rider_id)
+            problem = (
+                field_error(FIELD_TYPES["rider_summary"], summary)
+                if isinstance(summary, dict)
+                else "is not an object"
+            )
+            if problem is not None:
+                raise AuditError(f"rider {agent} sim_end summary {problem}")
             if not math.isclose(
                 summary["earnings"], earnings.get(agent, 0.0), rel_tol=1e-9, abs_tol=1e-6
             ):

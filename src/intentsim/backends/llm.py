@@ -13,13 +13,11 @@ appended, up to the configured retry budget.
 from __future__ import annotations
 
 import json
-import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 
 from ..errors import BackendError, DecisionParseError
+from ..transport import post_json
 from .parsing import (
     extract_think_block,
     parse_decision_payload,
@@ -49,6 +47,18 @@ def load_prompt(name: str) -> str:
     )
 
 
+def chat_request(model_id: str, messages: list[dict]) -> dict:
+    """The request body a chat completion posts, and the exchange log records."""
+    return {"model": model_id, "temperature": TEMPERATURE, "messages": messages}
+
+
+def _reply_text(payload) -> str:
+    content = payload["choices"][0]["message"]["content"]
+    if not isinstance(content, str):
+        raise TypeError(f"reply content is {type(content).__name__}, not a string")
+    return content
+
+
 class ChatClient:
     """Minimal chat-completion HTTP client with transport retries."""
 
@@ -56,32 +66,18 @@ class ChatClient:
         self.endpoint = endpoint
 
     def complete(self, messages: list[dict]) -> str:
-        body = json.dumps(
-            {
-                "model": self.endpoint.model_id,
-                "temperature": TEMPERATURE,
-                "messages": messages,
-            }
-        ).encode("utf-8")
-        request = urllib.request.Request(
-            self.endpoint.base_url,
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
+        request = chat_request(self.endpoint.model_id, messages)
+        return post_json(
+            self.endpoint, request, _reply_text, BackendError, "chat", self.endpoint.retry_backoff_s
         )
-        last_error: Exception | None = None
-        for attempt in range(self.endpoint.max_retries + 1):
-            try:
-                with urllib.request.urlopen(
-                    request, timeout=self.endpoint.timeout_ms / 1000.0
-                ) as resp:
-                    payload = json.loads(resp.read().decode("utf-8"))
-                return payload["choices"][0]["message"]["content"]
-            except (urllib.error.URLError, json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
-                last_error = exc
-                if attempt < self.endpoint.max_retries and self.endpoint.retry_backoff_s:
-                    time.sleep(self.endpoint.retry_backoff_s * (attempt + 1))
-        raise BackendError(f"chat endpoint failed after retries: {last_error}")
+
+
+def thought_from(reply: str) -> str:
+    """The reasoning in a reply: its think block, else the prose before the payload."""
+    block = extract_think_block(reply)
+    if block is not None:
+        return block
+    return prose_before_payload(reply)
 
 
 def _format_memory(memory: tuple[str, ...]) -> str:
@@ -118,8 +114,9 @@ class LlmBackend:
         self.dual = dual
         self.client = client or ChatClient(endpoint)
         self.exchange_sink = None  # set by the engine to log raw exchanges
-        self._bounded_preamble = load_prompt("preamble_bounded.txt").strip()
-        self._rational_preamble = load_prompt("preamble_rational.txt").strip()
+        self._preambles = {
+            mode: load_prompt(f"preamble_{mode}.txt").strip() for mode in ("bounded", "rational")
+        }
         self._work_hours_template = load_prompt("work_hours.txt")
         self._order_template = load_prompt("order_selection.txt")
 
@@ -131,45 +128,32 @@ class LlmBackend:
             "dual": self.dual,
         }
 
-    # -- internals ---------------------------------------------------------
+    def ask(self, ctx: DecisionContext, mode: str, conversation: list[dict]) -> str:
+        """Ask as the rider under the ``"bounded"`` or ``"rational"`` preamble.
 
-    def _ask(self, agent_id: int, system: str, conversation: list[dict]) -> str:
+        The exchange goes to ``exchange_sink`` when one is set.
+        """
+        system = f"{ctx.persona}\n{self._preambles[mode]}"
         messages = [{"role": "system", "content": system}, *conversation]
         reply = self.client.complete(messages)
         if self.exchange_sink is not None:
             self.exchange_sink(
-                agent_id,
-                {
-                    "request": {
-                        "model": self.endpoint.model_id,
-                        "temperature": TEMPERATURE,
-                        "messages": messages,
-                    },
-                    "response": reply,
-                },
+                ctx.rider_id,
+                {"request": chat_request(self.endpoint.model_id, messages), "response": reply},
             )
         return reply
 
-    def _thought_from(self, reply: str) -> str:
-        block = extract_think_block(reply)
-        if block is not None:
-            return block
-        return prose_before_payload(reply)
+    # -- internals ---------------------------------------------------------
 
     def _decide(self, ctx: DecisionContext, prompt: str, schema: str):
-        persona_system_bounded = f"{ctx.persona}\n{self._bounded_preamble}"
-        persona_system_rational = f"{ctx.persona}\n{self._rational_preamble}"
+        conversation = [{"role": "user", "content": prompt}]
         bounded_text = ""
         if self.dual:
-            bounded_reply = self._ask(
-                ctx.rider_id, persona_system_bounded, [{"role": "user", "content": prompt}]
-            )
-            bounded_text = self._thought_from(bounded_reply)
-        conversation = [{"role": "user", "content": prompt}]
+            bounded_text = thought_from(self.ask(ctx, "bounded", conversation))
         last_error: DecisionParseError | None = None
         for _ in range(self.endpoint.max_retries + 1):
-            reply = self._ask(ctx.rider_id, persona_system_rational, conversation)
-            rational_text = self._thought_from(reply)
+            reply = self.ask(ctx, "rational", conversation)
+            rational_text = thought_from(reply)
             try:
                 decision = parse_decision_payload(reply, schema)
             except DecisionParseError as exc:
@@ -241,17 +225,8 @@ def extract_dual_thoughts(
     if not isinstance(backend, LlmBackend):
         return backend.dual_thoughts(question, ctx)
     body = f"{question}\n\nRecent notes from your memory:\n{_format_memory(memory)}"
-    bounded_reply = backend._ask(
-        ctx.rider_id,
-        f"{ctx.persona}\n{backend._bounded_preamble}",
-        [{"role": "user", "content": body}],
-    )
-    rational_reply = backend._ask(
-        ctx.rider_id,
-        f"{ctx.persona}\n{backend._rational_preamble}",
-        [{"role": "user", "content": body}],
-    )
+    conversation = [{"role": "user", "content": body}]
     return ThoughtPair(
-        bounded=backend._thought_from(bounded_reply),
-        rational=backend._thought_from(rational_reply),
+        bounded=thought_from(backend.ask(ctx, "bounded", conversation)),
+        rational=thought_from(backend.ask(ctx, "rational", conversation)),
     )

@@ -19,10 +19,6 @@ from .types import (
     WorkHoursDecision,
 )
 
-HOURS_POLICY_KINDS = ("fixed_hours", "imitate_top_ranked")
-SELECTION_POLICY_KINDS = ("greedy_nearest", "route_optimizer")
-
-
 @dataclass(frozen=True)
 class ScriptedPolicy:
     """A policy kind plus its parameters.
@@ -176,9 +172,9 @@ class ScriptedBackend:
     ):
         self.hours_policy = hours_policy or ScriptedPolicy("fixed_hours")
         self.selection_policy = selection_policy or ScriptedPolicy("greedy_nearest")
-        if self.hours_policy.kind not in HOURS_POLICY_KINDS:
+        if self.hours_policy.kind not in _HOURS_DISPATCH:
             raise ConfigError("hours_policy", f"unknown kind {self.hours_policy.kind!r}")
-        if self.selection_policy.kind not in SELECTION_POLICY_KINDS:
+        if self.selection_policy.kind not in _SELECTION_DISPATCH:
             raise ConfigError(
                 "selection_policy", f"unknown kind {self.selection_policy.kind!r}"
             )
@@ -201,8 +197,6 @@ class ScriptedBackend:
 
     def dual_thoughts(self, question: str, ctx: DecisionContext) -> ThoughtPair:
         """Template-filled answer to a free-form question; no model involved."""
-        if not question:
-            raise ValueError("question must be non-empty")
         _, pair = self.decide_work_hours(ctx)
         return ThoughtPair(
             bounded=f"Thinking about '{question}': {pair.bounded}",

@@ -85,15 +85,16 @@ def kmeans_cluster(vectors, k: int, seed: int) -> Clustering:
         )
     rng = random.Random(seed)
     centroids = _kmeans_pp_init(points, k, rng)
-    labels = np.zeros(points.shape[0], dtype=int)
+    # Each step starts from the distances and labels its predecessor ended
+    # with: the centroids have not moved since.
+    sq = _squared_distances(points, centroids)
+    labels = np.argmin(sq, axis=1)
     history: list[float] = []
     repaired: list[int] = []
     objective = float("inf")
     iterations = 0
     for iteration in range(MAX_ITER):
         iterations = iteration + 1
-        sq = _squared_distances(points, centroids)
-        labels = np.argmin(sq, axis=1)
         point_cost = sq[np.arange(points.shape[0]), labels]
         # Repair empty clusters by stealing the worst-fit point, repeating
         # until every cluster has at least one member.

@@ -93,10 +93,15 @@ class SimConfig:
         return cls(**data)
 
 
+def json_digest(obj) -> str:
+    """Stable sha256 over the compact, key-sorted JSON form of ``obj``."""
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def config_digest(config: SimConfig) -> str:
     """Stable sha256 over the canonical JSON form of the config."""
-    blob = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return json_digest(config.to_dict())
 
 
 _INT_FIELDS = {

@@ -11,15 +11,13 @@ excluded from clustering.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmbeddingError
+from .transport import post_json
 
 DEFAULT_DIM = 384
 
@@ -103,6 +101,14 @@ class EmbeddingEndpointConfig:
     max_retries: int = 2
 
 
+def _unit_rows(payload, n_texts: int) -> np.ndarray:
+    rows = [entry["embedding"] for entry in payload["data"]]
+    if len(rows) != n_texts:
+        raise EmbeddingError(f"embedding service returned {len(rows)} vectors for {n_texts} inputs")
+    matrix = np.asarray(rows, dtype=float)
+    return np.vstack([l2_normalize(row) for row in matrix])
+
+
 @dataclass
 class RemoteEmbedder:
     """Client for an HTTP embedding service.
@@ -117,28 +123,10 @@ class RemoteEmbedder:
     def embed_many(self, texts: list[str]) -> np.ndarray:
         if not texts:
             return np.zeros((0, DEFAULT_DIM), dtype=float)
-        body = json.dumps({"model": self.endpoint.model_id, "input": list(texts)}).encode("utf-8")
-        request = urllib.request.Request(
-            self.endpoint.base_url,
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
+        body = {"model": self.endpoint.model_id, "input": list(texts)}
+        return post_json(
+            self.endpoint, body, lambda reply: _unit_rows(reply, len(texts)), EmbeddingError, "embedding"
         )
-        last_error: Exception | None = None
-        for _ in range(self.endpoint.max_retries + 1):
-            try:
-                with urllib.request.urlopen(request, timeout=self.endpoint.timeout_ms / 1000.0) as resp:
-                    payload = json.loads(resp.read().decode("utf-8"))
-                rows = [entry["embedding"] for entry in payload["data"]]
-                if len(rows) != len(texts):
-                    raise EmbeddingError(
-                        f"embedding service returned {len(rows)} vectors for {len(texts)} inputs"
-                    )
-                matrix = np.asarray(rows, dtype=float)
-                return np.vstack([l2_normalize(row) for row in matrix])
-            except (urllib.error.URLError, json.JSONDecodeError, KeyError, TypeError) as exc:
-                last_error = exc
-        raise EmbeddingError(f"embedding endpoint failed after retries: {last_error}")
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]

@@ -35,7 +35,7 @@ from .world import (
 )
 
 OFFER_LIMIT = 10
-MEMORY_WINDOW = 50
+MEMORY_WINDOW = 5  # the memory lines a decision context carries
 
 
 @dataclass
@@ -107,12 +107,16 @@ class SimulationSession:
             backend.exchange_sink = self._log_exchange
 
     def _log_exchange(self, agent_id: int, payload: dict) -> None:
-        if self.writer is not None:
-            self.writer.emit("llm_exchange", self.world.tick, {"agent": agent_id, **payload})
+        self.emit("llm_exchange", {"agent": agent_id, **payload})
 
     def emit(self, kind: str, payload: dict) -> None:
         if self.writer is not None:
             self.writer.emit(kind, self.world.tick, payload)
+
+    def fall_back(self, rider_id: int, decision_kind: str, message: str) -> None:
+        """Record a decision the backend failed: a warning and a missing thought."""
+        self.emit("warning", {"agent": rider_id, "message": message})
+        self.record_thought(rider_id, decision_kind, None)
 
     def record_thought(self, rider_id: int, decision_kind: str, pair: ThoughtPair | None) -> None:
         missing = pair is None
@@ -147,7 +151,7 @@ def _base_context(session: SimulationSession, rider, stats: DayStats) -> Decisio
         leader_shift=stats.leader_shift,
         current_tick=world.tick,
         day=world.day,
-        memory=tuple(list(session.memories[rider.id])[-5:]),
+        memory=tuple(session.memories[rider.id]),
     )
 
 
@@ -162,14 +166,8 @@ def _work_hours_phase(session: SimulationSession) -> None:
         results = [exc] * len(contexts)
     for rider, outcome in zip(world.riders, results):
         if isinstance(outcome, Exception):
-            session.emit(
-                "warning",
-                {
-                    "agent": rider.id,
-                    "message": f"work-hours backend failed: {outcome}; keeping yesterday's hours",
-                },
-            )
-            session.record_thought(rider.id, "work_hours", None)
+            message = f"work-hours backend failed: {outcome}; keeping yesterday's hours"
+            session.fall_back(rider.id, "work_hours", message)
         else:
             decision, pair = outcome
             rider.shift_start = decision.go_to_work_hour
@@ -227,23 +225,27 @@ def _selection_phase(session: SimulationSession) -> None:
         try:
             selection, pair = session.backend.select_orders(ctx)
         except (BackendError, DecisionParseError) as exc:
-            session.emit(
-                "warning",
-                {
-                    "agent": rider.id,
-                    "message": f"order-selection backend failed: {exc}; selecting nothing",
-                },
-            )
-            session.record_thought(rider.id, "order_selection", None)
+            message = f"order-selection backend failed: {exc}; selecting nothing"
+            session.fall_back(rider.id, "order_selection", message)
             continue
         session.record_thought(rider.id, "order_selection", pair)
-        assign_orders(
-            world,
-            rider.id,
-            list(selection.order_ids),
-            [o.id for o in offers],
-            session.writer,
+        selected = list(selection.order_ids)
+        offered = [o.id for o in offers]
+        accepted, rejected, truncated = assign_orders(world, rider.id, selected, offered)
+        session.emit(
+            "decision",
+            {
+                "agent": rider.id,
+                "decision": "order_selection",
+                "offered": offered,
+                "selected": selected,
+                "accepted": accepted,
+                "rejected": rejected,
+                "truncated": truncated,
+            },
         )
+        for oid in accepted:
+            session.emit("order_event", {"event": "assigned", "order": oid, "agent": rider.id})
 
 
 def _movement_phase(session: SimulationSession) -> None:
@@ -316,14 +318,16 @@ def _accrual_phase(session: SimulationSession) -> None:
 def step_world(
     world: WorldState,
     backend,
-    writer: TraceWriter | None = None,
     session: SimulationSession | None = None,
 ) -> WorldState:
-    """Advance the world one tick. See the module docstring for phase order."""
+    """Advance the world one tick. See the module docstring for phase order.
+
+    Events go to the session's writer; without a session none are written.
+    """
     if world.tick >= world.config.total_steps:
         raise ValueError("simulation already ran its configured steps")
     if session is None:
-        session = SimulationSession(world, backend, writer)
+        session = SimulationSession(world, backend, None)
     config = world.config
     tick_of_day = world.tick % config.steps_per_day
     if tick_of_day == 0:
@@ -405,7 +409,7 @@ def run_simulation(
         )
         session = SimulationSession(world, backend, writer, inspector=inspector)
         while world.tick < config.total_steps:
-            step_world(world, backend, writer, session=session)
+            step_world(world, backend, session=session)
         writer.emit(
             "sim_end",
             world.tick,

@@ -81,7 +81,8 @@ def _totals(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals:
     return events if isinstance(events, TraceTotals) else fold_events(events, window_ticks)
 
 
-def _csv(rows) -> str:
+def csv_text(rows) -> str:
+    """Rows as CSV text with "\\n" line ends: the format of every CSV this package writes."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
@@ -97,7 +98,7 @@ class InvolutionSeries:
 
     def to_csv(self) -> str:
         rows = zip(self.days, self.cost, self.delivered, self.index)
-        return _csv([["day", "cost", "orders", "index"]] + [
+        return csv_text([["day", "cost", "orders", "index"]] + [
             [day, f"{cost:.6f}", delivered, f"{index:.6f}"] for day, cost, delivered, index in rows
         ])
 
@@ -130,7 +131,7 @@ class HeatmapGrid:
     total_events: int
 
     def to_csv(self) -> str:
-        return _csv([f"{v:g}" for v in row] for row in self.counts)
+        return csv_text([f"{v:g}" for v in row] for row in self.counts)
 
 
 def position_heatmap(events, window: int, window_ticks: int, downsample: int = 1) -> HeatmapGrid:
@@ -197,14 +198,14 @@ def hours_vs_orders(events) -> list[tuple[int, float, int]]:
 
 
 def hours_vs_orders_csv(rows: list[tuple[int, float, int]]) -> str:
-    return _csv([["agent_id", "hours", "orders"]] + [
+    return csv_text([["agent_id", "hours", "orders"]] + [
         [agent, f"{hours:.6f}", orders] for agent, hours, orders in rows
     ])
 
 
 def effective_hours_csv(rows_by_day: dict[int, list[HoursRow]]) -> str:
     header = ["day", "agent_id", "total_hours", "effective_hours", "orders"]
-    return _csv([header] + [
+    return csv_text([header] + [
         [day, row.agent_id, f"{row.total_hours_worked:.6f}", f"{row.effective_hours:.6f}", row.total_orders]
         for day in sorted(rows_by_day)
         for row in rows_by_day[day]

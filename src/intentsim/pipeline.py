@@ -12,8 +12,6 @@ Outputs written under the chosen directory:
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +29,7 @@ from .diagram import (
 )
 from .embedding import EmbeddingEndpointConfig, HashingEmbedder, RemoteEmbedder
 from .errors import TraceOrderError
+from .metrics import csv_text
 from .mining import (
     DEFAULT_MEMORY_CAPACITY,
     DEFAULT_THETA,
@@ -186,15 +185,13 @@ def analyze_records(
 
 
 def clusters_csv(result: AnalysisResult) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["record_id", "agent_id", "tick", "cluster", "label"])
+    rows = [["record_id", "agent_id", "tick", "cluster", "label"]]
     if result.clustering is not None:
         for idx, entry in enumerate(result.repository.entries):
             cluster = int(result.clustering.assignments[idx])
             label = result.cluster_labels.get(cluster, "") if cluster >= 0 else ""
-            writer.writerow([entry.record_id, entry.agent_id, entry.tick, cluster, label])
-    return out.getvalue()
+            rows.append([entry.record_id, entry.agent_id, entry.tick, cluster, label])
+    return csv_text(rows)
 
 
 def write_analysis_outputs(
@@ -205,25 +202,18 @@ def write_analysis_outputs(
 ) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-
-    repo_path = out / "repository.jsonl"
-    result.repository.save_jsonl(repo_path)
-    paths["repository"] = repo_path
-
-    clusters_path = out / "clusters.csv"
-    clusters_path.write_text(clusters_csv(result), encoding="utf-8")
-    paths["clusters"] = clusters_path
-
-    diagram_json = out / "diagram.json"
-    diagram_json.write_text(render_diagram(result.diagram, "json"), encoding="utf-8")
-    paths["diagram_json"] = diagram_json
-
-    diagram_dot = out / "diagram.dot"
-    diagram_dot.write_text(render_diagram(result.diagram, "dot"), encoding="utf-8")
-    paths["diagram_dot"] = diagram_dot
-
-    events_path = out / "analysis_events.jsonl"
+    paths = {
+        "repository": out / "repository.jsonl",
+        "clusters": out / "clusters.csv",
+        "diagram_json": out / "diagram.json",
+        "diagram_dot": out / "diagram.dot",
+        "analysis_events": out / "analysis_events.jsonl",
+    }
+    result.repository.save_jsonl(paths["repository"])
+    paths["clusters"].write_text(clusters_csv(result), encoding="utf-8")
+    for fmt in ("json", "dot"):
+        paths[f"diagram_{fmt}"].write_text(render_diagram(result.diagram, fmt), encoding="utf-8")
+    events_path = paths["analysis_events"]
     with TraceWriter(events_path, source_digest, seed) as writer:
         writer.emit("sim_start", 0, {"stage": "analysis"})
         last_tick = 0
@@ -241,7 +231,6 @@ def write_analysis_outputs(
         for message in result.warnings:
             writer.emit("warning", last_tick, {"message": message})
         writer.emit("sim_end", last_tick, {"intentions": len(result.repository)})
-    paths["analysis_events"] = events_path
     return paths
 
 
@@ -250,15 +239,12 @@ def write_similarity_csv(repo: IntentionRepository, path: str | Path) -> Path:
     from .embedding import similarity_matrix
 
     path = Path(path)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     ids = [entry.record_id for entry in repo.entries]
-    writer.writerow(["record_id", *ids])
+    rows = [["record_id", *ids]]
     if ids:
         matrix = similarity_matrix(repo.vectors())
-        for rid, row in zip(ids, matrix):
-            writer.writerow([rid, *[f"{value:.6f}" for value in row]])
-    path.write_text(out.getvalue(), encoding="utf-8")
+        rows += ([rid, *[f"{value:.6f}" for value in row]] for rid, row in zip(ids, matrix))
+    path.write_text(csv_text(rows), encoding="utf-8")
     return path
 
 

@@ -1,11 +1,12 @@
 """Append-only newline-delimited event log.
 
 File layout: line 1 is the header object, then one event object per line.
-Events carry a contiguous ``seq``, a non-decreasing ``tick``, a ``kind``
-from :data:`EVENT_KINDS`, and a kind-specific ``payload`` holding at least
-the keys in :data:`PAYLOAD_KEYS`. The first event must be ``sim_start`` and
-the last ``sim_end``; any ordering violation or missing key is a hard error
-because trace corruption must never pass silently.
+Events carry a contiguous integer ``seq``, a non-decreasing integer
+``tick``, a ``kind`` from :data:`EVENT_KINDS`, and a kind-specific
+``payload`` object holding at least the keys in :data:`FIELD_TYPES`, with
+the types given there. The first event must be ``sim_start`` and the last
+``sim_end``; any ordering violation, missing key or mistyped value is a
+hard error because trace corruption must never pass silently.
 
 All lines are canonical JSON (sorted keys, no spaces), which makes a run's
 trace byte-reproducible and lets tests compare whole files.
@@ -43,15 +44,42 @@ EVENT_KINDS = frozenset(
 )
 
 
-# Payload keys that readers index, by event kind; "created" holds the keys
-# of an order event whose event is "created".
-PAYLOAD_KEYS = {
-    "position": frozenset({"agent", "x", "y", "held"}),
-    "thought": frozenset({"agent"}),
-    "order_event": frozenset({"event", "order", "agent"}),
-    "created": frozenset({"event", "order", "pickup", "dropoff", "payment"}),
-    "cost_accrual": frozenset({"agent", "amount", "ticks"}),
+# Value types, as the allowed ``type()`` of a JSON value; bool is not an
+# integer here. A POINT is a list of exactly two integers.
+INT, NUMBER, TEXT, OBJECT, POINT = (int,), (int, float), (str,), (dict,), (list,)
+_TYPE_NAMES = {INT: "an integer", NUMBER: "a number", TEXT: "a string", OBJECT: "an object",
+               POINT: "an [x, y] pair of integers"}
+
+# The type of every value that readers index. "event" holds the fields of
+# each event line; the other entries hold the payload keys of one event
+# kind, "created" those of an order event whose event is "created", and
+# "rider_summary" those of each rider in a sim_end (the auditor checks
+# these; the reader does not).
+FIELD_TYPES = {
+    "event": {"seq": INT, "tick": INT, "kind": TEXT, "payload": OBJECT},
+    "position": {"agent": INT, "x": INT, "y": INT, "held": INT},
+    "thought": {"agent": INT},
+    "order_event": {"event": TEXT, "order": INT, "agent": INT},
+    "created": {"event": TEXT, "order": INT, "pickup": POINT, "dropoff": POINT, "payment": NUMBER},
+    "cost_accrual": {"agent": INT, "amount": NUMBER, "ticks": INT},
+    "rider_summary": {"earnings": NUMBER, "labor_cost": NUMBER, "orders_completed": INT,
+                      "distance_ridden": INT},
 }
+
+
+def is_point(value) -> bool:
+    return type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int
+
+
+def field_error(fields: dict, data: dict) -> str | None:
+    """What breaks one :data:`FIELD_TYPES` entry in ``data``, or None."""
+    for key, expected in fields.items():
+        value = data.get(key)
+        if type(value) not in expected or (expected is POINT and not is_point(value)):
+            if key not in data:
+                return f"has no {key!r}"
+            return f"{key!r} is not {_TYPE_NAMES[expected]}"
+    return None
 
 
 def canonical_json(obj) -> str:
@@ -216,8 +244,11 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
                 data = json.loads(stripped)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(line_no, f"malformed event: {exc.msg}") from exc
-            if not isinstance(data, dict) or not {"seq", "tick", "kind", "payload"} <= set(data):
-                raise TraceFormatError(line_no, "event missing required fields")
+            if type(data) is not dict:
+                raise TraceFormatError(line_no, "event is not an object")
+            problem = field_error(FIELD_TYPES["event"], data)
+            if problem is not None:
+                raise TraceFormatError(line_no, f"event {problem}")
             event = TraceEvent(
                 seq=data["seq"], tick=data["tick"], kind=data["kind"], payload=data["payload"]
             )
@@ -226,10 +257,10 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
             except TraceOrderError as exc:
                 raise TraceOrderError(f"line {line_no}: {exc}") from None
             created = event.kind == "order_event" and event.payload.get("event") == "created"
-            required = PAYLOAD_KEYS.get("created" if created else event.kind)
-            if required is not None and not required <= event.payload.keys():
-                missing = min(required - event.payload.keys())
-                raise TraceFormatError(line_no, f"{event.kind} event has no {missing!r}")
+            fields = FIELD_TYPES.get("created" if created else event.kind)
+            problem = field_error(fields, event.payload) if fields else None
+            if problem is not None:
+                raise TraceFormatError(line_no, f"{event.kind} event {problem}")
             config = start_config(event)
             if config is not None and header.config_digest:
                 from .config import SimConfig, config_digest

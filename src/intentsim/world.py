@@ -8,13 +8,12 @@ keeps every order ever created so conservation can be checked at any tick.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 from dataclasses import dataclass, field
 
 from . import personas
-from .config import SimConfig
+from .config import SimConfig, json_digest
 
 PENDING = "pending"
 ASSIGNED = "assigned"
@@ -206,23 +205,21 @@ def assign_orders(
     rider_id: int,
     selection: list[int],
     offered_ids: list[int],
-    writer=None,
-) -> WorldState:
+) -> tuple[list[int], list[int], list[int]]:
     """Apply one rider's order selection, tolerating malformed choices.
 
     Ids outside the offered list are rejected; surviving picks are processed
-    in offered order and truncated once the rider reaches the hold cap. The
-    outcome (accepted / rejected / truncated) is logged as a decision event.
+    in offered order and truncated once the rider reaches the hold cap.
+    Returns the (accepted, rejected, truncated) ids.
     """
     if not 0 <= rider_id < len(world.riders):
         raise ValueError(f"unknown rider {rider_id}")
     rider = world.riders[rider_id]
     cap = world.config.order_cap
-    selected = list(selection)
     offered_set = set(offered_ids)
-    rejected = [oid for oid in selected if oid not in offered_set or oid not in world.pending_ids]
+    rejected = [oid for oid in selection if oid not in offered_set or oid not in world.pending_ids]
     valid_in_offer_order = [
-        oid for oid in offered_ids if oid in selected and oid not in rejected
+        oid for oid in offered_ids if oid in selection and oid not in rejected
     ]
     accepted: list[int] = []
     truncated: list[int] = []
@@ -236,27 +233,7 @@ def assign_orders(
         world.pending_ids.discard(oid)
         rider.held_orders.append(oid)
         accepted.append(oid)
-    if writer is not None:
-        writer.emit(
-            "decision",
-            world.tick,
-            {
-                "agent": rider_id,
-                "decision": "order_selection",
-                "offered": list(offered_ids),
-                "selected": selected,
-                "accepted": accepted,
-                "rejected": rejected,
-                "truncated": truncated,
-            },
-        )
-        for oid in accepted:
-            writer.emit(
-                "order_event",
-                world.tick,
-                {"event": "assigned", "order": oid, "agent": rider_id},
-            )
-    return world
+    return accepted, rejected, truncated
 
 
 def world_digest(world: WorldState) -> str:
@@ -289,9 +266,4 @@ def world_digest(world: WorldState) -> str:
         for o in sorted(world.order_book.values(), key=lambda o: o.id)
     ]
     rng_state = hashlib.sha256(repr(world.rng.getstate()).encode()).hexdigest()
-    blob = json.dumps(
-        {"tick": world.tick, "riders": riders, "orders": orders, "rng": rng_state},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return json_digest({"tick": world.tick, "riders": riders, "orders": orders, "rng": rng_state})

@@ -138,3 +138,59 @@ def test_accrual_mismatch_detected(clean_trace, tmp_path):
 
     with pytest.raises(AuditError, match="accrual"):
         audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)
+
+
+def rename_key(summary, key):
+    summary[key.title()] = summary.pop(key)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: rename_key(s, "earnings"), "has no 'earnings'"),
+        (lambda s: rename_key(s, "labor_cost"), "has no 'labor_cost'"),
+        (lambda s: rename_key(s, "orders_completed"), "has no 'orders_completed'"),
+        (lambda s: rename_key(s, "distance_ridden"), "has no 'distance_ridden'"),
+        (lambda s: s.update(earnings=str(s["earnings"])), "'earnings' is not a number"),
+    ],
+    ids=["earnings", "labor_cost", "orders_completed", "distance_ridden", "string_earnings"],
+)
+def test_malformed_rider_summary_names_rider(clean_trace, tmp_path, edit, message):
+    def mutate(data):
+        if data["kind"] == "sim_end":
+            edit(data["payload"]["riders"]["2"])
+            return True
+        return False
+
+    with pytest.raises(AuditError, match=f"rider 2 sim_end summary {message}"):
+        audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda starts: starts.update({"0": [12.5]}), "rider_start does not map"),
+        (lambda starts: starts.update({"x": starts.pop("0")}), "rider_start does not map"),
+    ],
+    ids=["one_element_point", "named_rider"],
+)
+def test_malformed_rider_start_rejected(clean_trace, tmp_path, edit, message):
+    def mutate(data):
+        if data["kind"] == "sim_start":
+            edit(data["payload"]["rider_start"])
+            return True
+        return False
+
+    with pytest.raises(AuditError, match=message):
+        audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)
+
+
+def test_sim_end_without_rider_summaries_rejected(clean_trace, tmp_path):
+    def mutate(data):
+        if data["kind"] == "sim_end":
+            data["payload"]["riderz"] = data["payload"].pop("riders")
+            return True
+        return False
+
+    with pytest.raises(AuditError, match="sim_end riders does not map"):
+        audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)

@@ -119,6 +119,15 @@ def test_zero_vectors_excluded():
     assert set(result.assignments[[1, 2]]) == {0, 1}
 
 
+def test_repair_path_pinned():
+    # Two distinct points for k = 3: an empty cluster is repaired on every
+    # one of the MAX_ITER steps, and the run never converges.
+    result = kmeans_cluster([[1, 1]] * 3 + [[2, 2]], 3, seed=0)
+    assert result.assignments.tolist() == [1, 1, 1, 0]
+    assert result.repaired_iterations == list(range(100))
+    assert result.iterations_run == 100
+
+
 @settings(max_examples=25)
 @given(
     st.lists(

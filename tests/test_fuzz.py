@@ -1,20 +1,24 @@
-"""One-byte mutations of a small valid trace.
+"""Malformed versions of a small valid trace: hand-made bad values and
+one-byte mutations.
 
 Whatever byte changes, the reader either accepts the trace or raises a
-``TraceError``, and ``metrics`` and ``analyze`` exit 0 or 5: never a
+``TraceError``, ``audit_trace`` passes or raises ``AuditError`` on what the
+reader accepts, and ``metrics`` and ``analyze`` exit 0 or 5: never a
 traceback and never another code.
 """
 
+import copy
 import tempfile
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from intentsim.audit import audit_trace
 from intentsim.cli import main
 from intentsim.config import SimConfig, config_digest
-from intentsim.errors import TraceError
+from intentsim.errors import AuditError, TraceError, TraceFormatError
 from intentsim.trace import TraceEvent, TraceHeader, canonical_json, iter_trace, load_trace
 
 CONFIG = SimConfig(grid_size=10, total_steps=120, steps_per_day=120, n_riders=2, seed=4)
@@ -53,13 +57,19 @@ EVENTS = [
     }}),
 ]
 HEADER = TraceHeader(1, config_digest(CONFIG), CONFIG.seed)
-TRACE = "".join(
-    canonical_json(line) + "\n"
-    for line in [HEADER.to_dict()] + [
-        TraceEvent(seq, tick, kind, payload).to_dict()
-        for seq, (kind, tick, payload) in enumerate(EVENTS)
-    ]
-).encode("utf-8")
+
+
+def trace_bytes(edit=None):
+    """The trace of EVENTS; ``edit(lines)`` may change the event dicts first."""
+    lines = [TraceEvent(seq, tick, kind, payload).to_dict()
+             for seq, (kind, tick, payload) in enumerate(EVENTS)]
+    if edit is not None:
+        lines = copy.deepcopy(lines)
+        edit(lines)
+    return "".join(canonical_json(line) + "\n" for line in [HEADER.to_dict()] + lines).encode("utf-8")
+
+
+TRACE = trace_bytes()
 
 
 def commands(path, out):
@@ -76,12 +86,45 @@ def test_unmutated_trace_is_valid(tmp_path):
         assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize(
+    "index, key, value",
+    [
+        (10, "payload", [0, 2, 1, 1]),
+        (10, "tick", "0"),
+        (10, "kind", ["position"]),
+        (10, "x", "2"),
+        (15, "amount", "2.0"),
+        (1, "agent", [0]),
+        (5, "dropoff", [12.5]),
+    ],
+    ids=["list_payload", "string_tick", "list_kind", "string_x", "string_amount",
+         "list_agent", "one_element_dropoff"],
+)
+def test_mistyped_value_exits_5(tmp_path, index, key, value):
+    def edit(lines):  # set the field of EVENTS[index], or else of its payload
+        target = lines[index] if key in lines[index] else lines[index]["payload"]
+        target[key] = value
+
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(trace_bytes(edit))
+    with pytest.raises(TraceFormatError) as raised:
+        for _ in iter_trace(path):
+            pass
+    assert raised.value.line_no == index + 2
+    for command in commands(path, tmp_path):
+        result = CliRunner().invoke(main, command)
+        assert result.exit_code == 5, (command[0], result.output, result.exception)
+        assert f"line {index + 2}:" in result.output
+
+
 @settings(max_examples=300, deadline=None)
 @given(index=st.integers(0, len(TRACE) - 1), byte=st.integers(0, 255))
 # A position's "y" key becomes a second "x", so the position has no "y".
 @example(index=TRACE.index(b'"y":') + 1, byte=ord("x"))
 # A cost accrual's "amount" key becomes "Amount".
 @example(index=TRACE.index(b'"amount"') + 1, byte=ord("A"))
+# A sim_end rider summary's "earnings" key becomes "Earnings".
+@example(index=TRACE.index(b'"earnings"') + 1, byte=ord("E"))
 def test_one_byte_mutation_exits_0_or_5(index, byte):
     mutated = bytearray(TRACE)
     mutated[index] = byte
@@ -89,10 +132,14 @@ def test_one_byte_mutation_exits_0_or_5(index, byte):
         path = Path(tmp) / "t.jsonl"
         path.write_bytes(bytes(mutated))
         try:
-            for _ in iter_trace(path):
-                pass
+            events = load_trace(path).events
         except TraceError:
             pass
+        else:
+            try:
+                audit_trace(events)
+            except AuditError:
+                pass
         for command in commands(path, Path(tmp)):
             result = CliRunner().invoke(main, command)
             assert result.exit_code in (0, 5), (command[0], result.output, result.exception)

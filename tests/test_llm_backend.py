@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -12,7 +14,11 @@ from intentsim.errors import BackendError, EmbeddingError
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Chat/embedding stub; replies come from the server's scripted queue."""
+    """Chat/embedding stub; replies come from the server's scripted queue.
+
+    A ``{"stall": seconds}`` reply sleeps before answering, and a
+    ``{"short_body": True}`` reply announces 100 bytes and sends 6.
+    """
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -20,6 +26,13 @@ class StubHandler(BaseHTTPRequestHandler):
         self.server.requests.append((self.path, request))
         script = self.server.script
         reply = script.pop(0) if script else {"status": 500, "body": b"exhausted"}
+        if reply.get("short_body"):
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"choi')
+            return
+        time.sleep(reply.get("stall", 0))
         status = reply.get("status", 200)
         if "chat" in reply:
             body = json.dumps(
@@ -31,11 +44,14 @@ class StubHandler(BaseHTTPRequestHandler):
             ).encode()
         else:
             body = reply.get("body", b"")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except OSError:
+            pass  # the client gave up waiting
 
     def log_message(self, *args):
         pass
@@ -43,7 +59,7 @@ class StubHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), StubHandler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
     server.script = []
     server.requests = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -170,6 +186,70 @@ def test_transport_failure_retries_then_raises(stub_server):
     assert len(stub_server.requests) == 2  # initial + one retry
 
 
+TRANSPORT_FAULTS = pytest.mark.parametrize(
+    "fault", [{"short_body": True}, {"stall": 1.0}], ids=["short_body", "stall"]
+)
+
+
+@TRANSPORT_FAULTS
+def test_chat_transport_fault_retries_then_raises(stub_server, fault):
+    stub_server.script = [fault] * 3
+    endpoint = dataclasses.replace(endpoint_for(stub_server, retries=2), timeout_ms=200)
+    with pytest.raises(BackendError, match="chat endpoint failed after retries"):
+        ChatClient(endpoint).complete([{"role": "user", "content": "hi"}])
+    assert len(stub_server.requests) == 3
+
+
+@TRANSPORT_FAULTS
+def test_embedding_transport_fault_retries_then_raises(stub_server, fault):
+    stub_server.script = [fault] * 3
+    host, port = stub_server.server_address
+    embedder = RemoteEmbedder(
+        EmbeddingEndpointConfig(base_url=f"http://{host}:{port}/embed", model_id="e",
+                                max_retries=2, timeout_ms=200)
+    )
+    with pytest.raises(EmbeddingError, match="embedding endpoint failed after retries"):
+        embedder.embed_many(["a"])
+    assert len(stub_server.requests) == 3
+
+
+def test_vector_count_mismatch_is_not_retried(stub_server):
+    stub_server.script = [{"embedding": [[1.0, 0.0]]}] * 3
+    host, port = stub_server.server_address
+    embedder = RemoteEmbedder(
+        EmbeddingEndpointConfig(base_url=f"http://{host}:{port}/embed", model_id="e")
+    )
+    with pytest.raises(EmbeddingError, match="returned 1 vectors for 2 inputs"):
+        embedder.embed_many(["a", "b"])
+    assert len(stub_server.requests) == 1
+
+
+def test_simulate_falls_back_on_truncated_replies(stub_server, tmp_path):
+    from click.testing import CliRunner
+
+    from intentsim.cli import main as cli_main
+    from intentsim.trace import load_trace
+
+    config = tmp_path / "sim.cfg"
+    config.write_text("grid_size = 20\ntotal_steps = 10\nsteps_per_day = 10\nn_riders = 2\n"
+                      "base_order_rate = 0.0\npeak_ticks_per_day = 5\nseed = 1\n")
+    stub_server.script = [{"short_body": True}] * 6  # two riders, three attempts each
+    host, port = stub_server.server_address
+    trace = tmp_path / "t.jsonl"
+    result = CliRunner().invoke(cli_main, [
+        "simulate", "--config", str(config), "--out", str(trace), "--backend", "llm",
+        "--llm-url", f"http://{host}:{port}/v1/chat/completions", "--llm-model", "stub-model",
+    ])
+    assert result.exit_code == 0, (result.output, result.exception)
+    events = load_trace(trace).events
+    warnings = [e for e in events if e.kind == "warning"]
+    assert [w.payload["agent"] for w in warnings] == [0, 1]
+    assert all("chat endpoint failed after retries" in w.payload["message"] for w in warnings)
+    thoughts = [e.payload for e in events if e.kind == "thought"]
+    assert [(t["decision"], t["missing"]) for t in thoughts] == [("work_hours", True)] * 2
+    assert len(stub_server.requests) == 6
+
+
 def test_exchange_sink_sees_raw_pairs(stub_server):
     stub_server.script = [
         {"chat": "<think>a</think>"},
@@ -252,7 +332,8 @@ def test_simulation_with_llm_backend_logs_exchanges(stub_server, tmp_path):
     events = load_trace(paths[0]).events
     exchanges = [e for e in events if e.kind == "llm_exchange"]
     assert len(exchanges) == 4
-    assert all("request" in e.payload and "response" in e.payload for e in exchanges)
+    assert [e.payload["request"] for e in exchanges] == [req for _, req in stub_server.requests[:4]]
+    assert all("response" in e.payload for e in exchanges)
     decisions = [e for e in events if e.kind == "decision"]
     assert [(d.payload["start"], d.payload["end"]) for d in decisions] == [(9, 17), (8, 16)]
     thoughts = [e for e in events if e.kind == "thought"]
