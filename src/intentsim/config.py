@@ -90,6 +90,9 @@ class SimConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown config key")
+        missing = known - set(data)
+        if missing:
+            raise ConfigError(sorted(missing)[0], "missing config key")
         return cls(**data)
 
 

@@ -15,9 +15,10 @@ trace byte-reproducible and lets tests compare whole files.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     TraceFormatError,
@@ -82,8 +83,31 @@ def field_error(fields: dict, data: dict) -> str | None:
     return None
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# One encoder for every line: ``json.dumps`` with these arguments would build
+# a new encoder on each call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+
+
+# An event line with its keys in sorted order, and the same for a position
+# whose four payload values and seq and tick are all integers.
+_EVENT_LINE = '{"kind":%s,"payload":%s,"seq":%d,"tick":%d}\n'
+_POSITION_LINE = '{"kind":"position","payload":{"agent":%d,"held":%d,"x":%d,"y":%d},"seq":%d,"tick":%d}\n'
+# A canonical position line, as the template writes it. Each integer has the
+# JSON integer grammar, so a line that matches decodes to the same values.
+_POSITION_RE = re.compile(
+    re.escape(_POSITION_LINE.rstrip()).replace("%d", "(-?(?:0|[1-9][0-9]*))")
+)
+
+
+def _line(seq, tick, kind: str, payload) -> str:
+    """The line ``canonical_json`` gives for this event, newline included."""
+    if type(seq) is not int or type(tick) is not int:  # %d would print a bool as 1
+        return canonical_json({"kind": kind, "payload": payload, "seq": seq, "tick": tick}) + "\n"
+    if kind == "position" and type(payload) is dict and len(payload) == 4:
+        values = (payload.get("agent"), payload.get("held"), payload.get("x"), payload.get("y"))
+        if all(type(value) is int for value in values):
+            return _POSITION_LINE % (*values, seq, tick)
+    return _EVENT_LINE % (canonical_json(kind), canonical_json(payload), seq, tick)
 
 
 @dataclass(frozen=True)
@@ -102,8 +126,7 @@ class TraceHeader:
         }
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     seq: int
     tick: int
     kind: str
@@ -139,26 +162,24 @@ class OrderGuard:
         self.started = False
         self.ended = False
 
-    def check(self, event: TraceEvent) -> None:
+    def check(self, seq: int, tick: int, kind: str) -> None:
         if self.ended:
             raise TraceOrderError("event after sim_end")
-        if event.kind not in EVENT_KINDS:
-            raise TraceOrderError(f"unknown event kind {event.kind!r}")
-        if event.seq != self.last_seq + 1:
-            raise TraceOrderError(
-                f"seq {event.seq} breaks contiguity (expected {self.last_seq + 1})"
-            )
-        if self.started and event.tick < self.last_tick:
-            raise TraceOrderError(f"tick {event.tick} decreases (last was {self.last_tick})")
+        if kind not in EVENT_KINDS:
+            raise TraceOrderError(f"unknown event kind {kind!r}")
+        if seq != self.last_seq + 1:
+            raise TraceOrderError(f"seq {seq} breaks contiguity (expected {self.last_seq + 1})")
+        if self.started and tick < self.last_tick:
+            raise TraceOrderError(f"tick {tick} decreases (last was {self.last_tick})")
         if not self.started:
-            if event.kind != "sim_start":
+            if kind != "sim_start":
                 raise TraceOrderError("first event must be sim_start")
             self.started = True
-        elif event.kind == "sim_start":
+        elif kind == "sim_start":
             raise TraceOrderError("duplicate sim_start")
-        self.last_seq = event.seq
-        self.last_tick = event.tick
-        self.ended = event.kind == "sim_end"
+        self.last_seq = seq
+        self.last_tick = tick
+        self.ended = kind == "sim_end"
 
 
 class TraceWriter:
@@ -178,15 +199,16 @@ class TraceWriter:
         self._guard = OrderGuard()
 
     def append_event(self, event: TraceEvent) -> None:
-        self._guard.check(event)
-        self._fh.write(canonical_json(event.to_dict()) + "\n")
-        if event.kind == "sim_end":
-            self._fh.flush()
+        self._write(*event)
 
-    def emit(self, kind: str, tick: int, payload: dict) -> TraceEvent:
-        event = TraceEvent(seq=self._guard.last_seq + 1, tick=tick, kind=kind, payload=payload)
-        self.append_event(event)
-        return event
+    def emit(self, kind: str, tick: int, payload: dict) -> None:
+        self._write(self._guard.last_seq + 1, tick, kind, payload)
+
+    def _write(self, seq: int, tick: int, kind: str, payload: dict) -> None:
+        self._guard.check(seq, tick, kind)
+        self._fh.write(_line(seq, tick, kind, payload))
+        if kind == "sim_end":
+            self._fh.flush()
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -210,7 +232,7 @@ def _decode(raw: bytes, line_no: int) -> str:
 def _parse_header(line: str) -> TraceHeader:
     try:
         data = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer past the int-string limit
         raise TraceHeaderError(f"unreadable header: {exc}") from exc
     if not isinstance(data, dict) or "schema_version" not in data:
         raise TraceHeaderError("first line is not a trace header")
@@ -224,6 +246,25 @@ def _parse_header(line: str) -> TraceHeader:
         seed=data.get("seed", 0),
         created=data.get("created"),
     )
+
+
+def _check_payload(event: TraceEvent, line_no: int, digest: str) -> None:
+    """Check the payload types and any embedded config of an event."""
+    created = event.kind == "order_event" and event.payload.get("event") == "created"
+    fields = FIELD_TYPES.get("created" if created else event.kind)
+    problem = field_error(fields, event.payload) if fields else None
+    if problem is not None:
+        raise TraceFormatError(line_no, f"{event.kind} event {problem}")
+    config = start_config(event)
+    if config is not None:
+        from .config import SimConfig, config_digest
+
+        try:
+            embedded = config_digest(SimConfig.from_dict(config))
+        except Exception as exc:
+            raise TraceFormatError(line_no, f"unusable embedded config: {exc}") from exc
+        if digest and embedded != digest:
+            raise TraceHeaderError("header config digest does not match the embedded config")
 
 
 def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
@@ -240,39 +281,29 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
             stripped = _decode(raw, line_no).strip()
             if not stripped:
                 raise TraceFormatError(line_no, "blank line inside trace")
+            # A canonical position line is read without json.loads; it holds
+            # the four integers FIELD_TYPES asks of a position by construction.
+            match = _POSITION_RE.fullmatch(stripped)
             try:
-                data = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(line_no, f"malformed event: {exc.msg}") from exc
-            if type(data) is not dict:
+                data = [*map(int, match.groups())] if match else json.loads(stripped)
+            except ValueError as exc:  # not JSON, or an integer past the int-string limit
+                raise TraceFormatError(line_no, f"malformed event: {getattr(exc, 'msg', exc)}") from exc
+            if match:
+                agent, held, x, y, seq, tick = data
+                event = TraceEvent(seq, tick, "position", {"agent": agent, "held": held, "x": x, "y": y})
+            elif type(data) is not dict:
                 raise TraceFormatError(line_no, "event is not an object")
-            problem = field_error(FIELD_TYPES["event"], data)
-            if problem is not None:
-                raise TraceFormatError(line_no, f"event {problem}")
-            event = TraceEvent(
-                seq=data["seq"], tick=data["tick"], kind=data["kind"], payload=data["payload"]
-            )
+            else:
+                problem = field_error(FIELD_TYPES["event"], data)
+                if problem is not None:
+                    raise TraceFormatError(line_no, f"event {problem}")
+                event = TraceEvent(data["seq"], data["tick"], data["kind"], data["payload"])
             try:
-                guard.check(event)
+                guard.check(event.seq, event.tick, event.kind)
             except TraceOrderError as exc:
                 raise TraceOrderError(f"line {line_no}: {exc}") from None
-            created = event.kind == "order_event" and event.payload.get("event") == "created"
-            fields = FIELD_TYPES.get("created" if created else event.kind)
-            problem = field_error(fields, event.payload) if fields else None
-            if problem is not None:
-                raise TraceFormatError(line_no, f"{event.kind} event {problem}")
-            config = start_config(event)
-            if config is not None and header.config_digest:
-                from .config import SimConfig, config_digest
-
-                try:
-                    embedded = config_digest(SimConfig.from_dict(config))
-                except Exception as exc:
-                    raise TraceFormatError(line_no, f"unusable embedded config: {exc}") from exc
-                if embedded != header.config_digest:
-                    raise TraceHeaderError(
-                        "header config digest does not match the embedded config"
-                    )
+            if not match:
+                _check_payload(event, line_no, header.config_digest)
             yield event
         if not guard.started:
             raise TraceOrderError("trace contains no events")

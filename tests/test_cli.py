@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -223,6 +224,56 @@ def test_out_of_grid_position_exits_5(runner, tmp_path, x):
     )
     assert result.exit_code == 5, result.output
     assert f"line {line_no}:" in result.output
+
+
+def test_incomplete_config_without_digest_exits_5(runner, tmp_path):
+    # With no header digest to compare against, the embedded config is still
+    # checked, so metrics never indexes a key the config lacks.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    line_no = edit_first_event(trace, "sim_start", lambda payload: payload["config"].pop("steps_per_day"))
+    lines = trace.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "config_digest": ""})
+    trace.write_text("\n".join(lines) + "\n")
+    for command in ("metrics", "analyze"):
+        result = runner.invoke(
+            main, [command, "--trace", str(trace), "--out", str(tmp_path / command),
+                   "--window-ticks", "120"]
+        )
+        assert result.exit_code == 5, (command, result.output)
+        assert f"line {line_no}: unusable embedded config" in result.output
+        assert "steps_per_day" in result.output
+
+
+@pytest.mark.parametrize("kind, key", [("position", "x"), ("thought", "agent")])
+def test_over_long_integer_exits_5(runner, tmp_path, kind, key):
+    # 5,000 digits pass the JSON grammar but not Python's int-string limit.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    lines = trace.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if f'"kind":"{kind}"' in line)
+    lines[index] = re.sub(f'"{key}":[0-9]+', f'"{key}":' + "9" * 5000, lines[index], count=1)
+    trace.write_text("\n".join(lines) + "\n")
+    for command in ("metrics", "analyze"):
+        result = runner.invoke(
+            main, [command, "--trace", str(trace), "--out", str(tmp_path / command),
+                   "--window-ticks", "120"]
+        )
+        assert result.exit_code == 5, (command, result.output)
+        assert f"line {index + 1}: malformed event: Exceeds the limit" in result.output
+
+
+def test_over_long_integer_in_header_exits_5(runner, tmp_path):
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    text = trace.read_text()
+    trace.write_text(re.sub('"seed":[0-9]+', '"seed":' + "9" * 5000, text, count=1))
+    result = runner.invoke(main, ["metrics", "--trace", str(trace), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 5, result.output
+    assert "unreadable header: Exceeds the limit" in result.output
 
 
 def test_negative_memory_capacity_exits_4(runner, tmp_path):

@@ -3,7 +3,10 @@
 The hashes pin the exact bytes of ``write_analysis_outputs``: any change to
 embedding, detection, clustering, labelling, the diagram or the writers that
 moves one byte fails here. They were taken from the pipeline before
-detection was vectorised and must not move without a reason.
+detection was vectorised and must not move without a reason. The simulated
+run's trace is pinned too, so a change to the engine or the trace writer
+that moves one byte fails here; its hash was taken before the writer's
+line templates.
 """
 
 import hashlib
@@ -36,6 +39,8 @@ SIMULATED_HASHES = {
     "diagram.json": "80e84f88e96b157140e9a319ff32b15f8682f994aaf30eac47ac2e71a87977c1",
     "repository.jsonl": "bf5e24430b31e974d6a3644660f4b626743e45b9ecfd395c96a079704a617e75",
 }
+
+SIMULATED_TRACE_HASH = "a9e8540d4407f887781ec83b2d4138fc53c8ffb47057a8a314e17725326f5c55"
 
 
 def bundle_hashes(out):
@@ -75,6 +80,7 @@ def test_simulated_bundle_bytes(tmp_path):
     )
     trace_path = tmp_path / "run.trace.jsonl"
     run_simulation(config, backend, trace_path)
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == SIMULATED_TRACE_HASH
     log = load_trace(trace_path)
     result = analyze_trace_events(log.events, AnalysisOptions(k=3, theta=0.8, window_ticks=120))
     write_analysis_outputs(
