@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .errors import ConfigError
 
@@ -41,6 +42,14 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if get_args(kind):  # a tuple field: check each value
+                kind, values, rule = get_args(kind)[0], value, "each value must be"
+            else:
+                values, rule = (value,), "must be"
+            if not all(type(v) is int or (kind is float and type(v) is float) for v in values):
+                raise ConfigError(name, f"{rule} {'an integer' if kind is int else 'a number'}")
         if self.grid_size <= 0:
             raise ConfigError("grid_size", "must be > 0")
         if self.steps_per_day <= 0:
@@ -71,8 +80,6 @@ class SimConfig:
         lo, hi = self.payment_range
         if lo < 0 or hi < lo:
             raise ConfigError("payment_range", "need 0 <= min <= max")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed", "must be an integer")
 
     @property
     def n_days(self) -> int:
@@ -107,35 +114,24 @@ def config_digest(config: SimConfig) -> str:
     return json_digest(config.to_dict())
 
 
-_INT_FIELDS = {
-    "grid_size",
-    "total_steps",
-    "steps_per_day",
-    "n_riders",
-    "max_move_per_step",
-    "order_cap",
-    "seed",
-}
-_FLOAT_FIELDS = {"base_order_rate", "peak_multiplier", "wage_rate"}
+# Each field's type as SimConfig declares it. An int field takes exactly an
+# int and a float field an int or a float; a bool is neither.
+_FIELD_TYPES = get_type_hints(SimConfig)
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
+    if key not in _FIELD_TYPES:
+        raise ConfigError(key, "unknown config key")
+    kind = _FIELD_TYPES[key]
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key == "peak_ticks_per_day":
-            return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-        if key == "payment_range":
-            parts = [float(part.strip()) for part in raw.split(",") if part.strip()]
-            if len(parts) != 2:
-                raise ConfigError(key, "expected two comma-separated numbers")
-            return tuple(parts)
+        if not get_args(kind):
+            return kind(raw.strip())
+        parts = tuple(get_args(kind)[0](part.strip()) for part in raw.split(",") if part.strip())
     except ValueError as exc:
-        raise ConfigError(key, f"cannot parse value {raw!r}") from exc
-    raise ConfigError(key, "unknown config key")
+        raise ConfigError(key, f"cannot parse value {raw.strip()!r}") from exc
+    if key == "payment_range" and len(parts) != 2:
+        raise ConfigError(key, "expected two comma-separated numbers")
+    return parts
 
 
 def parse_config_text(text: str) -> SimConfig:

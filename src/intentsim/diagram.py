@@ -73,49 +73,6 @@ def window_partition(
     return windows
 
 
-def emergent_diff(current_clusters: set[int], seen_before: set[int]) -> set[int]:
-    """Clusters newly present relative to everything already seen."""
-    return set(current_clusters) - set(seen_before)
-
-
-def attribute_origin(cluster_id: int, windows: WindowedClusters) -> tuple[int, int]:
-    """(agent, tick) of the globally earliest entry in the cluster."""
-    best: tuple[int, int] | None = None  # (tick, agent)
-    for window in windows:
-        for agent, tick in window.get(cluster_id, {}).items():
-            key = (tick, agent)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise ValueError(f"cluster {cluster_id} has no members")
-    return best[1], best[0]
-
-
-def find_influenced(
-    cluster_id: int,
-    origin_agent: int,
-    origin_tick: int,
-    window_index: int,
-    windows: WindowedClusters,
-) -> list[tuple[int, int]]:
-    """Agents reached by the cluster within its two-window horizon.
-
-    Returns (agent, window) pairs sorted by (window, agent); an agent
-    appearing in both windows counts once, at the earlier one.
-    """
-    influenced: dict[int, int] = {}
-    horizon = [window_index]
-    if window_index + 1 < len(windows):
-        horizon.append(window_index + 1)
-    for w in horizon:
-        for agent, tick in windows[w].get(cluster_id, {}).items():
-            if agent == origin_agent or tick <= origin_tick:
-                continue
-            if agent not in influenced:
-                influenced[agent] = w
-    return sorted(influenced.items(), key=lambda kv: (kv[1], kv[0]))
-
-
 @dataclass(frozen=True)
 class EmergencePoint:
     cluster_id: int
@@ -196,41 +153,38 @@ def build_diagram(
     cluster_labels: dict[int, str] | None = None,
     warn_sink: Callable[[str], None] | None = None,
 ) -> tuple[EmergenceDiagram, InfluenceMap, list[EmergencePoint]]:
-    """Walk every window, birth new clusters, and record influence points."""
+    """Walk every window, birth new clusters, and record influence points.
+
+    Windows follow ticks, so the earliest (tick, agent) of a cluster in its
+    birth window is its earliest anywhere: that entry is the origin.
+    """
     windows = window_partition(repo, clustering, spec, warn_sink)
     diagram = EmergenceDiagram(
         window_ticks=spec.window_ticks,
         n_windows=len(windows),
         cluster_labels=dict(cluster_labels or {}),
     )
-    influence: InfluenceMap = {}
-    points: list[EmergencePoint] = []
-    seen: set[int] = set()
+    births = diagram.emergence_windows
     agent_nodes: set[tuple[int, int]] = set()
     for w, window in enumerate(windows):
-        fresh = emergent_diff(set(window), seen)
-        for cluster_id in sorted(fresh):
-            origin_agent, origin_tick = attribute_origin(cluster_id, windows)
+        for cluster_id in sorted(window.keys() - births.keys()):
+            origin_tick, origin_agent = min((tick, agent) for agent, tick in window[cluster_id].items())
             diagram.cluster_nodes.append((w, cluster_id))
-            diagram.emergence_windows[cluster_id] = w
+            births[cluster_id] = w
             diagram.origins[cluster_id] = (origin_agent, origin_tick)
             agent_nodes.add((w, origin_agent))
-            for agent, agent_window in find_influenced(
-                cluster_id, origin_agent, origin_tick, w, windows
-            ):
-                point = EmergencePoint(
-                    cluster_id=cluster_id,
-                    origin_agent=origin_agent,
-                    influenced_agent=agent,
-                    window=agent_window,
-                )
-                points.append(point)
+            # Every later agent in the birth window or the next one, each
+            # counted once, at its earlier window.
+            reached: dict[int, int] = {}
+            for later in range(w, min(w + 2, len(windows))):
+                for agent, tick in windows[later].get(cluster_id, {}).items():
+                    if agent != origin_agent and tick > origin_tick:
+                        reached.setdefault(agent, later)
+            for agent, agent_window in sorted(reached.items(), key=lambda kv: (kv[1], kv[0])):
+                diagram.points.append(EmergencePoint(cluster_id, origin_agent, agent, agent_window))
                 agent_nodes.add((agent_window, agent))
-                influence.setdefault(agent, set()).add(cluster_id)
-        seen |= fresh
     diagram.agent_nodes = sorted(agent_nodes)
-    diagram.points = points
-    return diagram, influence, points
+    return diagram, influence_from_points(diagram.points), diagram.points
 
 
 def influence_from_points(points: list[EmergencePoint]) -> InfluenceMap:

@@ -2,9 +2,13 @@
 append-only group intention repository.
 
 A thought record pairs an agent's instinct-driven and calculation-driven
-texts for one decision. Detection compares the combined text against the
-agent's own recent memory: a thought is a newly emergent intention when
-nothing similar is remembered. Emergent thoughts accumulate in a shared
+texts for one decision. Both record builders, over trace events and over
+ingested foreign rows, hand their thoughts to one numbering function: it
+puts them in canonical (tick, agent, arrival) order, assigns the ids and
+marks the missing ones. :func:`mine_records` walks the present records in
+that order and asks the detector ``detect(record, embedding, memory)``: a
+thought is a newly emergent intention when nothing similar is in the
+agent's own recent memory. Emergent thoughts accumulate in a shared
 repository that later stages cluster and window.
 """
 
@@ -54,55 +58,44 @@ class ThoughtRecord:
         return combine_pair(self.pair)
 
 
-class ThoughtLog:
-    """Assigns record ids to thought records."""
+_NO_PAIR = ThoughtPair(bounded="", rational="")
 
-    def __init__(self):
-        self._next_id = 0
 
-    def record_thoughts(
-        self,
-        agent_id: int,
-        tick: int,
-        decision_kind: str,
-        pair: ThoughtPair | None,
-    ) -> ThoughtRecord:
-        if decision_kind not in DECISION_KINDS:
-            raise ValueError(f"unknown decision kind {decision_kind!r}")
-        missing = pair is None or not pair.rational
-        record = ThoughtRecord(
-            record_id=self._next_id,
-            agent_id=agent_id,
+def _numbered(items: list[tuple]) -> list[ThoughtRecord]:
+    """Records from ``(tick, agent, arrival, kind, pair-or-None)`` tuples.
+
+    Ids follow canonical (tick, agent, arrival) order — the order mining
+    processes records in — so repository ids always increase. A ``None``
+    pair or an empty rational text makes the record missing.
+    """
+    items.sort(key=lambda item: item[:3])
+    return [
+        ThoughtRecord(
+            record_id=record_id,
+            agent_id=agent,
             tick=tick,
-            decision_kind=decision_kind,
-            pair=pair or ThoughtPair(bounded="", rational=""),
-            missing=missing,
+            decision_kind=kind,
+            pair=_NO_PAIR if pair is None else pair,
+            missing=pair is None or not pair.rational,
         )
-        self._next_id += 1
-        return record
-
-
-@dataclass
-class MemoryEntry:
-    tick: int
-    text: str
-    embedding: np.ndarray | None = None
+        for record_id, (tick, agent, _arrival, kind, pair) in enumerate(items)
+    ]
 
 
 @dataclass
 class AgentMemory:
     """Bounded FIFO of an agent's recent thoughts.
 
-    Each remembered vector is stored once, as a row of a ``capacity × dim``
-    ring with its norm in ``norms``; the entry's ``embedding`` becomes a view
-    of that row. A ``None`` or zero embedding gets a zero row and norm 0.
-    The ring is allocated (uninitialised) on the first non-zero vector, and
-    its first ``len(entries)`` rows are always the remembered ones.
+    ``texts`` holds the remembered texts, oldest first. Their vectors are
+    the first ``len(texts)`` rows of a ``capacity × dim`` ring (in ring
+    order), with each row's norm in ``norms``; a ``None`` or zero vector
+    gets a zero row and norm 0. The ring is allocated (uninitialised) on the
+    first non-zero vector.
     """
 
     agent_id: int
     capacity: int = DEFAULT_MEMORY_CAPACITY
-    entries: deque = field(default_factory=deque)
+    texts: deque = field(init=False)
     vectors: np.ndarray | None = field(default=None, init=False, repr=False)
     norms: np.ndarray | None = field(default=None, init=False, repr=False)
     _appended: int = field(default=0, init=False, repr=False)
@@ -110,28 +103,23 @@ class AgentMemory:
     def __post_init__(self) -> None:
         if self.capacity < 0:
             raise ValueError(f"memory capacity must be >= 0, got {self.capacity}")
+        self.texts = deque(maxlen=self.capacity)
 
-    def append(self, entry: MemoryEntry) -> None:
-        self.entries.append(entry)
-        while len(self.entries) > self.capacity:
-            self.entries.popleft()
-        if not self.entries:
+    def append(self, text: str, vec: np.ndarray | None) -> None:
+        if not self.capacity:
             return  # capacity 0 remembers nothing
+        self.texts.append(text)
         slot = self._appended % self.capacity
         self._appended += 1
-        vec = entry.embedding
         norm = 0.0 if vec is None else float(np.linalg.norm(vec))
         if self.vectors is None:
             if norm == 0.0:
                 return
             self.vectors = np.empty((self.capacity, len(vec)))
-            self.vectors[: len(self.entries)] = 0.0  # earlier entries were all zero
+            self.vectors[: len(self.texts)] = 0.0  # earlier vectors were all zero
             self.norms = np.zeros(self.capacity)
-        row = self.vectors[slot]
-        row[:] = 0.0 if vec is None else vec
+        self.vectors[slot] = 0.0 if vec is None else vec
         self.norms[slot] = norm
-        if vec is not None:
-            entry.embedding = row
 
 
 @dataclass
@@ -215,10 +203,10 @@ class SimilarityDetector:
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must be in (0, 1]")
 
-    def detect(self, embedding: np.ndarray, memory: AgentMemory) -> bool:
+    def detect(self, record: ThoughtRecord, embedding: np.ndarray, memory: AgentMemory) -> bool:
         if is_zero(embedding):
             return False
-        n = len(memory.entries)
+        n = len(memory.texts)
         norms = None if memory.vectors is None else memory.norms[:n]
         if norms is None or not norms.any():
             return True  # empty (or unembeddable) memory: vacuously novel
@@ -227,12 +215,8 @@ class SimilarityDetector:
         best = float((dots / (norms[live] * float(np.linalg.norm(embedding)))).max())
         if abs(best - self.theta) <= 1e-9:
             # The matrix product may round differently from one dot per
-            # entry; decide a near tie with the pairwise formula itself.
-            best = max(
-                cosine_similarity(embedding, entry.embedding)
-                for entry in memory.entries
-                if entry.embedding is not None and not is_zero(entry.embedding)
-            )
+            # row; decide a near tie with the pairwise formula itself.
+            best = max(cosine_similarity(embedding, row) for row in memory.vectors[:n][live])
         return best < self.theta
 
 
@@ -252,7 +236,7 @@ class LlmEmergenceDetector:
     kind = "llm"
 
     def detect(self, record: ThoughtRecord, embedding: np.ndarray, memory: AgentMemory) -> bool:
-        memory_lines = "\n".join(f"- {entry.text}" for entry in memory.entries) or "(no memory yet)"
+        memory_lines = "\n".join(f"- {text}" for text in memory.texts) or "(no memory yet)"
         prompt = self.template.format(thought=record.combined_text, memory=memory_lines)
         try:
             reply = self.ask(prompt)
@@ -265,7 +249,7 @@ class LlmEmergenceDetector:
         if verdict is None:
             if self.on_fallback is not None:
                 self.on_fallback(f"llm detector fell back to similarity: {reason}")
-            return self.fallback.detect(embedding, memory)
+            return self.fallback.detect(record, embedding, memory)
         return verdict
 
 
@@ -278,112 +262,59 @@ def _parse_yes_no(reply: str) -> bool | None:
     return None
 
 
-def detect_emergence(record: ThoughtRecord, memory: AgentMemory, detector, embedding: np.ndarray) -> bool:
-    """Route one record through the configured detector."""
-    if record.missing:
-        raise ValueError("missing records are excluded from detection")
-    if isinstance(detector, LlmEmergenceDetector):
-        return detector.detect(record, embedding, memory)
-    return detector.detect(embedding, memory)
-
-
-def update_repository(
-    repo: IntentionRepository,
-    record: ThoughtRecord,
-    is_emergent: bool,
-    memory: AgentMemory,
-    embedding: np.ndarray,
-) -> None:
-    """Append to the repository only when emergent; always remember."""
-    if is_emergent:
-        repo.append(record, embedding)
-    memory.append(MemoryEntry(tick=record.tick, text=record.combined_text, embedding=embedding))
-
-
-@dataclass
-class MiningResult:
-    repository: IntentionRepository
-    skipped_missing: int
-
-
 def mine_records(
     records: Iterable[ThoughtRecord],
     detector,
     embedder,
     memory_capacity: int = DEFAULT_MEMORY_CAPACITY,
-) -> MiningResult:
+) -> IntentionRepository:
     """Run detection over records in (tick, agent) order.
 
     Missing records are skipped entirely: they carry no text to embed or
-    remember. Each emergent record is appended to the repository.
+    remember. Each emergent record is appended to the repository; every
+    present one is remembered.
     """
-    ordered = sorted(records, key=lambda r: (r.tick, r.agent_id, r.record_id))
     repo = IntentionRepository()
     memories: dict[int, AgentMemory] = {}
-    skipped = 0
-    for record in ordered:
+    for record in sorted(records, key=lambda r: (r.tick, r.agent_id, r.record_id)):
         if record.missing:
-            skipped += 1
             continue
         memory = memories.get(record.agent_id)
         if memory is None:
-            memory = AgentMemory(agent_id=record.agent_id, capacity=memory_capacity)
-            memories[record.agent_id] = memory
-        embedding = embedder.embed(record.combined_text)
-        emergent = detect_emergence(record, memory, detector, embedding)
-        update_repository(repo, record, emergent, memory, embedding)
-    return MiningResult(repository=repo, skipped_missing=skipped)
+            memory = memories[record.agent_id] = AgentMemory(record.agent_id, memory_capacity)
+        text = record.combined_text
+        embedding = embedder.embed(text)
+        if detector.detect(record, embedding, memory):
+            repo.append(record, embedding)
+        memory.append(text, embedding)
+    return repo
 
 
 def records_from_trace(events, inspector: bool = True) -> list[ThoughtRecord]:
     """Rebuild thought records from a trace's thought events.
 
-    Records are numbered in canonical (tick, agent, arrival) order — the
-    same order mining processes them — so repository ids always increase.
     ``inspector=False`` reproduces the single-perspective ablation: the
     instinct-side text is dropped before any analysis sees it.
     """
-    raw = []
-    for index, event in enumerate(events):
+    items = []
+    for arrival, event in enumerate(events):
         if event.kind != "thought":
             continue
         payload = event.payload
-        if payload.get("decision", "external") not in DECISION_KINDS:
-            raise TraceFormatError(event_line(event.seq), f"unknown decision kind {payload['decision']!r}")
-        raw.append((event.tick, payload["agent"], index, payload))
-    raw.sort(key=lambda item: item[:3])
-    log = ThoughtLog()
-    records: list[ThoughtRecord] = []
-    for tick, agent_id, _index, payload in raw:
-        bounded = payload.get("bounded", "") if inspector else ""
-        pair = ThoughtPair(bounded=bounded, rational=payload.get("rational", ""))
-        records.append(
-            log.record_thoughts(
-                agent_id=agent_id,
-                tick=tick,
-                decision_kind=payload.get("decision", "external"),
-                pair=None if payload.get("missing") else pair,
-            )
+        kind = payload.get("decision", "external")
+        if kind not in DECISION_KINDS:
+            raise TraceFormatError(event_line(event.seq), f"unknown decision kind {kind!r}")
+        pair = None if payload.get("missing") else ThoughtPair(
+            bounded=payload.get("bounded", "") if inspector else "",
+            rational=payload.get("rational", ""),
         )
-    return records
+        items.append((event.tick, payload["agent"], arrival, kind, pair))
+    return _numbered(items)
 
 
 def records_from_rows(rows: list[dict]) -> list[ThoughtRecord]:
-    """Thought records from ingested foreign rows (both slots share the text).
-
-    Rows are numbered in the same canonical (tick, agent, arrival) order as
-    trace-derived records.
-    """
-    ordered = sorted(
-        enumerate(rows), key=lambda item: (item[1]["tick"], item[1]["agent_id"], item[0])
-    )
-    log = ThoughtLog()
-    return [
-        log.record_thoughts(
-            agent_id=row["agent_id"],
-            tick=row["tick"],
-            decision_kind="external",
-            pair=ThoughtPair(bounded=row["text"], rational=row["text"]),
-        )
-        for _idx, row in ordered
-    ]
+    """Thought records from ingested foreign rows (both slots share the text)."""
+    return _numbered([
+        (row["tick"], row["agent_id"], arrival, "external", ThoughtPair(row["text"], row["text"]))
+        for arrival, row in enumerate(rows)
+    ])

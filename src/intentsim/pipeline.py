@@ -35,7 +35,6 @@ from .mining import (
     DEFAULT_THETA,
     IntentionRepository,
     LlmEmergenceDetector,
-    MiningResult,
     SimilarityDetector,
     ThoughtRecord,
     mine_records,
@@ -104,21 +103,13 @@ def analyze_records(
     """Mine, cluster and window the records over ``total_ticks`` (the run's
     length; by default, up to the last record's tick)."""
     warnings: list[str] = []
-
+    skipped = sum(1 for r in records if r.missing)
     if options.analyzer and records:
         embedder = make_embedder(options)
         detector = make_detector(options, warnings.append)
-        mining: MiningResult = mine_records(
-            records,
-            detector,
-            embedder,
-            memory_capacity=options.memory_capacity,
-        )
-        repo = mining.repository
-        skipped = mining.skipped_missing
+        repo = mine_records(records, detector, embedder, memory_capacity=options.memory_capacity)
     else:
         repo = IntentionRepository()
-        skipped = sum(1 for r in records if r.missing)
         if not options.analyzer:
             warnings.append("emergence detection disabled: repository left empty")
 

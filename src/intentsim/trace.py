@@ -232,7 +232,7 @@ def _decode(raw: bytes, line_no: int) -> str:
 def _parse_header(line: str) -> TraceHeader:
     try:
         data = json.loads(line)
-    except ValueError as exc:  # not JSON, or an integer past the int-string limit
+    except (ValueError, RecursionError) as exc:  # see iter_trace
         raise TraceHeaderError(f"unreadable header: {exc}") from exc
     if not isinstance(data, dict) or "schema_version" not in data:
         raise TraceHeaderError("first line is not a trace header")
@@ -286,7 +286,7 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
             match = _POSITION_RE.fullmatch(stripped)
             try:
                 data = [*map(int, match.groups())] if match else json.loads(stripped)
-            except ValueError as exc:  # not JSON, or an integer past the int-string limit
+            except (ValueError, RecursionError) as exc:  # not JSON, an over-long int, deep nesting
                 raise TraceFormatError(line_no, f"malformed event: {getattr(exc, 'msg', exc)}") from exc
             if match:
                 agent, held, x, y, seq, tick = data
@@ -404,7 +404,7 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
                 continue
             try:
                 record = json.loads(stripped)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # as in iter_trace
                 skipped += 1
                 warnings.append(f"line {line_no}: malformed record")
                 continue
@@ -428,9 +428,13 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
                 continue
             try:
                 tick = int(values["tick"])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
                 skipped += 1
                 warnings.append(f"line {line_no}: tick {values['tick']!r} is not an integer")
+                continue
+            if tick < 0:  # tick windows and the analysis log start at tick 0
+                skipped += 1
+                warnings.append(f"line {line_no}: tick {tick} is negative")
                 continue
             rows.append({"agent_raw": values["agent"], "tick": tick, "text": str(values["text"]), "line": line_no})
     rows.sort(key=lambda r: (r["tick"], r["line"]))

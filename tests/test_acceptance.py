@@ -34,10 +34,9 @@ from intentsim.metrics import involution_index
 from intentsim.mining import (
     AgentMemory,
     IntentionRepository,
-    MemoryEntry,
     SimilarityDetector,
-    ThoughtLog,
-    detect_emergence,
+    ThoughtRecord,
+    records_from_rows,
 )
 from intentsim.pipeline import AnalysisOptions, analyze_external, analyze_records
 from intentsim.trace import (
@@ -175,25 +174,24 @@ def test_criterion_4_kmeans_oracle():
 
 def test_criterion_5_emergence_detection():
     embedder = HashingEmbedder(dim=384, seed=0)
-    log = ThoughtLog()
-    record = log.record_thoughts(1, 0, "external", ThoughtPair("save time", "save time"))
+    record = ThoughtRecord(0, 1, 0, "external", ThoughtPair("save time", "save time"))
     vec = embedder.embed(record.combined_text)
     remembered = AgentMemory(agent_id=1)
-    remembered.append(MemoryEntry(tick=0, text=record.combined_text, embedding=vec))
+    remembered.append(record.combined_text, vec)
     for theta in (0.05, 0.25, 0.5, 0.75, 1.0):
-        assert detect_emergence(record, remembered, SimilarityDetector(theta), vec) is False
+        assert SimilarityDetector(theta).detect(record, vec, remembered) is False
 
     empty = AgentMemory(agent_id=1)
     for theta in (0.05, 0.5, 1.0):
-        assert detect_emergence(record, empty, SimilarityDetector(theta), vec) is True
+        assert SimilarityDetector(theta).detect(record, vec, empty) is True
 
     half_old = embedder.embed("alpha beta")
     half_new = embedder.embed("alpha gamma")
     assert abs(cosine_similarity(half_old, half_new) - 0.5) < 1e-12
     memory = AgentMemory(agent_id=2)
-    memory.append(MemoryEntry(tick=0, text="alpha beta", embedding=half_old))
-    assert detect_emergence(record, memory, SimilarityDetector(0.8), half_new) is True
-    assert detect_emergence(record, memory, SimilarityDetector(0.4), half_new) is False
+    memory.append("alpha beta", half_old)
+    assert SimilarityDetector(0.8).detect(record, half_new, memory) is True
+    assert SimilarityDetector(0.4).detect(record, half_new, memory) is False
     print(
         "\nCRITERION 5 PASS: identical-in-memory never emergent; empty memory always; "
         "cosine-0.5 pair emergent at theta=0.8 and not at theta=0.4"
@@ -202,11 +200,9 @@ def test_criterion_5_emergence_detection():
 
 def test_criterion_6_diagram_oracle():
     embedder = HashingEmbedder(dim=32, seed=0)
-    log = ThoughtLog()
     repo = IntentionRepository()
-    for agent, tick in ((1, 10), (2, 200), (3, 1300)):
-        record = log.record_thoughts(agent, tick, "external",
-                                     ThoughtPair("dense areas", "dense areas"))
+    for record in records_from_rows([{"agent_id": agent, "tick": tick, "text": "dense areas"}
+                                     for agent, tick in ((1, 10), (2, 200), (3, 1300))]):
         repo.append(record, embedder.embed("dense areas"))
     clustering = kmeans_cluster(repo.vectors(), 1, seed=0)
     spec = WindowSpec(window_ticks=1200, n_windows=2)

@@ -169,8 +169,9 @@ def test_bad_config_exits_4(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [lambda line: line[:10], lambda line: line[:10] + b"\xff" + line[10:]],
-    ids=["truncated", "non_utf8"],
+    [lambda line: line[:10], lambda line: line[:10] + b"\xff" + line[10:],
+     lambda line: b"[" * 100_000],
+    ids=["truncated", "non_utf8", "deep_nesting"],
 )
 def test_corrupt_trace_exits_5(runner, tmp_path, corrupt):
     cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
@@ -246,6 +247,27 @@ def test_incomplete_config_without_digest_exits_5(runner, tmp_path):
         assert "steps_per_day" in result.output
 
 
+@pytest.mark.parametrize("key, value", [("n_riders", 4.0), ("grid_size", True)])
+def test_mistyped_config_without_digest_exits_5(runner, tmp_path, key, value):
+    # A float where an int belongs, or a bool, is refused by the embedded
+    # config check rather than failing later in the report code.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    line_no = edit_first_event(trace, "sim_start", lambda payload: payload["config"].update({key: value}))
+    lines = trace.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "config_digest": ""})
+    trace.write_text("\n".join(lines) + "\n")
+    for command in ("metrics", "analyze"):
+        result = runner.invoke(
+            main, [command, "--trace", str(trace), "--out", str(tmp_path / command),
+                   "--window-ticks", "120"]
+        )
+        assert result.exit_code == 5, (command, result.output)
+        assert f"line {line_no}: unusable embedded config" in result.output
+        assert f"'{key}': must be an integer" in result.output
+
+
 @pytest.mark.parametrize("kind, key", [("position", "x"), ("thought", "agent")])
 def test_over_long_integer_exits_5(runner, tmp_path, kind, key):
     # 5,000 digits pass the JSON grammar but not Python's int-string limit.
@@ -274,6 +296,29 @@ def test_over_long_integer_in_header_exits_5(runner, tmp_path):
     result = runner.invoke(main, ["metrics", "--trace", str(trace), "--out", str(tmp_path / "r")])
     assert result.exit_code == 5, result.output
     assert "unreadable header: Exceeds the limit" in result.output
+
+
+def test_deeply_nested_header_exits_5(runner, tmp_path):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("[" * 100_000 + "\n")
+    result = runner.invoke(main, ["metrics", "--trace", str(trace), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 5, result.output
+    assert "unreadable header: maximum recursion depth" in result.output
+
+
+def test_external_undecodable_lines_skipped(runner, tmp_path):
+    log = tmp_path / "foreign.jsonl"
+    log.write_text('{"speaker": 1, "step": 5, "utterance": "vote for rain"}\n'
+                   '{"speaker": 2, "step": ' + "9" * 5000 + '}\n' + "[" * 100_000 + "\n")
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps({"agent": "speaker", "tick": "step", "text": "utterance"}))
+    result = runner.invoke(
+        main, ["analyze", "--external", str(log), "--mapping", str(mapping),
+               "--out", str(tmp_path / "ext"), "--k", "1"]
+    )
+    assert result.exit_code == 0, result.output
+    events = (tmp_path / "ext" / "analysis_events.jsonl").read_text()
+    assert "line 2: malformed record" in events and "line 3: malformed record" in events
 
 
 def test_negative_memory_capacity_exits_4(runner, tmp_path):

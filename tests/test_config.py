@@ -34,6 +34,30 @@ def test_invalid_field_is_named(field, value):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_riders", 4.0),
+        ("grid_size", True),
+        ("seed", "42"),
+        ("base_order_rate", True),
+        ("wage_rate", "1.0"),
+        ("peak_ticks_per_day", (40, 60.0)),
+        ("peak_ticks_per_day", (False,)),
+        ("payment_range", (5.0, True)),
+    ],
+)
+def test_mistyped_field_is_named(field, value):
+    with pytest.raises(ConfigError) as err:
+        SimConfig(**{field: value})
+    assert err.value.field == field
+
+
+def test_float_fields_take_ints():
+    cfg = SimConfig(base_order_rate=2, payment_range=(5, 15))
+    assert cfg.base_order_rate == 2 and cfg.payment_range == (5, 15)
+
+
 def test_peak_tick_bounds_checked():
     with pytest.raises(ConfigError) as err:
         SimConfig(peak_ticks_per_day=(40, 130))

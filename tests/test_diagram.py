@@ -5,29 +5,27 @@ import pytest
 
 from intentsim.backends.types import ThoughtPair
 from intentsim.clustering import Clustering
+from hypothesis import given, strategies as st
+
 from intentsim.diagram import (
     EmergenceDiagram,
     EmergencePoint,
     WindowSpec,
-    attribute_origin,
     build_diagram,
-    emergent_diff,
-    find_influenced,
     influence_from_points,
     render_diagram,
     window_partition,
 )
 from intentsim.embedding import HashingEmbedder
-from intentsim.mining import IntentionRepository, ThoughtLog
+from intentsim.mining import IntentionRepository, ThoughtRecord
 
 
 def repo_from(entries):
     """entries: (agent_id, tick, text) triples, already ordered by record id."""
-    log = ThoughtLog()
     emb = HashingEmbedder(dim=32, seed=0)
     repo = IntentionRepository()
-    for agent, tick, text in entries:
-        record = log.record_thoughts(agent, tick, "external", ThoughtPair(text, text))
+    for record_id, (agent, tick, text) in enumerate(entries):
+        record = ThoughtRecord(record_id, agent, tick, "external", ThoughtPair(text, text))
         repo.append(record, emb.embed(text))
     return repo
 
@@ -87,72 +85,135 @@ def test_zero_vector_entries_skipped_with_warning():
     assert len(warnings) == 1
 
 
-# --- emergent_diff -----------------------------------------------------------
+def diagram_of(entries, assignments, spec, k=None):
+    """build_diagram over (agent, tick) entries with the given cluster ids."""
+    repo = repo_from([(agent, tick, f"thought {i}") for i, (agent, tick) in enumerate(entries)])
+    return build_diagram(repo, clustering_with(assignments, k), spec)
+
+
+# --- births -------------------------------------------------------------------
 
 def test_first_window_everything_new():
-    assert emergent_diff({"A", "B"}, set()) == {"A", "B"}
+    diagram, _, _ = diagram_of([(1, 10), (2, 20)], [0, 1], WindowSpec(100, 1))
+    assert diagram.cluster_nodes == [(0, 0), (0, 1)]
+    assert diagram.emergence_windows == {0: 0, 1: 0}
 
 
 def test_set_difference_against_baseline():
-    assert emergent_diff({"A", "C"}, {"A", "B"}) == {"C"}
+    # Window 1 holds clusters 0 and 2; only 2 is new there.
+    diagram, _, _ = diagram_of([(1, 10), (2, 20), (3, 110), (4, 120)], [0, 1, 0, 2],
+                               WindowSpec(100, 2))
+    assert diagram.cluster_nodes == [(0, 0), (0, 1), (1, 2)]
 
 
 def test_no_novelty_empty():
-    assert emergent_diff({"A"}, {"A", "B", "C"}) == set()
+    diagram, _, _ = diagram_of([(1, 10), (2, 20), (3, 30), (4, 110)], [0, 1, 2, 0],
+                               WindowSpec(100, 2))
+    assert [w for w, _ in diagram.cluster_nodes] == [0, 0, 0]
 
 
-# --- attribute_origin --------------------------------------------------------
+# --- origins ------------------------------------------------------------------
 
 def test_origin_singleton():
-    windows = [{7: {3: 50}}]
-    assert attribute_origin(7, windows) == (3, 50)
+    diagram, _, _ = diagram_of([(3, 50)], [7], WindowSpec(100, 1))
+    assert diagram.origins == {7: (3, 50)}
 
 
 def test_origin_earliest_tick_wins():
-    windows = [{0: {7: 100, 2: 90}}]
-    assert attribute_origin(0, windows) == (2, 90)
+    diagram, _, _ = diagram_of([(7, 100), (2, 90)], [0, 0], WindowSpec(1200, 1))
+    assert diagram.origins[0] == (2, 90)
 
 
 def test_origin_tie_breaks_by_lowest_agent():
-    windows = [{0: {7: 90, 2: 90}}]
-    assert attribute_origin(0, windows) == (2, 90)
+    diagram, _, _ = diagram_of([(7, 90), (2, 90)], [0, 0], WindowSpec(1200, 1))
+    assert diagram.origins[0] == (2, 90)
 
 
 def test_origin_spans_windows():
-    windows = [{}, {0: {5: 1500}}, {0: {1: 2500}}]
-    assert attribute_origin(0, windows) == (5, 1500)
+    # First seen in window 1: the origin and the birth come from there.
+    diagram, _, _ = diagram_of([(5, 1500), (1, 2500)], [0, 0], WindowSpec(1200, 3))
+    assert diagram.origins[0] == (5, 1500)
+    assert diagram.emergence_windows[0] == 1
+    assert diagram.cluster_nodes == [(1, 0)]
 
 
-def test_origin_missing_cluster_is_error():
-    with pytest.raises(ValueError):
-        attribute_origin(9, [{}])
+def test_cluster_without_members_has_no_birth():
+    diagram, _, _ = diagram_of([(1, 10)], [0], WindowSpec(100, 1), k=10)
+    assert 9 not in diagram.origins and 9 not in diagram.emergence_windows
+    assert diagram.cluster_nodes == [(0, 0)]
 
 
-# --- find_influenced ---------------------------------------------------------
+# --- influence ----------------------------------------------------------------
 
 def test_only_origin_no_influence():
-    windows = [{0: {1: 10}}, {}]
-    assert find_influenced(0, 1, 10, 0, windows) == []
+    _, _, points = diagram_of([(1, 10)], [0], WindowSpec(100, 2))
+    assert points == []
 
 
 def test_same_window_later_tick_influenced():
-    windows = [{0: {1: 90, 4: 300}}, {}]
-    assert find_influenced(0, 1, 90, 0, windows) == [(4, 0)]
+    _, _, points = diagram_of([(1, 90), (4, 300)], [0, 0], WindowSpec(1200, 2))
+    assert points == [EmergencePoint(0, 1, 4, 0)]
 
 
 def test_window_after_horizon_included_two_after_excluded():
-    windows = [{0: {1: 10}}, {0: {2: 1300}}, {0: {3: 2500}}]
-    assert find_influenced(0, 1, 10, 0, windows) == [(2, 1)]
+    _, _, points = diagram_of([(1, 10), (2, 1300), (3, 2500)], [0, 0, 0], WindowSpec(1200, 3))
+    assert points == [EmergencePoint(0, 1, 2, 1)]
 
 
 def test_same_tick_as_origin_not_influenced():
-    windows = [{0: {1: 90, 2: 90}}, {}]
-    assert find_influenced(0, 1, 90, 0, windows) == []
+    _, _, points = diagram_of([(1, 90), (2, 90)], [0, 0], WindowSpec(1200, 2))
+    assert points == []
 
 
 def test_last_window_uses_only_itself():
-    windows = [{0: {1: 10, 2: 50}}]
-    assert find_influenced(0, 1, 10, 0, windows) == [(2, 0)]
+    _, _, points = diagram_of([(1, 10), (2, 50)], [0, 0], WindowSpec(1200, 1))
+    assert points == [EmergencePoint(0, 1, 2, 0)]
+
+
+def reference_diagram(windows):
+    """The diagram walk as it was first written: each new cluster's origin
+    is the earliest (tick, agent) over every window, and its influence is
+    gathered from the birth window and the next one."""
+    origins, births, points, seen = {}, {}, [], set()
+    for w, window in enumerate(windows):
+        fresh = set(window) - seen
+        for cluster in sorted(fresh):
+            best = None
+            for any_window in windows:
+                for agent, tick in any_window.get(cluster, {}).items():
+                    if best is None or (tick, agent) < best:
+                        best = (tick, agent)
+            origin_tick, origin_agent = best
+            origins[cluster] = (origin_agent, origin_tick)
+            births[cluster] = w
+            influenced = {}
+            for later in [w, w + 1][: len(windows) - w]:
+                for agent, tick in windows[later].get(cluster, {}).items():
+                    if agent != origin_agent and tick > origin_tick and agent not in influenced:
+                        influenced[agent] = later
+            for agent, later in sorted(influenced.items(), key=lambda kv: (kv[1], kv[0])):
+                points.append(EmergencePoint(cluster, origin_agent, agent, later))
+        seen |= fresh
+    return origins, births, points
+
+
+@given(
+    entries=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 499), st.integers(-1, 3)), max_size=40
+    ),
+    window_ticks=st.integers(1, 200),
+    n_windows=st.integers(0, 4),
+)
+def test_origins_match_all_window_scan(entries, window_ticks, n_windows):
+    repo = repo_from([(agent, tick, "t") for agent, tick, _ in entries])
+    clustering = clustering_with([c for _, _, c in entries], k=4)
+    spec = WindowSpec(window_ticks, n_windows)
+    diagram, influence, points = build_diagram(repo, clustering, spec)
+    origins, births, expected_points = reference_diagram(window_partition(repo, clustering, spec))
+    assert diagram.origins == origins
+    assert diagram.emergence_windows == births
+    assert points == expected_points
+    assert_diagram_invariants(diagram, influence, points)
 
 
 # --- build_diagram oracle fixture ---------------------------------------------

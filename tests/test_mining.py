@@ -10,21 +10,24 @@ from intentsim.mining import (
     DEFAULT_MEMORY_CAPACITY,
     AgentMemory,
     IntentionRepository,
-    MemoryEntry,
     SimilarityDetector,
-    ThoughtLog,
+    ThoughtRecord,
     combine_pair,
-    detect_emergence,
     mine_records,
     records_from_rows,
-    update_repository,
+    records_from_trace,
 )
+from intentsim.pipeline import AnalysisOptions, analyze_records
+from intentsim.trace import TraceEvent
 
 
-def make_record(log=None, agent=1, tick=0, kind="work_hours", bounded="save time",
+def make_record(record_id=0, agent=1, tick=0, kind="work_hours", bounded="save time",
                 rational="maximize pay"):
-    log = log or ThoughtLog()
-    return log.record_thoughts(agent, tick, kind, ThoughtPair(bounded=bounded, rational=rational))
+    return ThoughtRecord(record_id, agent, tick, kind, ThoughtPair(bounded=bounded, rational=rational))
+
+
+def thought_event(seq, tick, **payload):
+    return TraceEvent(seq, tick, "thought", payload)
 
 
 def test_combined_text_template():
@@ -38,21 +41,41 @@ def test_combined_text_single_perspective():
 
 
 def test_missing_pair_flagged_and_excluded():
-    log = ThoughtLog()
-    record = log.record_thoughts(2, 5, "order_selection", None)
+    [record] = records_from_trace([thought_event(1, 5, agent=2, decision="order_selection",
+                                                 missing=True)])
     assert record.missing
     emb = HashingEmbedder(dim=32)
     detector = SimilarityDetector(theta=0.8)
-    result = mine_records([record], detector, emb)
+    assert len(mine_records([record], detector, emb)) == 0
+    result = analyze_records([record], AnalysisOptions())
     assert len(result.repository) == 0
     assert result.skipped_missing == 1
 
 
+def test_empty_rational_text_is_missing():
+    records = records_from_rows([{"agent_id": 1, "tick": 0, "text": ""},
+                                 {"agent_id": 1, "tick": 1, "text": "vote"}])
+    assert [r.missing for r in records] == [True, False]
+
+
 def test_distinct_record_ids_same_agent_tick():
-    log = ThoughtLog()
-    a = make_record(log, agent=1, tick=9, kind="work_hours")
-    b = make_record(log, agent=1, tick=9, kind="order_selection")
+    a, b = records_from_trace([
+        thought_event(1, 9, agent=1, decision="work_hours", rational="rest"),
+        thought_event(2, 9, agent=1, decision="order_selection", rational="take it"),
+    ])
     assert a.record_id != b.record_id
+    assert (a.decision_kind, b.decision_kind) == ("work_hours", "order_selection")
+
+
+def test_records_numbered_in_tick_agent_arrival_order():
+    records = records_from_rows([
+        {"agent_id": 2, "tick": 5, "text": "c"},
+        {"agent_id": 1, "tick": 5, "text": "b"},
+        {"agent_id": 3, "tick": 0, "text": "a"},
+        {"agent_id": 1, "tick": 5, "text": "b2"},
+    ])
+    assert [(r.record_id, r.pair.rational) for r in records] == [
+        (0, "a"), (1, "b"), (2, "b2"), (3, "c")]
 
 
 def test_identical_text_in_memory_never_emergent():
@@ -60,10 +83,10 @@ def test_identical_text_in_memory_never_emergent():
     record = make_record()
     vec = emb.embed(record.combined_text)
     memory = AgentMemory(agent_id=1)
-    memory.append(MemoryEntry(tick=0, text=record.combined_text, embedding=vec))
+    memory.append(record.combined_text, vec)
     for theta in (0.1, 0.5, 0.9, 1.0):
         detector = SimilarityDetector(theta=theta)
-        assert detect_emergence(record, memory, detector, vec) is False
+        assert detector.detect(record, vec, memory) is False
 
 
 def test_empty_memory_always_emergent():
@@ -71,7 +94,7 @@ def test_empty_memory_always_emergent():
     record = make_record()
     vec = emb.embed(record.combined_text)
     detector = SimilarityDetector(theta=0.0001)
-    assert detect_emergence(record, AgentMemory(agent_id=1), detector, vec) is True
+    assert detector.detect(record, vec, AgentMemory(agent_id=1)) is True
 
 
 def test_crafted_half_similarity_threshold_behavior():
@@ -84,50 +107,53 @@ def test_crafted_half_similarity_threshold_behavior():
     new = emb.embed("alpha gamma")
     assert abs(cosine_similarity(old, new) - 0.5) < 1e-12
 
-    log = ThoughtLog()
-    record = log.record_thoughts(1, 10, "external", ThoughtPair("alpha gamma", "alpha gamma"))
-    vec = emb.embed(record.combined_text)
+    record = make_record(tick=10, bounded="alpha gamma", rational="alpha gamma")
     memory = AgentMemory(agent_id=1)
-    memory.append(MemoryEntry(tick=0, text="old", embedding=old))
+    memory.append("old", old)
     # The record embeds "bounded: alpha gamma | rational: alpha gamma";
     # compare against the bare pair instead to keep the 0.5 geometry.
-    assert detect_emergence(record, memory, SimilarityDetector(theta=0.8), new) is True
-    assert detect_emergence(record, memory, SimilarityDetector(theta=0.4), new) is False
+    assert SimilarityDetector(theta=0.8).detect(record, new, memory) is True
+    assert SimilarityDetector(theta=0.4).detect(record, new, memory) is False
 
 
-def test_update_repository_branches():
+class ScriptedDetector:
+    """Answers from a fixed list of verdicts; notes the memory size it saw."""
+
+    def __init__(self, verdicts):
+        self.verdicts = list(verdicts)
+        self.memory_sizes = []
+
+    def detect(self, record, embedding, memory):
+        self.memory_sizes.append(len(memory.texts))
+        return self.verdicts.pop(0)
+
+
+def test_mine_records_appends_emergent_and_remembers_all():
     emb = HashingEmbedder(dim=32)
-    repo = IntentionRepository()
-    memory = AgentMemory(agent_id=1)
-    record = make_record()
-    vec = emb.embed(record.combined_text)
-
-    update_repository(repo, record, False, memory, vec)
-    assert len(repo) == 0
-    assert len(memory.entries) == 1
-
-    update_repository(repo, record, True, memory, vec)
-    assert len(repo) == 1
-    assert repo.entries[-1].combined_text == record.combined_text
-    assert len(memory.entries) == 2
+    records = records_from_rows([{"agent_id": 1, "tick": t, "text": "save time"} for t in range(3)])
+    detector = ScriptedDetector([False, True, False])
+    repo = mine_records(records, detector, emb)
+    # Not emergent: nothing appended, still remembered; emergent: appended.
+    assert [e.record_id for e in repo.entries] == [records[1].record_id]
+    assert repo.entries[-1].combined_text == records[1].combined_text
+    assert detector.memory_sizes == [0, 1, 2]
 
 
 def test_memory_fifo_eviction_at_capacity():
     memory = AgentMemory(agent_id=1, capacity=50)
     for i in range(50):
-        memory.append(MemoryEntry(tick=i, text=f"t{i}", embedding=None))
-    memory.append(MemoryEntry(tick=50, text="t50", embedding=None))
-    assert len(memory.entries) == 50
-    assert memory.entries[0].text == "t1"
-    assert memory.entries[-1].text == "t50"
+        memory.append(f"t{i}", None)
+    memory.append("t50", None)
+    assert len(memory.texts) == 50
+    assert memory.texts[0] == "t1"
+    assert memory.texts[-1] == "t50"
 
 
 def test_repository_record_ids_strictly_increase():
     emb = HashingEmbedder(dim=32)
     repo = IntentionRepository()
-    log = ThoughtLog()
-    first = make_record(log, tick=0, bounded="x", rational="one")
-    second = make_record(log, tick=1, bounded="y", rational="two")
+    first = make_record(0, tick=0, bounded="x", rational="one")
+    second = make_record(1, tick=1, bounded="y", rational="two")
     repo.append(first, emb.embed(first.combined_text))
     repo.append(second, emb.embed(second.combined_text))
     with pytest.raises(ValueError):
@@ -136,10 +162,9 @@ def test_repository_record_ids_strictly_increase():
 
 def test_repository_jsonl_round_trip(tmp_path):
     emb = HashingEmbedder(dim=16)
-    log = ThoughtLog()
     repo = IntentionRepository()
     for i in range(3):
-        record = make_record(log, agent=i, tick=i * 10, rational=f"thought {i}")
+        record = make_record(i, agent=i, tick=i * 10, rational=f"thought {i}")
         repo.append(record, emb.embed(record.combined_text))
     path = tmp_path / "repo.jsonl"
     repo.save_jsonl(path)
@@ -164,8 +189,8 @@ def test_mining_deterministic():
 
     def run():
         emb = HashingEmbedder(dim=64, seed=0)
-        result = mine_records(records_from_rows(rows), detector, emb)
-        return [(e.record_id, e.agent_id, e.combined_text) for e in result.repository.entries]
+        repo = mine_records(records_from_rows(rows), detector, emb)
+        return [(e.record_id, e.agent_id, e.combined_text) for e in repo.entries]
 
     assert run() == run()
 
@@ -240,6 +265,7 @@ def pairwise_emergent(embedding, remembered, theta):
 
 
 EMBEDDER = HashingEmbedder(dim=384, seed=0)
+RECORD = make_record()  # the similarity detector reads only the embedding
 WORDS = "alpha beta gamma delta route river market station rain vote mayor order rider shift".split()
 
 # Texts over a few words make duplicates and exact cosine ties common, a
@@ -262,20 +288,22 @@ vectors = st.one_of(
 )
 def test_detector_matches_pairwise_oracle(capacity, appended, query, theta):
     memory = AgentMemory(agent_id=1, capacity=capacity)
-    remembered = deque(maxlen=capacity)
+    remembered, texts = deque(maxlen=capacity), deque(maxlen=capacity)
     for tick, vec in enumerate(appended):
-        memory.append(MemoryEntry(tick=tick, text=f"t{tick}", embedding=vec))
+        memory.append(f"t{tick}", vec)
         remembered.append(None if vec is None else vec.copy())
+        texts.append(f"t{tick}")
+        assert memory.texts == texts
         for t in (0.05, 0.5, 0.8, 1.0, theta):
             detector = SimilarityDetector(theta=t)
-            assert detector.detect(query, memory) == pairwise_emergent(query, remembered, t)
+            assert detector.detect(RECORD, query, memory) == pairwise_emergent(query, remembered, t)
     # Each remembered cosine as theta: there the decision rests on its last bit.
     ties = [cosine_similarity(query, vec) for vec in remembered
             if vec is not None and not is_zero(vec) and not is_zero(query)]
     for t in ties:
         if 0.0 < t <= 1.0:
             detector = SimilarityDetector(theta=t)
-            assert detector.detect(query, memory) == pairwise_emergent(query, remembered, t)
+            assert detector.detect(RECORD, query, memory) == pairwise_emergent(query, remembered, t)
 
 
 def test_exact_tie_at_theta_matches_pairwise_formula():
@@ -283,8 +311,8 @@ def test_exact_tie_at_theta_matches_pairwise_formula():
     new = EMBEDDER.embed("alpha beta beta")
     assert cosine_similarity(new, old) == 0.8000000000000002
     memory = AgentMemory(agent_id=1)
-    memory.append(MemoryEntry(tick=0, text="alpha alpha beta", embedding=old))
-    assert SimilarityDetector(theta=0.8).detect(new, memory) is False
+    memory.append("alpha alpha beta", old)
+    assert SimilarityDetector(theta=0.8).detect(RECORD, new, memory) is False
 
 
 def test_near_tie_decided_by_pairwise_formula():
@@ -294,7 +322,7 @@ def test_near_tie_decided_by_pairwise_formula():
     texts = ["order mayor", "shift market gamma rider delta mayor shift order beta market",
              "market station mayor"]
     for tick, text in enumerate(texts):
-        memory.append(MemoryEntry(tick=tick, text=text, embedding=EMBEDDER.embed(text)))
+        memory.append(text, EMBEDDER.embed(text))
     query = EMBEDDER.embed("rider shift rain vote market alpha gamma beta beta station river rider")
     best = max(cosine_similarity(query, EMBEDDER.embed(text)) for text in texts)
-    assert SimilarityDetector(theta=best).detect(query, memory) is False
+    assert SimilarityDetector(theta=best).detect(RECORD, query, memory) is False

@@ -195,6 +195,36 @@ def test_ingest_skips_missing_fields_with_count(tmp_path):
     assert any("missing mapped field 'agent'" in w for w in result.warnings)
 
 
+def test_ingest_skips_undecodable_lines(tmp_path):
+    # An integer past Python's int-string limit raises a bare ValueError and
+    # deep nesting a RecursionError; neither is a JSONDecodeError.
+    path = tmp_path / "foreign.jsonl"
+    path.write_text("\n".join([
+        json.dumps({"speaker": 1, "step": 0, "utterance": "ok"}),
+        '{"speaker": 1, "step": ' + "9" * 5000 + ', "utterance": "huge"}',
+        "[" * 100_000,
+        json.dumps({"speaker": 2, "step": 2, "utterance": "ok too"}),
+    ]) + "\n")
+    result = ingest_external(path, mapping())
+    assert [r["text"] for r in result.rows] == ["ok", "ok too"]
+    assert result.skipped == 2
+    assert result.warnings == ["line 2: malformed record", "line 3: malformed record"]
+
+
+@pytest.mark.parametrize("step, warning", [
+    ("1e999", "tick inf is not an integer"),
+    ("-5", "tick -5 is negative"),
+])
+def test_ingest_skips_unusable_ticks(tmp_path, step, warning):
+    path = tmp_path / "foreign.jsonl"
+    path.write_text(f'{{"speaker": 1, "step": {step}, "utterance": "bad"}}\n'
+                    '{"speaker": 2, "step": 3, "utterance": "ok"}\n')
+    result = ingest_external(path, mapping())
+    assert [r["text"] for r in result.rows] == ["ok"]
+    assert result.skipped == 1
+    assert result.warnings == [f"line 1: {warning}"]
+
+
 def test_ingest_defaults_fill_absent_fields(tmp_path):
     path = tmp_path / "foreign.jsonl"
     write_jsonl(path, [{"speaker": 1, "utterance": "no step"}])
