@@ -199,11 +199,26 @@ def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(scores))
 
 
-def scan_k(vectors, seed: int, k_min: int = 2, k_max: int = 10) -> tuple[int, dict[int, float]]:
+def distinct_rows(points: np.ndarray, limit: int) -> int:
+    """How many distinct non-zero rows ``points`` has, counted up to
+    ``limit``. k-means fills no more clusters than that, and repairs an
+    empty one on every step it runs."""
+    seen: set[bytes] = set()
+    for row in points:
+        if row.any():
+            seen.add((row + 0.0).tobytes())  # + 0.0 makes -0.0 the bytes of 0.0
+            if len(seen) >= limit:
+                break
+    return len(seen)
+
+
+def scan_k(vectors, seed: int, k_min: int = 2, k_max: int = 10) -> tuple[int | None, dict[int, float]]:
     """Silhouette sweep over k; returns (best k, score per k).
 
     Inputs above ``SAMPLE_CAP`` are subsampled deterministically to keep the
-    O(n^2) silhouette affordable.
+    O(n^2) silhouette affordable. No k above the sample's distinct points is
+    tried; with fewer than 2 of them there is nothing to scan, and the
+    result is (None, {}).
     """
     matrix = np.asarray(vectors, dtype=float)
     nonzero = matrix[np.any(matrix != 0.0, axis=1)]
@@ -216,8 +231,11 @@ def scan_k(vectors, seed: int, k_min: int = 2, k_max: int = 10) -> tuple[int, di
         sample = nonzero[idx]
     else:
         sample = nonzero
+    distinct = distinct_rows(sample, k_max)
+    if distinct < 2:
+        return None, {}
     scores: dict[int, float] = {}
-    upper = min(k_max, sample.shape[0] - 1)
+    upper = min(k_max, sample.shape[0] - 1, distinct)
     for k in range(k_min, upper + 1):
         result = kmeans_cluster(sample, k, seed)
         scores[k] = silhouette_score(sample, result.assignments)

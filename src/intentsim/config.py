@@ -17,6 +17,9 @@ from typing import get_args, get_type_hints
 from .errors import ConfigError
 
 DEFAULT_PEAK_TICKS: tuple[int, ...] = (40, 60, 90)
+# The offer lookup's int64 key is a pickup distance (below 2 * grid_size)
+# times a stride above every order id; this bound leaves room for 2^31 ids.
+MAX_GRID_SIZE = 2**31
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,8 @@ class SimConfig:
                 values, rule = (value,), "must be"
             if not all(type(v) is int or (kind is float and type(v) is float) for v in values):
                 raise ConfigError(name, f"{rule} {'an integer' if kind is int else 'a number'}")
-        if self.grid_size <= 0:
-            raise ConfigError("grid_size", "must be > 0")
+        if not 0 < self.grid_size <= MAX_GRID_SIZE:
+            raise ConfigError("grid_size", f"must be > 0 and <= {MAX_GRID_SIZE}")
         if self.steps_per_day <= 0:
             raise ConfigError("steps_per_day", "must be > 0")
         if self.total_steps < 0 or self.total_steps % self.steps_per_day != 0:

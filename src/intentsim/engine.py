@@ -11,7 +11,6 @@ backend); traces from two identical runs match byte for byte.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -30,6 +29,7 @@ from .world import (
     init_world,
     manhattan,
     move_toward,
+    nearest_pending,
     shift_active,
     world_digest,
 )
@@ -185,16 +185,9 @@ def _work_hours_phase(session: SimulationSession) -> None:
 
 
 def _offer_for(world: WorldState, rider) -> list[OfferedOrder]:
-    if not world.pending_ids:
-        return []
-    rx, ry = rider.position.x, rider.position.y
     book = world.order_book
-    scored = []
-    for oid in world.pending_ids:
-        pickup = book[oid].pickup
-        scored.append((abs(pickup.x - rx) + abs(pickup.y - ry), oid))
     offers = []
-    for dist, oid in heapq.nsmallest(OFFER_LIMIT, scored):
+    for dist, oid in nearest_pending(world, rider.position.x, rider.position.y, OFFER_LIMIT):
         order = book[oid]
         offers.append(
             OfferedOrder(
@@ -212,11 +205,11 @@ def _selection_phase(session: SimulationSession) -> None:
     world = session.world
     cap = world.config.order_cap
     for rider in world.riders:
+        if not world.pending_ids:
+            break  # nothing is left to offer to anyone
         if not rider.at_work or len(rider.held_orders) >= cap:
             continue
         offers = _offer_for(world, rider)
-        if not offers:
-            continue
         ctx = dataclasses.replace(
             _base_context(session, rider, session.stats),
             capacity_left=cap - len(rider.held_orders),

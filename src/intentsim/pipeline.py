@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import Clustering, kmeans_cluster, label_cluster, scan_k
+from .clustering import Clustering, distinct_rows, kmeans_cluster, label_cluster, scan_k
 from .diagram import (
     DEFAULT_WINDOW_TICKS,
     EmergenceDiagram,
@@ -127,13 +127,19 @@ def analyze_records(
             warnings.append("no embeddable intentions; skipping clustering")
         else:
             if options.scan_k and nonzero >= 3:
-                chosen_k, _scores = scan_k(vectors, options.seed)
-                warnings.append(f"k scan selected k={chosen_k}")
-            if chosen_k > nonzero:
+                best_k, _scores = scan_k(vectors, options.seed)
+                if best_k is None:
+                    warnings.append("k scan skipped: fewer than 2 distinct intentions")
+                else:
+                    chosen_k = best_k
+                    warnings.append(f"k scan selected k={chosen_k}")
+            # Identical intentions are one point to k-means.
+            distinct = distinct_rows(vectors, chosen_k)
+            if chosen_k > distinct:
                 warnings.append(
-                    f"k={chosen_k} exceeds {nonzero} clusterable intentions; using k={nonzero}"
+                    f"k={chosen_k} exceeds {distinct} clusterable intentions; using k={distinct}"
                 )
-                chosen_k = nonzero
+                chosen_k = distinct
             clustering = kmeans_cluster(vectors, chosen_k, options.seed)
             for cluster_id in range(clustering.k):
                 members = [

@@ -2,11 +2,12 @@
 
 File layout: line 1 is the header object, then one event object per line.
 Events carry a contiguous integer ``seq``, a non-decreasing integer
-``tick``, a ``kind`` from :data:`EVENT_KINDS`, and a kind-specific
-``payload`` object holding at least the keys in :data:`FIELD_TYPES`, with
-the types given there. The first event must be ``sim_start`` and the last
-``sim_end``; any ordering violation, missing key or mistyped value is a
-hard error because trace corruption must never pass silently.
+``tick`` that is never negative, a ``kind`` from :data:`EVENT_KINDS`, and a
+kind-specific ``payload`` object holding at least the keys in
+:data:`FIELD_TYPES`, with the types given there. The first event must be
+``sim_start`` and the last ``sim_end``; any ordering violation, missing key
+or mistyped value is a hard error because trace corruption must never pass
+silently.
 
 All lines are canonical JSON (sorted keys, no spaces), which makes a run's
 trace byte-reproducible and lets tests compare whole files.
@@ -15,6 +16,7 @@ trace byte-reproducible and lets tests compare whole files.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,28 +90,6 @@ def field_error(fields: dict, data: dict) -> str | None:
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 
 
-# An event line with its keys in sorted order, and the same for a position
-# whose four payload values and seq and tick are all integers.
-_EVENT_LINE = '{"kind":%s,"payload":%s,"seq":%d,"tick":%d}\n'
-_POSITION_LINE = '{"kind":"position","payload":{"agent":%d,"held":%d,"x":%d,"y":%d},"seq":%d,"tick":%d}\n'
-# A canonical position line, as the template writes it. Each integer has the
-# JSON integer grammar, so a line that matches decodes to the same values.
-_POSITION_RE = re.compile(
-    re.escape(_POSITION_LINE.rstrip()).replace("%d", "(-?(?:0|[1-9][0-9]*))")
-)
-
-
-def _line(seq, tick, kind: str, payload) -> str:
-    """The line ``canonical_json`` gives for this event, newline included."""
-    if type(seq) is not int or type(tick) is not int:  # %d would print a bool as 1
-        return canonical_json({"kind": kind, "payload": payload, "seq": seq, "tick": tick}) + "\n"
-    if kind == "position" and type(payload) is dict and len(payload) == 4:
-        values = (payload.get("agent"), payload.get("held"), payload.get("x"), payload.get("y"))
-        if all(type(value) is int for value in values):
-            return _POSITION_LINE % (*values, seq, tick)
-    return _EVENT_LINE % (canonical_json(kind), canonical_json(payload), seq, tick)
-
-
 @dataclass(frozen=True)
 class TraceHeader:
     schema_version: int
@@ -134,6 +114,121 @@ class TraceEvent(NamedTuple):
 
     def to_dict(self) -> dict:
         return {"seq": self.seq, "tick": self.tick, "kind": self.kind, "payload": self.payload}
+
+
+# The fixed-shape payloads: an event kind and its payload's keys in sorted
+# order, each with the type of its value or, for a string, its one value. A
+# FLOAT is finite; JSON writes it with a fraction or an exponent
+# (``float.__repr__``), and an integer literal in its place is read back as
+# an integer, through ``json.loads``. The writer formats a payload that fits
+# an entry exactly from the entry's template, and the reader parses a line
+# that matches the entry's regex without ``json.loads``; both come from here.
+FLOAT = (float,)
+SHAPES = (
+    ("position", {"agent": INT, "held": INT, "x": INT, "y": INT}),
+    ("order_event", {"agent": INT, "event": "assigned", "order": INT}),
+    ("order_event", {"agent": INT, "event": "picked_up", "order": INT}),
+    ("order_event", {"agent": INT, "event": "delivered", "order": INT, "payment": FLOAT}),
+    ("order_event", {"dropoff": POINT, "event": "created", "order": INT, "payment": FLOAT,
+                     "pickup": POINT}),
+    ("cost_accrual", {"agent": INT, "amount": FLOAT, "ticks": INT}),
+    ("decision", {"agent": INT, "decision": "work_hours", "end": INT, "start": INT}),
+)
+
+_INT_RE = "(-?(?:0|[1-9][0-9]*))"  # the JSON integer grammar
+# For each value type: its placeholder in the template, its regex (text that
+# json.loads reads as the same value), and in Python the reader's conversion
+# of the matched text, the writer's check of a value and its template values.
+_SLOTS = {
+    INT: ("%d", _INT_RE, "int({0})", "type({0}) is int", "{0}"),
+    FLOAT: ("%r", "(-?(?:0|[1-9][0-9]*)(?:\\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))",
+            "float({0})", "type({0}) is float and isfinite({0})", "{0}"),
+    POINT: ("[%d,%d]", f"\\[{_INT_RE},{_INT_RE}\\]", "[int({0}x), int({0}y)]", "is_point({0})",
+            "*{0}"),
+}
+
+
+def _compile_shape(kind: str, fields: dict):
+    """The regex of one SHAPES entry's line, its number of groups, a reader
+    that makes the event from the groups, and a writer that gives the line
+    of a payload, or None when the payload does not fit the entry exactly.
+
+    The reader and writer are built as Python source, as ``namedtuple``
+    builds its methods: a loop over the slots on every line would cost about
+    what skipping ``json`` saves.
+    """
+    head = f'{{"kind":{canonical_json(kind)},"payload":{{'
+    template, pattern = [head], [re.escape(head)]
+    params, values, checks, args = [], [], [], []
+    for i, (key, slot) in enumerate(fields.items()):
+        name, text = f"v{i}", ("," if i else "") + canonical_json(key) + ":"
+        if type(slot) is str:
+            template.append(text + canonical_json(slot))
+            pattern.append(re.escape(text + canonical_json(slot)))
+            values.append(f"{key!r}: {slot!r}")
+            checks.append(f"type({name}) is str and {name} == {slot!r}")
+            continue
+        fmt, group, read, check, arg = _SLOTS[slot]
+        template += [text, fmt]
+        pattern += [re.escape(text), group]
+        params += [name + "x", name + "y"] if slot is POINT else [name]
+        values.append(f"{key!r}: {read.format(name)}")
+        checks.append(check.format(name))
+        args.append(arg.format(name))
+    tail = '},"seq":%d,"tick":%d}'
+    template.append(tail + "\n")
+    pattern.append(re.escape(tail).replace("%d", _INT_RE))
+    source = (
+        f"def read({', '.join(params)}, seq, tick):\n"
+        # The payload first, so values are read in line order and the first
+        # over-long integer fails as it does in json.loads.
+        f"    payload = {{{', '.join(values)}}}\n"
+        f"    return new(TraceEvent, (int(seq), int(tick), {kind!r}, payload))\n"
+        f"def write(payload, seq, tick):\n"
+        f"    {', '.join(f'v{i}' for i in range(len(fields)))}, = "
+        f"{', '.join(f'payload.get({key!r})' for key in fields)},\n"
+        f"    if len(payload) == {len(fields)} and {' and '.join(checks)}:\n"
+        f"        return {''.join(template)!r} % ({', '.join(args)}, seq, tick)\n"
+    )
+    # tuple.__new__ makes the event as TraceEvent's own __new__ does, a call sooner.
+    scope = {"TraceEvent": TraceEvent, "new": tuple.__new__, "is_point": is_point,
+             "isfinite": math.isfinite}
+    exec(source, scope)
+    return "".join(pattern), len(params) + 2, scope["read"], scope["write"]
+
+
+def _compile_shapes():
+    """Each kind's writers, and one regex with every entry's line as an
+    alternative, matched against a line's bytes before they are decoded.
+    The tick is the last group of each alternative, so a match's
+    ``lastindex`` picks the reader, which takes that alternative's groups."""
+    writers: dict[str, list] = {}
+    readers: dict[int, tuple] = {}
+    patterns = []
+    for kind, fields in SHAPES:
+        pattern, groups, read, write = _compile_shape(kind, fields)
+        writers.setdefault(kind, []).append(write)
+        first = 1 + max(readers, default=0)
+        readers[first + groups - 1] = (read, tuple(range(first, first + groups)))
+        patterns.append(pattern)
+    return writers, readers, re.compile(f"(?:{'|'.join(patterns)})\n?".encode())
+
+
+_WRITERS, _READERS, _SHAPE_RE = _compile_shapes()
+# Any other event line, with its keys in sorted order.
+_EVENT_LINE = '{"kind":%s,"payload":%s,"seq":%d,"tick":%d}\n'
+
+
+def _line(seq, tick, kind: str, payload) -> str:
+    """The line ``canonical_json`` gives for this event, newline included."""
+    if type(seq) is not int or type(tick) is not int:  # %d would print a bool as 1
+        return canonical_json({"kind": kind, "payload": payload, "seq": seq, "tick": tick}) + "\n"
+    if type(payload) is dict:
+        for write in _WRITERS.get(kind, ()):
+            line = write(payload, seq, tick)
+            if line is not None:
+                return line
+    return _EVENT_LINE % (canonical_json(kind), canonical_json(payload), seq, tick)
 
 
 def event_line(seq: int) -> int:
@@ -174,6 +269,8 @@ class OrderGuard:
         if not self.started:
             if kind != "sim_start":
                 raise TraceOrderError("first event must be sim_start")
+            if tick < 0:  # tick windows, reports and the analysis log start at tick 0
+                raise TraceOrderError(f"tick {tick} is negative")
             self.started = True
         elif kind == "sim_start":
             raise TraceOrderError("duplicate sim_start")
@@ -199,12 +296,16 @@ class TraceWriter:
         self._guard = OrderGuard()
 
     def append_event(self, event: TraceEvent) -> None:
-        self._write(*event)
+        """Write an event that carries its own seq; it must be the next one."""
+        seq, tick, kind, payload = event
+        self._guard.check(seq, tick, kind)
+        self._fh.write(_line(seq, tick, kind, payload))
+        if kind == "sim_end":
+            self._fh.flush()
 
     def emit(self, kind: str, tick: int, payload: dict) -> None:
-        self._write(self._guard.last_seq + 1, tick, kind, payload)
-
-    def _write(self, seq: int, tick: int, kind: str, payload: dict) -> None:
+        """Write the next event."""
+        seq = self._guard.last_seq + 1
         self._guard.check(seq, tick, kind)
         self._fh.write(_line(seq, tick, kind, payload))
         if kind == "sim_end":
@@ -278,22 +379,25 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
         yield header
         guard = OrderGuard()
         for line_no, raw in enumerate(fh, start=2):
-            stripped = _decode(raw, line_no).strip()
-            if not stripped:
-                raise TraceFormatError(line_no, "blank line inside trace")
-            # A canonical position line is read without json.loads; it holds
-            # the four integers FIELD_TYPES asks of a position by construction.
-            match = _POSITION_RE.fullmatch(stripped)
-            try:
-                data = [*map(int, match.groups())] if match else json.loads(stripped)
-            except (ValueError, RecursionError) as exc:  # not JSON, an over-long int, deep nesting
-                raise TraceFormatError(line_no, f"malformed event: {getattr(exc, 'msg', exc)}") from exc
+            # A line in the form of a SHAPES entry is read without json.loads
+            # (and is ASCII); it holds the types FIELD_TYPES asks by construction.
+            match = _SHAPE_RE.fullmatch(raw)
             if match:
-                agent, held, x, y, seq, tick = data
-                event = TraceEvent(seq, tick, "position", {"agent": agent, "held": held, "x": x, "y": y})
-            elif type(data) is not dict:
-                raise TraceFormatError(line_no, "event is not an object")
+                read, groups = _READERS[match.lastindex]
+                try:
+                    event = read(*match.group(*groups))
+                except ValueError as exc:  # an over-long int
+                    raise TraceFormatError(line_no, f"malformed event: {exc}") from exc
             else:
+                line = _decode(raw, line_no).strip()
+                if not line:
+                    raise TraceFormatError(line_no, "blank line inside trace")
+                try:
+                    data = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # not JSON, an over-long int, deep nesting
+                    raise TraceFormatError(line_no, f"malformed event: {getattr(exc, 'msg', exc)}") from exc
+                if type(data) is not dict:
+                    raise TraceFormatError(line_no, "event is not an object")
                 problem = field_error(FIELD_TYPES["event"], data)
                 if problem is not None:
                     raise TraceFormatError(line_no, f"event {problem}")

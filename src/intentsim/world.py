@@ -3,6 +3,8 @@
 Movement uses the Manhattan metric with x-before-y axis priority. Order
 lifecycle is pending -> assigned -> picked_up -> delivered; the order book
 keeps every order ever created so conservation can be checked at any tick.
+The pending orders' pickups are also kept in compact arrays, so the offer
+lookup scans them without touching the book.
 """
 
 from __future__ import annotations
@@ -10,10 +12,15 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import personas
 from .config import SimConfig, json_digest
+
+_INT64 = np.dtype(np.int64)  # the items of an array("q")
 
 PENDING = "pending"
 ASSIGNED = "assigned"
@@ -87,9 +94,15 @@ class WorldState:
     tick: int
     riders: list[RiderState]
     order_book: dict[int, Order]
-    pending_ids: set[int]
     rng: random.Random
     next_order_id: int = 0
+    # Each pending order's id -> its row in the three int64 columns below,
+    # which hold its pickup x, pickup y and id; the columns have one row per
+    # pending order.
+    pending_ids: dict[int, int] = field(default_factory=dict)
+    pending_x: array = field(default_factory=lambda: array("q"))
+    pending_y: array = field(default_factory=lambda: array("q"))
+    pending_order: array = field(default_factory=lambda: array("q"))
 
     @property
     def day(self) -> int:
@@ -140,9 +153,43 @@ def init_world(config: SimConfig) -> WorldState:
         tick=0,
         riders=riders,
         order_book={},
-        pending_ids=set(),
         rng=rng,
     )
+
+
+def add_pending(world: WorldState, order: Order) -> None:
+    """Put a pending order in a new last row of the pending columns."""
+    world.pending_ids[order.id] = len(world.pending_order)
+    world.pending_x.append(order.pickup.x)
+    world.pending_y.append(order.pickup.y)
+    world.pending_order.append(order.id)
+
+
+def _drop_pending(world: WorldState, order_id: int) -> None:
+    """Take an order out of the pending columns; the last row fills its row."""
+    row = world.pending_ids.pop(order_id)
+    x, y, moved = world.pending_x.pop(), world.pending_y.pop(), world.pending_order.pop()
+    if moved != order_id:
+        world.pending_x[row], world.pending_y[row], world.pending_order[row] = x, y, moved
+        world.pending_ids[moved] = row
+
+
+def nearest_pending(world: WorldState, x: int, y: int, limit: int) -> list[tuple[int, int]]:
+    """The ``limit`` pending orders nearest to (x, y), as (distance, id) pairs
+    ordered by the Manhattan distance to the pickup, then by id."""
+    # One int64 key per order sorts like (distance, id): every id is below
+    # the stride, and SimConfig bounds grid_size so that no key overflows.
+    # The buffer views must not outlive this call: a column that exports its
+    # buffer cannot grow.
+    stride = world.next_order_id
+    keys = np.abs(np.frombuffer(world.pending_x, _INT64) - x)
+    keys += np.abs(np.frombuffer(world.pending_y, _INT64) - y)
+    keys *= stride
+    keys += np.frombuffer(world.pending_order, _INT64)
+    if len(keys) > limit:
+        keys = np.partition(keys, limit - 1)[:limit]
+    keys.sort()
+    return [divmod(key, stride) for key in keys.tolist()]
 
 
 def poisson_draw(rng: random.Random, rate: float) -> int:
@@ -195,7 +242,7 @@ def generate_orders(tick: int, world: WorldState) -> list[Order]:
         )
         world.next_order_id += 1
         world.order_book[order.id] = order
-        world.pending_ids.add(order.id)
+        add_pending(world, order)
         created.append(order)
     return created
 
@@ -230,7 +277,7 @@ def assign_orders(
         order = world.order_book[oid]
         order.state = ASSIGNED
         order.rider_id = rider_id
-        world.pending_ids.discard(oid)
+        _drop_pending(world, oid)
         rider.held_orders.append(oid)
         accepted.append(oid)
     return accepted, rejected, truncated

@@ -287,6 +287,27 @@ def test_over_long_integer_exits_5(runner, tmp_path, kind, key):
         assert f"line {index + 1}: malformed event: Exceeds the limit" in result.output
 
 
+def test_negative_ticks_exit_5(runner, tmp_path):
+    # A trace shifted to start at tick -1000 is refused at its sim_start
+    # line; analyze used to index its tick windows from the end.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    lines = trace.read_text().splitlines()
+    events = [json.loads(line) for line in lines[1:]]
+    for event in events:
+        event["tick"] -= 1000
+    trace.write_text("\n".join(lines[:1] + [json.dumps(event) for event in events]) + "\n")
+    for command in ("metrics", "analyze"):
+        result = runner.invoke(
+            main, [command, "--trace", str(trace), "--out", str(tmp_path / command),
+                   "--window-ticks", "120"]
+        )
+        assert result.exit_code == 5, (command, result.output)
+        assert "line 2: tick -1000 is negative" in result.output
+        assert not (tmp_path / command).exists()
+
+
 def test_over_long_integer_in_header_exits_5(runner, tmp_path):
     cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
     trace = tmp_path / "t.jsonl"

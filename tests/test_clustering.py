@@ -190,6 +190,15 @@ def test_scan_k_recovers_three_blobs():
     assert set(scores) == {2, 3, 4, 5, 6}
 
 
+def test_scan_k_tries_no_k_above_distinct_points():
+    points, _ = three_blobs(per_blob=12)
+    repeated = np.repeat(points[[0, 12, 24]], 8, axis=0)  # 24 points, 3 distinct
+    best, scores = scan_k(repeated, seed=0)
+    assert set(scores) == {2, 3}
+    assert best == 3
+    assert scan_k(np.ones((5, 2)), seed=0) == (None, {})
+
+
 def test_silhouette_well_separated_blobs():
     points, labels = three_blobs(per_blob=8)
     assert silhouette_score(points, np.array(labels)) > 0.7

@@ -1,10 +1,10 @@
 """The trace codec's fast paths against plain ``json``.
 
-The writer formats most lines from templates and the reader parses
-canonical position lines with a regex. Both must agree with the general
-JSON path on every input: the writer byte for byte with ``json.dumps``,
-the reader event for event, and error for error, with ``json.loads`` and
-``FIELD_TYPES``.
+The writer formats the payloads of every ``SHAPES`` entry from a template
+and the reader parses the lines of every entry with a regex. Both must
+agree with the general JSON path on every input: the writer byte for byte
+with ``json.dumps``, the reader event for event, value type for value
+type, and error for error, with ``json.loads`` and ``FIELD_TYPES``.
 """
 
 import enum
@@ -19,6 +19,10 @@ from intentsim.errors import TraceError, TraceFormatError, TraceOrderError
 from intentsim.trace import (
     EVENT_KINDS,
     FIELD_TYPES,
+    FLOAT,
+    INT,
+    POINT,
+    SHAPES,
     OrderGuard,
     TraceEvent,
     TraceHeader,
@@ -42,35 +46,81 @@ values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(texts, inner, max_size=4),
     max_leaves=12,
 )
-position_value = ints | st.booleans() | st.sampled_from(list(Level)) | floats
-position_payloads = st.fixed_dictionaries(
-    {"agent": position_value, "held": position_value, "x": position_value, "y": position_value}
-)
-payloads = position_payloads | st.dictionaries(texts, values, max_size=5)
+# Values that fit each slot of a SHAPES entry, and near misses the writer
+# must hand to the encoder: bools, IntEnums, floats that are not finite,
+# ints where a float belongs, points that are not a list of two ints.
+FITS = {
+    INT: ints,
+    FLOAT: (st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([15.0, 1e16, -0.0, 5e-324, 0.1, 1e-7])),
+    POINT: st.lists(ints, min_size=2, max_size=2),
+}
+MISFITS = {
+    INT: st.booleans() | st.sampled_from(list(Level)) | floats,
+    FLOAT: st.sampled_from([float("nan"), float("inf"), float("-inf"), 12, True]) | ints,
+    POINT: (st.lists(ints, max_size=3).filter(lambda xs: len(xs) != 2)
+            | st.lists(ints | st.booleans() | floats, min_size=2, max_size=2)
+            | st.tuples(ints, ints) | ints),
+}
+KINDS = sorted(EVENT_KINDS - {"sim_start"})
+
+
+@st.composite
+def shape_events(draw):
+    """The kind and payload of a SHAPES entry, or ones that miss it in one way."""
+    kind, fields = draw(st.sampled_from(SHAPES))
+    payload = {key: slot if type(slot) is str else draw(FITS[slot]) for key, slot in fields.items()}
+    miss = draw(st.sampled_from([None, "value", "value", "extra", "drop", "kind"]))
+    if miss == "value":
+        key = draw(st.sampled_from(sorted(payload)))
+        slot = fields[key]
+        payload[key] = (draw(st.sampled_from([slot.upper(), "other", None, 1]))
+                        if type(slot) is str else draw(MISFITS[slot]))
+    elif miss == "extra":
+        payload[draw(texts)] = draw(values)
+    elif miss == "drop":
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    elif miss == "kind":
+        kind = draw(st.sampled_from(KINDS))
+    return kind, payload
 
 
 def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(
     start_seq=st.sampled_from([0, False]),
     start_payload=st.dictionaries(texts, values, max_size=3),
     seq=st.sampled_from([1, True]),
-    ticks=st.lists(ints | st.booleans(), min_size=2, max_size=2).map(sorted),
-    kind=st.sampled_from(sorted(EVENT_KINDS - {"sim_start"})),
-    payload=payloads,
+    ticks=st.lists(ints.filter(lambda tick: tick >= 0) | st.booleans(), min_size=2,
+                   max_size=2).map(sorted),
+    event=shape_events() | st.tuples(st.sampled_from(KINDS),
+                                     st.dictionaries(texts, values, max_size=5)),
 )
-@example(start_seq=0, start_payload={}, seq=1, ticks=[0, 5], kind="position",
-         payload={"agent": 1, "held": True, "x": 2, "y": 3})
-@example(start_seq=0, start_payload={}, seq=True, ticks=[0, 5], kind="position",
-         payload={"agent": 1, "held": 0, "x": 2, "y": 3})
-@example(start_seq=0, start_payload={}, seq=1, ticks=[False, True], kind="position",
-         payload={"agent": 1, "held": 0, "x": 2, "y": 3})
-@example(start_seq=0, start_payload={}, seq=1, ticks=[0, 1], kind="position",
-         payload={"agent": Level.LOW, "held": 0, "x": -(2**64), "y": 2**63})
-def test_writer_matches_json_dumps(start_seq, start_payload, seq, ticks, kind, payload):
+@example(start_seq=0, start_payload={}, seq=1, ticks=[0, 5],
+         event=("position", {"agent": 1, "held": True, "x": 2, "y": 3}))
+@example(start_seq=0, start_payload={}, seq=True, ticks=[0, 5],
+         event=("position", {"agent": 1, "held": 0, "x": 2, "y": 3}))
+@example(start_seq=0, start_payload={}, seq=1, ticks=[False, True],
+         event=("position", {"agent": 1, "held": 0, "x": 2, "y": 3}))
+@example(start_seq=0, start_payload={}, seq=1, ticks=[0, 1],
+         event=("position", {"agent": Level.LOW, "held": 0, "x": -(2**64), "y": 2**63}))
+@example(start_seq=0, start_payload={}, seq=1, ticks=[0, 1],
+         event=("order_event", {"agent": 1, "event": "delivered", "order": 2, "payment": float("nan")}))
+@example(start_seq=0, start_payload={}, seq=1, ticks=[0, 1],
+         event=("cost_accrual", {"agent": 1, "amount": float("-inf"), "ticks": 3}))
+@example(start_seq=0, start_payload={}, seq=1, ticks=[0, 1],
+         event=("order_event", {"dropoff": [1, 2], "event": "created", "order": 3,
+                                "payment": 1e16, "pickup": [4, 5]}))
+@example(start_seq=0, start_payload={}, seq=1, ticks=[0, 1],
+         event=("order_event", {"dropoff": [1, 2], "event": "created", "order": 3,
+                                "payment": 12, "pickup": [4, 5, 6]}))
+@example(start_seq=0, start_payload={}, seq=1, ticks=[0, 1],
+         event=("decision", {"agent": 1, "decision": "work_hours", "end": Level.HIGH, "start": 2}))
+def test_writer_matches_json_dumps(start_seq, start_payload, seq, ticks, event):
+    kind, payload = event
     events = [TraceEvent(start_seq, ticks[0], "sim_start", start_payload),
               TraceEvent(seq, ticks[1], kind, payload)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -90,7 +140,22 @@ START = dumps(TraceEvent(0, 0, "sim_start", {}).to_dict())
 INTS = st.integers(-(2**70), 2**70).map(str)
 NEAR_MISS_INTS = ["01", "-0", "00", "+1", "1.0", "1e3", "true", "null", '"1"', "- 1", "0x1",
                   "9" * 5000, "-" + "9" * 4301, "9" * 4300]
-MISSES = [None, None, None, "value", "order", "duplicate", "extra", "drop", "space", "kind"]
+FLOAT_TEXTS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+    ["15.0", "1e+16", "1E16", "1e-7", "-0.0", "5e-324", "0.5", "2.5E+3", "1e400", "-1e-400"])
+NEAR_MISS_FLOATS = ["12", "-0", "01.5", "1.", ".5", "1e", "1e+", "+1.5", "1.5.0", "NaN",
+                    "Infinity", "-Infinity", "0x1p3", "1_0.5", '"1.5"', "9" * 5000]
+POINT_TEXTS = st.tuples(INTS, INTS).map(lambda xy: f"[{xy[0]},{xy[1]}]")
+NEAR_MISS_POINTS = ["[1,2,3]", "[1]", "[]", "1", '"[1,2]"', "[01,2]", "[1, 2]", "[1.0,2]",
+                    "[true,2]", "{}", "[1,2"]
+# The text of a value that fits each slot, and near misses: an integer
+# literal in a float slot must be read as an integer.
+SLOT_TEXTS = {
+    INT: (INTS, st.sampled_from(NEAR_MISS_INTS)),
+    FLOAT: (FLOAT_TEXTS, INTS | st.sampled_from(NEAR_MISS_FLOATS + NEAR_MISS_INTS)),
+    POINT: (POINT_TEXTS, st.sampled_from(NEAR_MISS_POINTS)),
+}
+MISSES = [None, None, None, "value", "value", "value", "order", "duplicate", "extra", "drop",
+          "space", "kind"]
 
 
 def render(pairs, spaced):
@@ -99,15 +164,23 @@ def render(pairs, spaced):
 
 
 @st.composite
-def position_lines(draw):
-    """A canonical position line, or one that misses it in one way."""
-    payload = [[key, draw(INTS)] for key in ("agent", "held", "x", "y")]
-    outer = [["kind", '"position"'], ["payload", None], ["seq", draw(st.sampled_from("1112"))],
+def shape_lines(draw):
+    """The line of a SHAPES entry as the writer writes it, or one that
+    misses it in one way."""
+    kind, fields = draw(st.sampled_from(SHAPES))
+    payload = [[key, dumps(slot) if type(slot) is str else draw(SLOT_TEXTS[slot][0])]
+               for key, slot in fields.items()]
+    outer = [["kind", dumps(kind)], ["payload", None], ["seq", draw(st.sampled_from("1112"))],
              ["tick", draw(st.sampled_from(["0", "7"]) | INTS)]]
     pairs = draw(st.sampled_from([payload, outer]))
     miss = draw(st.sampled_from(MISSES))
     if miss == "value":
-        draw(st.sampled_from(payload + outer[2:]))[1] = draw(st.sampled_from(NEAR_MISS_INTS))
+        pair = draw(st.sampled_from(payload + outer[2:]))
+        slot = fields.get(pair[0], INT) if pair in payload else INT
+        if type(slot) is str:
+            pair[1] = draw(st.sampled_from([dumps(slot.upper()), '"other"', "1", "null"]))
+        else:
+            pair[1] = draw(SLOT_TEXTS[slot][1])
     elif miss == "order":
         pairs[:] = draw(st.permutations(pairs))
     elif miss == "duplicate":
@@ -117,7 +190,7 @@ def position_lines(draw):
     elif miss == "drop":
         pairs.remove(draw(st.sampled_from(pairs)))
     elif miss == "kind":
-        outer[0][1] = draw(st.sampled_from(['"thought"', '"positio"', "1"]))
+        outer[0][1] = draw(st.sampled_from(['"thought"', '"positio"', '"decision"', "1"]))
     spaced = miss == "space"
     text = render(payload, spaced and pairs is payload)
     return render([[key, text if value is None else value] for key, value in outer],
@@ -142,10 +215,21 @@ def oracle(line):
         guard.check(event.seq, event.tick, event.kind)
     except TraceOrderError as exc:
         raise TraceOrderError(f"line 3: {exc}") from None
-    problem = field_error(FIELD_TYPES.get(event.kind, {}), event.payload)
+    created = event.kind == "order_event" and event.payload.get("event") == "created"
+    problem = field_error(FIELD_TYPES.get("created" if created else event.kind, {}), event.payload)
     if problem is not None:
         raise TraceFormatError(3, f"{event.kind} event {problem}")
     return event
+
+
+def typed(value):
+    """``value`` with the type of every part, and floats by repr (so -0.0 and
+    nan compare)."""
+    if type(value) is dict:
+        return [(key, typed(item)) for key, item in value.items()]
+    if type(value) is list:
+        return [typed(item) for item in value]
+    return type(value), repr(value) if type(value) is float else value
 
 
 def outcome(read):
@@ -153,15 +237,25 @@ def outcome(read):
         event = read()
     except TraceError as exc:
         return type(exc), str(exc)
-    return event, [(key, type(value)) for key, value in event.payload.items()]
+    return typed(list(event))
 
 
-@settings(max_examples=500, deadline=None)
-@given(line=position_lines())
+@settings(max_examples=1500, deadline=None)
+@given(line=shape_lines())
 @example(line='{"kind":"position","payload":{"agent":0,"held":0,"x":-0,"y":5},"seq":1,"tick":0}')
 @example(line='{"kind":"position","payload":{"agent":0,"held":0,"x":1,"y":5},"seq":1,"tick":0}')
 @example(line='{"kind":"position","payload":{"agent":0,"held":0,"x":1,"y":5},"seq":2,"tick":0}')
 @example(line='{"kind":"position","payload":{"agent":0,"held":0,"x":01,"y":5},"seq":1,"tick":0}')
+@example(line='{"kind":"order_event","payload":{"agent":1,"event":"delivered","order":2,"payment":12},'
+              '"seq":1,"tick":0}')
+@example(line='{"kind":"order_event","payload":{"agent":1,"event":"delivered","order":2,"payment":1e+16},'
+              '"seq":1,"tick":0}')
+@example(line='{"kind":"order_event","payload":{"dropoff":[1,2,3],"event":"created","order":3,'
+              '"payment":15.0,"pickup":[4,5]},"seq":1,"tick":0}')
+@example(line='{"kind":"cost_accrual","payload":{"agent":1,"amount":-0.0,"ticks":3},"seq":1,"tick":0}')
+@example(line='{"kind":"cost_accrual","payload":{"agent":1,"amount":NaN,"ticks":3},"seq":1,"tick":0}')
+@example(line='{"kind":"decision","payload":{"agent":1,"decision":"work_hours","end":01,"start":2},'
+              '"seq":1,"tick":0}')
 def test_reader_fast_path_matches_json(line):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"

@@ -19,6 +19,7 @@ def test_defaults_validate():
     [
         ("grid_size", 0),
         ("grid_size", -5),
+        ("grid_size", 2**31 + 1),  # the offer key would overflow int64
         ("total_steps", 100),  # not a multiple of steps_per_day
         ("steps_per_day", 0),
         ("n_riders", -1),

@@ -42,6 +42,12 @@ SIMULATED_HASHES = {
 
 SIMULATED_TRACE_HASH = "a9e8540d4407f887781ec83b2d4138fc53c8ffb47057a8a314e17725326f5c55"
 
+# The default config's first 600 ticks, seed 42: pending orders pile up to
+# 832, so the offer lookup partitions a long pending list, and the trace has
+# lines of every fixed-shape payload. Taken before the pending orders moved
+# into arrays and the shape table replaced the position template.
+BACKLOG_TRACE_HASH = "27810c71ef905341bb676efa5cacc77eccc0c573d5912b738fd2d593095f5db1"
+
 
 def bundle_hashes(out):
     return {
@@ -87,3 +93,14 @@ def test_simulated_bundle_bytes(tmp_path):
         result, tmp_path / "analysis", source_digest=log.header.config_digest, seed=0
     )
     assert bundle_hashes(tmp_path / "analysis") == SIMULATED_HASHES
+
+
+def test_backlog_trace_bytes(tmp_path):
+    backend = ScriptedBackend(
+        hours_policy=ScriptedPolicy("fixed_hours"),
+        selection_policy=ScriptedPolicy("greedy_nearest"),
+    )
+    trace_path = tmp_path / "run.trace.jsonl"
+    world = run_simulation(SimConfig(total_steps=600, seed=42), backend, trace_path)
+    assert len(world.pending_ids) == 832
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == BACKLOG_TRACE_HASH

@@ -17,6 +17,7 @@ from intentsim.mining import (
     records_from_rows,
     records_from_trace,
 )
+from intentsim.clustering import MAX_ITER
 from intentsim.pipeline import AnalysisOptions, analyze_records
 from intentsim.trace import TraceEvent
 
@@ -50,6 +51,25 @@ def test_missing_pair_flagged_and_excluded():
     result = analyze_records([record], AnalysisOptions())
     assert len(result.repository) == 0
     assert result.skipped_missing == 1
+
+
+def test_duplicate_intentions_clamp_k_to_distinct():
+    # Three agents state one thing and one agent another: four intentions but
+    # two distinct vectors. k used to be clamped to four, and k-means then
+    # repaired an empty cluster on each of its MAX_ITER steps.
+    rows = [{"agent_id": agent, "tick": 0, "text": "vote for the river"} for agent in range(3)]
+    rows.append({"agent_id": 3, "tick": 0, "text": "build a market"})
+    for scan in (False, True):
+        result = analyze_records(records_from_rows(rows), AnalysisOptions(k=5, scan_k=scan))
+        assert len(result.repository) == 4
+        assert result.chosen_k == 2
+        assert result.warnings == (["k scan selected k=2"] if scan else
+                                   ["k=5 exceeds 2 clusterable intentions; using k=2"])
+        assert result.clustering.repaired_iterations == []
+        assert result.clustering.iterations_run < MAX_ITER
+    same = analyze_records(records_from_rows(rows[:3]), AnalysisOptions(k=5, scan_k=True))
+    assert "k scan skipped: fewer than 2 distinct intentions" in same.warnings
+    assert same.chosen_k == 1
 
 
 def test_empty_rational_text_is_missing():

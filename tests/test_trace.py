@@ -77,6 +77,23 @@ def test_tick_decrease_rejected_on_write(tmp_path):
             w.emit("warning", 4, {"message": "backwards"})
 
 
+def test_negative_start_tick_rejected_on_write(tmp_path):
+    path = tmp_path / "t.jsonl"
+    with TraceWriter(path, "abc", 1) as w:
+        with pytest.raises(TraceOrderError, match="tick -1 is negative"):
+            w.emit("sim_start", -1, {})
+
+
+def test_negative_ticks_rejected_on_read(tmp_path):
+    # Every tick shifted down by 1000 keeps the order rules but not tick >= 0.
+    path = tmp_path / "t.jsonl"
+    events = [event._replace(tick=event.tick - 1000) for event in make_events(6)]
+    lines = [json.dumps(header().to_dict())] + [json.dumps(event.to_dict()) for event in events]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceOrderError, match="line 2: tick -1000 is negative"):
+        load_trace(path)
+
+
 def test_append_after_end_rejected(tmp_path):
     path = tmp_path / "t.jsonl"
     with TraceWriter(path, "abc", 1) as w:

@@ -1,19 +1,22 @@
+import heapq
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from intentsim.config import SimConfig
 from intentsim.world import (
     ASSIGNED,
     PENDING,
     Position,
+    add_pending,
     assign_orders,
     generate_orders,
     init_world,
     is_peak_tick,
     manhattan,
     move_toward,
+    nearest_pending,
     poisson_draw,
     shift_active,
     world_digest,
@@ -153,8 +156,8 @@ def _world_with_pending(n_orders):
         order = Order(id=i, pickup=Position(i, 0), dropoff=Position(i, 5),
                       payment=6.0, created_tick=0)
         world.order_book[i] = order
-        world.pending_ids.add(i)
         world.next_order_id = i + 1
+        add_pending(world, order)
     return world
 
 
@@ -162,7 +165,7 @@ def test_assign_empty_selection_no_change():
     world = _world_with_pending(2)
     assign_orders(world, 0, [], [0, 1])
     assert world.riders[0].held_orders == []
-    assert world.pending_ids == {0, 1}
+    assert set(world.pending_ids) == {0, 1}
 
 
 def test_assign_truncates_at_cap():
@@ -184,6 +187,57 @@ def test_assign_rejects_unknown_ids_applies_rest():
     assert world.order_book[1].state == ASSIGNED
     assert world.order_book[1].rider_id == 0
     assert 99 not in world.order_book
+
+
+# New orders with pickups on a small grid (so distances tie), an order
+# taken by its place among the pending ids, or an offer lookup from a point.
+offer_ops = st.lists(
+    st.tuples(st.just("add"), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=15))
+    | st.tuples(st.just("take"), st.integers(0, 200))
+    | st.tuples(st.just("look"), st.integers(0, 6), st.integers(0, 6)),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=offer_ops)
+def test_nearest_pending_matches_heapq(ops):
+    # The pending columns after any mix of appends and swap-removes give
+    # the orders heapq.nsmallest gives over (|dx| + |dy|, id) of the book.
+    from intentsim.engine import OFFER_LIMIT
+    from intentsim.world import Order
+
+    world = init_world(small_config(base_order_rate=0.0, order_cap=1000))
+    pending: set[int] = set()
+    for op in ops + [("look", 3, 3)]:
+        if op[0] == "add":
+            for x, y in op[1]:
+                oid = world.next_order_id
+                order = Order(id=oid, pickup=Position(x, y), dropoff=Position(0, 0),
+                              payment=6.0, created_tick=0)
+                world.order_book[oid] = order
+                world.next_order_id += 1
+                add_pending(world, order)
+                pending.add(oid)
+        elif op[0] == "take" and pending:
+            oid = sorted(pending)[op[1] % len(pending)]
+            assert assign_orders(world, 0, [oid], [oid])[0] == [oid]
+            pending.discard(oid)
+        elif op[0] == "look":
+            x, y = op[1], op[2]
+            book = world.order_book
+            expected = heapq.nsmallest(
+                OFFER_LIMIT,
+                ((abs(book[oid].pickup.x - x) + abs(book[oid].pickup.y - y), oid) for oid in pending),
+            )
+            assert nearest_pending(world, x, y, OFFER_LIMIT) == expected
+        assert set(world.pending_ids) == pending
+        rows = [world.pending_ids[oid] for oid in sorted(pending)]
+        assert sorted(rows) == list(range(len(pending)))
+        for oid, row in world.pending_ids.items():
+            assert world.pending_order[row] == oid
+            assert (world.pending_x[row], world.pending_y[row]) == (
+                world.order_book[oid].pickup.x, world.order_book[oid].pickup.y)
 
 
 def test_assign_unknown_rider_raises():
