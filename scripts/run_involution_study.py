@@ -17,7 +17,7 @@ from pathlib import Path
 from intentsim.backends.scripted import ScriptedBackend, ScriptedPolicy
 from intentsim.config import SimConfig
 from intentsim.engine import run_simulation
-from intentsim.metrics import involution_index, write_metrics_reports
+from intentsim.metrics import fold_events, involution_index, write_metrics_reports
 from intentsim.pipeline import AnalysisOptions, analyze_trace_events, write_analysis_outputs
 from intentsim.trace import load_trace
 
@@ -52,7 +52,7 @@ def main() -> int:
         print(f"simulating scenario '{name}' -> {trace_path}")
         run_simulation(config, backend, trace_path)
         events = load_trace(trace_path).events
-        series[name] = involution_index(events)
+        series[name] = involution_index(fold_events(events))
         write_metrics_reports(events, out / f"metrics_{name}", window_ticks=config.steps_per_day)
 
     print("\nanalyzing the imitation run (intentions, clusters, diagram)")

@@ -6,7 +6,7 @@ identities against the final summary."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AuditError
 from .trace import FIELD_TYPES, field_error, is_point, start_config
@@ -25,7 +25,6 @@ class AuditReport:
     orders_delivered: int = 0
     position_events: int = 0
     max_displacement: int = 0
-    riders_seen: set = field(default_factory=set)
 
 
 def audit_trace(events) -> AuditReport:
@@ -107,7 +106,6 @@ def audit_trace(events) -> AuditReport:
             agent = payload["agent"]
             x, y = payload["x"], payload["y"]
             report.position_events += 1
-            report.riders_seen.add(agent)
             if not (0 <= x < grid and 0 <= y < grid):
                 raise AuditError(f"rider {agent} position ({x}, {y}) outside grid")
             if payload["held"] != held.get(agent, 0):

@@ -29,7 +29,6 @@ class DecisionContext:
     leader_id: int
     leader_shift: tuple[int, int]
     current_tick: int
-    day: int
     capacity_left: int = 0
     offered: tuple[OfferedOrder, ...] = ()
     memory: tuple[str, ...] = ()

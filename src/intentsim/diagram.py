@@ -23,14 +23,19 @@ DIAGRAM_SCHEMA = 1
 DEFAULT_WINDOW_TICKS = 1200
 
 
+def check_window_ticks(window_ticks: int) -> None:
+    """Refuse a window width that cannot split ticks into windows."""
+    if window_ticks <= 0:
+        raise ValueError(f"window_ticks must be > 0, got {window_ticks}")
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     window_ticks: int = DEFAULT_WINDOW_TICKS
     n_windows: int = 1
 
     def __post_init__(self) -> None:
-        if self.window_ticks <= 0:
-            raise ValueError("window_ticks must be > 0")
+        check_window_ticks(self.window_ticks)
         if self.n_windows < 0:
             raise ValueError("n_windows must be >= 0")
 

@@ -67,8 +67,6 @@ class HashingEmbedder:
     seed: int = 0
     _buckets: dict[str, int] = field(default_factory=dict, repr=False)
 
-    kind = "fallback_hash"
-
     def bucket(self, token: str) -> int:
         cached = self._buckets.get(token)
         if cached is None:
@@ -82,15 +80,6 @@ class HashingEmbedder:
         for token in tokenize(text):
             vec[self.bucket(token)] += 1.0
         return l2_normalize(vec)
-
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim), dtype=float)
-        for i, text in enumerate(texts):
-            out[i] = self.embed(text)
-        return out
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -118,7 +107,6 @@ class RemoteEmbedder:
     """
 
     endpoint: EmbeddingEndpointConfig
-    kind = "remote"
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
         if not texts:
@@ -130,6 +118,3 @@ class RemoteEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "model": self.endpoint.model_id}

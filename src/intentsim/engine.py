@@ -23,6 +23,7 @@ from .world import (
     ASSIGNED,
     DELIVERED,
     PICKED_UP,
+    RiderState,
     WorldState,
     assign_orders,
     generate_orders,
@@ -55,38 +56,35 @@ def _rank(values: dict[int, float]) -> dict[int, int]:
     return {rider_id: idx + 1 for idx, (rider_id, _) in enumerate(ordered)}
 
 
-def _stats_from_yesterday(world: WorldState) -> DayStats:
-    riders = world.riders
-    if not riders:
-        return DayStats({}, {}, {}, leader_id=-1, leader_shift=(0, 0))
-    distance_rank = _rank({r.id: float(r.yesterday_distance) for r in riders})
-    earnings_rank = _rank({r.id: r.yesterday_earnings for r in riders})
-    orders_rank = _rank({r.id: float(r.yesterday_orders) for r in riders})
-    leader_id = next(rid for rid, rank in earnings_rank.items() if rank == 1)
-    leader = world.rider(leader_id)
+def _roll_over_day(world: WorldState) -> DayStats:
+    """Close out yesterday's per-rider totals and return their rankings."""
+    distance: dict[int, float] = {}
+    earnings: dict[int, float] = {}
+    orders: dict[int, float] = {}
+    for r in world.riders:
+        distance[r.id] = float(r.distance_ridden - r.day_mark_distance)
+        earnings[r.id] = r.earnings - r.day_mark_earnings
+        orders[r.id] = float(r.orders_completed - r.day_mark_orders)
+        r.day_mark_distance = r.distance_ridden
+        r.day_mark_earnings = r.earnings
+        r.day_mark_orders = r.orders_completed
+    earnings_rank = _rank(earnings)
+    leader = world.riders[next(iter(earnings_rank))]  # rank 1 comes first
     return DayStats(
-        distance_rank=distance_rank,
+        distance_rank=_rank(distance),
         earnings_rank=earnings_rank,
-        orders_rank=orders_rank,
-        leader_id=leader_id,
+        orders_rank=_rank(orders),
+        leader_id=leader.id,
         leader_shift=(leader.shift_start, leader.shift_end),
     )
 
 
-def _roll_over_day(world: WorldState) -> DayStats:
-    """Close out yesterday's per-rider totals and return fresh rankings."""
-    for r in world.riders:
-        r.yesterday_distance = r.distance_ridden - r.day_mark_distance
-        r.yesterday_earnings = r.earnings - r.day_mark_earnings
-        r.yesterday_orders = r.orders_completed - r.day_mark_orders
-        r.day_mark_distance = r.distance_ridden
-        r.day_mark_earnings = r.earnings
-        r.day_mark_orders = r.orders_completed
-    return _stats_from_yesterday(world)
-
-
 class SimulationSession:
-    """Cross-tick state that is not part of the world proper."""
+    """Cross-tick state that is not part of the world proper.
+
+    A session starts at a day boundary, where the first tick ranks the day
+    before it.
+    """
 
     def __init__(
         self,
@@ -95,6 +93,8 @@ class SimulationSession:
         writer: TraceWriter | None,
         inspector: bool = True,
     ):
+        if world.tick % world.config.steps_per_day:
+            raise ValueError(f"a session must start at a day boundary, not at tick {world.tick}")
         self.world = world
         self.backend = backend
         self.writer = writer
@@ -150,7 +150,6 @@ def _base_context(session: SimulationSession, rider, stats: DayStats) -> Decisio
         leader_id=stats.leader_id,
         leader_shift=stats.leader_shift,
         current_tick=world.tick,
-        day=world.day,
         memory=tuple(session.memories[rider.id]),
     )
 
@@ -201,13 +200,13 @@ def _offer_for(world: WorldState, rider) -> list[OfferedOrder]:
     return offers
 
 
-def _selection_phase(session: SimulationSession) -> None:
+def _selection_phase(session: SimulationSession, working: list[RiderState]) -> None:
     world = session.world
     cap = world.config.order_cap
-    for rider in world.riders:
+    for rider in working:
         if not world.pending_ids:
             break  # nothing is left to offer to anyone
-        if not rider.at_work or len(rider.held_orders) >= cap:
+        if len(rider.held_orders) >= cap:
             continue
         offers = _offer_for(world, rider)
         ctx = dataclasses.replace(
@@ -241,12 +240,10 @@ def _selection_phase(session: SimulationSession) -> None:
             session.emit("order_event", {"event": "assigned", "order": oid, "agent": rider.id})
 
 
-def _movement_phase(session: SimulationSession) -> None:
+def _movement_phase(session: SimulationSession, working: list[RiderState]) -> None:
     world = session.world
     config = world.config
-    for rider in world.riders:
-        if not rider.at_work:
-            continue
+    for rider in working:
         if rider.held_orders:
             order = world.order_book[rider.held_orders[0]]
             objective = order.pickup if order.state == ASSIGNED else order.dropoff
@@ -287,13 +284,12 @@ def _movement_phase(session: SimulationSession) -> None:
         )
 
 
-def _accrual_phase(session: SimulationSession) -> None:
+def _accrual_phase(session: SimulationSession, working: list[RiderState]) -> None:
     world = session.world
     config = world.config
-    for rider in world.riders:
-        if rider.at_work:
-            rider.labor_cost += config.wage_rate
-            rider.ticks_worked_today += 1
+    for rider in working:
+        rider.labor_cost += config.wage_rate
+        rider.ticks_worked_today += 1
     if world.tick % config.steps_per_day == config.steps_per_day - 1:
         for rider in world.riders:
             if rider.ticks_worked_today:
@@ -308,32 +304,21 @@ def _accrual_phase(session: SimulationSession) -> None:
             rider.ticks_worked_today = 0
 
 
-def step_world(
-    world: WorldState,
-    backend,
-    session: SimulationSession | None = None,
-) -> WorldState:
-    """Advance the world one tick. See the module docstring for phase order.
-
-    Events go to the session's writer; without a session none are written.
-    """
+def step_world(world: WorldState, session: SimulationSession) -> WorldState:
+    """Advance the session's world one tick. See the module docstring for
+    phase order. Events go to the session's writer, if it has one."""
     if world.tick >= world.config.total_steps:
         raise ValueError("simulation already ran its configured steps")
-    if session is None:
-        session = SimulationSession(world, backend, None)
     config = world.config
     tick_of_day = world.tick % config.steps_per_day
-    if tick_of_day == 0:
+    if tick_of_day == 0 and world.riders:
         session.stats = _roll_over_day(world)
-        if world.riders:
-            _work_hours_phase(session)
-    elif session.stats is None:
-        session.stats = _stats_from_yesterday(world)
-    for rider in world.riders:
-        rider.at_work = shift_active(
-            rider.shift_start, rider.shift_end, tick_of_day, config.steps_per_day
-        )
-    created = generate_orders(world.tick, world)
+        _work_hours_phase(session)
+    working = [
+        r for r in world.riders
+        if shift_active(r.shift_start, r.shift_end, tick_of_day, config.steps_per_day)
+    ]
+    created = generate_orders(world)
     for order in created:
         session.emit(
             "order_event",
@@ -345,9 +330,9 @@ def step_world(
                 "payment": order.payment,
             },
         )
-    _selection_phase(session)
-    _movement_phase(session)
-    _accrual_phase(session)
+    _selection_phase(session, working)
+    _movement_phase(session, working)
+    _accrual_phase(session, working)
     world.tick += 1
     return world
 
@@ -402,7 +387,7 @@ def run_simulation(
         )
         session = SimulationSession(world, backend, writer, inspector=inspector)
         while world.tick < config.total_steps:
-            step_world(world, backend, session=session)
+            step_world(world, session)
         writer.emit(
             "sim_end",
             world.tick,

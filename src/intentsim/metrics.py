@@ -5,9 +5,9 @@ per delivered order (the over-competition index), rider position heat
 maps, effective working hours (ticks spent holding at least one order),
 and per-agent hours-vs-orders totals. :func:`fold_events` reads the events
 once and gathers every total the reports need. Each report function takes
-either the events or their :class:`TraceTotals` and is a view over that
-fold, so :func:`write_metrics_reports` makes one pass over a trace (which
-may be a stream) for the whole CSV bundle. Re-running any report on the
+those :class:`TraceTotals` and is a view over them, so
+:func:`write_metrics_reports` makes one pass over a trace (which may be a
+stream) for the whole CSV bundle. Re-running any report on the
 same trace yields byte-identical CSV output.
 """
 
@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .diagram import DEFAULT_WINDOW_TICKS
+from .diagram import DEFAULT_WINDOW_TICKS, check_window_ticks
 from .errors import TraceFormatError
 from .trace import event_line, start_config
 
@@ -28,12 +28,11 @@ class TraceTotals:
     """Every total the reports read, gathered in one pass over the events.
 
     A day is ``tick // steps_per_day`` and a heat-map window is
-    ``tick // window_ticks``.
+    ``tick // window_ticks``, for the ``window_ticks`` of :func:`fold_events`.
     """
 
-    def __init__(self, config: dict, window_ticks: int):
+    def __init__(self, config: dict):
         self.config = config
-        self.window_ticks = window_ticks
         self.cost: dict[int, float] = defaultdict(float)  # day -> labor cost
         self.delivered: dict[int, int] = defaultdict(int)  # day -> orders delivered
         self.worked: dict[tuple[int, int], int] = defaultdict(int)  # (day, agent) -> ticks at work
@@ -49,11 +48,12 @@ class TraceTotals:
 
 def fold_events(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals:
     """Read the events (any iterable, starting with ``sim_start``) once."""
+    check_window_ticks(window_ticks)
     stream = iter(events)
     config = start_config(next(stream, None))
     if config is None:
         raise TraceFormatError(event_line(0), "the first event is not a sim_start carrying the config")
-    totals = TraceTotals(config=config, window_ticks=window_ticks)
+    totals = TraceTotals(config)
     spd = totals.config["steps_per_day"]
     grid = totals.config["grid_size"]
     for event in stream:
@@ -75,10 +75,6 @@ def fold_events(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals
         elif kind == "cost_accrual":
             totals.cost[event.tick // spd] += payload["amount"]
     return totals
-
-
-def _totals(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals:
-    return events if isinstance(events, TraceTotals) else fold_events(events, window_ticks)
 
 
 def csv_text(rows) -> str:
@@ -103,13 +99,12 @@ class InvolutionSeries:
         ])
 
 
-def involution_index(events) -> InvolutionSeries:
+def involution_index(totals: TraceTotals) -> InvolutionSeries:
     """Daily labor cost per delivered order.
 
     Days with zero deliveries keep the raw cost (divisor clamped to 1) and
     are flagged rather than dropped, preserving the series length.
     """
-    totals = _totals(events)
     series = InvolutionSeries()
     for day in range(totals.n_days):
         cost = totals.cost.get(day, 0.0)
@@ -134,18 +129,13 @@ class HeatmapGrid:
         return csv_text([f"{v:g}" for v in row] for row in self.counts)
 
 
-def position_heatmap(events, window: int, window_ticks: int, downsample: int = 1) -> HeatmapGrid:
-    """Visit counts per cell over one tick window.
+def position_heatmap(totals: TraceTotals, window: int, downsample: int = 1) -> HeatmapGrid:
+    """Visit counts per cell over one of the tick windows the totals were
+    folded over.
 
     ``downsample`` > 1 averages f x f blocks into one cell (the raw grid
     conserves total event mass; averaged grids trade that for compactness).
-    :class:`TraceTotals` must have been gathered over ``window_ticks``.
     """
-    totals = _totals(events, window_ticks)
-    if totals.window_ticks != window_ticks:
-        raise ValueError(
-            f"totals were gathered over {totals.window_ticks}-tick windows, not {window_ticks}"
-        )
     f = max(downsample, 1)
     size = (totals.config["grid_size"] + f - 1) // f
     counts = [[0.0] * size for _ in range(size)]
@@ -166,9 +156,8 @@ class HoursRow:
     total_orders: int
 
 
-def effective_hours(events, day: int) -> list[HoursRow]:
+def effective_hours(totals: TraceTotals, day: int) -> list[HoursRow]:
     """Per-agent worked vs order-holding hours for one day."""
-    totals = _totals(events)
     to_hours = 24.0 / totals.config["steps_per_day"]
     return [
         HoursRow(
@@ -181,9 +170,8 @@ def effective_hours(events, day: int) -> list[HoursRow]:
     ]
 
 
-def hours_vs_orders(events) -> list[tuple[int, float, int]]:
+def hours_vs_orders(totals: TraceTotals) -> list[tuple[int, float, int]]:
     """Whole-run (agent, hours worked, orders delivered) totals."""
-    totals = _totals(events)
     worked: dict[int, int] = defaultdict(int)
     orders: dict[int, int] = defaultdict(int)
     for (_, agent), ticks in totals.worked.items():
@@ -227,7 +215,7 @@ def write_metrics_reports(
     }
     n_windows = max(1, (totals.config["total_steps"] + window_ticks - 1) // window_ticks)
     for window in range(n_windows):
-        grid = position_heatmap(totals, window, window_ticks, downsample=downsample)
+        grid = position_heatmap(totals, window, downsample=downsample)
         reports[f"heatmap_window{window}.csv"] = grid.to_csv()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -197,7 +197,6 @@ class SimilarityDetector:
     """Emergent iff nothing in memory is similar enough (max cosine < theta)."""
 
     theta: float = DEFAULT_THETA
-    kind = "similarity"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 1.0:
@@ -233,7 +232,6 @@ class LlmEmergenceDetector:
     template: str
     fallback: SimilarityDetector = field(default_factory=SimilarityDetector)
     on_fallback: Callable[[str], None] | None = None
-    kind = "llm"
 
     def detect(self, record: ThoughtRecord, embedding: np.ndarray, memory: AgentMemory) -> bool:
         memory_lines = "\n".join(f"- {text}" for text in memory.texts) or "(no memory yet)"

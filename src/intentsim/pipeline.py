@@ -25,6 +25,7 @@ from .diagram import (
     InfluenceMap,
     WindowSpec,
     build_diagram,
+    check_window_ticks,
     render_diagram,
 )
 from .embedding import EmbeddingEndpointConfig, HashingEmbedder, RemoteEmbedder
@@ -60,6 +61,9 @@ class AnalysisOptions:
     # Optional callable(list of member texts) -> short label; medoid text
     # labeling is the default.
     label_summarizer: object = None
+
+    def __post_init__(self) -> None:
+        check_window_ticks(self.window_ticks)
 
 
 @dataclass

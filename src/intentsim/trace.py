@@ -220,9 +220,8 @@ _EVENT_LINE = '{"kind":%s,"payload":%s,"seq":%d,"tick":%d}\n'
 
 
 def _line(seq, tick, kind: str, payload) -> str:
-    """The line ``canonical_json`` gives for this event, newline included."""
-    if type(seq) is not int or type(tick) is not int:  # %d would print a bool as 1
-        return canonical_json({"kind": kind, "payload": payload, "seq": seq, "tick": tick}) + "\n"
+    """The line ``canonical_json`` gives for this event, newline included;
+    ``seq`` and ``tick`` are ints (:class:`OrderGuard` refuses others)."""
     if type(payload) is dict:
         for write in _WRITERS.get(kind, ()):
             line = write(payload, seq, tick)
@@ -260,6 +259,8 @@ class OrderGuard:
     def check(self, seq: int, tick: int, kind: str) -> None:
         if self.ended:
             raise TraceOrderError("event after sim_end")
+        if type(seq) is not int or type(tick) is not int:  # a bool is not a seq or a tick
+            raise TraceOrderError(f"seq {seq!r} and tick {tick!r} must both be integers")
         if kind not in EVENT_KINDS:
             raise TraceOrderError(f"unknown event kind {kind!r}")
         if seq != self.last_seq + 1:
@@ -458,15 +459,18 @@ class IngestMapping:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IngestMapping":
+        if not isinstance(data, dict):
+            raise ValueError("ingest mapping is not a JSON object")
         missing = {"agent", "tick", "text"} - set(data)
         if missing:
             raise ValueError(f"ingest mapping missing targets: {sorted(missing)}")
-        return cls(
-            agent=data["agent"],
-            tick=data["tick"],
-            text=data["text"],
-            defaults=dict(data.get("defaults", {})),
-        )
+        for target in ("agent", "tick", "text"):
+            if not isinstance(data[target], str):
+                raise ValueError(f"ingest mapping target '{target}' is not a dotted path string")
+        defaults = data.get("defaults", {})
+        if not isinstance(defaults, dict):
+            raise ValueError("ingest mapping 'defaults' is not a JSON object")
+        return cls(agent=data["agent"], tick=data["tick"], text=data["text"], defaults=dict(defaults))
 
     @classmethod
     def load(cls, path: str | Path) -> "IngestMapping":

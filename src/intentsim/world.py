@@ -77,15 +77,11 @@ class RiderState:
     labor_cost: float = 0.0
     orders_completed: int = 0
     distance_ridden: int = 0
-    at_work: bool = False
     # Per-day bookkeeping used for rankings and cost accrual.
     ticks_worked_today: int = 0
     day_mark_distance: int = 0
     day_mark_earnings: float = 0.0
     day_mark_orders: int = 0
-    yesterday_distance: int = 0
-    yesterday_earnings: float = 0.0
-    yesterday_orders: int = 0
 
 
 @dataclass
@@ -103,13 +99,6 @@ class WorldState:
     pending_x: array = field(default_factory=lambda: array("q"))
     pending_y: array = field(default_factory=lambda: array("q"))
     pending_order: array = field(default_factory=lambda: array("q"))
-
-    @property
-    def day(self) -> int:
-        return self.tick // self.config.steps_per_day
-
-    def rider(self, rider_id: int) -> RiderState:
-        return self.riders[rider_id]
 
 
 def shift_active(shift_start: int, shift_end: int, tick_of_day: int, steps_per_day: int) -> bool:
@@ -215,11 +204,10 @@ def is_peak_tick(tick_of_day: int, config: SimConfig) -> bool:
     return False
 
 
-def generate_orders(tick: int, world: WorldState) -> list[Order]:
+def generate_orders(world: WorldState) -> list[Order]:
     """Draw this tick's new orders and append them to the book as pending."""
     config = world.config
-    if tick != world.tick:
-        raise ValueError(f"generate_orders tick {tick} != world tick {world.tick}")
+    tick = world.tick
     rate = config.base_order_rate
     if is_peak_tick(tick % config.steps_per_day, config):
         rate *= config.peak_multiplier

@@ -30,7 +30,7 @@ from intentsim.diagram import (
 from intentsim.embedding import HashingEmbedder, cosine_similarity
 from intentsim.engine import run_simulation
 from intentsim.errors import TraceFormatError
-from intentsim.metrics import involution_index
+from intentsim.metrics import fold_events, involution_index
 from intentsim.mining import (
     AgentMemory,
     IntentionRepository,
@@ -99,7 +99,7 @@ def _involution_series(tmp_path, imitate: bool):
                               selection_policy=ScriptedPolicy("greedy_nearest"))
     path = tmp_path / f"involution_{imitate}.jsonl"
     run_simulation(config, backend, path)
-    return involution_index(load_trace(path).events)
+    return involution_index(fold_events(load_trace(path).events))
 
 
 def test_criterion_2_involution_trend(tmp_path):

@@ -22,7 +22,6 @@ def make_ctx(**overrides):
         leader_id=0,
         leader_shift=(8, 20),
         current_tick=120,
-        day=1,
     )
     base.update(overrides)
     return DecisionContext(**base)
@@ -62,7 +61,7 @@ def test_imitate_day0_uses_planned_hours():
     backend = ScriptedBackend(
         hours_policy=ScriptedPolicy("imitate_top_ranked", {"delta": 1, "day0": (10, 13)})
     )
-    decision, pair = backend.decide_work_hours(make_ctx(current_tick=0, day=0))
+    decision, pair = backend.decide_work_hours(make_ctx(current_tick=0))
     assert (decision.go_to_work_hour, decision.get_off_work_hour) == (10, 13)
     assert "imitate" not in pair.bounded
 

@@ -381,3 +381,47 @@ def test_help_documents_exit_codes(runner):
     assert "Exit codes" in result.output
     for command in ("simulate", "analyze", "metrics", "diagram"):
         assert command in result.output
+
+
+@pytest.mark.parametrize("window_ticks", ["0", "-5"])
+@pytest.mark.parametrize("command", ["metrics", "analyze"])
+def test_non_positive_window_ticks_exit_4(runner, tmp_path, command, window_ticks):
+    # 0 used to end in a ZeroDivisionError traceback, and metrics wrote one
+    # all-zero heat map for -5.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    out = tmp_path / command
+    result = runner.invoke(
+        main, [command, "--trace", str(trace), "--out", str(out), "--window-ticks", window_ticks]
+    )
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"window_ticks must be > 0, got {window_ticks}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mapping, named",
+    [
+        ({"agent": 1, "tick": "step", "text": "utterance"}, "target 'agent'"),
+        ({"agent": "speaker", "tick": ["t"], "text": "utterance"}, "target 'tick'"),
+        ({"agent": "speaker", "tick": "step", "text": "utterance", "defaults": [1]}, "'defaults'"),
+        ({"agent": "speaker", "tick": "step", "text": "utterance", "defaults": "ab"}, "'defaults'"),
+        (["agent", "tick", "text"], "not a JSON object"),
+    ],
+    ids=["int_path", "list_path", "defaults_list", "defaults_string", "mapping_list"],
+)
+def test_bad_mapping_exits_4(runner, tmp_path, mapping, named):
+    log = tmp_path / "foreign.jsonl"
+    log.write_text('{"speaker": 1, "step": 5, "utterance": "vote for rain"}\n')
+    mapping_path = tmp_path / "mapping.json"
+    mapping_path.write_text(json.dumps(mapping))
+    out = tmp_path / "ext"
+    result = runner.invoke(
+        main, ["analyze", "--external", str(log), "--mapping", str(mapping_path), "--out", str(out)]
+    )
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert named in result.output
+    assert not out.exists()

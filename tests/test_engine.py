@@ -1,9 +1,11 @@
 import filecmp
 
+import pytest
+
 from intentsim.audit import audit_trace
 from intentsim.backends.scripted import ScriptedBackend, ScriptedPolicy
 from intentsim.config import SimConfig
-from intentsim.engine import replay_simulation, run_simulation, step_world
+from intentsim.engine import SimulationSession, replay_simulation, run_simulation, step_world
 from intentsim.trace import load_trace
 from intentsim.world import ASSIGNED, PICKED_UP, Order, Position, init_world, world_digest
 
@@ -26,15 +28,15 @@ def test_idle_world_only_generates_and_ticks():
     # All riders off shift: orders appear, nothing else changes.
     cfg = small_config(base_order_rate=2.0)
     world = init_world(cfg)
-    backend = fixed_backend(start=5, end=5)  # start == end: never works
+    session = SimulationSession(world, fixed_backend(start=5, end=5), None)  # start == end: never works
     digest_riders_before = [(r.position, r.earnings, r.held_orders[:]) for r in world.riders]
     for _ in range(10):
-        step_world(world, backend)
+        step_world(world, session)
     assert world.tick == 10
     assert world.next_order_id > 0
     for r, before in zip(world.riders, digest_riders_before):
         assert (r.position, r.earnings, r.held_orders) == before
-        assert not r.at_work
+        assert r.ticks_worked_today == 0
         assert r.labor_cost == 0.0
 
 
@@ -48,7 +50,7 @@ def test_rider_adjacent_to_pickup_picks_up_after_step():
     world.order_book[0] = order
     world.next_order_id = 1
     rider.held_orders.append(0)
-    step_world(world, fixed_backend())
+    step_world(world, SimulationSession(world, fixed_backend(), None))
     assert order.state == PICKED_UP
     assert rider.position == Position(6, 5)
 
@@ -63,7 +65,7 @@ def test_delivery_credits_exact_payment():
     world.order_book[0] = order
     world.next_order_id = 1
     rider.held_orders.append(0)
-    step_world(world, fixed_backend())
+    step_world(world, SimulationSession(world, fixed_backend(), None))
     assert order.state == "delivered"
     assert rider.earnings == 9.25
     assert rider.orders_completed == 1
@@ -141,11 +143,9 @@ def test_imitation_converges_on_leader_hours():
     backend = ScriptedBackend(
         hours_policy=ScriptedPolicy("imitate_top_ranked", {"delta": 1, "day0": (10, 13)}),
     )
-    from intentsim.engine import SimulationSession
-
     session = SimulationSession(world, backend, None)
     for _ in range(121):  # through the second day's decision point
-        step_world(world, backend, session=session)
+        step_world(world, session)
     # Day 0 ends with everyone on (10, 13); day 1 widens the leader's hours.
     assert all((r.shift_start, r.shift_end) == (9, 14) for r in world.riders)
 
@@ -179,3 +179,16 @@ def test_rider_stops_selecting_at_cap(tmp_path):
         if event.kind == "position":
             assert event.payload["held"] <= 2
     audit_trace(events)
+
+
+def test_session_starts_at_a_day_boundary():
+    # The first tick of a session ranks the day before it, so a session
+    # cannot start mid-day.
+    world = init_world(small_config())
+    world.tick = 5
+    with pytest.raises(ValueError, match="day boundary, not at tick 5"):
+        SimulationSession(world, fixed_backend(), None)
+    world.tick = 120
+    session = SimulationSession(world, fixed_backend(), None)
+    step_world(world, session)
+    assert session.stats is not None and world.tick == 121

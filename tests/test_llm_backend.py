@@ -62,10 +62,14 @@ def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
     server.script = []
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll lets shutdown() return without waiting out the default 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def endpoint_for(server, retries=1):
@@ -92,7 +96,6 @@ def make_ctx(**overrides):
         leader_id=0,
         leader_shift=(8, 20),
         current_tick=120,
-        day=1,
     )
     base.update(overrides)
     return DecisionContext(**base)

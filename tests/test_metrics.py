@@ -5,6 +5,7 @@ from intentsim.config import SimConfig, config_digest
 from intentsim.engine import run_simulation
 from intentsim.metrics import (
     effective_hours,
+    fold_events,
     hours_vs_orders,
     involution_index,
     position_heatmap,
@@ -47,7 +48,7 @@ def test_involution_simple_division(tmp_path):
             for i in range(10)
         ],
     )
-    series = involution_index(events)
+    series = involution_index(fold_events(events))
     assert series.index[0] == 50.0
     assert series.flagged_days == []
 
@@ -58,7 +59,7 @@ def test_involution_zero_delivery_day_flagged(tmp_path):
         positions=[],
         extra_events=[("cost_accrual", 119, {"agent": 0, "amount": 77.0, "ticks": 77})],
     )
-    series = involution_index(events)
+    series = involution_index(fold_events(events))
     assert series.index[0] == 77.0  # divisor clamped to 1
     assert series.flagged_days == [0]
 
@@ -69,7 +70,7 @@ def test_involution_linear_in_wage(tmp_path):
                         base_order_rate=1.0, wage_rate=wage, seed=3)
         path = tmp_path / f"w{wage}.jsonl"
         run_simulation(cfg, ScriptedBackend(), path)
-        return involution_index(load_trace(path).events)
+        return involution_index(fold_events(load_trace(path).events))
 
     single = run(1.0)
     double = run(2.0)
@@ -82,7 +83,7 @@ def test_heatmap_stationary_rider(tmp_path):
     events = synthetic_trace(
         tmp_path, positions=[(t, 0, 5, 5, 0) for t in range(10)]
     )
-    grid = position_heatmap(events, window=0, window_ticks=120)
+    grid = position_heatmap(fold_events(events, window_ticks=120), window=0)
     assert grid.counts[5][5] == 10
     assert sum(sum(row) for row in grid.counts) == 10
 
@@ -94,19 +95,19 @@ def test_heatmap_mass_conservation(tmp_path):
     run_simulation(cfg, ScriptedBackend(), path)
     events = load_trace(path).events
     n_positions = sum(1 for e in events if e.kind == "position" and 0 <= e.tick < 120)
-    grid = position_heatmap(events, window=0, window_ticks=120)
+    grid = position_heatmap(fold_events(events, window_ticks=120), window=0)
     assert sum(sum(row) for row in grid.counts) == n_positions == grid.total_events
 
 
 def test_heatmap_empty_window_zero_grid(tmp_path):
     events = synthetic_trace(tmp_path, positions=[])
-    grid = position_heatmap(events, window=0, window_ticks=120)
+    grid = position_heatmap(fold_events(events, window_ticks=120), window=0)
     assert sum(sum(row) for row in grid.counts) == 0
 
 
 def test_heatmap_downsampling_averages_blocks(tmp_path):
     events = synthetic_trace(tmp_path, positions=[(t, 0, 1, 1, 0) for t in range(8)])
-    grid = position_heatmap(events, window=0, window_ticks=120, downsample=4)
+    grid = position_heatmap(fold_events(events, window_ticks=120), window=0, downsample=4)
     assert grid.size == 4
     assert grid.counts[0][0] == 8 / 16.0
 
@@ -116,14 +117,14 @@ def test_effective_hours_half_holding(tmp_path):
     # total 24h, effective 12h.
     positions = [(t, 0, 3, 3, 1 if t < 60 else 0) for t in range(120)]
     events = synthetic_trace(tmp_path, positions=positions, config_overrides={"n_riders": 1})
-    rows = effective_hours(events, day=0)
+    rows = effective_hours(fold_events(events), day=0)
     assert rows[0].total_hours_worked == 24.0
     assert rows[0].effective_hours == 12.0
 
 
 def test_effective_hours_idle_rider_zero_row(tmp_path):
     events = synthetic_trace(tmp_path, positions=[(5, 0, 1, 1, 0)])
-    rows = effective_hours(events, day=0)
+    rows = effective_hours(fold_events(events), day=0)
     idle = rows[1]
     assert (idle.total_hours_worked, idle.effective_hours, idle.total_orders) == (0.0, 0.0, 0)
 
@@ -133,15 +134,15 @@ def test_effective_never_exceeds_total(tmp_path):
                     base_order_rate=1.5, seed=4)
     path = tmp_path / "t.jsonl"
     run_simulation(cfg, ScriptedBackend(), path)
-    events = load_trace(path).events
+    totals = fold_events(load_trace(path).events)
     for day in range(2):
-        for row in effective_hours(events, day):
+        for row in effective_hours(totals, day):
             assert row.effective_hours <= row.total_hours_worked + 1e-9
 
 
 def test_hours_vs_orders_empty_trace(tmp_path):
     events = synthetic_trace(tmp_path, positions=[], config_overrides={"n_riders": 0})
-    assert hours_vs_orders(events) == []
+    assert hours_vs_orders(fold_events(events)) == []
 
 
 def test_hours_vs_orders_single_agent_totals(tmp_path):
@@ -150,7 +151,7 @@ def test_hours_vs_orders_single_agent_totals(tmp_path):
     events = synthetic_trace(
         tmp_path, positions=positions, extra_events=extra, config_overrides={"n_riders": 1}
     )
-    rows = hours_vs_orders(events)
+    rows = hours_vs_orders(fold_events(events))
     assert rows == [(0, 10 * 24.0 / 120, 1)]
 
 
@@ -161,7 +162,7 @@ def test_hours_vs_orders_spearman_on_monotone_scenario(tmp_path):
                     base_order_rate=6.0, peak_multiplier=2.0, seed=5)
     path = tmp_path / "t.jsonl"
     run_simulation(cfg, ScriptedBackend(), path)
-    rows = hours_vs_orders(load_trace(path).events)
+    rows = hours_vs_orders(fold_events(load_trace(path).events))
     hours = [r[1] for r in rows]
     orders = [r[2] for r in rows]
     assert spearman(hours, orders) > 0.8

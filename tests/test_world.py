@@ -94,15 +94,15 @@ def test_init_world_seed_changes_layout():
 def test_zero_rate_generates_nothing():
     world = init_world(small_config(base_order_rate=0.0))
     for _ in range(50):
-        assert generate_orders(world.tick, world) == []
+        assert generate_orders(world) == []
 
 
 def test_generation_deterministic():
     a = init_world(small_config())
     b = init_world(small_config())
     for _ in range(20):
-        oa = generate_orders(a.tick, a)
-        ob = generate_orders(b.tick, b)
+        oa = generate_orders(a)
+        ob = generate_orders(b)
         assert [(o.id, o.pickup, o.dropoff, o.payment) for o in oa] == [
             (o.id, o.pickup, o.dropoff, o.payment) for o in ob
         ]
@@ -110,7 +110,7 @@ def test_generation_deterministic():
 
 def test_orders_created_pending_in_grid():
     world = init_world(small_config(base_order_rate=4.0))
-    created = generate_orders(world.tick, world)
+    created = generate_orders(world)
     for o in created:
         assert o.state == PENDING
         assert 0 <= o.pickup.x < 40 and 0 <= o.pickup.y < 40
@@ -124,10 +124,10 @@ def test_peak_rate_triples_mean_over_10k_draws():
                        peak_ticks_per_day=(60,))
     peak_world = init_world(cfg)
     peak_world.tick = 60
-    peak_total = sum(len(generate_orders(60, peak_world)) for _ in range(10_000))
+    peak_total = sum(len(generate_orders(peak_world)) for _ in range(10_000))
     off_world = init_world(cfg)
     off_world.tick = 20
-    off_total = sum(len(generate_orders(20, off_world)) for _ in range(10_000))
+    off_total = sum(len(generate_orders(off_world)) for _ in range(10_000))
     assert abs(peak_total / 10_000 - 9.0) / 9.0 < 0.05
     assert abs(off_total / 10_000 - 3.0) / 3.0 < 0.05
     assert 3.0 * 0.95 < peak_total / off_total < 3.0 * 1.05
