@@ -23,10 +23,11 @@ from .types import (
 class ScriptedPolicy:
     """A policy kind plus its parameters.
 
-    fixed_hours: params ``start``/``end`` (omit both to keep yesterday's
-    shift); imitate_top_ranked: ``delta`` hours widened on each side of the
-    leader's shift, ``day0`` optional (start, end) used before any ranking
-    data exists; greedy_nearest / route_optimizer take no parameters.
+    fixed_hours: params ``start``/``end``, hours in 0-23 (omit both to keep
+    yesterday's shift); imitate_top_ranked: ``delta`` hours widened on each
+    side of the leader's shift, ``day0`` optional (start, end) used before
+    any ranking data exists; greedy_nearest / route_optimizer take no
+    parameters.
     """
 
     kind: str
@@ -40,15 +41,27 @@ def _clamp_hour(hour: int) -> int:
     return max(0, min(23, hour))
 
 
-def decide_hours_fixed(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[WorkHoursDecision, ThoughtPair]:
-    start = policy.params.get("start")
-    end = policy.params.get("end")
+def fixed_shift(params: dict) -> tuple[int, int] | None:
+    """The fixed (start, end) hours, both in 0-23, or None for yesterday's shift."""
+    start, end = params.get("start"), params.get("end")
+    if start is None and end is None:
+        return None
     if start is None or end is None:
-        start, end = ctx.yesterday_shift
+        raise ConfigError("fixed_hours", "give both a start and an end hour, or neither")
+    for name, hour in (("start", start), ("end", end)):
+        if not isinstance(hour, int) or isinstance(hour, bool) or not 0 <= hour <= 23:
+            raise ConfigError("fixed_hours", f"{name} hour {hour!r} is not an integer in 0-23")
+    return start, end
+
+
+def decide_hours_fixed(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[WorkHoursDecision, ThoughtPair]:
+    shift = fixed_shift(policy.params)
+    if shift is None:
+        shift = ctx.yesterday_shift
         bounded = "I am comfortable with my routine; I will keep my usual working hours."
     else:
         bounded = "I trust my fixed schedule; I will keep the hours I was given."
-    decision = WorkHoursDecision(_clamp_hour(int(start)), _clamp_hour(int(end)))
+    decision = WorkHoursDecision(*shift)
     rational = (
         f"Keeping the shift {decision.go_to_work_hour}:00-{decision.get_off_work_hour}:00 "
         "holds my workload steady; nothing in the rankings justifies a change."
@@ -178,6 +191,8 @@ class ScriptedBackend:
             raise ConfigError(
                 "selection_policy", f"unknown kind {self.selection_policy.kind!r}"
             )
+        if self.hours_policy.kind == "fixed_hours":
+            fixed_shift(self.hours_policy.params)  # refuse bad hours before any decision
 
     def describe(self) -> dict:
         return {

@@ -123,13 +123,15 @@ def simulate(
     else:
         hours_params = {"delta": imitate_delta}
         if hours_policy == "fixed_hours":
-            hours_params = {}
-            if fixed_start is not None and fixed_end is not None:
-                hours_params = {"start": fixed_start, "end": fixed_end}
-        chosen = ScriptedBackend(
-            hours_policy=ScriptedPolicy(hours_policy, hours_params),
-            selection_policy=ScriptedPolicy(selection_policy),
-        )
+            given = {"start": fixed_start, "end": fixed_end}
+            hours_params = {key: hour for key, hour in given.items() if hour is not None}
+        try:
+            chosen = ScriptedBackend(
+                hours_policy=ScriptedPolicy(hours_policy, hours_params),
+                selection_policy=ScriptedPolicy(selection_policy),
+            )
+        except ConfigError as exc:
+            raise click.UsageError(f"--fixed-start/--fixed-end: {exc}") from None
     world = run_simulation(
         config, chosen, out_path, inspector=not no_inspector, created=created_at
     )

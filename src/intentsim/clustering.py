@@ -170,32 +170,30 @@ def label_cluster(members: list[tuple[int, str, np.ndarray]], centroid: np.ndarr
 
 
 def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette over all points (plain O(n^2) formulation)."""
+    """Mean silhouette over all points, one cluster at a time: b from every
+    point's mean distance to each cluster, a from each cluster's block
+    without its diagonal. Each mean sums a contiguous row in member order,
+    so the score is the per-point formula's to the last bit."""
     n = points.shape[0]
-    if n < 2:
+    clusters, own, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    if clusters.size < 2:
         return 0.0
     distances = np.sqrt(_squared_distances(points, points))
-    scores = []
-    for i in range(n):
-        own = labels[i]
-        same = labels == own
-        same[i] = False
-        if not np.any(same):
-            scores.append(0.0)
-            continue
-        a = float(np.mean(distances[i, same]))
-        b = float("inf")
-        for other in np.unique(labels):
-            if other == own:
-                continue
-            mask = labels == other
-            if np.any(mask):
-                b = min(b, float(np.mean(distances[i, mask])))
-        if not np.isfinite(b):
-            scores.append(0.0)
-            continue
-        denom = max(a, b)
-        scores.append(0.0 if denom == 0.0 else (b - a) / denom)
+    to_cluster = np.empty((n, clusters.size))  # each point's mean distance to each cluster
+    a = np.zeros(n)
+    for j, m in enumerate(sizes):
+        members = np.flatnonzero(own == j)
+        # A column fancy-index is F-ordered; its row means round differently.
+        to_cluster[:, j] = np.ascontiguousarray(distances[:, members]).mean(axis=1)
+        if m > 1:
+            block = distances[np.ix_(members, members)]
+            a[members] = block[~np.eye(m, dtype=bool)].reshape(m, m - 1).mean(axis=1)
+    to_cluster[np.arange(n), own] = np.inf
+    b = to_cluster.min(axis=1)
+    denom = np.maximum(a, b)
+    scored = (sizes[own] > 1) & (denom > 0.0)
+    scores = np.zeros(n)
+    scores[scored] = (b[scored] - a[scored]) / denom[scored]
     return float(np.mean(scores))
 
 

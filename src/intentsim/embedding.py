@@ -11,6 +11,7 @@ excluded from clustering.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -24,11 +25,14 @@ DEFAULT_DIM = 384
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
+def vector_norm(vec: np.ndarray) -> float:
+    """The ``sqrt(x.dot(x))`` np.linalg.norm takes of a 1-D float array."""
+    return math.sqrt(vec.dot(vec))
+
+
 def l2_normalize(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return vec
-    return vec / norm
+    norm = vector_norm(vec)
+    return vec / norm if norm else vec
 
 
 def is_zero(vec: np.ndarray) -> bool:
@@ -76,10 +80,9 @@ class HashingEmbedder:
         return cached
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=float)
-        for token in tokenize(text):
-            vec[self.bucket(token)] += 1.0
-        return l2_normalize(vec)
+        buckets = self._buckets
+        idx = [buckets[t] if t in buckets else self.bucket(t) for t in tokenize(text)]
+        return l2_normalize(np.bincount(idx, minlength=self.dim).astype(float))
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,7 @@ def position_heatmap(totals: TraceTotals, window: int, downsample: int = 1) -> H
     ``downsample`` > 1 averages f x f blocks into one cell (the raw grid
     conserves total event mass; averaged grids trade that for compactness).
     """
-    f = max(downsample, 1)
+    f = downsample  # write_metrics_reports refuses f < 1
     size = (totals.config["grid_size"] + f - 1) // f
     counts = [[0.0] * size for _ in range(size)]
     total = 0
@@ -205,6 +205,8 @@ def write_metrics_reports(
 ) -> list[Path]:
     """Emit the standard CSV bundle for one trace from a single pass over
     its events (any iterable, such as a stream); returns written paths."""
+    if downsample <= 0:
+        raise ValueError(f"downsample must be > 0, got {downsample}")
     totals = fold_events(events, window_ticks)
     reports = {
         "involution.csv": involution_index(totals).to_csv(),

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .backends.types import ThoughtPair
-from .embedding import cosine_similarity, is_zero
+from .embedding import cosine_similarity, is_zero, vector_norm
 from .errors import TraceFormatError
 from .trace import event_line
 
@@ -111,7 +111,7 @@ class AgentMemory:
         self.texts.append(text)
         slot = self._appended % self.capacity
         self._appended += 1
-        norm = 0.0 if vec is None else float(np.linalg.norm(vec))
+        norm = 0.0 if vec is None else vector_norm(vec)
         if self.vectors is None:
             if norm == 0.0:
                 return
@@ -203,19 +203,24 @@ class SimilarityDetector:
             raise ValueError("theta must be in (0, 1]")
 
     def detect(self, record: ThoughtRecord, embedding: np.ndarray, memory: AgentMemory) -> bool:
-        if is_zero(embedding):
+        norm = vector_norm(embedding)
+        if not norm and is_zero(embedding):
             return False
         n = len(memory.texts)
-        norms = None if memory.vectors is None else memory.norms[:n]
-        if norms is None or not norms.any():
+        live = 0 if memory.vectors is None else np.count_nonzero(memory.norms[:n])
+        if not live:
             return True  # empty (or unembeddable) memory: vacuously novel
-        live = norms > 0.0
-        dots = (memory.vectors[:n] @ embedding)[live]
-        best = float((dots / (norms[live] * float(np.linalg.norm(embedding)))).max())
+        rows, norms = memory.vectors[:n], memory.norms[:n]
+        dots = rows @ embedding
+        if live < n:  # some remembered thoughts embedded to the zero vector
+            mask = norms > 0.0
+            rows, norms, dots = rows[mask], norms[mask], dots[mask]
+        cosines = dots / (norms * norm)
+        best = float(cosines[cosines.argmax()])  # argmax and a lookup beat max()
         if abs(best - self.theta) <= 1e-9:
             # The matrix product may round differently from one dot per
             # row; decide a near tie with the pairwise formula itself.
-            best = max(cosine_similarity(embedding, row) for row in memory.vectors[:n][live])
+            best = max(cosine_similarity(embedding, row) for row in rows)
         return best < self.theta
 
 

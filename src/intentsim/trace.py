@@ -477,9 +477,9 @@ class IngestMapping:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _lookup_path(record: dict, dotted: str):
+def _lookup_path(record: dict, parts: list[str]):
     node = record
-    for part in dotted.split("."):
+    for part in parts:
         if not isinstance(node, dict) or part not in node:
             return None
         node = node[part]
@@ -505,6 +505,7 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
     rows: list[dict] = []
     skipped = 0
     warnings: list[str] = []
+    paths = [(target, getattr(mapping, target).split(".")) for target in ("agent", "tick", "text")]
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -522,8 +523,8 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
                 continue
             values = {}
             missing = None
-            for target, dotted in (("agent", mapping.agent), ("tick", mapping.tick), ("text", mapping.text)):
-                value = _lookup_path(record, dotted)
+            for target, parts in paths:
+                value = _lookup_path(record, parts)
                 if value is None:
                     value = mapping.defaults.get(target)
                 if value is None:

@@ -40,6 +40,25 @@ def test_fixed_hours_keeps_yesterday_without_params():
     assert (decision.go_to_work_hour, decision.get_off_work_hour) == (7, 13)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [{"start": 30, "end": 5}, {"start": 9, "end": -1}, {"start": 9}, {"end": 17},
+     {"start": 9.0, "end": 17}, {"start": True, "end": 17}],
+    ids=["start_30", "end_negative", "start_alone", "end_alone", "float_start", "bool_start"],
+)
+def test_fixed_hours_refuses_impossible_params(params):
+    # Out-of-range hours used to be clamped (30 -> 23) and a lone hour
+    # ignored; the sim_start descriptor then disagreed with the decisions.
+    with pytest.raises(ConfigError, match="fixed_hours"):
+        ScriptedBackend(hours_policy=ScriptedPolicy("fixed_hours", params))
+    with pytest.raises(ConfigError, match="fixed_hours"):
+        scripted_from_descriptor({
+            "kind": "scripted",
+            "hours_policy": {"kind": "fixed_hours", "params": params},
+            "selection_policy": {"kind": "greedy_nearest", "params": {}},
+        })
+
+
 def test_imitate_widens_leader_shift_by_delta():
     backend = ScriptedBackend(
         hours_policy=ScriptedPolicy("imitate_top_ranked", {"delta": 1})

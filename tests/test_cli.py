@@ -97,6 +97,52 @@ def test_metrics_command_writes_reports(runner, tmp_path):
     assert (tmp_path / "reports" / "hours_vs_orders.csv").exists()
 
 
+@pytest.mark.parametrize("downsample", ["0", "-3"])
+def test_non_positive_downsample_exits_4(runner, tmp_path, downsample):
+    # Both used to exit 0 and write the raw grid, as if 1 was given.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    out = tmp_path / "reports"
+    result = runner.invoke(
+        main, ["metrics", "--trace", str(trace), "--out", str(out), "--downsample", downsample]
+    )
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"downsample must be > 0, got {downsample}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--fixed-start", "30", "--fixed-end", "5"], ["--fixed-start", "9"], ["--fixed-end", "17"]],
+    ids=["start_30", "start_alone", "end_alone"],
+)
+def test_impossible_fixed_hours_exit_2(runner, tmp_path, flags):
+    # --fixed-start 30 used to run riders 23:00-05:00 while sim_start said
+    # 30, and a lone --fixed-start was ignored.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)] + flags)
+    assert result.exit_code == 2, result.output
+    assert "--fixed-start/--fixed-end" in result.output
+    assert not trace.exists()
+
+
+def test_fixed_hours_flags_reach_the_trace(runner, tmp_path):
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    result = runner.invoke(
+        main,
+        ["simulate", "--config", str(cfg), "--out", str(trace), "--fixed-start", "0", "--fixed-end", "23"],
+    )
+    assert result.exit_code == 0, result.output
+    events = [json.loads(line) for line in trace.read_text().splitlines()[1:]]
+    shifts = {(e["payload"]["start"], e["payload"]["end"]) for e in events
+              if e["kind"] == "decision" and e["payload"]["decision"] == "work_hours"}
+    assert shifts == {(0, 23)}
+
+
 def test_diagram_rerender_round_trip(runner, tmp_path):
     cfg = write_small_config(tmp_path / "sim.cfg")
     trace = tmp_path / "t.jsonl"

@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intentsim.clustering import (
     Clustering,
+    _squared_distances,
     kmeans_cluster,
     label_cluster,
     scan_k,
@@ -202,3 +203,59 @@ def test_scan_k_tries_no_k_above_distinct_points():
 def test_silhouette_well_separated_blobs():
     points, labels = three_blobs(per_blob=8)
     assert silhouette_score(points, np.array(labels)) > 0.7
+
+
+def reference_silhouette(points: np.ndarray, labels: np.ndarray) -> float:
+    """The per-point loop silhouette_score replaced: the oracle."""
+    n = points.shape[0]
+    if n < 2:
+        return 0.0
+    distances = np.sqrt(_squared_distances(points, points))
+    scores = []
+    for i in range(n):
+        own = labels[i]
+        same = labels == own
+        same[i] = False
+        if not np.any(same):
+            scores.append(0.0)
+            continue
+        a = float(np.mean(distances[i, same]))
+        b = float("inf")
+        for other in np.unique(labels):
+            if other == own:
+                continue
+            mask = labels == other
+            if np.any(mask):
+                b = min(b, float(np.mean(distances[i, mask])))
+        if not np.isfinite(b):
+            scores.append(0.0)
+            continue
+        denom = max(a, b)
+        scores.append(0.0 if denom == 0.0 else (b - a) / denom)
+    return float(np.mean(scores))
+
+
+# A few repeated coordinates make duplicate points and zero distances common.
+coordinates = st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-10, 10, allow_nan=False)
+
+
+@st.composite
+def labelled_points(draw):
+    n = draw(st.integers(0, 60))
+    dim = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(coordinates, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    # Cluster labels in no particular order, with gaps, -1 among them.
+    names = draw(st.lists(st.integers(-1, 20), min_size=1, max_size=6, unique=True))
+    labels = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+    return np.array(rows, dtype=float).reshape(n, dim), np.array(labels, dtype=int)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_points())
+@example((np.zeros((3, 2)), np.array([4, 4, 4])))  # one cluster of duplicates
+@example((np.eye(4), np.array([3, 1, 2, 0])))  # every point alone
+@example((np.ones((4, 2)), np.array([5, 2, 5, 2])))  # a = b = 0
+@example((np.arange(40.0).reshape(20, 2), np.array([9, 1] * 10)))  # rows of 10 and 9 distances
+def test_silhouette_matches_per_point_loop(case):
+    points, labels = case
+    assert silhouette_score(points, labels) == reference_silhouette(points, labels)

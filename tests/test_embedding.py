@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from intentsim.embedding import (
     HashingEmbedder,
     cosine_similarity,
     is_zero,
+    l2_normalize,
     similarity_matrix,
     tokenize,
 )
@@ -110,3 +111,30 @@ def test_similarity_matrix_matches_pairwise():
         for j in range(3):
             expected = cosine_similarity(emb.embed(texts[i]), emb.embed(texts[j]))
             assert abs(mat[i, j] - expected) < 1e-9
+
+
+def reference_embed(embedder: HashingEmbedder, text: str) -> np.ndarray:
+    """The token-by-token formula embed replaced: the oracle."""
+    vec = np.zeros(embedder.dim, dtype=float)
+    for token in tokenize(text):
+        vec[embedder.bucket(token)] += 1.0
+    return l2_normalize(vec)
+
+
+TOKENS = "alpha beta gamma Route 17 x 0 step_9 ... !! , é 🚲".split()
+
+
+@given(
+    st.lists(st.sampled_from(TOKENS), max_size=40).map(" ".join) | st.text(max_size=60),
+    st.sampled_from((4, 16, 384)),  # a small dim makes buckets collide
+    st.integers(0, 3),
+)
+@example("", 384, 0)
+@example("!!! ... ,", 16, 0)
+def test_embed_matches_token_by_token_formula(text, dim, seed):
+    embedder = HashingEmbedder(dim=dim, seed=seed)
+    vec = embedder.embed(text)
+    expected = reference_embed(HashingEmbedder(dim=dim, seed=seed), text)
+    assert vec.dtype == expected.dtype and vec.shape == expected.shape
+    assert np.array_equal(vec, expected)
+    assert np.array_equal(embedder.embed(text), expected)  # every token cached now

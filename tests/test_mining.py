@@ -284,6 +284,26 @@ def pairwise_emergent(embedding, remembered, theta):
     return best < theta
 
 
+def reference_detect(embedding, memory, theta):
+    """The detector as one masked matvec over every remembered row, each
+    norm from np.linalg.norm: the formula before the lean rewrite."""
+    if is_zero(embedding):
+        return False
+    n = len(memory.texts)
+    if memory.vectors is None:
+        return True
+    rows = memory.vectors[:n]
+    norms = np.array([float(np.linalg.norm(row)) for row in rows])
+    if not norms.any():
+        return True
+    live = norms > 0.0
+    dots = (rows @ embedding)[live]
+    best = float((dots / (norms[live] * float(np.linalg.norm(embedding)))).max())
+    if abs(best - theta) <= 1e-9:
+        best = max(cosine_similarity(embedding, row) for row in rows[live])
+    return best < theta
+
+
 EMBEDDER = HashingEmbedder(dim=384, seed=0)
 RECORD = make_record()  # the similarity detector reads only the embedding
 WORDS = "alpha beta gamma delta route river market station rain vote mayor order rider shift".split()
@@ -307,6 +327,8 @@ vectors = st.one_of(
     theta=st.floats(1e-6, 1.0),
 )
 def test_detector_matches_pairwise_oracle(capacity, appended, query, theta):
+    # Zero rows, partly filled and wrapped rings and capacity 0 all occur;
+    # the decision must be the pairwise one and the pre-rewrite formula's.
     memory = AgentMemory(agent_id=1, capacity=capacity)
     remembered, texts = deque(maxlen=capacity), deque(maxlen=capacity)
     for tick, vec in enumerate(appended):
@@ -315,15 +337,17 @@ def test_detector_matches_pairwise_oracle(capacity, appended, query, theta):
         texts.append(f"t{tick}")
         assert memory.texts == texts
         for t in (0.05, 0.5, 0.8, 1.0, theta):
-            detector = SimilarityDetector(theta=t)
-            assert detector.detect(RECORD, query, memory) == pairwise_emergent(query, remembered, t)
+            decision = SimilarityDetector(theta=t).detect(RECORD, query, memory)
+            assert decision == pairwise_emergent(query, remembered, t)
+            assert decision == reference_detect(query, memory, t)
     # Each remembered cosine as theta: there the decision rests on its last bit.
     ties = [cosine_similarity(query, vec) for vec in remembered
             if vec is not None and not is_zero(vec) and not is_zero(query)]
     for t in ties:
         if 0.0 < t <= 1.0:
-            detector = SimilarityDetector(theta=t)
-            assert detector.detect(RECORD, query, memory) == pairwise_emergent(query, remembered, t)
+            decision = SimilarityDetector(theta=t).detect(RECORD, query, memory)
+            assert decision == pairwise_emergent(query, remembered, t)
+            assert decision == reference_detect(query, memory, t)
 
 
 def test_exact_tie_at_theta_matches_pairwise_formula():
