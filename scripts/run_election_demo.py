@@ -51,7 +51,7 @@ def main() -> int:
         origin_agent, origin_tick = result.diagram.origins.get(cluster_id, ("-", "-"))
         print(f"cluster {cluster_id} (origin agent {origin_agent} @ tick {origin_tick}):")
         print(f"  {label[:110]}")
-    for point in result.points:
+    for point in result.diagram.points:
         print(
             f"influence: cluster {point.cluster_id} reached agent "
             f"{point.influenced_agent} in window {point.window}"

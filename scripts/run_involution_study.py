@@ -61,7 +61,7 @@ def main() -> int:
         events, AnalysisOptions(k=5, theta=0.8, window_ticks=config.steps_per_day * 4)
     )
     write_analysis_outputs(result, out / "analysis_imitate")
-    print(f"  {len(result.repository)} intentions, {len(result.points)} emergence points")
+    print(f"  {len(result.repository)} intentions, {len(result.diagram.points)} emergence points")
     for cluster_id, label in sorted(result.cluster_labels.items()):
         print(f"  cluster {cluster_id}: {label[:100]}")
 

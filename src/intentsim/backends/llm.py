@@ -205,28 +205,4 @@ class LlmBackend:
             y=ctx.position[1],
             capacity=ctx.capacity_left,
         )
-        decision, pair = self._decide(ctx, prompt, "order_selection")
-        return decision, pair
-
-
-def extract_dual_thoughts(
-    question: str,
-    memory: tuple[str, ...],
-    ctx: DecisionContext,
-    backend,
-) -> ThoughtPair:
-    """Run one free-form question under both reasoning modes.
-
-    Chat backends answer twice (instinct preamble, then calculation
-    preamble); scripted backends fill their deterministic templates.
-    """
-    if not question:
-        raise ValueError("question must be non-empty")
-    if not isinstance(backend, LlmBackend):
-        return backend.dual_thoughts(question, ctx)
-    body = f"{question}\n\nRecent notes from your memory:\n{_format_memory(memory)}"
-    conversation = [{"role": "user", "content": body}]
-    return ThoughtPair(
-        bounded=thought_from(backend.ask(ctx, "bounded", conversation)),
-        rational=thought_from(backend.ask(ctx, "rational", conversation)),
-    )
+        return self._decide(ctx, prompt, "order_selection")

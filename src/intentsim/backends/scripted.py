@@ -210,14 +210,6 @@ class ScriptedBackend:
     def select_orders(self, ctx: DecisionContext) -> tuple[OrderSelection, ThoughtPair]:
         return _SELECTION_DISPATCH[self.selection_policy.kind](self.selection_policy, ctx)
 
-    def dual_thoughts(self, question: str, ctx: DecisionContext) -> ThoughtPair:
-        """Template-filled answer to a free-form question; no model involved."""
-        _, pair = self.decide_work_hours(ctx)
-        return ThoughtPair(
-            bounded=f"Thinking about '{question}': {pair.bounded}",
-            rational=f"Considering '{question}': {pair.rational}",
-        )
-
 
 def scripted_from_descriptor(descriptor: dict) -> ScriptedBackend:
     """Rebuild a scripted backend from a trace's sim_start descriptor."""

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from .backends.llm import LlmBackend, LlmEndpointConfig
 from .backends.scripted import ScriptedBackend, ScriptedPolicy
@@ -50,6 +51,19 @@ EXIT_BAD_TRACE = 5
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _refuse_unread(reason: str, *names: str) -> None:
+    """Refuse, as a usage error, each named option the user gave that
+    nothing reads ``reason`` (for example ``"with --trace"``)."""
+    ctx = click.get_current_context()
+    given = [
+        param.opts[0]
+        for param in ctx.command.params
+        if param.name in names and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT
+    ]
+    if given:
+        raise click.UsageError(f"nothing reads {', '.join(given)} {reason}")
 
 
 def _guarded(fn):
@@ -114,6 +128,10 @@ def simulate(
     if seed is not None:
         config = SimConfig(**{**config.to_dict(), "seed": seed})
     if backend == "llm":
+        _refuse_unread(
+            "with --backend llm",
+            "hours_policy", "selection_policy", "imitate_delta", "fixed_start", "fixed_end",
+        )
         if not llm_url or not llm_model:
             raise click.UsageError("--backend llm requires --llm-url and --llm-model")
         chosen = LlmBackend(
@@ -121,6 +139,9 @@ def simulate(
             dual=not no_inspector,
         )
     else:
+        _refuse_unread("with --backend scripted", "llm_url", "llm_model")
+        unread = ("imitate_delta",) if hours_policy == "fixed_hours" else ("fixed_start", "fixed_end")
+        _refuse_unread(f"with --hours-policy {hours_policy}", *unread)
         hours_params = {"delta": imitate_delta}
         if hours_policy == "fixed_hours":
             given = {"start": fixed_start, "end": fixed_end}
@@ -188,6 +209,12 @@ def analyze(
     """Mine thoughts into intentions, cluster them, and build the diagram."""
     if (trace_path is None) == (external_path is None):
         raise click.UsageError("provide exactly one of --trace or --external")
+    if trace_path is not None:
+        _refuse_unread("with --trace", "mapping_path")
+    if embedder != "remote":
+        _refuse_unread("without --embedder remote", "embed_url", "embed_model")
+    if detector != "llm" and not label_llm:
+        _refuse_unread("without --detector llm or --label-llm", "llm_url", "llm_model")
     options = AnalysisOptions(
         k=k,
         theta=theta,
@@ -236,7 +263,7 @@ def analyze(
         write_similarity_csv(result.repository, Path(out_dir) / "similarity.csv")
     click.echo(
         f"{len(result.repository)} intentions, k={result.chosen_k}, "
-        f"{len(result.points)} emergence points -> {paths['diagram_json'].parent}"
+        f"{len(result.diagram.points)} emergence points -> {paths['diagram_json'].parent}"
     )
 
 
@@ -271,7 +298,10 @@ def diagram(analysis_dir, json_path, fmt, out_path):
     source = Path(json_path) if json_path else Path(analysis_dir) / "diagram.json"
     if not source.exists():
         raise FileNotFoundError(str(source))
-    data = _json.loads(source.read_text(encoding="utf-8"))
+    try:
+        data = _json.loads(source.read_text(encoding="utf-8"))
+    except RecursionError:  # as in iter_trace: nesting too deep for the decoder
+        raise ValueError(f"{source}: nesting too deep") from None
     doc = EmergenceDiagram.from_json_dict(data)
     Path(out_path).write_text(render_diagram(doc, fmt), encoding="utf-8")
     click.echo(f"rendered {fmt} diagram -> {out_path}")

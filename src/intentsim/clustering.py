@@ -150,21 +150,21 @@ def kmeans_cluster(vectors, k: int, seed: int) -> Clustering:
     )
 
 
-def label_cluster(members: list[tuple[int, str, np.ndarray]], centroid: np.ndarray) -> tuple[str, int]:
+def label_cluster(members: list[tuple[int, str, np.ndarray]], centroid: np.ndarray) -> str:
     """Pick the member text most aligned with the centroid (the medoid).
 
     ``members`` are (record_id, text, vector); exact similarity ties go to
-    the earliest record id. Returns (text, record_id).
+    the earliest record id.
     """
     if not members:
         raise ClusteringError("cannot label an empty cluster")
-    best: tuple[str, int] | None = None
+    best: str | None = None
     best_sim = -2.0
-    for record_id, text, vector in sorted(members, key=lambda m: m[0]):
+    for _record_id, text, vector in sorted(members, key=lambda m: m[0]):
         sim = cosine_similarity(vector, centroid)
         if sim > best_sim:
             best_sim = sim
-            best = (text, record_id)
+            best = text
     assert best is not None
     return best
 

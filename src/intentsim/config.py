@@ -155,12 +155,3 @@ def parse_config_text(text: str) -> SimConfig:
 
 def load_config(path: str | Path) -> SimConfig:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
-
-
-def save_config(config: SimConfig, path: str | Path) -> None:
-    lines = []
-    for key, value in config.to_dict().items():
-        if isinstance(value, list):
-            value = ", ".join(str(v) for v in value)
-        lines.append(f"{key} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

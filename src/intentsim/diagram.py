@@ -23,10 +23,10 @@ DIAGRAM_SCHEMA = 1
 DEFAULT_WINDOW_TICKS = 1200
 
 
-def check_window_ticks(window_ticks: int) -> None:
-    """Refuse a window width that cannot split ticks into windows."""
-    if window_ticks <= 0:
-        raise ValueError(f"window_ticks must be > 0, got {window_ticks}")
+def check_positive(name: str, value: int) -> None:
+    """Refuse a count, such as a window width or a block size, below 1."""
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class WindowSpec:
     n_windows: int = 1
 
     def __post_init__(self) -> None:
-        check_window_ticks(self.window_ticks)
+        check_positive("window_ticks", self.window_ticks)
         if self.n_windows < 0:
             raise ValueError("n_windows must be >= 0")
 
@@ -121,31 +121,49 @@ class EmergenceDiagram:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "EmergenceDiagram":
+    def from_json_dict(cls, data) -> "EmergenceDiagram":
+        """Read a diagram document; a malformed field is a ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a diagram document is a JSON object, not {type(data).__name__}")
         if data.get("diagram_schema") != DIAGRAM_SCHEMA:
             raise ValueError(
                 f"unsupported diagram_schema {data.get('diagram_schema')!r} (expected {DIAGRAM_SCHEMA})"
             )
-        return cls(
-            window_ticks=data["window_ticks"],
-            n_windows=data["n_windows"],
-            cluster_labels={int(k): v for k, v in data.get("cluster_labels", {}).items()},
-            cluster_nodes=[tuple(node) for node in data.get("cluster_nodes", [])],
-            agent_nodes=[tuple(node) for node in data.get("agent_nodes", [])],
-            emergence_windows={int(k): v for k, v in data.get("emergence_windows", {}).items()},
-            origins={
-                int(k): (v["agent"], v["tick"]) for k, v in data.get("origins", {}).items()
-            },
-            points=[
-                EmergencePoint(
-                    cluster_id=p["cluster"],
-                    origin_agent=p["origin"],
-                    influenced_agent=p["influenced"],
-                    window=p["window"],
-                )
-                for p in data.get("points", [])
-            ],
-        )
+        fields = {}
+        for name, parse in _FIELD_PARSERS.items():
+            try:
+                fields[name] = parse(data.get(name, {}))  # an absent list or map is empty
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"diagram field {name!r} is missing or malformed: {exc!r}") from None
+        return cls(**fields)
+
+
+def _int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+# Each field of a diagram document, read back into its dataclass field.
+_FIELD_PARSERS = {
+    "window_ticks": _int,
+    "n_windows": _int,
+    "cluster_labels": lambda v: {int(k): _text(label) for k, label in v.items()},
+    "cluster_nodes": lambda v: [(_int(w), _int(c)) for w, c in v],
+    "agent_nodes": lambda v: [(_int(w), _int(a)) for w, a in v],
+    "emergence_windows": lambda v: {int(k): _int(w) for k, w in v.items()},
+    "origins": lambda v: {int(k): (_int(o["agent"]), _int(o["tick"])) for k, o in v.items()},
+    "points": lambda v: [
+        EmergencePoint(_int(p["cluster"]), _int(p["origin"]), _int(p["influenced"]), _int(p["window"]))
+        for p in v
+    ],
+}
 
 
 InfluenceMap = dict[int, set[int]]

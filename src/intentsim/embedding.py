@@ -111,13 +111,8 @@ class RemoteEmbedder:
 
     endpoint: EmbeddingEndpointConfig
 
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, DEFAULT_DIM), dtype=float)
-        body = {"model": self.endpoint.model_id, "input": list(texts)}
-        return post_json(
-            self.endpoint, body, lambda reply: _unit_rows(reply, len(texts)), EmbeddingError, "embedding"
-        )
-
     def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
+        body = {"model": self.endpoint.model_id, "input": [text]}
+        return post_json(
+            self.endpoint, body, lambda reply: _unit_rows(reply, 1), EmbeddingError, "embedding"
+        )[0]

@@ -90,7 +90,7 @@ class SimulationSession:
         self,
         world: WorldState,
         backend,
-        writer: TraceWriter | None,
+        writer: TraceWriter,
         inspector: bool = True,
     ):
         if world.tick % world.config.steps_per_day:
@@ -103,15 +103,14 @@ class SimulationSession:
         self.memories: dict[int, deque[str]] = {
             r.id: deque(maxlen=MEMORY_WINDOW) for r in world.riders
         }
-        if writer is not None and hasattr(backend, "exchange_sink"):
+        if hasattr(backend, "exchange_sink"):
             backend.exchange_sink = self._log_exchange
 
     def _log_exchange(self, agent_id: int, payload: dict) -> None:
         self.emit("llm_exchange", {"agent": agent_id, **payload})
 
     def emit(self, kind: str, payload: dict) -> None:
-        if self.writer is not None:
-            self.writer.emit(kind, self.world.tick, payload)
+        self.writer.emit(kind, self.world.tick, payload)
 
     def fall_back(self, rider_id: int, decision_kind: str, message: str) -> None:
         """Record a decision the backend failed: a warning and a missing thought."""
@@ -306,7 +305,7 @@ def _accrual_phase(session: SimulationSession, working: list[RiderState]) -> Non
 
 def step_world(world: WorldState, session: SimulationSession) -> WorldState:
     """Advance the session's world one tick. See the module docstring for
-    phase order. Events go to the session's writer, if it has one."""
+    phase order. Events go to the session's writer."""
     if world.tick >= world.config.total_steps:
         raise ValueError("simulation already ran its configured steps")
     config = world.config

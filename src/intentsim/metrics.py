@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .diagram import DEFAULT_WINDOW_TICKS, check_window_ticks
+from .diagram import DEFAULT_WINDOW_TICKS, check_positive
 from .errors import TraceFormatError
 from .trace import event_line, start_config
 
@@ -48,7 +48,7 @@ class TraceTotals:
 
 def fold_events(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals:
     """Read the events (any iterable, starting with ``sim_start``) once."""
-    check_window_ticks(window_ticks)
+    check_positive("window_ticks", window_ticks)
     stream = iter(events)
     config = start_config(next(stream, None))
     if config is None:
@@ -90,7 +90,6 @@ class InvolutionSeries:
     cost: list[float] = field(default_factory=list)
     delivered: list[int] = field(default_factory=list)
     index: list[float] = field(default_factory=list)
-    flagged_days: list[int] = field(default_factory=list)
 
     def to_csv(self) -> str:
         rows = zip(self.days, self.cost, self.delivered, self.index)
@@ -102,8 +101,8 @@ class InvolutionSeries:
 def involution_index(totals: TraceTotals) -> InvolutionSeries:
     """Daily labor cost per delivered order.
 
-    Days with zero deliveries keep the raw cost (divisor clamped to 1) and
-    are flagged rather than dropped, preserving the series length.
+    Days with zero deliveries keep the raw cost (divisor clamped to 1)
+    rather than being dropped, preserving the series length.
     """
     series = InvolutionSeries()
     for day in range(totals.n_days):
@@ -113,17 +112,12 @@ def involution_index(totals: TraceTotals) -> InvolutionSeries:
         series.cost.append(cost)
         series.delivered.append(delivered)
         series.index.append(cost / max(delivered, 1))
-        if delivered == 0:
-            series.flagged_days.append(day)
     return series
 
 
 @dataclass
 class HeatmapGrid:
-    window: int
-    size: int
     counts: list[list[float]]
-    total_events: int
 
     def to_csv(self) -> str:
         return csv_text([f"{v:g}" for v in row] for row in self.counts)
@@ -136,16 +130,15 @@ def position_heatmap(totals: TraceTotals, window: int, downsample: int = 1) -> H
     ``downsample`` > 1 averages f x f blocks into one cell (the raw grid
     conserves total event mass; averaged grids trade that for compactness).
     """
-    f = downsample  # write_metrics_reports refuses f < 1
+    check_positive("downsample", downsample)
+    f = downsample
     size = (totals.config["grid_size"] + f - 1) // f
     counts = [[0.0] * size for _ in range(size)]
-    total = 0
     for (y, x), n in totals.visits.get(window, {}).items():
         counts[y // f][x // f] += n
-        total += n
     if f > 1:
         counts = [[v / (f * f) for v in row] for row in counts]
-    return HeatmapGrid(window=window, size=size, counts=counts, total_events=total)
+    return HeatmapGrid(counts)
 
 
 @dataclass(frozen=True)
@@ -205,8 +198,7 @@ def write_metrics_reports(
 ) -> list[Path]:
     """Emit the standard CSV bundle for one trace from a single pass over
     its events (any iterable, such as a stream); returns written paths."""
-    if downsample <= 0:
-        raise ValueError(f"downsample must be > 0, got {downsample}")
+    check_positive("downsample", downsample)  # refused before any event is read
     totals = fold_events(events, window_ticks)
     reports = {
         "involution.csv": involution_index(totals).to_csv(),

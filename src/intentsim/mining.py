@@ -49,7 +49,6 @@ class ThoughtRecord:
     record_id: int
     agent_id: int
     tick: int
-    decision_kind: str
     pair: ThoughtPair
     missing: bool = False
 
@@ -62,7 +61,7 @@ _NO_PAIR = ThoughtPair(bounded="", rational="")
 
 
 def _numbered(items: list[tuple]) -> list[ThoughtRecord]:
-    """Records from ``(tick, agent, arrival, kind, pair-or-None)`` tuples.
+    """Records from ``(tick, agent, arrival, pair-or-None)`` tuples.
 
     Ids follow canonical (tick, agent, arrival) order — the order mining
     processes records in — so repository ids always increase. A ``None``
@@ -74,11 +73,10 @@ def _numbered(items: list[tuple]) -> list[ThoughtRecord]:
             record_id=record_id,
             agent_id=agent,
             tick=tick,
-            decision_kind=kind,
             pair=_NO_PAIR if pair is None else pair,
             missing=pair is None or not pair.rational,
         )
-        for record_id, (tick, agent, _arrival, kind, pair) in enumerate(items)
+        for record_id, (tick, agent, _arrival, pair) in enumerate(items)
     ]
 
 
@@ -93,7 +91,6 @@ class AgentMemory:
     first non-zero vector.
     """
 
-    agent_id: int
     capacity: int = DEFAULT_MEMORY_CAPACITY
     texts: deque = field(init=False)
     vectors: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -171,25 +168,6 @@ class IntentionRepository:
         with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
             for entry in self.entries:
                 fh.write(json.dumps(entry.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
-
-    @classmethod
-    def load_jsonl(cls, path: str | Path) -> "IntentionRepository":
-        repo = cls()
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                data = json.loads(line)
-                repo.entries.append(
-                    RepositoryEntry(
-                        record_id=data["record_id"],
-                        agent_id=data["agent_id"],
-                        tick=data["tick"],
-                        combined_text=data["combined_text"],
-                        embedding=np.asarray(data["embedding"], dtype=float),
-                    )
-                )
-        return repo
 
 
 @dataclass
@@ -284,7 +262,7 @@ def mine_records(
             continue
         memory = memories.get(record.agent_id)
         if memory is None:
-            memory = memories[record.agent_id] = AgentMemory(record.agent_id, memory_capacity)
+            memory = memories[record.agent_id] = AgentMemory(memory_capacity)
         text = record.combined_text
         embedding = embedder.embed(text)
         if detector.detect(record, embedding, memory):
@@ -311,13 +289,13 @@ def records_from_trace(events, inspector: bool = True) -> list[ThoughtRecord]:
             bounded=payload.get("bounded", "") if inspector else "",
             rational=payload.get("rational", ""),
         )
-        items.append((event.tick, payload["agent"], arrival, kind, pair))
+        items.append((event.tick, payload["agent"], arrival, pair))
     return _numbered(items)
 
 
 def records_from_rows(rows: list[dict]) -> list[ThoughtRecord]:
     """Thought records from ingested foreign rows (both slots share the text)."""
     return _numbered([
-        (row["tick"], row["agent_id"], arrival, "external", ThoughtPair(row["text"], row["text"]))
+        (row["tick"], row["agent_id"], arrival, ThoughtPair(row["text"], row["text"]))
         for arrival, row in enumerate(rows)
     ])

@@ -21,11 +21,9 @@ from .clustering import Clustering, distinct_rows, kmeans_cluster, label_cluster
 from .diagram import (
     DEFAULT_WINDOW_TICKS,
     EmergenceDiagram,
-    EmergencePoint,
-    InfluenceMap,
     WindowSpec,
     build_diagram,
-    check_window_ticks,
+    check_positive,
     render_diagram,
 )
 from .embedding import EmbeddingEndpointConfig, HashingEmbedder, RemoteEmbedder
@@ -63,7 +61,7 @@ class AnalysisOptions:
     label_summarizer: object = None
 
     def __post_init__(self) -> None:
-        check_window_ticks(self.window_ticks)
+        check_positive("window_ticks", self.window_ticks)
 
 
 @dataclass
@@ -72,9 +70,6 @@ class AnalysisResult:
     clustering: Clustering | None
     cluster_labels: dict[int, str]
     diagram: EmergenceDiagram
-    influence: InfluenceMap
-    points: list[EmergencePoint]
-    skipped_missing: int
     chosen_k: int
     warnings: list[str] = field(default_factory=list)
 
@@ -107,7 +102,6 @@ def analyze_records(
     """Mine, cluster and window the records over ``total_ticks`` (the run's
     length; by default, up to the last record's tick)."""
     warnings: list[str] = []
-    skipped = sum(1 for r in records if r.missing)
     if options.analyzer and records:
         embedder = make_embedder(options)
         detector = make_detector(options, warnings.append)
@@ -161,25 +155,20 @@ def analyze_records(
                         continue
                     except Exception as exc:
                         warnings.append(f"label summarizer failed ({exc}); using medoid")
-                text, _rid = label_cluster(members, clustering.centroids[cluster_id])
-                labels[cluster_id] = text
+                labels[cluster_id] = label_cluster(members, clustering.centroids[cluster_id])
 
     if clustering is not None:
-        diagram, influence, points = build_diagram(
+        diagram, _influence, _points = build_diagram(
             repo, clustering, spec, cluster_labels=labels, warn_sink=warnings.append
         )
     else:
         diagram = EmergenceDiagram(window_ticks=spec.window_ticks, n_windows=spec.n_windows)
-        influence, points = {}, []
 
     return AnalysisResult(
         repository=repo,
         clustering=clustering,
         cluster_labels=labels,
         diagram=diagram,
-        influence=influence,
-        points=points,
-        skipped_missing=skipped,
         chosen_k=chosen_k if clustering is not None else 0,
         warnings=warnings,
     )

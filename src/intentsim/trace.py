@@ -491,7 +491,6 @@ class IngestResult:
     rows: list[dict]
     skipped: int
     warnings: list[str]
-    agent_names: dict[int, str]
 
 
 def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
@@ -551,19 +550,10 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
         isinstance(r["agent_raw"], int) and not isinstance(r["agent_raw"], bool) for r in rows
     )
     agent_ids: dict[str, int] = {}
-    agent_names: dict[int, str] = {}
     out: list[dict] = []
     for row in rows:
         raw = row["agent_raw"]
-        if all_int_ids:
-            agent_id = raw
-            agent_names.setdefault(agent_id, str(raw))
-        else:
-            # Mixed or named identifiers: stable ids by first appearance.
-            key = str(raw)
-            if key not in agent_ids:
-                agent_ids[key] = len(agent_ids)
-                agent_names[agent_ids[key]] = key
-            agent_id = agent_ids[key]
+        # Mixed or named identifiers: stable ids by first appearance.
+        agent_id = raw if all_int_ids else agent_ids.setdefault(str(raw), len(agent_ids))
         out.append({"agent_id": agent_id, "tick": row["tick"], "text": row["text"]})
-    return IngestResult(rows=out, skipped=skipped, warnings=warnings, agent_names=agent_names)
+    return IngestResult(rows=out, skipped=skipped, warnings=warnings)

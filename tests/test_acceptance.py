@@ -174,21 +174,21 @@ def test_criterion_4_kmeans_oracle():
 
 def test_criterion_5_emergence_detection():
     embedder = HashingEmbedder(dim=384, seed=0)
-    record = ThoughtRecord(0, 1, 0, "external", ThoughtPair("save time", "save time"))
+    record = ThoughtRecord(0, 1, 0, ThoughtPair("save time", "save time"))
     vec = embedder.embed(record.combined_text)
-    remembered = AgentMemory(agent_id=1)
+    remembered = AgentMemory()
     remembered.append(record.combined_text, vec)
     for theta in (0.05, 0.25, 0.5, 0.75, 1.0):
         assert SimilarityDetector(theta).detect(record, vec, remembered) is False
 
-    empty = AgentMemory(agent_id=1)
+    empty = AgentMemory()
     for theta in (0.05, 0.5, 1.0):
         assert SimilarityDetector(theta).detect(record, vec, empty) is True
 
     half_old = embedder.embed("alpha beta")
     half_new = embedder.embed("alpha gamma")
     assert abs(cosine_similarity(half_old, half_new) - 0.5) < 1e-12
-    memory = AgentMemory(agent_id=2)
+    memory = AgentMemory()
     memory.append("alpha beta", half_old)
     assert SimilarityDetector(0.8).detect(record, half_new, memory) is True
     assert SimilarityDetector(0.4).detect(record, half_new, memory) is False
@@ -338,7 +338,7 @@ def test_criterion_10_external_ingestion(tmp_path):
     support_id = support[0]
     origin_agent, origin_tick = result.diagram.origins[support_id]
     assert (origin_agent, origin_tick) == (1, 5)
-    influenced = {p.influenced_agent for p in result.points if p.cluster_id == support_id}
+    influenced = {p.influenced_agent for p in result.diagram.points if p.cluster_id == support_id}
     assert influenced == {2, 3}
 
     # Throughput bound: ten thousand thoughts through the whole pipeline.

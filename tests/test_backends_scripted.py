@@ -154,16 +154,3 @@ def test_descriptor_round_trip():
     rebuilt = scripted_from_descriptor(backend.describe())
     assert rebuilt.describe() == backend.describe()
 
-
-def test_dual_thoughts_deterministic_and_question_aware():
-    from intentsim.backends.llm import extract_dual_thoughts
-
-    backend = ScriptedBackend()
-    ctx = make_ctx()
-    first = extract_dual_thoughts("Should you work late?", (), ctx, backend)
-    second = extract_dual_thoughts("Should you work late?", (), ctx, backend)
-    assert first == second
-    assert "Should you work late?" in first.bounded
-    assert first.bounded != first.rational
-    with pytest.raises(ValueError):
-        extract_dual_thoughts("", (), ctx, backend)

@@ -185,7 +185,9 @@ def test_analyze_external_election(runner, tmp_path):
          "--out", str(tmp_path / "ext"), "--k", "1", "--window-ticks", "40"],
     )
     assert result.exit_code == 0, result.output
-    assert (tmp_path / "ext" / "diagram.json").exists()
+    points = json.loads((tmp_path / "ext" / "diagram.json").read_text())["points"]
+    assert points  # speaker 2 takes up the candidacy in the next window
+    assert f", {len(points)} emergence points ->" in result.output
 
 
 # --- error paths and exit codes ------------------------------------------------
@@ -469,5 +471,82 @@ def test_bad_mapping_exits_4(runner, tmp_path, mapping, named):
     )
     assert result.exit_code == 4, result.output
     assert isinstance(result.exception, SystemExit)
+    assert named in result.output
+    assert not out.exists()
+
+
+UNREACHABLE = "http://127.0.0.1:1/v1"  # never contacted: the flags are refused first
+
+
+@pytest.mark.parametrize(
+    "flags, refused",
+    [
+        (["--hours-policy", "imitate_top_ranked", "--fixed-start", "9", "--fixed-end", "17"],
+         "--fixed-start, --fixed-end with --hours-policy imitate_top_ranked"),
+        (["--imitate-delta", "2"], "--imitate-delta with --hours-policy fixed_hours"),
+        (["--llm-url", UNREACHABLE], "--llm-url with --backend scripted"),
+        (["--backend", "llm", "--llm-url", UNREACHABLE, "--llm-model", "m",
+          "--hours-policy", "imitate_top_ranked"], "--hours-policy with --backend llm"),
+        (["--backend", "llm", "--llm-url", UNREACHABLE, "--llm-model", "m",
+          "--selection-policy", "route_optimizer", "--imitate-delta", "2"],
+         "--selection-policy, --imitate-delta with --backend llm"),
+    ],
+    ids=["fixed_under_imitate", "delta_under_fixed", "llm_url_scripted", "policy_under_llm",
+         "scripted_flags_under_llm"],
+)
+def test_simulate_refuses_unread_flags(runner, tmp_path, flags, refused):
+    # Each of these used to exit 0 and drop the flag without a word.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)] + flags)
+    assert result.exit_code == 2, result.output
+    assert f"nothing reads {refused}" in result.output
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, refused",
+    [
+        (["--mapping", "map.json"], "--mapping with --trace"),
+        (["--embed-url", UNREACHABLE, "--embed-model", "e"],
+         "--embed-url, --embed-model without --embedder remote"),
+        (["--llm-url", UNREACHABLE], "--llm-url without --detector llm or --label-llm"),
+        (["--llm-model", "m"], "--llm-model without --detector llm or --label-llm"),
+    ],
+    ids=["mapping_with_trace", "embed_without_remote", "llm_url_unused", "llm_model_unused"],
+)
+def test_analyze_refuses_unread_flags(runner, tmp_path, flags, refused):
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    out = tmp_path / "an"
+    result = runner.invoke(main, ["analyze", "--trace", str(trace), "--out", str(out)] + flags)
+    assert result.exit_code == 2, result.output
+    assert f"nothing reads {refused}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (json.dumps({"diagram_schema": 1, "n_windows": 2}), "'window_ticks'"),
+        (json.dumps({"diagram_schema": 1, "window_ticks": 40, "n_windows": 2,
+                     "points": [{"cluster": 0, "influenced": 1, "window": 0}]}), "'points'"),
+        (json.dumps([{"diagram_schema": 1}]), "a diagram document is a JSON object"),
+        (json.dumps({"diagram_schema": 1, "window_ticks": 40, "n_windows": 2,
+                     "origins": {"0": [1, 2]}}), "'origins'"),
+        ("[" * 100_000, "nesting too deep"),
+    ],
+    ids=["no_window_ticks", "point_without_origin", "top_level_list", "origin_as_list",
+         "deep_nesting"],
+)
+def test_malformed_diagram_document_exits_4(runner, tmp_path, text, named):
+    # Each of these used to end in a traceback with exit 1.
+    source = tmp_path / "d.json"
+    source.write_text(text)
+    out = tmp_path / "d.dot"
+    result = runner.invoke(main, ["diagram", "--json", str(source), "--format", "dot", "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
     assert named in result.output
     assert not out.exists()

@@ -153,8 +153,7 @@ def test_invariants_hold_on_random_inputs(raw_points, k, seed):
 
 def test_label_cluster_singleton():
     vec = np.array([1.0, 0.0])
-    text, rid = label_cluster([(5, "only member", vec)], vec)
-    assert (text, rid) == ("only member", 5)
+    assert label_cluster([(5, "only member", vec)], vec) == "only member"
 
 
 def test_label_cluster_prefers_colinear():
@@ -163,8 +162,7 @@ def test_label_cluster_prefers_colinear():
         (1, "angled", np.array([0.8, 0.6])),
         (2, "colinear", np.array([2.0, 0.0])),
     ]
-    text, rid = label_cluster(members, centroid)
-    assert (text, rid) == ("colinear", 2)
+    assert label_cluster(members, centroid) == "colinear"
 
 
 def test_label_cluster_tie_breaks_by_earliest_record():
@@ -175,8 +173,7 @@ def test_label_cluster_tie_breaks_by_earliest_record():
         (2, "low", np.array([0.7, (1.0 - 0.49) ** 0.5])),
         (3, "second-high", np.array([0.9, -y])),
     ]
-    text, rid = label_cluster(members, centroid)
-    assert (text, rid) == ("first-high", 1)
+    assert label_cluster(members, centroid) == "first-high"
 
 
 def test_label_cluster_empty_is_error():

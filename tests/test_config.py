@@ -1,6 +1,6 @@
 import pytest
 
-from intentsim.config import SimConfig, config_digest, load_config, parse_config_text, save_config
+from intentsim.config import SimConfig, config_digest, load_config, parse_config_text
 from intentsim.errors import ConfigError
 
 
@@ -80,7 +80,10 @@ def test_config_file_round_trip(tmp_path):
     cfg = SimConfig(grid_size=64, total_steps=240, n_riders=7, seed=99,
                     peak_ticks_per_day=(10, 50), payment_range=(1.0, 2.5))
     path = tmp_path / "sim.cfg"
-    save_config(cfg, path)
+    path.write_text(
+        "grid_size = 64\ntotal_steps = 240\nn_riders = 7\nseed = 99\n"
+        "peak_ticks_per_day = 10, 50\npayment_range = 1.0, 2.5\n"
+    )
     assert load_config(path) == cfg
 
 

@@ -25,7 +25,7 @@ def repo_from(entries):
     emb = HashingEmbedder(dim=32, seed=0)
     repo = IntentionRepository()
     for record_id, (agent, tick, text) in enumerate(entries):
-        record = ThoughtRecord(record_id, agent, tick, "external", ThoughtPair(text, text))
+        record = ThoughtRecord(record_id, agent, tick, ThoughtPair(text, text))
         repo.append(record, emb.embed(text))
     return repo
 

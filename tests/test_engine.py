@@ -17,6 +17,13 @@ def small_config(**overrides):
     return SimConfig(**base)
 
 
+class NullWriter:
+    """A trace writer that drops every event."""
+
+    def emit(self, kind, tick, payload):
+        pass
+
+
 def fixed_backend(start=0, end=23):
     return ScriptedBackend(
         hours_policy=ScriptedPolicy("fixed_hours", {"start": start, "end": end}),
@@ -28,7 +35,8 @@ def test_idle_world_only_generates_and_ticks():
     # All riders off shift: orders appear, nothing else changes.
     cfg = small_config(base_order_rate=2.0)
     world = init_world(cfg)
-    session = SimulationSession(world, fixed_backend(start=5, end=5), None)  # start == end: never works
+    # start == end: never works
+    session = SimulationSession(world, fixed_backend(start=5, end=5), NullWriter())
     digest_riders_before = [(r.position, r.earnings, r.held_orders[:]) for r in world.riders]
     for _ in range(10):
         step_world(world, session)
@@ -50,7 +58,7 @@ def test_rider_adjacent_to_pickup_picks_up_after_step():
     world.order_book[0] = order
     world.next_order_id = 1
     rider.held_orders.append(0)
-    step_world(world, SimulationSession(world, fixed_backend(), None))
+    step_world(world, SimulationSession(world, fixed_backend(), NullWriter()))
     assert order.state == PICKED_UP
     assert rider.position == Position(6, 5)
 
@@ -65,7 +73,7 @@ def test_delivery_credits_exact_payment():
     world.order_book[0] = order
     world.next_order_id = 1
     rider.held_orders.append(0)
-    step_world(world, SimulationSession(world, fixed_backend(), None))
+    step_world(world, SimulationSession(world, fixed_backend(), NullWriter()))
     assert order.state == "delivered"
     assert rider.earnings == 9.25
     assert rider.orders_completed == 1
@@ -143,7 +151,7 @@ def test_imitation_converges_on_leader_hours():
     backend = ScriptedBackend(
         hours_policy=ScriptedPolicy("imitate_top_ranked", {"delta": 1, "day0": (10, 13)}),
     )
-    session = SimulationSession(world, backend, None)
+    session = SimulationSession(world, backend, NullWriter())
     for _ in range(121):  # through the second day's decision point
         step_world(world, session)
     # Day 0 ends with everyone on (10, 13); day 1 widens the leader's hours.
@@ -187,8 +195,8 @@ def test_session_starts_at_a_day_boundary():
     world = init_world(small_config())
     world.tick = 5
     with pytest.raises(ValueError, match="day boundary, not at tick 5"):
-        SimulationSession(world, fixed_backend(), None)
+        SimulationSession(world, fixed_backend(), NullWriter())
     world.tick = 120
-    session = SimulationSession(world, fixed_backend(), None)
+    session = SimulationSession(world, fixed_backend(), NullWriter())
     step_world(world, session)
     assert session.stats is not None and world.tick == 121

@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from intentsim.backends.llm import ChatClient, LlmBackend, LlmEndpointConfig, extract_dual_thoughts
+from intentsim.backends.llm import ChatClient, LlmBackend, LlmEndpointConfig
 from intentsim.backends.types import DecisionContext, OfferedOrder
 from intentsim.embedding import EmbeddingEndpointConfig, RemoteEmbedder
 from intentsim.errors import BackendError, EmbeddingError
@@ -212,18 +212,18 @@ def test_embedding_transport_fault_retries_then_raises(stub_server, fault):
                                 max_retries=2, timeout_ms=200)
     )
     with pytest.raises(EmbeddingError, match="embedding endpoint failed after retries"):
-        embedder.embed_many(["a"])
+        embedder.embed("a")
     assert len(stub_server.requests) == 3
 
 
 def test_vector_count_mismatch_is_not_retried(stub_server):
-    stub_server.script = [{"embedding": [[1.0, 0.0]]}] * 3
+    stub_server.script = [{"embedding": [[1.0, 0.0], [0.0, 1.0]]}] * 3
     host, port = stub_server.server_address
     embedder = RemoteEmbedder(
         EmbeddingEndpointConfig(base_url=f"http://{host}:{port}/embed", model_id="e")
     )
-    with pytest.raises(EmbeddingError, match="returned 1 vectors for 2 inputs"):
-        embedder.embed_many(["a", "b"])
+    with pytest.raises(EmbeddingError, match="returned 2 vectors for 1 inputs"):
+        embedder.embed("a")
     assert len(stub_server.requests) == 1
 
 
@@ -277,28 +277,18 @@ def test_single_perspective_mode_skips_bounded_call(stub_server):
     assert len(stub_server.requests) == 1
 
 
-def test_extract_dual_thoughts_two_generations(stub_server):
-    stub_server.script = [
-        {"chat": "<think>gut says rest</think>{}"},
-        {"chat": "<think>numbers say ride</think>{}"},
-    ]
-    backend = LlmBackend(endpoint_for(stub_server))
-    pair = extract_dual_thoughts("Should you ride today?", ("note",), make_ctx(), backend)
-    assert pair.bounded == "gut says rest"
-    assert pair.rational == "numbers say ride"
-
-
 def test_remote_embedder_normalizes(stub_server):
     host, port = stub_server.server_address
-    stub_server.script = [{"embedding": [[3.0, 4.0], [0.0, 2.0]]}]
+    stub_server.script = [{"embedding": [[3.0, 4.0]]}, {"embedding": [[0.0, 2.0]]}]
     embedder = RemoteEmbedder(
         EmbeddingEndpointConfig(base_url=f"http://{host}:{port}/embed", model_id="e")
     )
-    matrix = embedder.embed_many(["a", "b"])
-    assert np.allclose(matrix[0], [0.6, 0.8])
-    assert np.allclose(matrix[1], [0.0, 1.0])
-    request = stub_server.requests[0][1]
-    assert request == {"model": "e", "input": ["a", "b"]}
+    assert np.allclose(embedder.embed("a"), [0.6, 0.8])
+    assert np.allclose(embedder.embed("b"), [0.0, 1.0])
+    assert [request for _, request in stub_server.requests] == [
+        {"model": "e", "input": ["a"]},
+        {"model": "e", "input": ["b"]},
+    ]
 
 
 def test_remote_embedder_failure_raises(stub_server):
@@ -311,7 +301,7 @@ def test_remote_embedder_failure_raises(stub_server):
         )
     )
     with pytest.raises(EmbeddingError):
-        embedder.embed_many(["a"])
+        embedder.embed("a")
 
 
 def test_simulation_with_llm_backend_logs_exchanges(stub_server, tmp_path):

@@ -50,7 +50,7 @@ def test_involution_simple_division(tmp_path):
     )
     series = involution_index(fold_events(events))
     assert series.index[0] == 50.0
-    assert series.flagged_days == []
+    assert series.delivered == [10]
 
 
 def test_involution_zero_delivery_day_flagged(tmp_path):
@@ -61,7 +61,7 @@ def test_involution_zero_delivery_day_flagged(tmp_path):
     )
     series = involution_index(fold_events(events))
     assert series.index[0] == 77.0  # divisor clamped to 1
-    assert series.flagged_days == [0]
+    assert (series.days, series.delivered) == ([0], [0])  # kept, not dropped
 
 
 def test_involution_linear_in_wage(tmp_path):
@@ -96,7 +96,7 @@ def test_heatmap_mass_conservation(tmp_path):
     events = load_trace(path).events
     n_positions = sum(1 for e in events if e.kind == "position" and 0 <= e.tick < 120)
     grid = position_heatmap(fold_events(events, window_ticks=120), window=0)
-    assert sum(sum(row) for row in grid.counts) == n_positions == grid.total_events
+    assert sum(sum(row) for row in grid.counts) == n_positions
 
 
 def test_heatmap_empty_window_zero_grid(tmp_path):
@@ -108,8 +108,16 @@ def test_heatmap_empty_window_zero_grid(tmp_path):
 def test_heatmap_downsampling_averages_blocks(tmp_path):
     events = synthetic_trace(tmp_path, positions=[(t, 0, 1, 1, 0) for t in range(8)])
     grid = position_heatmap(fold_events(events, window_ticks=120), window=0, downsample=4)
-    assert grid.size == 4
+    assert [len(row) for row in grid.counts] == [4] * 4
     assert grid.counts[0][0] == 8 / 16.0
+
+
+@pytest.mark.parametrize("downsample", [0, -3])
+def test_heatmap_refuses_non_positive_downsample(tmp_path, downsample):
+    # 0 used to end in ZeroDivisionError; only write_metrics_reports checked.
+    totals = fold_events(synthetic_trace(tmp_path, positions=[]), window_ticks=120)
+    with pytest.raises(ValueError, match=f"downsample must be > 0, got {downsample}"):
+        position_heatmap(totals, 0, downsample=downsample)
 
 
 def test_effective_hours_half_holding(tmp_path):

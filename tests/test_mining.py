@@ -1,3 +1,4 @@
+import json
 from collections import deque
 
 import numpy as np
@@ -22,9 +23,8 @@ from intentsim.pipeline import AnalysisOptions, analyze_records
 from intentsim.trace import TraceEvent
 
 
-def make_record(record_id=0, agent=1, tick=0, kind="work_hours", bounded="save time",
-                rational="maximize pay"):
-    return ThoughtRecord(record_id, agent, tick, kind, ThoughtPair(bounded=bounded, rational=rational))
+def make_record(record_id=0, agent=1, tick=0, bounded="save time", rational="maximize pay"):
+    return ThoughtRecord(record_id, agent, tick, ThoughtPair(bounded=bounded, rational=rational))
 
 
 def thought_event(seq, tick, **payload):
@@ -50,7 +50,6 @@ def test_missing_pair_flagged_and_excluded():
     assert len(mine_records([record], detector, emb)) == 0
     result = analyze_records([record], AnalysisOptions())
     assert len(result.repository) == 0
-    assert result.skipped_missing == 1
 
 
 def test_duplicate_intentions_clamp_k_to_distinct():
@@ -84,7 +83,7 @@ def test_distinct_record_ids_same_agent_tick():
         thought_event(2, 9, agent=1, decision="order_selection", rational="take it"),
     ])
     assert a.record_id != b.record_id
-    assert (a.decision_kind, b.decision_kind) == ("work_hours", "order_selection")
+    assert (a.pair.rational, b.pair.rational) == ("rest", "take it")
 
 
 def test_records_numbered_in_tick_agent_arrival_order():
@@ -102,7 +101,7 @@ def test_identical_text_in_memory_never_emergent():
     emb = HashingEmbedder(dim=64)
     record = make_record()
     vec = emb.embed(record.combined_text)
-    memory = AgentMemory(agent_id=1)
+    memory = AgentMemory()
     memory.append(record.combined_text, vec)
     for theta in (0.1, 0.5, 0.9, 1.0):
         detector = SimilarityDetector(theta=theta)
@@ -114,7 +113,7 @@ def test_empty_memory_always_emergent():
     record = make_record()
     vec = emb.embed(record.combined_text)
     detector = SimilarityDetector(theta=0.0001)
-    assert detector.detect(record, vec, AgentMemory(agent_id=1)) is True
+    assert detector.detect(record, vec, AgentMemory()) is True
 
 
 def test_crafted_half_similarity_threshold_behavior():
@@ -128,7 +127,7 @@ def test_crafted_half_similarity_threshold_behavior():
     assert abs(cosine_similarity(old, new) - 0.5) < 1e-12
 
     record = make_record(tick=10, bounded="alpha gamma", rational="alpha gamma")
-    memory = AgentMemory(agent_id=1)
+    memory = AgentMemory()
     memory.append("old", old)
     # The record embeds "bounded: alpha gamma | rational: alpha gamma";
     # compare against the bare pair instead to keep the 0.5 geometry.
@@ -160,7 +159,7 @@ def test_mine_records_appends_emergent_and_remembers_all():
 
 
 def test_memory_fifo_eviction_at_capacity():
-    memory = AgentMemory(agent_id=1, capacity=50)
+    memory = AgentMemory(capacity=50)
     for i in range(50):
         memory.append(f"t{i}", None)
     memory.append("t50", None)
@@ -188,16 +187,16 @@ def test_repository_jsonl_round_trip(tmp_path):
         repo.append(record, emb.embed(record.combined_text))
     path = tmp_path / "repo.jsonl"
     repo.save_jsonl(path)
-    loaded = IntentionRepository.load_jsonl(path)
+    loaded = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(loaded) == 3
-    for a, b in zip(repo.entries, loaded.entries):
+    for a, b in zip(repo.entries, loaded):
         assert (a.record_id, a.agent_id, a.tick, a.combined_text) == (
-            b.record_id,
-            b.agent_id,
-            b.tick,
-            b.combined_text,
+            b["record_id"],
+            b["agent_id"],
+            b["tick"],
+            b["combined_text"],
         )
-        assert np.allclose(a.embedding, b.embedding)
+        assert np.allclose(a.embedding, b["embedding"])
 
 
 def test_mining_deterministic():
@@ -217,7 +216,6 @@ def test_mining_deterministic():
 
 def test_external_rows_fill_both_slots():
     records = records_from_rows([{"agent_id": 4, "tick": 7, "text": "vote for rain"}])
-    assert records[0].decision_kind == "external"
     assert records[0].pair.bounded == records[0].pair.rational == "vote for rain"
 
 
@@ -234,7 +232,7 @@ def test_llm_detector_parses_verdicts():
     emb = HashingEmbedder(dim=32)
     record = make_record()
     vec = emb.embed(record.combined_text)
-    memory = AgentMemory(agent_id=1)
+    memory = AgentMemory()
 
     yes = LlmEmergenceDetector(ask=lambda prompt: "Yes, clearly new.", template="{thought}|{memory}")
     assert yes.detect(record, vec, memory) is True
@@ -249,7 +247,7 @@ def test_llm_detector_falls_back_to_similarity():
     emb = HashingEmbedder(dim=32)
     record = make_record()
     vec = emb.embed(record.combined_text)
-    memory = AgentMemory(agent_id=1)  # empty -> similarity says emergent
+    memory = AgentMemory()  # empty -> similarity says emergent
     fallbacks: list[str] = []
 
     garbled = LlmEmergenceDetector(
@@ -329,7 +327,7 @@ vectors = st.one_of(
 def test_detector_matches_pairwise_oracle(capacity, appended, query, theta):
     # Zero rows, partly filled and wrapped rings and capacity 0 all occur;
     # the decision must be the pairwise one and the pre-rewrite formula's.
-    memory = AgentMemory(agent_id=1, capacity=capacity)
+    memory = AgentMemory(capacity=capacity)
     remembered, texts = deque(maxlen=capacity), deque(maxlen=capacity)
     for tick, vec in enumerate(appended):
         memory.append(f"t{tick}", vec)
@@ -354,7 +352,7 @@ def test_exact_tie_at_theta_matches_pairwise_formula():
     old = EMBEDDER.embed("alpha alpha beta")
     new = EMBEDDER.embed("alpha beta beta")
     assert cosine_similarity(new, old) == 0.8000000000000002
-    memory = AgentMemory(agent_id=1)
+    memory = AgentMemory()
     memory.append("alpha alpha beta", old)
     assert SimilarityDetector(theta=0.8).detect(RECORD, new, memory) is False
 
@@ -362,7 +360,7 @@ def test_exact_tie_at_theta_matches_pairwise_formula():
 def test_near_tie_decided_by_pairwise_formula():
     # For these texts the matrix product can round the best cosine below its
     # pairwise value; with theta equal to that value, nothing is emergent.
-    memory = AgentMemory(agent_id=1)
+    memory = AgentMemory()
     texts = ["order mayor", "shift market gamma rider delta mayor shift order beta market",
              "market station mayor"]
     for tick, text in enumerate(texts):

@@ -2,6 +2,7 @@ import json
 
 from intentsim.backends.scripted import ScriptedBackend, ScriptedPolicy
 from intentsim.config import SimConfig, config_digest
+from intentsim.diagram import influence_from_points
 from intentsim.pipeline import (
     AnalysisOptions,
     analyze_external,
@@ -78,7 +79,7 @@ def test_no_analyzer_leaves_repository_empty(tmp_path):
         events, AnalysisOptions(k=2, window_ticks=120, analyzer=False)
     )
     assert len(result.repository) == 0
-    assert result.points == []
+    assert result.diagram.points == []
     assert result.diagram.cluster_nodes == []
     assert any("disabled" in w for w in result.warnings)
 
@@ -227,10 +228,11 @@ def test_election_fixture_full_pipeline(tmp_path):
     assert len(support_clusters) == 1
     support = support_clusters[0]
     assert result.diagram.origins[support] == (1, 5)
-    influenced = {p.influenced_agent for p in result.points if p.cluster_id == support}
+    influenced = {p.influenced_agent for p in result.diagram.points if p.cluster_id == support}
     assert influenced == {2, 3}
-    assert result.influence[2] >= {support}
-    assert result.influence[3] >= {support}
+    influence = influence_from_points(result.diagram.points)
+    assert influence[2] >= {support}
+    assert influence[3] >= {support}
 
 
 def test_external_records_run_through_detection(tmp_path):

@@ -1,6 +1,7 @@
 """Smoke tests for the example scripts, which read the analysis API."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -23,12 +24,23 @@ def test_election_demo_writes_bundle(tmp_path):
                  "diagram.json", "diagram.dot", "diagram.svg", "analysis_events.jsonl"):
         assert (out / name).stat().st_size > 0, name
     assert "intentions in the repository" in proc.stdout
+    assert "\ninfluence: cluster " in proc.stdout
 
 
-def test_involution_study_imports():
+def test_involution_study_runs(tmp_path, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("run_involution_study",
                                                   SCRIPTS / "run_involution_study.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # the __main__ guard keeps main() from running
-    assert callable(module.main)
     assert set(module.SCENARIOS) == {"imitate", "fixed"}
+    # A small world over the 11 days the script reads (it prints day 10).
+    monkeypatch.setattr(module, "STUDY_CONFIG", dict(
+        grid_size=12, total_steps=11 * 24, steps_per_day=24, peak_ticks_per_day=(12,),
+        n_riders=4, base_order_rate=1.0, seed=42,
+    ))
+    monkeypatch.setattr(sys, "argv", ["run_involution_study.py", str(tmp_path)])
+    assert module.main() == 0
+    out = capsys.readouterr().out
+    points = json.loads((tmp_path / "analysis_imitate" / "diagram.json").read_text())["points"]
+    assert f" intentions, {len(points)} emergence points\n" in out
+    assert "imitate day10/day1 ratio:" in out

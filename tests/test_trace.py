@@ -272,8 +272,8 @@ def test_ingest_nested_paths_and_names(tmp_path):
     write_jsonl(path, rows)
     m = IngestMapping(agent="who.name", tick="step", text="say.text")
     result = ingest_external(path, m)
-    assert result.agent_names == {0: "Isabella", 1: "Tom"}
-    assert [r["agent_id"] for r in result.rows] == [0, 1, 0]
+    # Named agents get ids in order of first appearance.
+    assert [(r["agent_id"], r["text"]) for r in result.rows] == [(0, "hello"), (1, "hi"), (0, "bye")]
 
 
 def test_ingest_tolerates_malformed_lines(tmp_path):
