@@ -7,17 +7,16 @@ prompt template twice — once under the instinct-flavoured system preamble
 and once under the calculation-flavoured one — so both reasoning streams
 are captured. The decision payload itself is parsed from the second
 (calculation) reply; malformed replies are re-asked with the parse error
-appended, up to the configured retry budget.
+appended, up to :data:`ASKS` asks in all.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from ..errors import BackendError, DecisionParseError
-from ..transport import post_json
+from ..transport import Endpoint, post_json
 from .parsing import (
     extract_think_block,
     parse_decision_payload,
@@ -27,15 +26,8 @@ from .types import DecisionContext, OrderSelection, ThoughtPair, WorkHoursDecisi
 
 
 TEMPERATURE = 0.0
-
-
-@dataclass(frozen=True)
-class LlmEndpointConfig:
-    base_url: str
-    model_id: str
-    timeout_ms: int = 30000
-    max_retries: int = 2
-    retry_backoff_s: float = 0.2
+CHAT_BACKOFF_S = 0.2  # times the attempt number, between chat transport attempts
+ASKS = 3  # rational asks per decision: the first and two re-asks
 
 
 def load_prompt(name: str) -> str:
@@ -59,17 +51,10 @@ def _reply_text(payload) -> str:
     return content
 
 
-class ChatClient:
-    """Minimal chat-completion HTTP client with transport retries."""
-
-    def __init__(self, endpoint: LlmEndpointConfig):
-        self.endpoint = endpoint
-
-    def complete(self, messages: list[dict]) -> str:
-        request = chat_request(self.endpoint.model_id, messages)
-        return post_json(
-            self.endpoint, request, _reply_text, BackendError, "chat", self.endpoint.retry_backoff_s
-        )
+def complete(endpoint: Endpoint, messages: list[dict]) -> str:
+    """The reply text of one chat completion, with transport retries."""
+    request = chat_request(endpoint.model_id, messages)
+    return post_json(endpoint, request, _reply_text, BackendError, "chat", CHAT_BACKOFF_S)
 
 
 def thought_from(reply: str) -> str:
@@ -104,15 +89,9 @@ class LlmBackend:
 
     kind = "llm"
 
-    def __init__(
-        self,
-        endpoint: LlmEndpointConfig,
-        dual: bool = True,
-        client: ChatClient | None = None,
-    ):
+    def __init__(self, endpoint: Endpoint, dual: bool = True):
         self.endpoint = endpoint
         self.dual = dual
-        self.client = client or ChatClient(endpoint)
         self.exchange_sink = None  # set by the engine to log raw exchanges
         self._preambles = {
             mode: load_prompt(f"preamble_{mode}.txt").strip() for mode in ("bounded", "rational")
@@ -135,7 +114,7 @@ class LlmBackend:
         """
         system = f"{ctx.persona}\n{self._preambles[mode]}"
         messages = [{"role": "system", "content": system}, *conversation]
-        reply = self.client.complete(messages)
+        reply = complete(self.endpoint, messages)
         if self.exchange_sink is not None:
             self.exchange_sink(
                 ctx.rider_id,
@@ -151,7 +130,7 @@ class LlmBackend:
         if self.dual:
             bounded_text = thought_from(self.ask(ctx, "bounded", conversation))
         last_error: DecisionParseError | None = None
-        for _ in range(self.endpoint.max_retries + 1):
+        for _ in range(ASKS):
             reply = self.ask(ctx, "rational", conversation)
             rational_text = thought_from(reply)
             try:

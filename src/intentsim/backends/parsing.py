@@ -48,42 +48,31 @@ def extract_think_block(text: str) -> str | None:
     return text[start + len(THINK_OPEN):end].strip()
 
 
-def find_json_objects(text: str) -> list[tuple[int, int, dict]]:
-    """All parseable top-level JSON objects as (start, end, value)."""
+def last_json_object(text: str) -> tuple[int, dict] | None:
+    """Start and value of the last parseable top-level JSON object, if any."""
     decoder = json.JSONDecoder()
-    found: list[tuple[int, int, dict]] = []
+    last = None
     pos = 0
     while True:
         start = text.find("{", pos)
         if start < 0:
-            break
+            return last
         try:
             value, consumed = decoder.raw_decode(text[start:])
         except json.JSONDecodeError:
             pos = start + 1
             continue
         if isinstance(value, dict):
-            found.append((start, start + consumed, value))
+            last = (start, value)
             pos = start + consumed
         else:
             pos = start + 1
-    return found
-
-
-def last_json_object(text: str) -> dict:
-    objects = find_json_objects(text)
-    if not objects:
-        raise DecisionParseError("no JSON object found in reply")
-    return objects[-1][2]
 
 
 def prose_before_payload(text: str) -> str:
     """Reply body preceding the final JSON object (fallback thought text)."""
-    objects = find_json_objects(text)
-    if not objects:
-        return text.strip()
-    start = objects[-1][0]
-    return text[:start].strip()
+    found = last_json_object(text)
+    return text[: found[0] if found else len(text)].strip()
 
 
 def parse_hour(value) -> int:
@@ -108,7 +97,10 @@ def parse_decision_payload(raw: str, schema: str):
     if not raw:
         raise DecisionParseError("empty reply")
     cleaned = strip_think_blocks(raw)
-    payload = last_json_object(cleaned)
+    found = last_json_object(cleaned)
+    if found is None:
+        raise DecisionParseError("no JSON object found in reply")
+    payload = found[1]
     if schema == "work_hours":
         for key in ("go_to_work_time", "get_off_work_time"):
             if key not in payload:

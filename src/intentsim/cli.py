@@ -17,11 +17,10 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 
-from .backends.llm import LlmBackend, LlmEndpointConfig
+from .backends.llm import LlmBackend, complete
 from .backends.scripted import ScriptedBackend, ScriptedPolicy
 from .config import SimConfig, load_config
 from .diagram import DEFAULT_WINDOW_TICKS, EmergenceDiagram, render_diagram
-from .embedding import EmbeddingEndpointConfig
 from .engine import run_simulation
 from .errors import (
     ClusteringError,
@@ -39,6 +38,7 @@ from .pipeline import (
     write_similarity_csv,
 )
 from .trace import IngestMapping, iter_trace
+from .transport import Endpoint
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -97,14 +97,13 @@ def main() -> None:
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Config file (key = value lines); defaults apply when omitted.")
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Trace file to write.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--backend", type=click.Choice(["scripted", "llm"]), default="scripted", show_default=True)
 @click.option("--hours-policy", type=click.Choice(["fixed_hours", "imitate_top_ranked"]), default="fixed_hours", show_default=True)
 @click.option("--selection-policy", type=click.Choice(["greedy_nearest", "route_optimizer"]), default="greedy_nearest", show_default=True)
 @click.option("--imitate-delta", type=int, default=1, show_default=True, help="Hours widened on each side when imitating.")
 @click.option("--fixed-start", type=int, default=None, help="Constant shift start for fixed_hours.")
 @click.option("--fixed-end", type=int, default=None, help="Constant shift end for fixed_hours.")
-@click.option("--llm-url", default=None, help="Chat-completion endpoint URL (llm backend).")
-@click.option("--llm-model", default=None, help="Model id sent to the chat endpoint.")
+@click.option("--llm-url", default=None, help="Chat-completion endpoint URL; decisions go to the chat model instead of the scripted policies.")
+@click.option("--llm-model", default=None, help="Model id sent to the chat endpoint (with --llm-url).")
 @click.option("--no-inspector", is_flag=True, help="Record single-perspective thoughts only (calculation side).")
 @click.option("--created-at", default=None, help="Timestamp stored in the trace header (omitted by default so reruns are byte-identical).")
 @_guarded
@@ -112,7 +111,6 @@ def simulate(
     config_path,
     out_path,
     seed,
-    backend,
     hours_policy,
     selection_policy,
     imitate_delta,
@@ -127,19 +125,16 @@ def simulate(
     config = load_config(config_path) if config_path else SimConfig()
     if seed is not None:
         config = SimConfig(**{**config.to_dict(), "seed": seed})
-    if backend == "llm":
+    if llm_url is not None:
         _refuse_unread(
-            "with --backend llm",
+            "with --llm-url",
             "hours_policy", "selection_policy", "imitate_delta", "fixed_start", "fixed_end",
         )
         if not llm_url or not llm_model:
-            raise click.UsageError("--backend llm requires --llm-url and --llm-model")
-        chosen = LlmBackend(
-            LlmEndpointConfig(base_url=llm_url, model_id=llm_model),
-            dual=not no_inspector,
-        )
+            raise click.UsageError("--llm-url requires a URL and --llm-model")
+        chosen = LlmBackend(Endpoint(base_url=llm_url, model_id=llm_model), dual=not no_inspector)
     else:
-        _refuse_unread("with --backend scripted", "llm_url", "llm_model")
+        _refuse_unread("without --llm-url", "llm_model")
         unread = ("imitate_delta",) if hours_policy == "fixed_hours" else ("fixed_start", "fixed_end")
         _refuse_unread(f"with --hours-policy {hours_policy}", *unread)
         hours_params = {"delta": imitate_delta}
@@ -171,9 +166,8 @@ def simulate(
 @click.option("--theta", type=float, default=DEFAULT_THETA, show_default=True, help="Novelty threshold for the similarity detector.")
 @click.option("--window-ticks", type=int, default=DEFAULT_WINDOW_TICKS, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for embedding/clustering.")
-@click.option("--embedder", type=click.Choice(["fallback", "remote"]), default="fallback", show_default=True)
-@click.option("--embed-url", default=None, help="Embedding endpoint URL (remote embedder).")
-@click.option("--embed-model", default=None, help="Embedding model id (remote embedder).")
+@click.option("--embed-url", default=None, help="Embedding endpoint URL; thoughts are embedded remotely instead of by token hashing.")
+@click.option("--embed-model", default=None, help="Embedding model id (with --embed-url).")
 @click.option("--memory-capacity", type=int, default=DEFAULT_MEMORY_CAPACITY, show_default=True)
 @click.option("--scan-k", is_flag=True, help="Pick k by silhouette scan over 2..10.")
 @click.option("--detector", type=click.Choice(["similarity", "llm"]), default="similarity", show_default=True)
@@ -193,7 +187,6 @@ def analyze(
     theta,
     window_ticks,
     seed,
-    embedder,
     embed_url,
     embed_model,
     memory_capacity,
@@ -211,8 +204,10 @@ def analyze(
         raise click.UsageError("provide exactly one of --trace or --external")
     if trace_path is not None:
         _refuse_unread("with --trace", "mapping_path")
-    if embedder != "remote":
-        _refuse_unread("without --embedder remote", "embed_url", "embed_model")
+    else:
+        _refuse_unread("with --external", "no_inspector")
+    if embed_url is None:
+        _refuse_unread("without --embed-url", "embed_model")
     if detector != "llm" and not label_llm:
         _refuse_unread("without --detector llm or --label-llm", "llm_url", "llm_model")
     options = AnalysisOptions(
@@ -225,19 +220,17 @@ def analyze(
         memory_capacity=memory_capacity,
         scan_k=scan_k,
     )
-    if embedder == "remote":
+    if embed_url is not None:
         if not embed_url or not embed_model:
-            raise click.UsageError("--embedder remote requires --embed-url and --embed-model")
-        options.embed_endpoint = EmbeddingEndpointConfig(base_url=embed_url, model_id=embed_model)
+            raise click.UsageError("--embed-url requires a URL and --embed-model")
+        options.embed_endpoint = Endpoint(base_url=embed_url, model_id=embed_model)
     if detector == "llm" or label_llm:
         if not llm_url or not llm_model:
             raise click.UsageError("--detector llm / --label-llm require --llm-url and --llm-model")
-        from .backends.llm import ChatClient
-
-        client = ChatClient(LlmEndpointConfig(base_url=llm_url, model_id=llm_model))
+        endpoint = Endpoint(base_url=llm_url, model_id=llm_model)
 
         def ask(prompt: str) -> str:
-            return client.complete([{"role": "user", "content": prompt}])
+            return complete(endpoint, [{"role": "user", "content": prompt}])
 
         if detector == "llm":
             options.detector_ask = ask

@@ -135,6 +135,11 @@ class EmergenceDiagram:
                 fields[name] = parse(data.get(name, {}))  # an absent list or map is empty
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"diagram field {name!r} is missing or malformed: {exc!r}") from None
+        WindowSpec(fields["window_ticks"], fields["n_windows"])  # refuses a width < 1, a count < 0
+        agents = {agent for _, agent in fields["agent_nodes"]}
+        for p in fields["points"]:
+            if not {p.origin_agent, p.influenced_agent} <= agents:
+                raise ValueError(f"diagram field 'points' names an agent with no agent node: {p}")
         return cls(**fields)
 
 

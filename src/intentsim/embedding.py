@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmbeddingError
-from .transport import post_json
+from .transport import Endpoint, post_json
 
 DEFAULT_DIM = 384
 
@@ -85,34 +85,23 @@ class HashingEmbedder:
         return l2_normalize(np.bincount(idx, minlength=self.dim).astype(float))
 
 
-@dataclass(frozen=True)
-class EmbeddingEndpointConfig:
-    base_url: str
-    model_id: str
-    timeout_ms: int = 30000
-    max_retries: int = 2
-
-
-def _unit_rows(payload, n_texts: int) -> np.ndarray:
+def _unit_vector(payload) -> np.ndarray:
     rows = [entry["embedding"] for entry in payload["data"]]
-    if len(rows) != n_texts:
-        raise EmbeddingError(f"embedding service returned {len(rows)} vectors for {n_texts} inputs")
-    matrix = np.asarray(rows, dtype=float)
-    return np.vstack([l2_normalize(row) for row in matrix])
+    if len(rows) != 1:
+        raise EmbeddingError(f"embedding service returned {len(rows)} vectors for 1 inputs")
+    return l2_normalize(np.asarray(rows[0], dtype=float))
 
 
 @dataclass
 class RemoteEmbedder:
     """Client for an HTTP embedding service.
 
-    Wire format: POST {"model": ..., "input": [text, ...]} and read
-    {"data": [{"embedding": [...]}, ...]} back, one entry per input.
+    Wire format: POST {"model": ..., "input": [text]} and read
+    {"data": [{"embedding": [...]}]} back, exactly one entry.
     """
 
-    endpoint: EmbeddingEndpointConfig
+    endpoint: Endpoint
 
     def embed(self, text: str) -> np.ndarray:
         body = {"model": self.endpoint.model_id, "input": [text]}
-        return post_json(
-            self.endpoint, body, lambda reply: _unit_rows(reply, 1), EmbeddingError, "embedding"
-        )[0]
+        return post_json(self.endpoint, body, _unit_vector, EmbeddingError, "embedding")

@@ -157,11 +157,7 @@ def _work_hours_phase(session: SimulationSession) -> None:
     world = session.world
     stats = session.stats
     contexts = [_base_context(session, r, stats) for r in world.riders]
-    try:
-        results = session.backend.decide_work_hours_batch(contexts)
-    except (BackendError, DecisionParseError) as exc:
-        # Whole-batch failure: every rider falls back independently.
-        results = [exc] * len(contexts)
+    results = session.backend.decide_work_hours_batch(contexts)
     for rider, outcome in zip(world.riders, results):
         if isinstance(outcome, Exception):
             message = f"work-hours backend failed: {outcome}; keeping yesterday's hours"

@@ -26,7 +26,7 @@ from .diagram import (
     check_positive,
     render_diagram,
 )
-from .embedding import EmbeddingEndpointConfig, HashingEmbedder, RemoteEmbedder
+from .embedding import Endpoint, HashingEmbedder, RemoteEmbedder
 from .errors import TraceOrderError
 from .metrics import csv_text
 from .mining import (
@@ -49,7 +49,7 @@ class AnalysisOptions:
     theta: float = DEFAULT_THETA
     window_ticks: int = DEFAULT_WINDOW_TICKS
     seed: int = 0
-    embed_endpoint: EmbeddingEndpointConfig | None = None  # unset: the hashing embedder
+    embed_endpoint: Endpoint | None = None  # unset: the hashing embedder
     # Optional callable(prompt) -> reply that judges novelty; unset: similarity.
     detector_ask: object = None
     inspector: bool = True
@@ -62,6 +62,12 @@ class AnalysisOptions:
 
     def __post_init__(self) -> None:
         check_positive("window_ticks", self.window_ticks)
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if not 0.0 < self.theta <= 1.0:
+            raise ValueError("theta must be in (0, 1]")
+        if self.memory_capacity < 0:
+            raise ValueError(f"memory capacity must be >= 0, got {self.memory_capacity}")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -484,14 +485,14 @@ UNREACHABLE = "http://127.0.0.1:1/v1"  # never contacted: the flags are refused 
         (["--hours-policy", "imitate_top_ranked", "--fixed-start", "9", "--fixed-end", "17"],
          "--fixed-start, --fixed-end with --hours-policy imitate_top_ranked"),
         (["--imitate-delta", "2"], "--imitate-delta with --hours-policy fixed_hours"),
-        (["--llm-url", UNREACHABLE], "--llm-url with --backend scripted"),
-        (["--backend", "llm", "--llm-url", UNREACHABLE, "--llm-model", "m",
-          "--hours-policy", "imitate_top_ranked"], "--hours-policy with --backend llm"),
-        (["--backend", "llm", "--llm-url", UNREACHABLE, "--llm-model", "m",
+        (["--llm-model", "m"], "--llm-model without --llm-url"),
+        (["--llm-url", UNREACHABLE, "--llm-model", "m",
+          "--hours-policy", "imitate_top_ranked"], "--hours-policy with --llm-url"),
+        (["--llm-url", UNREACHABLE, "--llm-model", "m",
           "--selection-policy", "route_optimizer", "--imitate-delta", "2"],
-         "--selection-policy, --imitate-delta with --backend llm"),
+         "--selection-policy, --imitate-delta with --llm-url"),
     ],
-    ids=["fixed_under_imitate", "delta_under_fixed", "llm_url_scripted", "policy_under_llm",
+    ids=["fixed_under_imitate", "delta_under_fixed", "llm_model_scripted", "policy_under_llm",
          "scripted_flags_under_llm"],
 )
 def test_simulate_refuses_unread_flags(runner, tmp_path, flags, refused):
@@ -508,45 +509,114 @@ def test_simulate_refuses_unread_flags(runner, tmp_path, flags, refused):
     "flags, refused",
     [
         (["--mapping", "map.json"], "--mapping with --trace"),
-        (["--embed-url", UNREACHABLE, "--embed-model", "e"],
-         "--embed-url, --embed-model without --embedder remote"),
+        (["--embed-model", "e"], "--embed-model without --embed-url"),
         (["--llm-url", UNREACHABLE], "--llm-url without --detector llm or --label-llm"),
         (["--llm-model", "m"], "--llm-model without --detector llm or --label-llm"),
+        # Foreign rows fill both thought slots with one text: nothing to drop.
+        (["--external", "log.jsonl", "--mapping", "map.json", "--no-inspector"],
+         "--no-inspector with --external"),
     ],
-    ids=["mapping_with_trace", "embed_without_remote", "llm_url_unused", "llm_model_unused"],
+    ids=["mapping_with_trace", "embed_model_without_url", "llm_url_unused", "llm_model_unused",
+         "no_inspector_external"],
 )
 def test_analyze_refuses_unread_flags(runner, tmp_path, flags, refused):
     cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
     trace = tmp_path / "t.jsonl"
     runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
     out = tmp_path / "an"
-    result = runner.invoke(main, ["analyze", "--trace", str(trace), "--out", str(out)] + flags)
+    source = [] if "--external" in flags else ["--trace", str(trace)]
+    result = runner.invoke(main, ["analyze", *source, "--out", str(out)] + flags)
     assert result.exit_code == 2, result.output
     assert f"nothing reads {refused}" in result.output
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "text, named",
+    "text, named, fmt",
     [
-        (json.dumps({"diagram_schema": 1, "n_windows": 2}), "'window_ticks'"),
+        (json.dumps({"diagram_schema": 1, "n_windows": 2}), "'window_ticks'", "dot"),
         (json.dumps({"diagram_schema": 1, "window_ticks": 40, "n_windows": 2,
-                     "points": [{"cluster": 0, "influenced": 1, "window": 0}]}), "'points'"),
-        (json.dumps([{"diagram_schema": 1}]), "a diagram document is a JSON object"),
+                     "points": [{"cluster": 0, "influenced": 1, "window": 0}]}), "'points'", "dot"),
+        (json.dumps([{"diagram_schema": 1}]), "a diagram document is a JSON object", "dot"),
         (json.dumps({"diagram_schema": 1, "window_ticks": 40, "n_windows": 2,
-                     "origins": {"0": [1, 2]}}), "'origins'"),
-        ("[" * 100_000, "nesting too deep"),
+                     "origins": {"0": [1, 2]}}), "'origins'", "dot"),
+        ("[" * 100_000, "nesting too deep", "dot"),
+        (json.dumps({"diagram_schema": 1, "window_ticks": 10, "n_windows": -3}),
+         "n_windows must be >= 0", "svg"),
+        (json.dumps({"diagram_schema": 1, "window_ticks": 0, "n_windows": 2}),
+         "window_ticks must be > 0, got 0", "dot"),
+        (json.dumps({"diagram_schema": 1, "window_ticks": 10, "n_windows": 2,
+                     "points": [{"cluster": 0, "origin": 1, "influenced": 2, "window": 1}]}),
+         "'points' names an agent with no agent node", "svg"),
     ],
     ids=["no_window_ticks", "point_without_origin", "top_level_list", "origin_as_list",
-         "deep_nesting"],
+         "deep_nesting", "negative_n_windows", "zero_window_ticks", "point_without_agent_node"],
 )
-def test_malformed_diagram_document_exits_4(runner, tmp_path, text, named):
-    # Each of these used to end in a traceback with exit 1.
+def test_malformed_diagram_document_exits_4(runner, tmp_path, text, named, fmt):
+    # Each of these used to end in a traceback with exit 1, or to draw
+    # nothing (a negative count or width) and exit 0.
     source = tmp_path / "d.json"
     source.write_text(text)
-    out = tmp_path / "d.dot"
-    result = runner.invoke(main, ["diagram", "--json", str(source), "--format", "dot", "--out", str(out)])
+    out = tmp_path / f"d.{fmt}"
+    result = runner.invoke(main, ["diagram", "--json", str(source), "--format", fmt, "--out", str(out)])
     assert result.exit_code == 4, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert named in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "riders, flags, named",
+    [
+        (12, ["--no-analyzer", "--k", "0"], "k must be >= 1"),
+        (12, ["--no-analyzer", "--theta", "5"], "theta must be in (0, 1]"),
+        (12, ["--no-analyzer", "--memory-capacity", "-1"], "memory capacity must be >= 0, got -1"),
+        (0, ["--k", "0", "--theta", "7"], "k must be >= 1"),
+    ],
+    ids=["k0_no_analyzer", "theta5_no_analyzer", "capacity_no_analyzer", "k0_no_riders"],
+)
+def test_analysis_option_out_of_range_exits_4(runner, tmp_path, riders, flags, named):
+    # With detection off, or nothing to detect, these used to exit 0.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=360, n_riders=riders)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    out = tmp_path / "an"
+    result = runner.invoke(main, ["analyze", "--trace", str(trace), "--out", str(out)] + flags)
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert named in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("simulate", ["--llm-url", UNREACHABLE]),
+        ("simulate", ["--llm-url", "", "--llm-model", "m"]),
+        ("analyze", ["--embed-url", UNREACHABLE]),
+        ("analyze", ["--detector", "llm", "--llm-model", "m"]),
+    ],
+    ids=["llm_url_alone", "empty_llm_url", "embed_url_alone", "llm_detector_without_url"],
+)
+def test_remote_model_needs_url_and_model(runner, tmp_path, command, flags):
+    # Refused before any input is read, so the trace need not exist.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    out = tmp_path / "out"
+    source = ["--config", str(cfg)] if command == "simulate" else ["--trace", str(tmp_path / "t.jsonl")]
+    result = runner.invoke(main, [command, *source, "--out", str(out)] + flags)
+    assert result.exit_code == 2, result.output
+    assert "require" in result.output
+    assert not out.exists()
+
+
+def test_readme_names_only_real_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])(--[a-z][a-z0-9-]*)", readme))
+    real = {
+        opt
+        for command in main.commands.values()
+        for param in command.params
+        for opt in param.opts + param.secondary_opts
+    }
+    assert "--trace" in named
+    assert named <= real, sorted(named - real)

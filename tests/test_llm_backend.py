@@ -1,20 +1,24 @@
-import dataclasses
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from intentsim.backends.llm import ChatClient, LlmBackend, LlmEndpointConfig
+from intentsim import transport
+from intentsim.backends import llm
+from intentsim.backends.llm import LlmBackend, complete
 from intentsim.backends.types import DecisionContext, OfferedOrder
-from intentsim.embedding import EmbeddingEndpointConfig, RemoteEmbedder
+from intentsim.embedding import RemoteEmbedder
 from intentsim.errors import BackendError, EmbeddingError
+from intentsim.transport import Endpoint
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Chat/embedding stub; replies come from the server's scripted queue.
+    """Chat/embedding stub; replies come from the server's scripted queue,
+    or from the queue for the request's path when ``script`` is a dict.
 
     A ``{"stall": seconds}`` reply sleeps before answering, and a
     ``{"short_body": True}`` reply announces 100 bytes and sends 6.
@@ -25,6 +29,8 @@ class StubHandler(BaseHTTPRequestHandler):
         request = json.loads(self.rfile.read(length))
         self.server.requests.append((self.path, request))
         script = self.server.script
+        if isinstance(script, dict):  # one queue per request path
+            script = script[self.path]
         reply = script.pop(0) if script else {"status": 500, "body": b"exhausted"}
         if reply.get("short_body"):
             self.send_response(200)
@@ -72,15 +78,15 @@ def stub_server():
     assert not thread.is_alive()
 
 
-def endpoint_for(server, retries=1):
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    # Chat retries wait 0.2 s, then 0.4 s; these tests need not.
+    monkeypatch.setattr(llm, "CHAT_BACKOFF_S", 0.0)
+
+
+def endpoint_for(server, path="/v1/chat/completions", model_id="stub-model"):
     host, port = server.server_address
-    return LlmEndpointConfig(
-        base_url=f"http://{host}:{port}/v1/chat/completions",
-        model_id="stub-model",
-        max_retries=retries,
-        retry_backoff_s=0.0,
-        timeout_ms=5000,
-    )
+    return Endpoint(base_url=f"http://{host}:{port}{path}", model_id=model_id)
 
 
 def make_ctx(**overrides):
@@ -145,7 +151,7 @@ def test_malformed_reply_is_reasked_with_error(stub_server):
         {"chat": '{"go_to_work_time":"8:30","get_off_work_time":"17:00"}'},
         {"chat": '{"go_to_work_time":"8:00","get_off_work_time":"17:00"}'},
     ]
-    backend = LlmBackend(endpoint_for(stub_server, retries=2))
+    backend = LlmBackend(endpoint_for(stub_server))
     decision, _ = backend.decide_work_hours(make_ctx())
     assert decision.go_to_work_hour == 8
     retry_request = stub_server.requests[-1][1]
@@ -158,10 +164,12 @@ def test_unparseable_after_retries_raises_backend_error(stub_server):
         {"chat": "bounded side"},
         {"chat": "nope"},
         {"chat": "still nope"},
+        {"chat": "never"},
     ]
-    backend = LlmBackend(endpoint_for(stub_server, retries=1))
-    with pytest.raises(BackendError):
+    backend = LlmBackend(endpoint_for(stub_server))
+    with pytest.raises(BackendError, match="unparseable reply after retries: no JSON object"):
         backend.decide_work_hours(make_ctx())
+    assert len(stub_server.requests) == 1 + llm.ASKS
 
 
 def test_order_selection_round_trip(stub_server):
@@ -181,12 +189,29 @@ def test_order_selection_round_trip(stub_server):
     assert "[28,104]" in prompt
 
 
-def test_transport_failure_retries_then_raises(stub_server):
+def test_transport_failure_retries_then_raises(stub_server, monkeypatch):
+    monkeypatch.setattr(transport, "ATTEMPTS", 2)
     stub_server.script = [{"status": 500, "body": b"boom"}] * 4
-    client = ChatClient(endpoint_for(stub_server, retries=1))
     with pytest.raises(BackendError, match="after retries"):
-        client.complete([{"role": "user", "content": "hi"}])
+        complete(endpoint_for(stub_server), [{"role": "user", "content": "hi"}])
     assert len(stub_server.requests) == 2  # initial + one retry
+
+
+@pytest.mark.parametrize("kind", ["chat", "embedding"])
+def test_backoff_waits_only_between_chat_attempts(stub_server, monkeypatch, kind):
+    monkeypatch.setattr(llm, "CHAT_BACKOFF_S", 0.2)
+    sleeps = []
+    monkeypatch.setattr(transport, "time", SimpleNamespace(sleep=sleeps.append))
+    stub_server.script = [{"status": 500, "body": b"boom"}] * 3
+    if kind == "chat":
+        with pytest.raises(BackendError):
+            complete(endpoint_for(stub_server), [{"role": "user", "content": "hi"}])
+        assert sleeps == [0.2, 0.4]
+    else:
+        with pytest.raises(EmbeddingError):
+            RemoteEmbedder(endpoint_for(stub_server, "/embed", "e")).embed("a")
+        assert sleeps == []
+    assert len(stub_server.requests) == transport.ATTEMPTS == 3
 
 
 TRANSPORT_FAULTS = pytest.mark.parametrize(
@@ -195,22 +220,19 @@ TRANSPORT_FAULTS = pytest.mark.parametrize(
 
 
 @TRANSPORT_FAULTS
-def test_chat_transport_fault_retries_then_raises(stub_server, fault):
+def test_chat_transport_fault_retries_then_raises(stub_server, monkeypatch, fault):
+    monkeypatch.setattr(transport, "TIMEOUT_S", 0.2)
     stub_server.script = [fault] * 3
-    endpoint = dataclasses.replace(endpoint_for(stub_server, retries=2), timeout_ms=200)
     with pytest.raises(BackendError, match="chat endpoint failed after retries"):
-        ChatClient(endpoint).complete([{"role": "user", "content": "hi"}])
+        complete(endpoint_for(stub_server), [{"role": "user", "content": "hi"}])
     assert len(stub_server.requests) == 3
 
 
 @TRANSPORT_FAULTS
-def test_embedding_transport_fault_retries_then_raises(stub_server, fault):
+def test_embedding_transport_fault_retries_then_raises(stub_server, monkeypatch, fault):
+    monkeypatch.setattr(transport, "TIMEOUT_S", 0.2)
     stub_server.script = [fault] * 3
-    host, port = stub_server.server_address
-    embedder = RemoteEmbedder(
-        EmbeddingEndpointConfig(base_url=f"http://{host}:{port}/embed", model_id="e",
-                                max_retries=2, timeout_ms=200)
-    )
+    embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
     with pytest.raises(EmbeddingError, match="embedding endpoint failed after retries"):
         embedder.embed("a")
     assert len(stub_server.requests) == 3
@@ -218,10 +240,7 @@ def test_embedding_transport_fault_retries_then_raises(stub_server, fault):
 
 def test_vector_count_mismatch_is_not_retried(stub_server):
     stub_server.script = [{"embedding": [[1.0, 0.0], [0.0, 1.0]]}] * 3
-    host, port = stub_server.server_address
-    embedder = RemoteEmbedder(
-        EmbeddingEndpointConfig(base_url=f"http://{host}:{port}/embed", model_id="e")
-    )
+    embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
     with pytest.raises(EmbeddingError, match="returned 2 vectors for 1 inputs"):
         embedder.embed("a")
     assert len(stub_server.requests) == 1
@@ -240,7 +259,7 @@ def test_simulate_falls_back_on_truncated_replies(stub_server, tmp_path):
     host, port = stub_server.server_address
     trace = tmp_path / "t.jsonl"
     result = CliRunner().invoke(cli_main, [
-        "simulate", "--config", str(config), "--out", str(trace), "--backend", "llm",
+        "simulate", "--config", str(config), "--out", str(trace),
         "--llm-url", f"http://{host}:{port}/v1/chat/completions", "--llm-model", "stub-model",
     ])
     assert result.exit_code == 0, (result.output, result.exception)
@@ -278,11 +297,8 @@ def test_single_perspective_mode_skips_bounded_call(stub_server):
 
 
 def test_remote_embedder_normalizes(stub_server):
-    host, port = stub_server.server_address
     stub_server.script = [{"embedding": [[3.0, 4.0]]}, {"embedding": [[0.0, 2.0]]}]
-    embedder = RemoteEmbedder(
-        EmbeddingEndpointConfig(base_url=f"http://{host}:{port}/embed", model_id="e")
-    )
+    embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
     assert np.allclose(embedder.embed("a"), [0.6, 0.8])
     assert np.allclose(embedder.embed("b"), [0.0, 1.0])
     assert [request for _, request in stub_server.requests] == [
@@ -293,13 +309,7 @@ def test_remote_embedder_normalizes(stub_server):
 
 def test_remote_embedder_failure_raises(stub_server):
     stub_server.script = [{"status": 500, "body": b"x"}] * 3
-    embedder = RemoteEmbedder(
-        EmbeddingEndpointConfig(
-            base_url=f"http://{stub_server.server_address[0]}:{stub_server.server_address[1]}/embed",
-            model_id="e",
-            max_retries=1,
-        )
-    )
+    embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
     with pytest.raises(EmbeddingError):
         embedder.embed("a")
 
@@ -394,3 +404,95 @@ def test_label_llm_via_cli(stub_server, tmp_path):
     assert result.exit_code == 0, result.output
     doc = _json.loads((tmp_path / "out" / "diagram.json").read_text())
     assert doc["cluster_labels"] == {"0": "market rush"}
+
+
+BOOM = {"status": 500, "body": b"boom"}
+
+
+def test_llm_trace_bytes_pinned(stub_server, tmp_path):
+    # Three riders over two days, no orders. Day 1: rider 0 needs a re-ask
+    # (minutes not 00), rider 1's first request fails in transport on every
+    # attempt, rider 2 never parses. Day 2 parses at once, memory in the prompt.
+    import hashlib
+
+    from click.testing import CliRunner
+
+    from intentsim.cli import main as cli_main
+
+    config = tmp_path / "sim.cfg"
+    config.write_text("grid_size = 20\ntotal_steps = 20\nsteps_per_day = 10\nn_riders = 3\n"
+                      "base_order_rate = 0.0\npeak_ticks_per_day = 5\nseed = 1\n")
+    hours = '{"go_to_work_time":"%s","get_off_work_time":"17:00"}'
+    stub_server.script = [
+        {"chat": "<think>rider 0 gut</think>"},
+        {"chat": "<think>rider 0 math</think>" + hours % "9:30"},
+        {"chat": "Fixed it. " + hours % "9:00"},
+        BOOM, BOOM, BOOM,
+        {"chat": "rider 2 gut"},
+        {"chat": "no json"}, {"chat": "[1, 2]"}, {"chat": '{"go_to_work_time": 9}'},
+    ] + [
+        {"chat": f"<think>day 2 rider {rider} {side}</think>" + hours % "8:00"}
+        for rider in range(3) for side in ("gut", "math")
+    ]
+    host, port = stub_server.server_address
+    trace = tmp_path / "t.jsonl"
+    result = CliRunner().invoke(cli_main, [
+        "simulate", "--config", str(config), "--out", str(trace),
+        "--llm-url", f"http://{host}:{port}/v1/chat/completions", "--llm-model", "stub-model",
+    ])
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert not stub_server.script and len(stub_server.requests) == 16
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+        "2f7550345a0162811a99d6628565ee8f0af22301ad63607abc5c742cb9c0cf31"
+    )
+
+
+def test_llm_analysis_bundle_bytes_pinned(stub_server, tmp_path):
+    # Six thoughts by two agents: a remote embedding per thought (the third
+    # after one failed attempt), an LLM novelty verdict per thought (yes, no,
+    # neither, a transport failure), and an LLM label per cluster (one fails).
+    import hashlib
+
+    from click.testing import CliRunner
+
+    from intentsim.cli import main as cli_main
+
+    texts = ["ride to the market", "ride to the market now", "wait at the station",
+             "copy the top earner", "wait near the station", "start before dawn"]
+    rows = [{"speaker": i % 2, "step": 10 * i, "utterance": t} for i, t in enumerate(texts)]
+    log = tmp_path / "foreign.jsonl"
+    log.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps({"agent": "speaker", "tick": "step", "text": "utterance"}))
+    vectors = [[3.0, 4.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0],
+               [0.0, 0.0, 2.0], [1.0, 0.1, 0.0], [0.5, 0.5, 0.5]]
+    stub_server.script = {
+        "/embed": [{"embedding": [v]} for v in vectors[:2]] + [BOOM]
+        + [{"embedding": [v]} for v in vectors[2:]],
+        "/v1/chat/completions": [
+            {"chat": "yes"}, {"chat": "Yes, new."}, {"chat": "no"}, {"chat": "unsure"},
+            BOOM, BOOM, BOOM, {"chat": "yes"},
+            {"chat": "market rush"}, BOOM, BOOM, BOOM,
+        ],
+    }
+    host, port = stub_server.server_address
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, [
+        "analyze", "--external", str(log), "--mapping", str(mapping), "--out", str(out),
+        "--k", "2", "--window-ticks", "20",
+        "--embed-url", f"http://{host}:{port}/embed", "--embed-model", "stub-embed",
+        "--detector", "llm", "--label-llm",
+        "--llm-url", f"http://{host}:{port}/v1/chat/completions", "--llm-model", "stub-model",
+    ])
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert not any(stub_server.script.values())
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())
+    }
+    assert digests == {
+        "analysis_events.jsonl": "09aca291ffe3742b807d29b8999d4312968809433e4ddc4280b797fd7378ccb7",
+        "clusters.csv": "a7d28dbc40aec0fc890f1e7d230f92b93e42d994afd5f864c2fb998b8ddb0da4",
+        "diagram.dot": "e60648e2e70cb27cdb6c1f14776c1fcd8f573aa058d1b66650efd330c0716aa6",
+        "diagram.json": "fe47ade93f74839acd3c4916499c338d9353344935e1f0972aa856978b305257",
+        "repository.jsonl": "725b3e895d51ceaf69d8794e02cd5231957cd69a6c60ef8444b698dd08eb1c1f",
+    }
