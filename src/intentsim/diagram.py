@@ -136,6 +136,18 @@ class EmergenceDiagram:
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"diagram field {name!r} is missing or malformed: {exc!r}") from None
         WindowSpec(fields["window_ticks"], fields["n_windows"])  # refuses a width < 1, a count < 0
+        n_windows = fields["n_windows"]
+        for name, windows in (
+            ("cluster_nodes", [w for w, _ in fields["cluster_nodes"]]),
+            ("agent_nodes", [w for w, _ in fields["agent_nodes"]]),
+            ("emergence_windows", fields["emergence_windows"].values()),
+            ("points", [p.window for p in fields["points"]]),
+        ):
+            outside = [w for w in windows if not 0 <= w < n_windows]
+            if outside:
+                raise ValueError(
+                    f"diagram field {name!r} names window {outside[0]}, but n_windows is {n_windows}"
+                )
         agents = {agent for _, agent in fields["agent_nodes"]}
         for p in fields["points"]:
             if not {p.origin_agent, p.influenced_agent} <= agents:

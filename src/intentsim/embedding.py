@@ -86,10 +86,22 @@ class HashingEmbedder:
 
 
 def _unit_vector(payload) -> np.ndarray:
+    """The one embedding of a reply, normalized. A ValueError, which the
+    transport retries, marks one that is not a non-empty flat list of finite
+    numbers (a bool is not a number here)."""
     rows = [entry["embedding"] for entry in payload["data"]]
     if len(rows) != 1:
         raise EmbeddingError(f"embedding service returned {len(rows)} vectors for 1 inputs")
-    return l2_normalize(np.asarray(rows[0], dtype=float))
+    row = rows[0]
+    if type(row) is not list or not row or any(type(value) not in (int, float) for value in row):
+        raise ValueError("embedding is not a non-empty list of numbers")
+    try:
+        vec = np.array(row, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("embedding holds a number beyond the float range") from None
+    if not np.isfinite(vec).all():  # json.loads reads NaN, Infinity and 1e400
+        raise ValueError("embedding holds a number that is not finite")
+    return l2_normalize(vec)
 
 
 @dataclass
@@ -97,11 +109,21 @@ class RemoteEmbedder:
     """Client for an HTTP embedding service.
 
     Wire format: POST {"model": ..., "input": [text]} and read
-    {"data": [{"embedding": [...]}]} back, exactly one entry.
+    {"data": [{"embedding": [...]}]} back, exactly one entry. Every vector
+    must have the length of the first.
     """
 
     endpoint: Endpoint
+    _dim: int | None = field(default=None, init=False, repr=False)
 
     def embed(self, text: str) -> np.ndarray:
         body = {"model": self.endpoint.model_id, "input": [text]}
-        return post_json(self.endpoint, body, _unit_vector, EmbeddingError, "embedding")
+        vec = post_json(self.endpoint, body, _unit_vector, EmbeddingError, "embedding")
+        if self._dim is None:
+            self._dim = len(vec)
+        elif len(vec) != self._dim:
+            raise EmbeddingError(
+                f"embedding service returned a vector of length {len(vec)}, "
+                f"but its first had length {self._dim}"
+            )
+        return vec

@@ -11,6 +11,10 @@ silently.
 
 All lines are canonical JSON (sorted keys, no spaces), which makes a run's
 trace byte-reproducible and lets tests compare whole files.
+
+A reader shares one payload dict between a rider's identical fixed-shape
+lines (:data:`SHAPES`) and one int between the events of a tick, so the
+payloads of read events must not be mutated.
 """
 
 from __future__ import annotations
@@ -153,6 +157,12 @@ def _compile_shape(kind: str, fields: dict):
     that makes the event from the groups, and a writer that gives the line
     of a payload, or None when the payload does not fit the entry exactly.
 
+    The reader shares values as :func:`iter_trace` asks. It takes a dict
+    local to the stream, from the first group's text to the last payload
+    read with that text and the text of its other groups, and reuses that
+    payload when the other groups are equal; and it reuses the int of the
+    last event's tick when the tick is equal.
+
     The reader and writer are built as Python source, as ``namedtuple``
     builds its methods: a loop over the slots on every line would cost about
     what skipping ``json`` saves.
@@ -178,12 +188,17 @@ def _compile_shape(kind: str, fields: dict):
     tail = '},"seq":%d,"tick":%d}'
     template.append(tail + "\n")
     pattern.append(re.escape(tail).replace("%d", _INT_RE))
+    rest = f"({', '.join(params[1:])},)"
     source = (
-        f"def read({', '.join(params)}, seq, tick):\n"
+        f"def read(shared, last_tick, {', '.join(params)}, seq, tick):\n"
+        f"    last = shared.get({params[0]})\n"
+        f"    if last is None or last[0] != {rest}:\n"
         # The payload first, so values are read in line order and the first
         # over-long integer fails as it does in json.loads.
-        f"    payload = {{{', '.join(values)}}}\n"
-        f"    return new(TraceEvent, (int(seq), int(tick), {kind!r}, payload))\n"
+        f"        last = shared[{params[0]}] = {rest}, {{{', '.join(values)}}}\n"
+        f"    seq = int(seq)\n"
+        f"    tick = int(tick)\n"
+        f"    return new(TraceEvent, (seq, last_tick if tick == last_tick else tick, {kind!r}, last[1]))\n"
         f"def write(payload, seq, tick):\n"
         f"    {', '.join(f'v{i}' for i in range(len(fields)))}, = "
         f"{', '.join(f'payload.get({key!r})' for key in fields)},\n"
@@ -379,14 +394,19 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
         header = _parse_header(_decode(first, 1))
         yield header
         guard = OrderGuard()
+        # Per SHAPES entry, the payloads the entry's reader shares; and the
+        # int of the last tick, which every event of that tick shares.
+        shared = {entry: {} for entry in _READERS}
+        last_tick = None
         for line_no, raw in enumerate(fh, start=2):
             # A line in the form of a SHAPES entry is read without json.loads
             # (and is ASCII); it holds the types FIELD_TYPES asks by construction.
             match = _SHAPE_RE.fullmatch(raw)
             if match:
-                read, groups = _READERS[match.lastindex]
+                entry = match.lastindex
+                read, groups = _READERS[entry]
                 try:
-                    event = read(*match.group(*groups))
+                    event = read(shared[entry], last_tick, *match.group(*groups))
                 except ValueError as exc:  # an over-long int
                     raise TraceFormatError(line_no, f"malformed event: {exc}") from exc
             else:
@@ -402,13 +422,16 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
                 problem = field_error(FIELD_TYPES["event"], data)
                 if problem is not None:
                     raise TraceFormatError(line_no, f"event {problem}")
-                event = TraceEvent(data["seq"], data["tick"], data["kind"], data["payload"])
+                tick = data["tick"]
+                event = TraceEvent(data["seq"], last_tick if tick == last_tick else tick,
+                                   data["kind"], data["payload"])
             try:
                 guard.check(event.seq, event.tick, event.kind)
             except TraceOrderError as exc:
                 raise TraceOrderError(f"line {line_no}: {exc}") from None
             if not match:
                 _check_payload(event, line_no, header.config_digest)
+            last_tick = event.tick
             yield event
         if not guard.started:
             raise TraceOrderError("trace contains no events")

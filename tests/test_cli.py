@@ -548,9 +548,24 @@ def test_analyze_refuses_unread_flags(runner, tmp_path, flags, refused):
         (json.dumps({"diagram_schema": 1, "window_ticks": 10, "n_windows": 2,
                      "points": [{"cluster": 0, "origin": 1, "influenced": 2, "window": 1}]}),
          "'points' names an agent with no agent node", "svg"),
+        # A window outside 0..n_windows - 1 used to be drawn off the canvas.
+        (json.dumps({"diagram_schema": 1, "window_ticks": 10, "n_windows": 1,
+                     "cluster_nodes": [[7, 0]]}),
+         "'cluster_nodes' names window 7, but n_windows is 1", "svg"),
+        (json.dumps({"diagram_schema": 1, "window_ticks": 10, "n_windows": 2,
+                     "agent_nodes": [[0, 1], [-1, 1]]}),
+         "'agent_nodes' names window -1, but n_windows is 2", "dot"),
+        (json.dumps({"diagram_schema": 1, "window_ticks": 10, "n_windows": 2,
+                     "emergence_windows": {"0": 2}}),
+         "'emergence_windows' names window 2, but n_windows is 2", "svg"),
+        (json.dumps({"diagram_schema": 1, "window_ticks": 10, "n_windows": 2,
+                     "agent_nodes": [[0, 1], [1, 2]],
+                     "points": [{"cluster": 0, "origin": 1, "influenced": 2, "window": 5}]}),
+         "'points' names window 5, but n_windows is 2", "svg"),
     ],
     ids=["no_window_ticks", "point_without_origin", "top_level_list", "origin_as_list",
-         "deep_nesting", "negative_n_windows", "zero_window_ticks", "point_without_agent_node"],
+         "deep_nesting", "negative_n_windows", "zero_window_ticks", "point_without_agent_node",
+         "cluster_node_window", "agent_node_window", "emergence_window", "point_window"],
 )
 def test_malformed_diagram_document_exits_4(runner, tmp_path, text, named, fmt):
     # Each of these used to end in a traceback with exit 1, or to draw

@@ -30,6 +30,7 @@ from intentsim.trace import (
     TraceWriter,
     field_error,
     iter_trace,
+    load_trace,
 )
 
 
@@ -274,3 +275,67 @@ def test_reader_fast_path_matches_json(line):
 
         got = outcome(lambda: list(itertools.islice(iter_trace(path), 3))[2])
     assert got == outcome(lambda: oracle(line))
+
+
+# --- shared payloads and ticks ------------------------------------------------
+
+# Payloads that riders repeat while idle, a few values each so that runs,
+# changes and returns are common; a position with an extra key and a thought
+# take the json.loads path between them.
+IDLE_PAYLOADS = {
+    "position": lambda agent, v: {"agent": agent, "held": v % 2, "x": v, "y": 3},
+    "cost_accrual": lambda agent, v: {"agent": agent, "amount": v / 4 + 0.5, "ticks": 1},
+    "decision": lambda agent, v: {"agent": agent, "decision": "work_hours", "end": 20 + v,
+                                  "start": 8},
+    "thought": lambda agent, v: {"agent": agent, "text": f"idle {v}"},
+    "position+": lambda agent, v: {"agent": agent, "held": 0, "x": v, "y": 3, "z": 1},
+}
+idle_steps = st.lists(
+    st.tuples(st.sampled_from(sorted(IDLE_PAYLOADS)), st.integers(0, 2), st.integers(0, 2),
+              st.integers(1, 20), st.integers(0, 1)),
+    max_size=40,
+)
+
+
+def write_idle_trace(path, steps):
+    """The trace of ``steps``: each (kind, rider, value, run, advance) writes
+    its payload ``run`` times, one tick apart when ``advance`` is 1."""
+    tick = 1000  # above the ints CPython caches, so sharing shows in ``is``
+    with TraceWriter(path, "", 7) as writer:
+        writer.emit("sim_start", tick, {})
+        for kind, agent, value, run, advance in steps:
+            for _ in range(run):
+                tick += advance
+                writer.emit(kind.rstrip("+"), tick, IDLE_PAYLOADS[kind](agent, value))
+        writer.emit("sim_end", tick, {})
+
+
+def oracle_event(line):
+    data = json.loads(line)
+    return TraceEvent(data["seq"], data["tick"], data["kind"], data["payload"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=idle_steps)
+@example(steps=[("position", 0, 1, 20, 1), ("position", 1, 1, 5, 0), ("position", 0, 1, 20, 1)])
+@example(steps=[("position", 0, 1, 3, 1), ("position", 0, 2, 1, 1), ("position", 0, 1, 3, 1),
+                ("thought", 0, 1, 2, 0), ("position+", 0, 1, 1, 0), ("position", 0, 1, 2, 0)])
+@example(steps=[("cost_accrual", 2, 0, 4, 1), ("decision", 2, 0, 2, 0), ("cost_accrual", 2, 0, 4, 1)])
+def test_reader_shares_repeated_payloads_and_ticks(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        write_idle_trace(path, steps)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        expected = [typed(list(oracle_event(line))) for line in lines]
+        loaded = load_trace(path).events
+        streamed = list(iter_trace(path))[1:]
+    for events in (loaded, streamed):
+        assert [typed(list(event)) for event in events] == expected
+        last = {}  # per (kind, rider), the payload of the rider's last fixed-shape line
+        for before, event in zip(events, events[1:]):
+            assert (event.tick is before.tick) == (event.tick == before.tick)
+            if event.kind in ("position", "cost_accrual", "decision") and "z" not in event.payload:
+                key = (event.kind, event.payload["agent"])
+                if key in last:
+                    assert (event.payload is last[key]) == (event.payload == last[key])
+                last[key] = event.payload

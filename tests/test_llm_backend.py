@@ -314,6 +314,77 @@ def test_remote_embedder_failure_raises(stub_server):
         embedder.embed("a")
 
 
+# Embeddings that are not a non-empty flat list of finite JSON numbers; the
+# scalar used to end in an AttributeError traceback, the others were taken.
+MALFORMED_EMBEDDINGS = pytest.mark.parametrize(
+    "vector",
+    [5, [True, False], [], [[1.0, 2.0]], "1,2", [1.0, None], [float("nan")], [10**400]],
+    ids=["scalar", "bools", "empty", "nested", "text", "null_entry", "nan", "beyond_float"],
+)
+
+
+@MALFORMED_EMBEDDINGS
+def test_malformed_embedding_is_retried_then_refused(stub_server, vector):
+    stub_server.script = [{"embedding": [vector]}] * 3
+    embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
+    with pytest.raises(EmbeddingError, match="failed after retries: embedding (is not|holds)"):
+        embedder.embed("a")
+    assert len(stub_server.requests) == transport.ATTEMPTS
+
+
+def test_malformed_embedding_then_good_reply_is_used(stub_server):
+    stub_server.script = [{"embedding": [5]}, {"embedding": [[3.0, 4.0]]}]
+    embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
+    assert np.allclose(embedder.embed("a"), [0.6, 0.8])
+    assert len(stub_server.requests) == 2
+
+
+def test_embedding_length_change_is_refused(stub_server):
+    # It used to fail later, in the detector's matmul, with exit 4.
+    stub_server.script = [{"embedding": [[1.0, 0.0]]}, {"embedding": [[1.0, 0.0, 0.0]]}]
+    embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
+    embedder.embed("a")
+    with pytest.raises(EmbeddingError, match="length 3, but its first had length 2"):
+        embedder.embed("b")
+    assert len(stub_server.requests) == 2  # not retried
+
+
+def analyze_external_with_embedder(server, tmp_path):
+    """``analyze`` of a two-line foreign log through the stub's /embed."""
+    from click.testing import CliRunner
+
+    from intentsim.cli import main as cli_main
+
+    log = tmp_path / "foreign.jsonl"
+    log.write_text('{"a": 0, "t": 1, "x": "ride to the market"}\n'
+                   '{"a": 1, "t": 2, "x": "wait at the station"}\n')
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps({"agent": "a", "tick": "t", "text": "x"}))
+    host, port = server.server_address
+    return CliRunner().invoke(cli_main, [
+        "analyze", "--external", str(log), "--mapping", str(mapping),
+        "--out", str(tmp_path / "out"), "--k", "1",
+        "--embed-url", f"http://{host}:{port}/embed", "--embed-model", "stub-embed",
+    ])
+
+
+@MALFORMED_EMBEDDINGS
+def test_analyze_exits_1_on_malformed_embedding(stub_server, tmp_path, vector):
+    stub_server.script = [{"embedding": [vector]}] * 3
+    result = analyze_external_with_embedder(stub_server, tmp_path)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "embedding endpoint failed after retries: embedding" in result.output
+
+
+def test_analyze_exits_1_on_embedding_length_change(stub_server, tmp_path):
+    stub_server.script = [{"embedding": [[1.0, 0.0]]}, {"embedding": [[1.0, 0.0, 0.0]]}]
+    result = analyze_external_with_embedder(stub_server, tmp_path)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "length 3, but its first had length 2" in result.output
+
+
 def test_simulation_with_llm_backend_logs_exchanges(stub_server, tmp_path):
     from intentsim.config import SimConfig
     from intentsim.engine import run_simulation

@@ -1,13 +1,20 @@
+import copy
 import json
 
 import pytest
 
+from intentsim.audit import audit_trace
+from intentsim.backends.scripted import ScriptedBackend, ScriptedPolicy
+from intentsim.config import SimConfig
+from intentsim.engine import run_simulation
 from intentsim.errors import (
     TraceFormatError,
     TraceHeaderError,
     TraceOrderError,
     TraceVersionError,
 )
+from intentsim.metrics import write_metrics_reports
+from intentsim.pipeline import AnalysisOptions, analyze_trace_events, write_analysis_outputs
 from intentsim.trace import (
     IngestMapping,
     TraceEvent,
@@ -52,6 +59,83 @@ def test_write_read_write_byte_identity(tmp_path):
     log = load_trace(first)
     write_trace(second, log.header, log.events)
     assert first.read_bytes() == second.read_bytes()
+
+
+def position(seq, tick, agent, x, held=0):
+    return TraceEvent(seq, tick, "position", {"agent": agent, "held": held, "x": x, "y": 5})
+
+
+def test_reader_shares_a_riders_repeated_payload_and_each_tick(tmp_path):
+    # Ticks above 256, which CPython does not cache, so sharing shows in `is`.
+    path = tmp_path / "t.jsonl"
+    events = [TraceEvent(0, 1000, "sim_start", {}),
+              position(1, 1000, 0, 7), position(2, 1000, 1, 7),
+              position(3, 1001, 0, 7), position(4, 1001, 1, 8),
+              position(5, 1002, 0, 7, held=1), TraceEvent(6, 1002, "sim_end", {})]
+    write_trace(path, header(), events)
+    read = load_trace(path).events
+    assert read == events
+    assert read[3].payload is read[1].payload  # rider 0 idle: one dict
+    assert read[2].payload is not read[1].payload  # another rider
+    assert read[4].payload is not read[2].payload  # rider 1 moved
+    assert read[5].payload is not read[3].payload  # rider 0 picked an order up
+    assert read[0].tick is read[1].tick is read[2].tick
+    assert read[3].tick is read[4].tick
+    assert read[5].tick is read[6].tick
+    assert read[2].tick is not read[3].tick
+
+
+def test_two_loads_share_no_payload(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_trace(path, header(), make_events(200))
+    first, second = load_trace(path).events, load_trace(path).events
+    assert first == second
+    assert not {id(e.payload) for e in first} & {id(e.payload) for e in second}
+
+
+def imitate_trace(directory, n_riders, base_order_rate):
+    """A 360-tick trace of riders of the imitate_top_ranked policy on a 20 grid."""
+    config = SimConfig(grid_size=20, total_steps=360, steps_per_day=120, n_riders=n_riders,
+                       base_order_rate=base_order_rate, seed=42)
+    backend = ScriptedBackend(
+        hours_policy=ScriptedPolicy("imitate_top_ranked", {"delta": 1, "day0": (10, 13)}),
+        selection_policy=ScriptedPolicy("greedy_nearest"),
+    )
+    path = directory / "run.trace.jsonl"
+    run_simulation(config, backend, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def traces(tmp_path_factory):
+    """The golden trace of tests/test_golden.py, whose riders are busy, and
+    an over-supplied fleet, whose riders stand idle on shift."""
+    return {
+        "golden": imitate_trace(tmp_path_factory.mktemp("golden"), 8, 1.5),
+        "idle": imitate_trace(tmp_path_factory.mktemp("idle"), 8, 0.3),
+    }
+
+
+def test_idle_trace_payload_objects_pinned(traces):
+    # An idle rider's position lines repeat, and each run of them reads into one dict.
+    events = load_trace(traces["idle"]).events
+    positions = [e.payload for e in events if e.kind == "position"]
+    assert (len(events), len({id(e.payload) for e in events})) == (1478, 1175)
+    assert (len(positions), len({id(p) for p in positions})) == (600, 297)
+
+
+@pytest.mark.parametrize("name", ["golden", "idle"])
+def test_readers_leave_loaded_payloads_unchanged(traces, tmp_path, name):
+    # Shared payloads are safe only while no reader of loaded events writes to one.
+    log = load_trace(traces[name])
+    before = copy.deepcopy(log.events)
+    audit_trace(log.events)
+    write_metrics_reports(log.events, tmp_path / "metrics", window_ticks=120)
+    result = analyze_trace_events(log.events, AnalysisOptions(k=3, theta=0.8, window_ticks=120))
+    write_analysis_outputs(result, tmp_path / "analysis", source_digest=log.header.config_digest)
+    write_trace(tmp_path / "copy.jsonl", log.header, log.events)
+    assert log.events == before
+    assert (tmp_path / "copy.jsonl").read_bytes() == traces[name].read_bytes()
 
 
 def test_first_event_must_be_sim_start(tmp_path):
