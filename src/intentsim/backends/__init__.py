@@ -1,20 +1,1 @@
 """Decision backends: deterministic scripted policies and a chat-model client."""
-
-from .scripted import ScriptedBackend, ScriptedPolicy
-from .types import (
-    DecisionContext,
-    OfferedOrder,
-    OrderSelection,
-    ThoughtPair,
-    WorkHoursDecision,
-)
-
-__all__ = [
-    "DecisionContext",
-    "OfferedOrder",
-    "OrderSelection",
-    "ScriptedBackend",
-    "ScriptedPolicy",
-    "ThoughtPair",
-    "WorkHoursDecision",
-]

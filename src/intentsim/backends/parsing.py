@@ -8,10 +8,10 @@ JSON object, and validates the schema-specific fields. Every failure is a
 
 from __future__ import annotations
 
-import json
 import re
 
 from ..errors import DecisionParseError
+from ..trace import decode_json
 from .types import OrderSelection, WorkHoursDecision
 
 THINK_OPEN = "<think>"
@@ -50,7 +50,6 @@ def extract_think_block(text: str) -> str | None:
 
 def last_json_object(text: str) -> tuple[int, dict] | None:
     """Start and value of the last parseable top-level JSON object, if any."""
-    decoder = json.JSONDecoder()
     last = None
     pos = 0
     while True:
@@ -58,13 +57,14 @@ def last_json_object(text: str) -> tuple[int, dict] | None:
         if start < 0:
             return last
         try:
-            value, consumed = decoder.raw_decode(text[start:])
-        except json.JSONDecodeError:
+            # A slice: json's error at an index into text counts every line before it.
+            value, length = decode_json(text[start:], prefix=True)
+        except ValueError:
             pos = start + 1
             continue
         if isinstance(value, dict):
             last = (start, value)
-            pos = start + consumed
+            pos = start + length
         else:
             pos = start + 1
 

@@ -35,9 +35,8 @@ from .pipeline import (
     analyze_external,
     analyze_trace_events,
     write_analysis_outputs,
-    write_similarity_csv,
 )
-from .trace import IngestMapping, iter_trace
+from .trace import IngestMapping, decode_json, iter_trace, open_output
 from .transport import Endpoint
 
 EXIT_OK = 0
@@ -251,12 +250,10 @@ def analyze(
         digest = ""
         if ingest.skipped:
             click.echo(f"ingest skipped {ingest.skipped} record(s)", err=True)
-    paths = write_analysis_outputs(result, out_dir, source_digest=digest, seed=seed)
-    if similarity_csv:
-        write_similarity_csv(result.repository, Path(out_dir) / "similarity.csv")
+    write_analysis_outputs(result, out_dir, source_digest=digest, seed=seed, similarity=similarity_csv)
     click.echo(
         f"{len(result.repository)} intentions, k={result.chosen_k}, "
-        f"{len(result.diagram.points)} emergence points -> {paths['diagram_json'].parent}"
+        f"{len(result.diagram.points)} emergence points -> {Path(out_dir)}"
     )
 
 
@@ -284,19 +281,12 @@ def metrics(trace_path, out_dir, window_ticks, downsample):
 @_guarded
 def diagram(analysis_dir, json_path, fmt, out_path):
     """Re-render an existing analysis diagram in another format."""
-    import json as _json
-
     if (analysis_dir is None) == (json_path is None):
         raise click.UsageError("provide exactly one of --analysis or --json")
     source = Path(json_path) if json_path else Path(analysis_dir) / "diagram.json"
-    if not source.exists():
-        raise FileNotFoundError(str(source))
-    try:
-        data = _json.loads(source.read_text(encoding="utf-8"))
-    except RecursionError:  # as in iter_trace: nesting too deep for the decoder
-        raise ValueError(f"{source}: nesting too deep") from None
-    doc = EmergenceDiagram.from_json_dict(data)
-    Path(out_path).write_text(render_diagram(doc, fmt), encoding="utf-8")
+    doc = EmergenceDiagram.from_json_dict(decode_json(source.read_text(encoding="utf-8")))
+    with open_output(out_path) as fh:
+        fh.write(render_diagram(doc, fmt))
     click.echo(f"rendered {fmt} diagram -> {out_path}")
 
 

@@ -283,7 +283,8 @@ def render_svg(diagram: EmergenceDiagram) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         '  <style>text { font-family: sans-serif; font-size: 12px; }</style>',
     ]
-    for w in range(diagram.n_windows):
+    # Label only the windows that hold a node: n_windows alone may be huge.
+    for w in sorted({w for w, _ in diagram.cluster_nodes} | {w for w, _ in diagram.agent_nodes}):
         parts.append(f'  <text x="{x_of(w) - 30}" y="{margin - 20}">window {w}</text>')
     for agent in agents:
         parts.append(f'  <text x="10" y="{y_of(agent) + 4}">agent {agent}</text>')

@@ -99,7 +99,7 @@ def _unit_vector(payload) -> np.ndarray:
         vec = np.array(row, dtype=float)
     except OverflowError:  # an integer beyond the float range
         raise ValueError("embedding holds a number beyond the float range") from None
-    if not np.isfinite(vec).all():  # json.loads reads NaN, Infinity and 1e400
+    if not np.isfinite(vec).all():  # decode_json reads NaN, Infinity and 1e400
         raise ValueError("embedding holds a number that is not finite")
     return l2_normalize(vec)
 

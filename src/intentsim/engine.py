@@ -18,7 +18,7 @@ from .backends.types import DecisionContext, OfferedOrder, ThoughtPair
 from .config import SimConfig, config_digest
 from .errors import BackendError, DecisionParseError
 from .mining import combine_pair
-from .trace import TraceWriter
+from .trace import TraceWriter, open_output
 from .world import (
     ASSIGNED,
     DELIVERED,
@@ -367,7 +367,8 @@ def run_simulation(
     """Run the full configured horizon, writing the event trace."""
     world = init_world(config)
     digest = config_digest(config)
-    with TraceWriter(trace_path, digest, config.seed, created) as writer:
+    with open_output(trace_path) as fh:
+        writer = TraceWriter(fh, digest, config.seed, created)
         writer.emit(
             "sim_start",
             0,

@@ -21,7 +21,10 @@ from pathlib import Path
 
 from .diagram import DEFAULT_WINDOW_TICKS, check_positive
 from .errors import TraceFormatError
-from .trace import event_line, start_config
+from .trace import event_line, start_config, write_files
+
+# The names of every file write_metrics_reports may write.
+METRICS_FILES = r"(involution|hours_vs_orders|effective_hours|heatmap_window(0|[1-9][0-9]*))\.csv"
 
 
 class TraceTotals:
@@ -195,9 +198,10 @@ def effective_hours_csv(rows_by_day: dict[int, list[HoursRow]]) -> str:
 
 def write_metrics_reports(
     events, out_dir: str | Path, window_ticks: int = DEFAULT_WINDOW_TICKS, downsample: int = 4
-) -> list[Path]:
-    """Emit the standard CSV bundle for one trace from a single pass over
-    its events (any iterable, such as a stream); returns written paths."""
+) -> dict[str, Path]:
+    """Emit the standard CSV bundle for one trace from a single pass over its
+    events (any iterable, such as a stream) through :func:`write_files`,
+    which deletes a previous run's extra heat maps; returns paths by name."""
     check_positive("downsample", downsample)  # refused before any event is read
     totals = fold_events(events, window_ticks)
     reports = {
@@ -211,11 +215,4 @@ def write_metrics_reports(
     for window in range(n_windows):
         grid = position_heatmap(totals, window, downsample=downsample)
         reports[f"heatmap_window{window}.csv"] = grid.to_csv()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for name, text in reports.items():
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-    return written
+    return write_files(out_dir, reports, METRICS_FILES)

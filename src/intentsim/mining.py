@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
@@ -164,10 +163,12 @@ class IntentionRepository:
             return np.zeros((0, 0), dtype=float)
         return np.vstack([e.embedding for e in self.entries])
 
-    def save_jsonl(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-            for entry in self.entries:
-                fh.write(json.dumps(entry.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+    def to_jsonl(self) -> str:
+        """One line per entry, in the repository's order."""
+        return "".join(
+            json.dumps(entry.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+            for entry in self.entries
+        )
 
 
 @dataclass

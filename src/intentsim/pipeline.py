@@ -8,10 +8,12 @@ Outputs written under the chosen directory:
 * ``diagram.json``       versioned diagram document (schema 1)
 * ``diagram.dot``        the same diagram as graph-description text
 * ``analysis_events.jsonl``  intention/warning events in trace format
+* ``similarity.csv``     pairwise cosine matrix (only when asked for)
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +42,10 @@ from .mining import (
     records_from_rows,
     records_from_trace,
 )
-from .trace import TraceWriter, ingest_external, start_config
+from .trace import TraceWriter, ingest_external, start_config, write_files
+
+# The names of every file write_analysis_outputs may write.
+ANALYSIS_FILES = r"(repository|analysis_events)\.jsonl|(clusters|similarity)\.csv|diagram\.(json|dot)"
 
 
 @dataclass
@@ -195,53 +200,50 @@ def write_analysis_outputs(
     out_dir: str | Path,
     source_digest: str = "",
     seed: int = 0,
+    similarity: bool = False,
 ) -> dict[str, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "repository": out / "repository.jsonl",
-        "clusters": out / "clusters.csv",
-        "diagram_json": out / "diagram.json",
-        "diagram_dot": out / "diagram.dot",
-        "analysis_events": out / "analysis_events.jsonl",
+    """Build every bundle file, ``similarity.csv`` too when ``similarity``
+    is set, and only then write them; returns the paths by file name."""
+    log = io.StringIO()
+    writer = TraceWriter(log, source_digest, seed)
+    writer.emit("sim_start", 0, {"stage": "analysis"})
+    last_tick = 0
+    for entry in result.repository.entries:
+        last_tick = max(last_tick, entry.tick)
+        writer.emit(
+            "intention",
+            entry.tick,
+            {
+                "agent": entry.agent_id,
+                "record_id": entry.record_id,
+                "text": entry.combined_text,
+            },
+        )
+    for message in result.warnings:
+        writer.emit("warning", last_tick, {"message": message})
+    writer.emit("sim_end", last_tick, {"intentions": len(result.repository)})
+    texts = {
+        "repository.jsonl": result.repository.to_jsonl(),
+        "clusters.csv": clusters_csv(result),
+        "diagram.json": render_diagram(result.diagram, "json"),
+        "diagram.dot": render_diagram(result.diagram, "dot"),
+        "analysis_events.jsonl": log.getvalue(),
     }
-    result.repository.save_jsonl(paths["repository"])
-    paths["clusters"].write_text(clusters_csv(result), encoding="utf-8")
-    for fmt in ("json", "dot"):
-        paths[f"diagram_{fmt}"].write_text(render_diagram(result.diagram, fmt), encoding="utf-8")
-    events_path = paths["analysis_events"]
-    with TraceWriter(events_path, source_digest, seed) as writer:
-        writer.emit("sim_start", 0, {"stage": "analysis"})
-        last_tick = 0
-        for entry in result.repository.entries:
-            last_tick = max(last_tick, entry.tick)
-            writer.emit(
-                "intention",
-                entry.tick,
-                {
-                    "agent": entry.agent_id,
-                    "record_id": entry.record_id,
-                    "text": entry.combined_text,
-                },
-            )
-        for message in result.warnings:
-            writer.emit("warning", last_tick, {"message": message})
-        writer.emit("sim_end", last_tick, {"intentions": len(result.repository)})
-    return paths
+    if similarity:
+        texts["similarity.csv"] = similarity_csv(result.repository)
+    return write_files(out_dir, texts, ANALYSIS_FILES)
 
 
-def write_similarity_csv(repo: IntentionRepository, path: str | Path) -> Path:
+def similarity_csv(repo: IntentionRepository) -> str:
     """Pairwise cosine matrix of the repository, record ids as labels."""
     from .embedding import similarity_matrix
 
-    path = Path(path)
     ids = [entry.record_id for entry in repo.entries]
     rows = [["record_id", *ids]]
     if ids:
         matrix = similarity_matrix(repo.vectors())
         rows += ([rid, *[f"{value:.6f}" for value in row]] for rid, row in zip(ids, matrix))
-    path.write_text(csv_text(rows), encoding="utf-8")
-    return path
+    return csv_text(rows)
 
 
 def analyze_trace_events(events, options: AnalysisOptions) -> AnalysisResult:

@@ -12,6 +12,11 @@ silently.
 All lines are canonical JSON (sorted keys, no spaces), which makes a run's
 trace byte-reproducible and lets tests compare whole files.
 
+Every JSON text read from outside the program (a trace, a foreign log, a
+mapping, a diagram, a model's reply) goes through :func:`decode_json`, and
+every file the package writes is opened by :func:`open_output`; a command
+that writes a set of files builds them all first, then :func:`write_files`.
+
 A reader shares one payload dict between a rider's identical fixed-shape
 lines (:data:`SHAPES`) and one int between the events of a tick, so the
 payloads of read events must not be mutated.
@@ -92,6 +97,38 @@ def field_error(fields: dict, data: dict) -> str | None:
 # One encoder for every line: ``json.dumps`` with these arguments would build
 # a new encoder on each call.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+_DECODER = json.JSONDecoder()
+
+
+def decode_json(text: str, prefix: bool = False):
+    """The JSON value of ``text``, as ``json.loads`` gives it; or, with
+    ``prefix``, the value ``text`` starts with and the length of its JSON.
+    Text that is not JSON, an integer past Python's int-string limit and
+    nesting too deep for the decoder each raise a ``ValueError``."""
+    try:
+        return _DECODER.raw_decode(text) if prefix else json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"{exc} (nesting too deep)") from None
+
+
+def open_output(path: str | Path):
+    """Open ``path`` to write text: UTF-8, with "\\n" line ends."""
+    return Path(path).open("w", encoding="utf-8", newline="\n")
+
+
+def write_files(out_dir: str | Path, texts: dict[str, str], owned: str) -> dict[str, Path]:
+    """Write each text to its file name in ``out_dir``, then delete each
+    file there whose name the regex ``owned`` matches and that this call did
+    not write (a previous run's); returns the paths by file name."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        with open_output(out / name) as fh:
+            fh.write(text)
+    for path in out.iterdir():
+        if path.name not in texts and re.fullmatch(owned, path.name) and path.is_file():
+            path.unlink()
+    return {name: out / name for name in texts}
 
 
 @dataclass(frozen=True)
@@ -123,10 +160,10 @@ class TraceEvent(NamedTuple):
 # The fixed-shape payloads: an event kind and its payload's keys in sorted
 # order, each with the type of its value or, for a string, its one value. A
 # FLOAT is finite; JSON writes it with a fraction or an exponent
-# (``float.__repr__``), and an integer literal in its place is read back as
-# an integer, through ``json.loads``. The writer formats a payload that fits
-# an entry exactly from the entry's template, and the reader parses a line
-# that matches the entry's regex without ``json.loads``; both come from here.
+# (``float.__repr__``), and an integer literal in its place is decoded as
+# an integer. The writer formats a payload that fits an entry exactly from
+# the entry's template, and the reader parses a line that matches the
+# entry's regex without decoding JSON; both come from here.
 FLOAT = (float,)
 SHAPES = (
     ("position", {"agent": INT, "held": INT, "x": INT, "y": INT}),
@@ -141,7 +178,7 @@ SHAPES = (
 
 _INT_RE = "(-?(?:0|[1-9][0-9]*))"  # the JSON integer grammar
 # For each value type: its placeholder in the template, its regex (text that
-# json.loads reads as the same value), and in Python the reader's conversion
+# decode_json reads as the same value), and in Python the reader's conversion
 # of the matched text, the writer's check of a value and its template values.
 _SLOTS = {
     INT: ("%d", _INT_RE, "int({0})", "type({0}) is int", "{0}"),
@@ -194,7 +231,7 @@ def _compile_shape(kind: str, fields: dict):
         f"    last = shared.get({params[0]})\n"
         f"    if last is None or last[0] != {rest}:\n"
         # The payload first, so values are read in line order and the first
-        # over-long integer fails as it does in json.loads.
+        # over-long integer fails as it does in decode_json.
         f"        last = shared[{params[0]}] = {rest}, {{{', '.join(values)}}}\n"
         f"    seq = int(seq)\n"
         f"    tick = int(tick)\n"
@@ -296,18 +333,12 @@ class OrderGuard:
 
 
 class TraceWriter:
-    """Single-writer append stream with ordering enforcement."""
+    """Single-writer append stream with ordering enforcement, over a text
+    stream that its caller opened and closes."""
 
-    def __init__(
-        self,
-        path: str | Path,
-        config_digest: str,
-        seed: int,
-        created: str | None = None,
-    ):
-        self.path = Path(path)
+    def __init__(self, stream, config_digest: str, seed: int, created: str | None = None):
         self.header = TraceHeader(SCHEMA_VERSION, config_digest, seed, created)
-        self._fh = self.path.open("w", encoding="utf-8", newline="\n")
+        self._fh = stream
         self._fh.write(canonical_json(self.header.to_dict()) + "\n")
         self._guard = OrderGuard()
 
@@ -321,22 +352,7 @@ class TraceWriter:
 
     def emit(self, kind: str, tick: int, payload: dict) -> None:
         """Write the next event."""
-        seq = self._guard.last_seq + 1
-        self._guard.check(seq, tick, kind)
-        self._fh.write(_line(seq, tick, kind, payload))
-        if kind == "sim_end":
-            self._fh.flush()
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self.append_event((self._guard.last_seq + 1, tick, kind, payload))
 
 
 def _decode(raw: bytes, line_no: int) -> str:
@@ -348,8 +364,8 @@ def _decode(raw: bytes, line_no: int) -> str:
 
 def _parse_header(line: str) -> TraceHeader:
     try:
-        data = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # see iter_trace
+        data = decode_json(line)
+    except ValueError as exc:
         raise TraceHeaderError(f"unreadable header: {exc}") from exc
     if not isinstance(data, dict) or "schema_version" not in data:
         raise TraceHeaderError("first line is not a trace header")
@@ -399,7 +415,7 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
         shared = {entry: {} for entry in _READERS}
         last_tick = None
         for line_no, raw in enumerate(fh, start=2):
-            # A line in the form of a SHAPES entry is read without json.loads
+            # A line in the form of a SHAPES entry is read without decode_json
             # (and is ASCII); it holds the types FIELD_TYPES asks by construction.
             match = _SHAPE_RE.fullmatch(raw)
             if match:
@@ -414,8 +430,8 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
                 if not line:
                     raise TraceFormatError(line_no, "blank line inside trace")
                 try:
-                    data = json.loads(line)
-                except (ValueError, RecursionError) as exc:  # not JSON, an over-long int, deep nesting
+                    data = decode_json(line)
+                except ValueError as exc:
                     raise TraceFormatError(line_no, f"malformed event: {getattr(exc, 'msg', exc)}") from exc
                 if type(data) is not dict:
                     raise TraceFormatError(line_no, "event is not an object")
@@ -458,7 +474,8 @@ def write_trace(
     events: Iterable[TraceEvent],
 ) -> None:
     """Serialize an already-validated event sequence (used for fixtures)."""
-    with TraceWriter(path, header.config_digest, header.seed, header.created) as writer:
+    with open_output(path) as fh:
+        writer = TraceWriter(fh, header.config_digest, header.seed, header.created)
         for event in events:
             writer.append_event(event)
 
@@ -497,7 +514,7 @@ class IngestMapping:
 
     @classmethod
     def load(cls, path: str | Path) -> "IngestMapping":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(decode_json(Path(path).read_text(encoding="utf-8")))
 
 
 def _lookup_path(record: dict, parts: list[str]):
@@ -528,14 +545,14 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
     skipped = 0
     warnings: list[str] = []
     paths = [(target, getattr(mapping, target).split(".")) for target in ("agent", "tick", "text")]
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
+    with Path(path).open("rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                record = json.loads(stripped)
-            except (ValueError, RecursionError):  # as in iter_trace
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                record = decode_json(line)
+            except ValueError:  # invalid UTF-8 is a ValueError too
                 skipped += 1
                 warnings.append(f"line {line_no}: malformed record")
                 continue

@@ -9,6 +9,8 @@ import time
 import urllib.request
 from dataclasses import dataclass
 
+from .trace import decode_json
+
 # Every transport failure is retried: OSError covers URLError, HTTPError and
 # TimeoutError, HTTPException covers a truncated body (IncompleteRead), and
 # the rest are a reply that is not JSON or lacks the fields ``read`` reads.
@@ -42,7 +44,7 @@ def post_json(endpoint: Endpoint, body: dict, read, error, name: str, backoff_s:
     for attempt in range(1, ATTEMPTS + 1):
         try:
             with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:
-                return read(json.loads(resp.read().decode("utf-8")))
+                return read(decode_json(resp.read().decode("utf-8")))
         except RETRIED as exc:
             last_error = exc
             if attempt < ATTEMPTS and backoff_s:

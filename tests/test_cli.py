@@ -424,6 +424,66 @@ def test_similarity_csv_flag(runner, tmp_path):
     assert all(len(line.split(",")) == n + 1 for line in lines[1:])
 
 
+def test_deeply_nested_mapping_exits_4(runner, tmp_path):
+    # It used to end in a RecursionError traceback and exit 1.
+    log = tmp_path / "foreign.jsonl"
+    log.write_text('{"speaker": 1, "step": 5, "utterance": "vote for rain"}\n')
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text("[" * 100_000)
+    result = runner.invoke(
+        main, ["analyze", "--external", str(log), "--mapping", str(mapping),
+               "--out", str(tmp_path / "ext")]
+    )
+    assert result.exit_code == 4, result.output
+    assert "nesting too deep" in result.output
+    assert not (tmp_path / "ext").exists()
+
+
+def command_files(out):
+    """Name and bytes of every file in ``out``."""
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_metrics_rerun_deletes_its_stale_heatmaps(runner, tmp_path):
+    cfg = write_small_config(tmp_path / "sim.cfg")
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    out, fresh = tmp_path / "r", tmp_path / "fresh"
+    out.mkdir()
+    foreign = {"notes.txt": b"mine", "heatmap_window01.csv": b"not a window the command names"}
+    for name, data in foreign.items():
+        (out / name).write_bytes(data)
+    first = runner.invoke(
+        main, ["metrics", "--trace", str(trace), "--out", str(out), "--window-ticks", "60"]
+    )
+    assert first.exit_code == 0, first.output
+    assert {f"heatmap_window{w}.csv" for w in range(4)} <= set(command_files(out))
+    for target in (out, fresh):
+        result = runner.invoke(main, ["metrics", "--trace", str(trace), "--out", str(target)])
+        assert result.exit_code == 0, result.output
+    assert command_files(out) == {**command_files(fresh), **foreign}
+    assert sorted(command_files(fresh)) == [
+        "effective_hours.csv", "heatmap_window0.csv", "hours_vs_orders.csv", "involution.csv"]
+
+
+def test_analyze_rerun_deletes_its_stale_similarity_csv(runner, tmp_path):
+    cfg = write_small_config(tmp_path / "sim.cfg")
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    out, fresh = tmp_path / "an", tmp_path / "fresh"
+    out.mkdir()
+    (out / "notes.txt").write_bytes(b"mine")
+    analyze = ["analyze", "--trace", str(trace), "--window-ticks", "60"]
+    first = runner.invoke(main, analyze + ["--out", str(out), "--similarity-csv"])
+    assert first.exit_code == 0, first.output
+    assert "similarity.csv" in command_files(out)
+    for target in (out, fresh):
+        result = runner.invoke(main, analyze + ["--out", str(target), "--no-analyzer"])
+        assert result.exit_code == 0, result.output
+    assert command_files(out) == {**command_files(fresh), "notes.txt": b"mine"}
+    assert "similarity.csv" not in command_files(fresh)
+
+
 def test_help_documents_exit_codes(runner):
     result = runner.invoke(main, ["--help"])
     assert result.exit_code == 0

@@ -31,6 +31,7 @@ from intentsim.trace import (
     field_error,
     iter_trace,
     load_trace,
+    open_output,
 )
 
 
@@ -122,7 +123,8 @@ def test_writer_matches_json_dumps(start_seq, start_payload, seq, ticks, event):
               TraceEvent(seq, ticks[1], kind, payload)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
-        with TraceWriter(path, "digest", 7) as writer:
+        with open_output(path) as fh:
+            writer = TraceWriter(fh, "digest", 7)
             for event in events:
                 writer.append_event(event)
         lines = path.read_bytes().decode("utf-8").split("\n")
@@ -134,7 +136,8 @@ def test_writer_matches_json_dumps(start_seq, start_payload, seq, ticks, event):
 def test_writer_refuses_non_integer_seq_or_tick(tmp_path, bad):
     # The reader refuses a bool or float seq or tick, so the writer must too.
     path = tmp_path / "t.jsonl"
-    with TraceWriter(path, "", 7) as writer:
+    with open_output(path) as fh:
+        writer = TraceWriter(fh, "", 7)
         writer.emit("sim_start", 0, {})
         for event in (TraceEvent(bad, 1, "warning", {}), TraceEvent(1, bad, "warning", {})):
             with pytest.raises(TraceOrderError, match="must both be integers"):
@@ -301,7 +304,8 @@ def write_idle_trace(path, steps):
     """The trace of ``steps``: each (kind, rider, value, run, advance) writes
     its payload ``run`` times, one tick apart when ``advance`` is 1."""
     tick = 1000  # above the ints CPython caches, so sharing shows in ``is``
-    with TraceWriter(path, "", 7) as writer:
+    with open_output(path) as fh:
+        writer = TraceWriter(fh, "", 7)
         writer.emit("sim_start", tick, {})
         for kind, agent, value, run, advance in steps:
             for _ in range(run):

@@ -310,6 +310,16 @@ def test_svg_renders_with_arrows():
     assert "</svg>" in svg
 
 
+def test_svg_is_bounded_by_the_nodes_not_n_windows():
+    # One label for every window made this about 5 MB.
+    diagram = EmergenceDiagram(window_ticks=1, n_windows=100_000, cluster_nodes=[(7, 0)],
+                               agent_nodes=[(7, 2)], origins={0: (2, 7)})
+    svg = render_diagram(diagram, "svg")
+    assert len(svg.encode()) < 10_000
+    assert svg.count(">window ") == 1 and ">window 7<" in svg
+    assert 'width="16000120"' in svg  # the canvas still spans every window
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         render_diagram(EmergenceDiagram(window_ticks=1, n_windows=0), "pdf")

@@ -246,7 +246,10 @@ def test_vector_count_mismatch_is_not_retried(stub_server):
     assert len(stub_server.requests) == 1
 
 
-def test_simulate_falls_back_on_truncated_replies(stub_server, tmp_path):
+def simulate_until_fallback(server, tmp_path, *failures):
+    """``simulate`` two riders who each decide their hours once through the
+    stub, and check that it exits 0 and that each decision fell back with a
+    warning holding every text of ``failures`` and a missing thought."""
     from click.testing import CliRunner
 
     from intentsim.cli import main as cli_main
@@ -255,8 +258,7 @@ def test_simulate_falls_back_on_truncated_replies(stub_server, tmp_path):
     config = tmp_path / "sim.cfg"
     config.write_text("grid_size = 20\ntotal_steps = 10\nsteps_per_day = 10\nn_riders = 2\n"
                       "base_order_rate = 0.0\npeak_ticks_per_day = 5\nseed = 1\n")
-    stub_server.script = [{"short_body": True}] * 6  # two riders, three attempts each
-    host, port = stub_server.server_address
+    host, port = server.server_address
     trace = tmp_path / "t.jsonl"
     result = CliRunner().invoke(cli_main, [
         "simulate", "--config", str(config), "--out", str(trace),
@@ -266,10 +268,30 @@ def test_simulate_falls_back_on_truncated_replies(stub_server, tmp_path):
     events = load_trace(trace).events
     warnings = [e for e in events if e.kind == "warning"]
     assert [w.payload["agent"] for w in warnings] == [0, 1]
-    assert all("chat endpoint failed after retries" in w.payload["message"] for w in warnings)
+    assert all(f in w.payload["message"] for w in warnings for f in failures)
     thoughts = [e.payload for e in events if e.kind == "thought"]
     assert [(t["decision"], t["missing"]) for t in thoughts] == [("work_hours", True)] * 2
+
+
+def test_simulate_falls_back_on_truncated_replies(stub_server, tmp_path):
+    stub_server.script = [{"short_body": True}] * 6  # two riders, three attempts each
+    simulate_until_fallback(stub_server, tmp_path, "chat endpoint failed after retries")
     assert len(stub_server.requests) == 6
+
+
+# Replies that json cannot decode: deep nesting used to end in a
+# RecursionError traceback (exit 1), an over-long integer in exit 4.
+@pytest.mark.parametrize("reply, failure, requests", [
+    # Each of two riders: three attempts at the body of its bounded ask.
+    ({"body": b"[" * 100_000}, "chat endpoint failed after retries", 6),
+    # Each of two riders: a bounded ask, then three rational asks.
+    ({"chat": '{"a":' + "[" * 100_000}, "unparseable reply after retries", 8),
+    ({"chat": '{"go_to_work_time": ' + "9" * 5000}, "unparseable reply after retries", 8),
+], ids=["nested_body", "nested_content", "long_int_content"])
+def test_simulate_falls_back_on_undecodable_replies(stub_server, tmp_path, reply, failure, requests):
+    stub_server.script = [reply] * requests
+    simulate_until_fallback(stub_server, tmp_path, failure)
+    assert len(stub_server.requests) == requests
 
 
 def test_exchange_sink_sees_raw_pairs(stub_server):
@@ -375,6 +397,17 @@ def test_analyze_exits_1_on_malformed_embedding(stub_server, tmp_path, vector):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert "embedding endpoint failed after retries: embedding" in result.output
+
+
+def test_analyze_exits_1_on_nested_embedding_reply(stub_server, tmp_path):
+    # Deep nesting used to end in a RecursionError traceback.
+    stub_server.script = [{"body": b"[" * 100_000}] * 3
+    result = analyze_external_with_embedder(stub_server, tmp_path)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "embedding endpoint failed after retries" in result.output
+    assert "nesting too deep" in result.output
+    assert len(stub_server.requests) == transport.ATTEMPTS
 
 
 def test_analyze_exits_1_on_embedding_length_change(stub_server, tmp_path):

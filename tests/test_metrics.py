@@ -206,7 +206,8 @@ def test_reports_are_byte_stable(tmp_path):
     events = load_trace(trace_path).events
     first = write_metrics_reports(events, tmp_path / "r1", window_ticks=120)
     second = write_metrics_reports(events, tmp_path / "r2", window_ticks=120)
-    for a, b in zip(first, second):
-        assert a.read_bytes() == b.read_bytes()
-    names = {p.name for p in first}
+    assert first.keys() == second.keys()
+    for name, path in first.items():
+        assert path.name == name and path.read_bytes() == second[name].read_bytes()
+    names = set(first)
     assert {"involution.csv", "hours_vs_orders.csv", "effective_hours.csv"} <= names

@@ -179,15 +179,15 @@ def test_repository_record_ids_strictly_increase():
         repo.append(first, emb.embed(first.combined_text))
 
 
-def test_repository_jsonl_round_trip(tmp_path):
+def test_repository_jsonl_round_trip():
     emb = HashingEmbedder(dim=16)
     repo = IntentionRepository()
     for i in range(3):
         record = make_record(i, agent=i, tick=i * 10, rational=f"thought {i}")
         repo.append(record, emb.embed(record.combined_text))
-    path = tmp_path / "repo.jsonl"
-    repo.save_jsonl(path)
-    loaded = [json.loads(line) for line in path.read_text().splitlines()]
+    text = repo.to_jsonl()
+    assert text.endswith("\n")
+    loaded = [json.loads(line) for line in text.splitlines()]
     assert len(loaded) == 3
     for a, b in zip(repo.entries, loaded):
         assert (a.record_id, a.agent_id, a.tick, a.combined_text) == (

@@ -124,3 +124,13 @@ def test_render_parse_round_trip_orders(ids):
     raw = json.dumps({"order_list": ids})
     decision = parse_decision_payload(raw, "order_selection")
     assert list(decision.order_ids) == ids
+
+
+# Replies whose JSON the decoder cannot read: deep nesting used to escape as
+# a RecursionError, an over-long integer as a bare ValueError.
+@pytest.mark.parametrize("reply", ['{"a":' + "[" * 100_000, '{"go_to_work_time": ' + "9" * 5000],
+                         ids=["nested", "long_int"])
+def test_undecodable_payload_is_a_parse_error(reply):
+    with pytest.raises(DecisionParseError, match="no JSON object found"):
+        parse_decision_payload(reply, "work_hours")
+    assert prose_before_payload(reply) == reply

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from intentsim import pipeline
 from intentsim.backends.scripted import ScriptedBackend, ScriptedPolicy
 from intentsim.config import SimConfig, config_digest
 from intentsim.diagram import influence_from_points
@@ -120,6 +123,27 @@ def test_outputs_written_with_fixed_names(tmp_path):
     analysis_events = load_trace(tmp_path / "out" / "analysis_events.jsonl")
     kinds = {e.kind for e in analysis_events.events}
     assert "intention" in kinds
+
+
+def test_failure_while_building_writes_nothing(tmp_path, monkeypatch):
+    # The bundle files used to be written one by one, so a failure part-way
+    # left a mix of two runs.
+    events = load_trace(thought_trace(tmp_path)).events
+    out = tmp_path / "out"
+    write_analysis_outputs(analyze_trace_events(events, AnalysisOptions(k=2, window_ticks=120)),
+                           out, source_digest="d", seed=0)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    other = analyze_trace_events(events, AnalysisOptions(k=2, window_ticks=120, analyzer=False))
+
+    def broken(diagram, fmt):
+        raise RuntimeError("renderer failed")
+
+    monkeypatch.setattr(pipeline, "render_diagram", broken)
+    for target in (out, tmp_path / "new"):
+        with pytest.raises(RuntimeError, match="renderer failed"):
+            write_analysis_outputs(other, target, source_digest="d", seed=0)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert not (tmp_path / "new").exists()
 
 
 def test_analysis_rerun_is_byte_identical(tmp_path):

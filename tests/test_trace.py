@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 
 import pytest
@@ -138,34 +139,30 @@ def test_readers_leave_loaded_payloads_unchanged(traces, tmp_path, name):
     assert (tmp_path / "copy.jsonl").read_bytes() == traces[name].read_bytes()
 
 
-def test_first_event_must_be_sim_start(tmp_path):
-    path = tmp_path / "t.jsonl"
+def test_first_event_must_be_sim_start():
+    w = TraceWriter(io.StringIO(), "abc", 1)
     with pytest.raises(TraceOrderError, match="first event must be sim_start"):
-        with TraceWriter(path, "abc", 1) as w:
-            w.emit("position", 0, {"agent": 0, "x": 0, "y": 0, "held": 0})
+        w.emit("position", 0, {"agent": 0, "x": 0, "y": 0, "held": 0})
 
 
-def test_seq_gap_rejected_on_write(tmp_path):
-    path = tmp_path / "t.jsonl"
-    with TraceWriter(path, "abc", 1) as w:
-        w.append_event(TraceEvent(0, 0, "sim_start", {}))
-        with pytest.raises(TraceOrderError, match="contiguity"):
-            w.append_event(TraceEvent(2, 0, "warning", {"message": "gap"}))
+def test_seq_gap_rejected_on_write():
+    w = TraceWriter(io.StringIO(), "abc", 1)
+    w.append_event(TraceEvent(0, 0, "sim_start", {}))
+    with pytest.raises(TraceOrderError, match="contiguity"):
+        w.append_event(TraceEvent(2, 0, "warning", {"message": "gap"}))
 
 
-def test_tick_decrease_rejected_on_write(tmp_path):
-    path = tmp_path / "t.jsonl"
-    with TraceWriter(path, "abc", 1) as w:
-        w.emit("sim_start", 5, {})
-        with pytest.raises(TraceOrderError, match="decreases"):
-            w.emit("warning", 4, {"message": "backwards"})
+def test_tick_decrease_rejected_on_write():
+    w = TraceWriter(io.StringIO(), "abc", 1)
+    w.emit("sim_start", 5, {})
+    with pytest.raises(TraceOrderError, match="decreases"):
+        w.emit("warning", 4, {"message": "backwards"})
 
 
-def test_negative_start_tick_rejected_on_write(tmp_path):
-    path = tmp_path / "t.jsonl"
-    with TraceWriter(path, "abc", 1) as w:
-        with pytest.raises(TraceOrderError, match="tick -1 is negative"):
-            w.emit("sim_start", -1, {})
+def test_negative_start_tick_rejected_on_write():
+    w = TraceWriter(io.StringIO(), "abc", 1)
+    with pytest.raises(TraceOrderError, match="tick -1 is negative"):
+        w.emit("sim_start", -1, {})
 
 
 def test_negative_ticks_rejected_on_read(tmp_path):
@@ -178,21 +175,19 @@ def test_negative_ticks_rejected_on_read(tmp_path):
         load_trace(path)
 
 
-def test_append_after_end_rejected(tmp_path):
-    path = tmp_path / "t.jsonl"
-    with TraceWriter(path, "abc", 1) as w:
-        w.emit("sim_start", 0, {})
-        w.emit("sim_end", 0, {})
-        with pytest.raises(TraceOrderError):
-            w.emit("warning", 0, {"message": "late"})
+def test_append_after_end_rejected():
+    w = TraceWriter(io.StringIO(), "abc", 1)
+    w.emit("sim_start", 0, {})
+    w.emit("sim_end", 0, {})
+    with pytest.raises(TraceOrderError):
+        w.emit("warning", 0, {"message": "late"})
 
 
-def test_unknown_kind_rejected(tmp_path):
-    path = tmp_path / "t.jsonl"
-    with TraceWriter(path, "abc", 1) as w:
-        w.emit("sim_start", 0, {})
-        with pytest.raises(TraceOrderError, match="unknown event kind"):
-            w.emit("telemetry", 0, {})
+def test_unknown_kind_rejected():
+    w = TraceWriter(io.StringIO(), "abc", 1)
+    w.emit("sim_start", 0, {})
+    with pytest.raises(TraceOrderError, match="unknown event kind"):
+        w.emit("telemetry", 0, {})
 
 
 def test_truncated_line_cites_line_number(tmp_path):
@@ -298,18 +293,21 @@ def test_ingest_skips_missing_fields_with_count(tmp_path):
 
 def test_ingest_skips_undecodable_lines(tmp_path):
     # An integer past Python's int-string limit raises a bare ValueError and
-    # deep nesting a RecursionError; neither is a JSONDecodeError.
+    # deep nesting a RecursionError; neither is a JSONDecodeError. A line
+    # that is not UTF-8 used to stop the whole ingest.
     path = tmp_path / "foreign.jsonl"
-    path.write_text("\n".join([
-        json.dumps({"speaker": 1, "step": 0, "utterance": "ok"}),
-        '{"speaker": 1, "step": ' + "9" * 5000 + ', "utterance": "huge"}',
-        "[" * 100_000,
-        json.dumps({"speaker": 2, "step": 2, "utterance": "ok too"}),
-    ]) + "\n")
+    path.write_bytes(b"\n".join([
+        json.dumps({"speaker": 1, "step": 0, "utterance": "ok"}).encode(),
+        b'{"speaker": 1, "step": ' + b"9" * 5000 + b', "utterance": "huge"}',
+        b"[" * 100_000,
+        b"\xff\xfe bad",
+        json.dumps({"speaker": 2, "step": 2, "utterance": "ok too \u00e9"}).encode(),
+    ]) + b"\n")
     result = ingest_external(path, mapping())
-    assert [r["text"] for r in result.rows] == ["ok", "ok too"]
-    assert result.skipped == 2
-    assert result.warnings == ["line 2: malformed record", "line 3: malformed record"]
+    assert [r["text"] for r in result.rows] == ["ok", "ok too \u00e9"]
+    assert result.skipped == 3
+    assert result.warnings == [
+        "line 2: malformed record", "line 3: malformed record", "line 4: malformed record"]
 
 
 @pytest.mark.parametrize("step, warning", [
