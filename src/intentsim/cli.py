@@ -4,9 +4,10 @@ Commands: ``simulate`` (run the world, write a trace), ``analyze`` (mine a
 trace or a foreign log into repository / clusters / diagram), ``metrics``
 (CSV reports from a trace), ``diagram`` (re-render an existing analysis).
 
-Exit codes: 0 success; 1 unexpected error; 2 usage error (unknown flag or
-bad argument); 3 missing input file; 4 invalid configuration or schema;
-5 trace format or ordering violation.
+Exit codes: 0 success; 1 unexpected error or an output path that cannot be
+written; 2 usage error (unknown flag or bad argument); 3 missing input
+file; 4 invalid configuration or schema; 5 trace format or ordering
+violation.
 """
 
 from __future__ import annotations

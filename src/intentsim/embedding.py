@@ -1,11 +1,11 @@
 """Text embeddings and cosine similarity.
 
-Two embedders share one interface: a remote HTTP service (the production
-path) and a seeded hashing embedder that keeps every test hermetic. The
-hashing scheme: lowercase, split on non-alphanumerics, hash each token into
-one of ``dim`` buckets with a seed-keyed hash, weight by term frequency,
-L2-normalize. Empty text embeds to the zero vector, which is flagged and
-excluded from clustering.
+Two embedders share one interface, ``embed(texts)``, which returns one row
+per text: a remote HTTP service (the production path) and a seeded hashing
+embedder that keeps every test hermetic. The hashing scheme: lowercase,
+split on non-alphanumerics, hash each token into one of ``dim`` buckets
+with a seed-keyed hash, weight by term frequency, L2-normalize. Empty text
+embeds to the zero vector, which is flagged and excluded from clustering.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -25,18 +27,9 @@ DEFAULT_DIM = 384
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-def vector_norm(vec: np.ndarray) -> float:
-    """The ``sqrt(x.dot(x))`` np.linalg.norm takes of a 1-D float array."""
-    return math.sqrt(vec.dot(vec))
-
-
 def l2_normalize(vec: np.ndarray) -> np.ndarray:
-    norm = vector_norm(vec)
+    norm = math.sqrt(vec.dot(vec))  # the norm np.linalg.norm takes of a 1-D float array
     return vec / norm if norm else vec
-
-
-def is_zero(vec: np.ndarray) -> bool:
-    return not np.asarray(vec).any()
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -79,10 +72,21 @@ class HashingEmbedder:
             self._buckets[token] = cached
         return cached
 
-    def embed(self, text: str) -> np.ndarray:
-        buckets = self._buckets
-        idx = [buckets[t] if t in buckets else self.bucket(t) for t in tokenize(text)]
-        return l2_normalize(np.bincount(idx, minlength=self.dim).astype(float))
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text. Every row's buckets are counted by one
+        ``np.bincount`` over ``row * dim + bucket``, and each row is divided
+        by its counts' norm ``sqrt(c·c)``; the counts are integers, so a row
+        equals the text embedded alone to the last bit."""
+        tokens = [tokenize(text) for text in texts]
+        flat = list(chain.from_iterable(tokens))
+        for token in set(flat).difference(self._buckets):
+            self.bucket(token)  # hash each token only the first time it appears
+        rows = np.repeat(np.arange(len(texts)) * self.dim, [len(row) for row in tokens])
+        rows += np.fromiter(map(self._buckets.__getitem__, flat), dtype=np.int64, count=len(flat))
+        counts = np.bincount(rows, minlength=len(texts) * self.dim).astype(float)
+        counts = counts.reshape(len(texts), self.dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+        return counts / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
 def _unit_vector(payload) -> np.ndarray:
@@ -116,14 +120,18 @@ class RemoteEmbedder:
     endpoint: Endpoint
     _dim: int | None = field(default=None, init=False, repr=False)
 
-    def embed(self, text: str) -> np.ndarray:
-        body = {"model": self.endpoint.model_id, "input": [text]}
-        vec = post_json(self.endpoint, body, _unit_vector, EmbeddingError, "embedding")
-        if self._dim is None:
-            self._dim = len(vec)
-        elif len(vec) != self._dim:
-            raise EmbeddingError(
-                f"embedding service returned a vector of length {len(vec)}, "
-                f"but its first had length {self._dim}"
-            )
-        return vec
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text, one request per text, in the order given."""
+        rows = []
+        for text in texts:
+            body = {"model": self.endpoint.model_id, "input": [text]}
+            vec = post_json(self.endpoint, body, _unit_vector, EmbeddingError, "embedding")
+            if self._dim is None:
+                self._dim = len(vec)
+            elif len(vec) != self._dim:
+                raise EmbeddingError(
+                    f"embedding service returned a vector of length {len(vec)}, "
+                    f"but its first had length {self._dim}"
+                )
+            rows.append(vec)
+        return np.array(rows)

@@ -31,6 +31,13 @@ class EmbeddingError(IntentsimError):
     """Embedding failure or an operation on a degenerate vector."""
 
 
+class OutputError(IntentsimError):
+    """An output path could not be written; names the path."""
+
+    def __init__(self, path, exc: OSError):
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+
+
 class ClusteringError(IntentsimError):
     """Clustering preconditions violated (e.g. fewer points than clusters)."""
 

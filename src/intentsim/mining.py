@@ -5,30 +5,33 @@ A thought record pairs an agent's instinct-driven and calculation-driven
 texts for one decision. Both record builders, over trace events and over
 ingested foreign rows, hand their thoughts to one numbering function: it
 puts them in canonical (tick, agent, arrival) order, assigns the ids and
-marks the missing ones. :func:`mine_records` walks the present records in
-that order and asks the detector ``detect(record, embedding, memory)``: a
-thought is a newly emergent intention when nothing similar is in the
-agent's own recent memory. Emergent thoughts accumulate in a shared
+marks the missing ones. A thought is a newly emergent intention when
+nothing similar is in its agent's own recent memory, the agent's previous
+present thoughts whatever their verdicts. So :func:`mine_records` takes the
+present records agent by agent, not in canonical order, and embeds and
+judges them in fixed blocks of :data:`BLOCK_ROWS`, one masked matrix product
+per block (:meth:`SimilarityDetector.detect`); no agent keeps a memory of
+its own. Emergent thoughts accumulate, in record-id order, in a shared
 repository that later stages cluster and window.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .backends.types import ThoughtPair
-from .embedding import cosine_similarity, is_zero, vector_norm
+from .embedding import cosine_similarity
 from .errors import TraceFormatError
 from .trace import event_line
 
 DECISION_KINDS = ("work_hours", "order_selection", "external")
 DEFAULT_THETA = 0.8
 DEFAULT_MEMORY_CAPACITY = 50
+BLOCK_ROWS = 64  # present thoughts embedded and judged per matrix product
 
 
 def combine_pair(pair: ThoughtPair) -> str:
@@ -77,45 +80,6 @@ def _numbered(items: list[tuple]) -> list[ThoughtRecord]:
         )
         for record_id, (tick, agent, _arrival, pair) in enumerate(items)
     ]
-
-
-@dataclass
-class AgentMemory:
-    """Bounded FIFO of an agent's recent thoughts.
-
-    ``texts`` holds the remembered texts, oldest first. Their vectors are
-    the first ``len(texts)`` rows of a ``capacity × dim`` ring (in ring
-    order), with each row's norm in ``norms``; a ``None`` or zero vector
-    gets a zero row and norm 0. The ring is allocated (uninitialised) on the
-    first non-zero vector.
-    """
-
-    capacity: int = DEFAULT_MEMORY_CAPACITY
-    texts: deque = field(init=False)
-    vectors: np.ndarray | None = field(default=None, init=False, repr=False)
-    norms: np.ndarray | None = field(default=None, init=False, repr=False)
-    _appended: int = field(default=0, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise ValueError(f"memory capacity must be >= 0, got {self.capacity}")
-        self.texts = deque(maxlen=self.capacity)
-
-    def append(self, text: str, vec: np.ndarray | None) -> None:
-        if not self.capacity:
-            return  # capacity 0 remembers nothing
-        self.texts.append(text)
-        slot = self._appended % self.capacity
-        self._appended += 1
-        norm = 0.0 if vec is None else vector_norm(vec)
-        if self.vectors is None:
-            if norm == 0.0:
-                return
-            self.vectors = np.empty((self.capacity, len(vec)))
-            self.vectors[: len(self.texts)] = 0.0  # earlier vectors were all zero
-            self.norms = np.zeros(self.capacity)
-        self.vectors[slot] = 0.0 if vec is None else vec
-        self.norms[slot] = norm
 
 
 @dataclass
@@ -181,35 +145,38 @@ class SimilarityDetector:
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must be in (0, 1]")
 
-    def detect(self, record: ThoughtRecord, embedding: np.ndarray, memory: AgentMemory) -> bool:
-        norm = vector_norm(embedding)
-        if not norm and is_zero(embedding):
-            return False
-        n = len(memory.texts)
-        live = 0 if memory.vectors is None else np.count_nonzero(memory.norms[:n])
-        if not live:
-            return True  # empty (or unembeddable) memory: vacuously novel
-        rows, norms = memory.vectors[:n], memory.norms[:n]
-        dots = rows @ embedding
-        if live < n:  # some remembered thoughts embedded to the zero vector
-            mask = norms > 0.0
-            rows, norms, dots = rows[mask], norms[mask], dots[mask]
-        cosines = dots / (norms * norm)
-        best = float(cosines[cosines.argmax()])  # argmax and a lookup beat max()
-        if abs(best - self.theta) <= 1e-9:
+    def detect(self, rows: np.ndarray, agents: np.ndarray, first: int, capacity: int) -> np.ndarray:
+        """Which of ``rows[first:]`` are emergent, as a bool per row.
+
+        ``rows`` are consecutive present thoughts in agent-major order and
+        ``agents`` their agents. A thought's memory is the up to ``capacity``
+        rows just before it of its own agent, less the zero rows. A zero
+        thought is never emergent, and one with an empty memory always is.
+        """
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        live = norms > 0.0
+        gap = np.arange(first, len(rows))[:, None] - np.arange(len(rows))
+        memory = (gap > 0) & (gap <= capacity) & (agents[first:, None] == agents) & live
+        safe = np.where(live, norms, 1.0)
+        cosines = (rows[first:] @ rows.T) / (safe[first:, None] * safe)
+        best = np.where(memory, cosines, -np.inf).max(axis=1)
+        emergent = best < self.theta
+        for i in np.flatnonzero(live[first:] & (np.abs(best - self.theta) <= 1e-9)):
             # The matrix product may round differently from one dot per
-            # row; decide a near tie with the pairwise formula itself.
-            best = max(cosine_similarity(embedding, row) for row in rows)
-        return best < self.theta
+            # pair; decide a near tie with the pairwise formula itself.
+            query = rows[first + i]
+            near = max(cosine_similarity(query, rows[j]) for j in np.flatnonzero(memory[i]))
+            emergent[i] = near < self.theta
+        return emergent & live[first:]
 
 
 @dataclass
 class LlmEmergenceDetector:
     """Ask a chat endpoint for a yes/no novelty judgement.
 
-    ``ask`` is a callable(prompt) -> reply text. Unparsable replies fall
-    back to the similarity detector and the fallback is reported via
-    ``on_fallback`` so it lands in the analysis log.
+    ``ask`` is a callable(prompt) -> reply text. An unparsable reply or a
+    failed call leaves the verdict to the similarity detector, and the
+    fallback is reported via ``on_fallback`` so it lands in the analysis log.
     """
 
     ask: Callable[[str], str]
@@ -217,22 +184,28 @@ class LlmEmergenceDetector:
     fallback: SimilarityDetector = field(default_factory=SimilarityDetector)
     on_fallback: Callable[[str], None] | None = None
 
-    def detect(self, record: ThoughtRecord, embedding: np.ndarray, memory: AgentMemory) -> bool:
-        memory_lines = "\n".join(f"- {text}" for text in memory.texts) or "(no memory yet)"
-        prompt = self.template.format(thought=record.combined_text, memory=memory_lines)
-        try:
-            reply = self.ask(prompt)
-            verdict = _parse_yes_no(reply)
-        except Exception as exc:
-            verdict = None
-            reason = str(exc)
-        else:
-            reason = "reply contained neither yes nor no"
-        if verdict is None:
-            if self.on_fallback is not None:
+    def ask_all(self, present: list[ThoughtRecord], lows: np.ndarray) -> list[bool | None]:
+        """A verdict for each of ``present``, ``None`` where the similarity
+        detector decides. The questions go out in canonical (tick, agent)
+        order; each carries its memory, the texts of ``present[lows[i]:i]``."""
+        verdicts: list[bool | None] = [None] * len(present)
+        canonical = sorted(
+            range(len(present)),
+            key=lambda p: (present[p].tick, present[p].agent_id, present[p].record_id),
+        )
+        for pos in canonical:
+            memory = present[lows[pos]:pos]
+            memory_lines = "\n".join(f"- {r.combined_text}" for r in memory) or "(no memory yet)"
+            prompt = self.template.format(thought=present[pos].combined_text, memory=memory_lines)
+            try:
+                verdicts[pos] = _parse_yes_no(self.ask(prompt))
+            except Exception as exc:
+                reason = str(exc)
+            else:
+                reason = "reply contained neither yes nor no"
+            if verdicts[pos] is None and self.on_fallback is not None:
                 self.on_fallback(f"llm detector fell back to similarity: {reason}")
-            return self.fallback.detect(record, embedding, memory)
-        return verdict
+        return verdicts
 
 
 def _parse_yes_no(reply: str) -> bool | None:
@@ -250,25 +223,48 @@ def mine_records(
     embedder,
     memory_capacity: int = DEFAULT_MEMORY_CAPACITY,
 ) -> IntentionRepository:
-    """Run detection over records in (tick, agent) order.
+    """The repository of the emergent records, in record-id order.
 
     Missing records are skipped entirely: they carry no text to embed or
-    remember. Each emergent record is appended to the repository; every
-    present one is remembered.
+    remember. Every present record is remembered whatever its verdict, so a
+    thought's memory is its agent's previous ``memory_capacity`` present
+    thoughts. The present records are taken agent by agent in (tick, id)
+    order and embedded and judged :data:`BLOCK_ROWS` at a time: each block
+    is one matrix product against itself and the rows of its first agent
+    just before it. An LLM detector asks about every thought first.
     """
+    if memory_capacity < 0:
+        raise ValueError(f"memory capacity must be >= 0, got {memory_capacity}")
+    present = sorted(
+        (r for r in records if not r.missing), key=lambda r: (r.agent_id, r.tick, r.record_id)
+    )
+    memory_capacity = min(memory_capacity, len(present))  # no memory is longer than that
+    agents = np.array([r.agent_id for r in present])
+    # Where each thought's memory begins: at most memory_capacity back, and
+    # not before its agent's first thought.
+    lows = np.maximum(np.searchsorted(agents, agents), np.arange(len(present)) - memory_capacity)
+    asked: list[bool | None] = [None] * len(present)
+    if isinstance(detector, LlmEmergenceDetector):
+        asked = detector.ask_all(present, lows)
+        detector = detector.fallback
+    emergent: list[tuple[ThoughtRecord, np.ndarray]] = []
+    rows, low = None, 0  # the previous block's rows, from position ``low`` on
+    for start in range(0, len(present), BLOCK_ROWS):
+        block = present[start:start + BLOCK_ROWS]
+        # A tuple, so that it can be hashed: bench/tracing.py counts the distinct ones.
+        vectors = embedder.embed(tuple(r.combined_text for r in block))
+        reach = int(lows[start])  # the memory reaching back before this block
+        rows = vectors if reach == start else np.vstack([rows[reach - low:], vectors])
+        low = reach
+        verdicts = detector.detect(rows, agents[low:start + len(block)], start - low, memory_capacity)
+        for i, verdict in enumerate(asked[start:start + len(block)]):
+            if verdict is not None:
+                verdicts[i] = verdict
+        keep = np.flatnonzero(verdicts)
+        emergent += zip([block[i] for i in keep], vectors[keep])
     repo = IntentionRepository()
-    memories: dict[int, AgentMemory] = {}
-    for record in sorted(records, key=lambda r: (r.tick, r.agent_id, r.record_id)):
-        if record.missing:
-            continue
-        memory = memories.get(record.agent_id)
-        if memory is None:
-            memory = memories[record.agent_id] = AgentMemory(memory_capacity)
-        text = record.combined_text
-        embedding = embedder.embed(text)
-        if detector.detect(record, embedding, memory):
-            repo.append(record, embedding)
-        memory.append(text, embedding)
+    for record, vector in sorted(emergent, key=lambda item: item[0].record_id):
+        repo.append(record, vector)
     return repo
 
 

@@ -16,6 +16,10 @@ Every JSON text read from outside the program (a trace, a foreign log, a
 mapping, a diagram, a model's reply) goes through :func:`decode_json`, and
 every file the package writes is opened by :func:`open_output`; a command
 that writes a set of files builds them all first, then :func:`write_files`.
+Both write under temporary names beside the targets and rename them only
+once everything is written, so a failure leaves the previous files (or
+none) in place; an output path that cannot be written is an
+:class:`~intentsim.errors.OutputError`.
 
 A reader shares one payload dict between a rider's identical fixed-shape
 lines (:data:`SHAPES`) and one int between the events of a tick, so the
@@ -26,12 +30,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
+    OutputError,
     TraceFormatError,
     TraceHeaderError,
     TraceOrderError,
@@ -111,24 +119,62 @@ def decode_json(text: str, prefix: bool = False):
         raise ValueError(f"{exc} (nesting too deep)") from None
 
 
+@contextmanager
 def open_output(path: str | Path):
-    """Open ``path`` to write text: UTF-8, with "\\n" line ends."""
-    return Path(path).open("w", encoding="utf-8", newline="\n")
+    """Open ``path`` to write text: UTF-8, with "\\n" line ends. The text
+    goes to a temporary file beside ``path`` that replaces it only when the
+    block ends without an error; any error deletes it."""
+    with _staged([Path(path)]) as (fh,):
+        yield fh
 
 
 def write_files(out_dir: str | Path, texts: dict[str, str], owned: str) -> dict[str, Path]:
     """Write each text to its file name in ``out_dir``, then delete each
     file there whose name the regex ``owned`` matches and that this call did
-    not write (a previous run's); returns the paths by file name."""
+    not write (a previous run's); returns the paths by file name. No file
+    takes its name before every text is written."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        with open_output(out / name) as fh:
-            fh.write(text)
+    _output_step(out, out.mkdir, parents=True, exist_ok=True)
+    paths = {name: out / name for name in texts}
+    with _staged(list(paths.values())) as handles:
+        for path, fh, text in zip(paths.values(), handles, texts.values()):
+            _output_step(path, fh.write, text)
     for path in out.iterdir():
         if path.name not in texts and re.fullmatch(owned, path.name) and path.is_file():
             path.unlink()
-    return {name: out / name for name in texts}
+    return paths
+
+
+@contextmanager
+def _staged(paths: list[Path]):
+    """Text files open under temporary names beside ``paths``; once the
+    block ends without an error, each replaces its path. An error deletes
+    them all."""
+    temps = [path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp") for path in paths]
+    handles = []
+    try:
+        for path, temp in zip(paths, temps):
+            handles.append(_output_step(path, temp.open, "x", encoding="utf-8", newline="\n"))
+        try:
+            yield handles
+        finally:
+            for path, fh in zip(paths, handles):
+                _output_step(path, fh.close)
+        for path, temp in zip(paths, temps):
+            _output_step(path, os.replace, temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
+def _output_step(path: Path, action, *args, **kwargs):
+    """``action(*args, **kwargs)``, with an ``OSError`` turned into an
+    :class:`OutputError` that names ``path``."""
+    try:
+        return action(*args, **kwargs)
+    except OSError as exc:
+        raise OutputError(path, exc) from None
 
 
 @dataclass(frozen=True)

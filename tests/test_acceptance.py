@@ -32,7 +32,6 @@ from intentsim.engine import run_simulation
 from intentsim.errors import TraceFormatError
 from intentsim.metrics import fold_events, involution_index
 from intentsim.mining import (
-    AgentMemory,
     IntentionRepository,
     SimilarityDetector,
     ThoughtRecord,
@@ -172,26 +171,27 @@ def test_criterion_4_kmeans_oracle():
     )
 
 
+def emergent_after(theta, remembered, vec):
+    """Whether ``vec`` is emergent for an agent that remembers ``remembered``."""
+    rows = np.vstack([*remembered, vec])
+    verdicts = SimilarityDetector(theta).detect(rows, np.zeros(len(rows)), len(remembered), 50)
+    return bool(verdicts[0])
+
+
 def test_criterion_5_emergence_detection():
     embedder = HashingEmbedder(dim=384, seed=0)
     record = ThoughtRecord(0, 1, 0, ThoughtPair("save time", "save time"))
-    vec = embedder.embed(record.combined_text)
-    remembered = AgentMemory()
-    remembered.append(record.combined_text, vec)
+    vec = embedder.embed([record.combined_text])[0]
     for theta in (0.05, 0.25, 0.5, 0.75, 1.0):
-        assert SimilarityDetector(theta).detect(record, vec, remembered) is False
+        assert emergent_after(theta, [vec], vec) is False
 
-    empty = AgentMemory()
     for theta in (0.05, 0.5, 1.0):
-        assert SimilarityDetector(theta).detect(record, vec, empty) is True
+        assert emergent_after(theta, [], vec) is True
 
-    half_old = embedder.embed("alpha beta")
-    half_new = embedder.embed("alpha gamma")
+    half_old, half_new = embedder.embed(["alpha beta", "alpha gamma"])
     assert abs(cosine_similarity(half_old, half_new) - 0.5) < 1e-12
-    memory = AgentMemory()
-    memory.append("alpha beta", half_old)
-    assert SimilarityDetector(0.8).detect(record, half_new, memory) is True
-    assert SimilarityDetector(0.4).detect(record, half_new, memory) is False
+    assert emergent_after(0.8, [half_old], half_new) is True
+    assert emergent_after(0.4, [half_old], half_new) is False
     print(
         "\nCRITERION 5 PASS: identical-in-memory never emergent; empty memory always; "
         "cosine-0.5 pair emergent at theta=0.8 and not at theta=0.4"
@@ -203,7 +203,7 @@ def test_criterion_6_diagram_oracle():
     repo = IntentionRepository()
     for record in records_from_rows([{"agent_id": agent, "tick": tick, "text": "dense areas"}
                                      for agent, tick in ((1, 10), (2, 200), (3, 1300))]):
-        repo.append(record, embedder.embed("dense areas"))
+        repo.append(record, embedder.embed(["dense areas"])[0])
     clustering = kmeans_cluster(repo.vectors(), 1, seed=0)
     spec = WindowSpec(window_ticks=1200, n_windows=2)
     diagram, influence, points = build_diagram(repo, clustering, spec)

@@ -484,6 +484,30 @@ def test_analyze_rerun_deletes_its_stale_similarity_csv(runner, tmp_path):
     assert "similarity.csv" not in command_files(fresh)
 
 
+@pytest.mark.parametrize("command", ["simulate", "diagram", "metrics", "analyze"])
+def test_unwritable_output_exits_1(runner, tmp_path, command):
+    # A file or bundle path in a missing directory used to exit 3 as a
+    # missing input; a regular file as the bundle directory, a traceback.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    runner.invoke(main, ["analyze", "--trace", str(trace), "--out", str(tmp_path / "an")])
+    (tmp_path / "afile").write_text("keep")
+    out, args = {
+        "simulate": ("missingdir/t.jsonl", ["simulate", "--config", str(cfg)]),
+        "diagram": ("missingdir/o.dot", ["diagram", "--analysis", str(tmp_path / "an"), "--format", "dot"]),
+        "metrics": ("afile", ["metrics", "--trace", str(trace)]),
+        "analyze": ("afile", ["analyze", "--trace", str(trace)]),
+    }[command]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / out)])
+    assert result.exit_code == 1, result.output
+    reason = "No such file or directory" if "/" in out else "File exists"
+    assert result.output == f"error: cannot write {tmp_path / out}: {reason}\n"
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "an", "sim.cfg", "t.jsonl"]
+    assert (tmp_path / "afile").read_text() == "keep"
+
+
 def test_help_documents_exit_codes(runner):
     result = runner.invoke(main, ["--help"])
     assert result.exit_code == 0

@@ -26,7 +26,7 @@ def repo_from(entries):
     repo = IntentionRepository()
     for record_id, (agent, tick, text) in enumerate(entries):
         record = ThoughtRecord(record_id, agent, tick, ThoughtPair(text, text))
-        repo.append(record, emb.embed(text))
+        repo.append(record, emb.embed([text])[0])
     return repo
 
 

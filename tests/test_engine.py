@@ -178,6 +178,26 @@ def test_failing_backend_falls_back_and_logs(tmp_path):
     assert decisions
 
 
+def test_backend_raising_mid_run_leaves_previous_trace(tmp_path):
+    # The trace used to be written in place, so a run that raised left a
+    # truncated file behind.
+    class CrashingBackend(ScriptedBackend):
+        def decide_work_hours_batch(self, contexts):
+            if contexts[0].current_tick:
+                raise RuntimeError("backend crashed")
+            return super().decide_work_hours_batch(contexts)
+
+    cfg = small_config(total_steps=240)
+    kept, fresh = tmp_path / "kept.jsonl", tmp_path / "fresh.jsonl"
+    run_simulation(cfg, ScriptedBackend(), kept)
+    before = kept.read_bytes()
+    for path in (kept, fresh):
+        with pytest.raises(RuntimeError, match="backend crashed"):
+            run_simulation(cfg, CrashingBackend(), path)
+    assert kept.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl"]
+
+
 def test_rider_stops_selecting_at_cap(tmp_path):
     cfg = small_config(n_riders=1, base_order_rate=3.0, total_steps=120, order_cap=2)
     path = tmp_path / "t.jsonl"

@@ -209,7 +209,7 @@ def test_backoff_waits_only_between_chat_attempts(stub_server, monkeypatch, kind
         assert sleeps == [0.2, 0.4]
     else:
         with pytest.raises(EmbeddingError):
-            RemoteEmbedder(endpoint_for(stub_server, "/embed", "e")).embed("a")
+            RemoteEmbedder(endpoint_for(stub_server, "/embed", "e")).embed(["a"])
         assert sleeps == []
     assert len(stub_server.requests) == transport.ATTEMPTS == 3
 
@@ -234,7 +234,7 @@ def test_embedding_transport_fault_retries_then_raises(stub_server, monkeypatch,
     stub_server.script = [fault] * 3
     embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
     with pytest.raises(EmbeddingError, match="embedding endpoint failed after retries"):
-        embedder.embed("a")
+        embedder.embed(["a"])
     assert len(stub_server.requests) == 3
 
 
@@ -242,7 +242,7 @@ def test_vector_count_mismatch_is_not_retried(stub_server):
     stub_server.script = [{"embedding": [[1.0, 0.0], [0.0, 1.0]]}] * 3
     embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
     with pytest.raises(EmbeddingError, match="returned 2 vectors for 1 inputs"):
-        embedder.embed("a")
+        embedder.embed(["a"])
     assert len(stub_server.requests) == 1
 
 
@@ -321,8 +321,8 @@ def test_single_perspective_mode_skips_bounded_call(stub_server):
 def test_remote_embedder_normalizes(stub_server):
     stub_server.script = [{"embedding": [[3.0, 4.0]]}, {"embedding": [[0.0, 2.0]]}]
     embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
-    assert np.allclose(embedder.embed("a"), [0.6, 0.8])
-    assert np.allclose(embedder.embed("b"), [0.0, 1.0])
+    # One request per text, in the order given.
+    assert np.allclose(embedder.embed(["a", "b"]), [[0.6, 0.8], [0.0, 1.0]])
     assert [request for _, request in stub_server.requests] == [
         {"model": "e", "input": ["a"]},
         {"model": "e", "input": ["b"]},
@@ -333,7 +333,7 @@ def test_remote_embedder_failure_raises(stub_server):
     stub_server.script = [{"status": 500, "body": b"x"}] * 3
     embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
     with pytest.raises(EmbeddingError):
-        embedder.embed("a")
+        embedder.embed(["a"])
 
 
 # Embeddings that are not a non-empty flat list of finite JSON numbers; the
@@ -350,14 +350,14 @@ def test_malformed_embedding_is_retried_then_refused(stub_server, vector):
     stub_server.script = [{"embedding": [vector]}] * 3
     embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
     with pytest.raises(EmbeddingError, match="failed after retries: embedding (is not|holds)"):
-        embedder.embed("a")
+        embedder.embed(["a"])
     assert len(stub_server.requests) == transport.ATTEMPTS
 
 
 def test_malformed_embedding_then_good_reply_is_used(stub_server):
     stub_server.script = [{"embedding": [5]}, {"embedding": [[3.0, 4.0]]}]
     embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
-    assert np.allclose(embedder.embed("a"), [0.6, 0.8])
+    assert np.allclose(embedder.embed(["a"]), [[0.6, 0.8]])
     assert len(stub_server.requests) == 2
 
 
@@ -365,9 +365,9 @@ def test_embedding_length_change_is_refused(stub_server):
     # It used to fail later, in the detector's matmul, with exit 4.
     stub_server.script = [{"embedding": [[1.0, 0.0]]}, {"embedding": [[1.0, 0.0, 0.0]]}]
     embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
-    embedder.embed("a")
+    embedder.embed(["a"])
     with pytest.raises(EmbeddingError, match="length 3, but its first had length 2"):
-        embedder.embed("b")
+        embedder.embed(["b"])
     assert len(stub_server.requests) == 2  # not retried
 
 
@@ -553,7 +553,7 @@ def test_llm_trace_bytes_pinned(stub_server, tmp_path):
 
 def test_llm_analysis_bundle_bytes_pinned(stub_server, tmp_path):
     # Six thoughts by two agents: a remote embedding per thought (the third
-    # after one failed attempt), an LLM novelty verdict per thought (yes, no,
+    # embedded after one failed attempt), an LLM novelty verdict per thought (yes, no,
     # neither, a transport failure), and an LLM label per cluster (one fails).
     import hashlib
 
@@ -570,9 +570,11 @@ def test_llm_analysis_bundle_bytes_pinned(stub_server, tmp_path):
     mapping.write_text(json.dumps({"agent": "speaker", "tick": "step", "text": "utterance"}))
     vectors = [[3.0, 4.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0],
                [0.0, 0.0, 2.0], [1.0, 0.1, 0.0], [0.5, 0.5, 0.5]]
+    # Embeddings go agent by agent (texts 0, 2, 4, then 1, 3, 5); the third
+    # request fails once and text 4 is asked again.
     stub_server.script = {
-        "/embed": [{"embedding": [v]} for v in vectors[:2]] + [BOOM]
-        + [{"embedding": [v]} for v in vectors[2:]],
+        "/embed": [{"embedding": [vectors[i]]} for i in (0, 2)] + [BOOM]
+        + [{"embedding": [vectors[i]]} for i in (4, 1, 3, 5)],
         "/v1/chat/completions": [
             {"chat": "yes"}, {"chat": "Yes, new."}, {"chat": "no"}, {"chat": "unsure"},
             BOOM, BOOM, BOOM, {"chat": "yes"},
@@ -590,6 +592,15 @@ def test_llm_analysis_bundle_bytes_pinned(stub_server, tmp_path):
     ])
     assert result.exit_code == 0, (result.output, result.exception)
     assert not any(stub_server.script.values())
+    combined = [f"bounded: {text} | rational: {text}" for text in texts]
+    embedded = [combined.index(body["input"][0]) for path, body in stub_server.requests
+                if path == "/embed"]
+    assert embedded == [0, 2, 4, 4, 1, 3, 5]
+    prompts = [body["messages"][0]["content"] for path, body in stub_server.requests
+               if path == "/v1/chat/completions"]
+    asked = [prompt.split("\n")[1] for prompt in prompts if prompt.startswith("An agent")]
+    # Novelty questions stay in canonical order; text 4's is tried three times.
+    assert asked == [combined[i] for i in (0, 1, 2, 3, 4, 4, 4, 5)]
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())
     }

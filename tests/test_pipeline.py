@@ -146,6 +146,23 @@ def test_failure_while_building_writes_nothing(tmp_path, monkeypatch):
     assert not (tmp_path / "new").exists()
 
 
+def test_failure_while_writing_the_last_file_keeps_the_previous_set(tmp_path, monkeypatch):
+    # Every file is written under a temporary name and renamed only once all
+    # are written: a failure while writing the last one leaves the previous
+    # bundle whole and no temporary file.
+    events = load_trace(thought_trace(tmp_path)).events
+    out = tmp_path / "out"
+    write_analysis_outputs(analyze_trace_events(events, AnalysisOptions(k=2, window_ticks=120)),
+                           out, source_digest="d", seed=0)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    other = analyze_trace_events(events, AnalysisOptions(k=2, window_ticks=120, analyzer=False))
+    # similarity.csv is written last; a lone surrogate fails its UTF-8 write.
+    monkeypatch.setattr(pipeline, "similarity_csv", lambda repo: "record_id\n\udc80\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_analysis_outputs(other, out, source_digest="d", seed=0, similarity=True)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_analysis_rerun_is_byte_identical(tmp_path):
     events = load_trace(thought_trace(tmp_path)).events
     for name in ("r1", "r2"):
