@@ -47,7 +47,7 @@ def main() -> int:
 
     print(f"ingested {len(ingest.rows)} statements ({ingest.skipped} skipped)")
     print(f"{len(result.repository)} intentions in the repository")
-    for cluster_id, label in sorted(result.cluster_labels.items()):
+    for cluster_id, label in sorted(result.diagram.cluster_labels.items()):
         origin_agent, origin_tick = result.diagram.origins.get(cluster_id, ("-", "-"))
         print(f"cluster {cluster_id} (origin agent {origin_agent} @ tick {origin_tick}):")
         print(f"  {label[:110]}")

@@ -62,7 +62,7 @@ def main() -> int:
     )
     write_analysis_outputs(result, out / "analysis_imitate")
     print(f"  {len(result.repository)} intentions, {len(result.diagram.points)} emergence points")
-    for cluster_id, label in sorted(result.cluster_labels.items()):
+    for cluster_id, label in sorted(result.diagram.cluster_labels.items()):
         print(f"  cluster {cluster_id}: {label[:100]}")
 
     print("\nday  imitate-index  fixed-index")

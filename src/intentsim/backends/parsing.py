@@ -18,6 +18,9 @@ THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
 
 _HOUR_RE = re.compile(r"^(\d{1,2}):(\d{2})$")
+# Where a JSON object can start: a "{" that JSON whitespace and then '"' or
+# "}" follow. The decoder refuses any other "{" at once.
+_OBJECT_START = re.compile(r'\{[ \t\n\r]*["}]')
 
 
 def strip_think_blocks(text: str) -> str:
@@ -53,20 +56,18 @@ def last_json_object(text: str) -> tuple[int, dict] | None:
     last = None
     pos = 0
     while True:
-        start = text.find("{", pos)
-        if start < 0:
+        found = _OBJECT_START.search(text, pos)
+        if found is None:
             return last
+        start = found.start()
         try:
             # A slice: json's error at an index into text counts every line before it.
             value, length = decode_json(text[start:], prefix=True)
         except ValueError:
             pos = start + 1
             continue
-        if isinstance(value, dict):
-            last = (start, value)
-            pos = start + length
-        else:
-            pos = start + 1
+        last = (start, value)  # a JSON value that starts with "{" is an object
+        pos = start + length
 
 
 def prose_before_payload(text: str) -> str:

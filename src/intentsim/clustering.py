@@ -1,11 +1,10 @@
 """Seeded k-means over embedding vectors.
 
 Initialization is k-means++ driven by a ``random.Random(seed)`` stream, so
-runs are reproducible for a given (vectors, k, seed). Zero vectors (empty
-texts) are excluded: their assignment slot is -1 and they contribute
-nothing to the objective. Empty clusters are repaired deterministically by
-reseeding the centroid to the worst-fit point (ties break to the lowest
-input index).
+runs are reproducible for a given (vectors, k, seed). Every vector is a
+point and gets a cluster: mining keeps zero vectors out of the repository.
+Empty clusters are repaired deterministically by reseeding the centroid to
+the worst-fit point (ties break to the lowest input index).
 
 The per-iteration objective is recorded; outside of repair iterations the
 objective must never increase, and a violation raises immediately rather
@@ -31,7 +30,7 @@ SAMPLE_CAP = 2000  # scan_k subsamples larger inputs for the O(n^2) silhouette
 class Clustering:
     k: int
     centroids: np.ndarray
-    assignments: np.ndarray  # per input; -1 marks an excluded zero vector
+    assignments: np.ndarray  # the cluster of each input vector
     objective: float
     iterations_run: int
     objective_history: list[float] = field(default_factory=list)
@@ -70,19 +69,14 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: random.Random) -> np.ndarra
 
 
 def kmeans_cluster(vectors, k: int, seed: int) -> Clustering:
-    """Lloyd's algorithm with k-means++ seeding on the non-zero vectors."""
-    matrix = np.asarray(vectors, dtype=float)
-    if matrix.ndim != 2:
+    """Lloyd's algorithm with k-means++ seeding."""
+    points = np.asarray(vectors, dtype=float)
+    if points.ndim != 2:
         raise ClusteringError("vectors must form a 2-D array")
     if k < 1:
         raise ClusteringError("k must be >= 1")
-    nonzero_mask = np.any(matrix != 0.0, axis=1)
-    points = matrix[nonzero_mask]
-    index_map = np.flatnonzero(nonzero_mask)
     if points.shape[0] < k:
-        raise ClusteringError(
-            f"fewer points than clusters: {points.shape[0]} non-zero vectors for k={k}"
-        )
+        raise ClusteringError(f"fewer points than clusters: {points.shape[0]} vectors for k={k}")
     rng = random.Random(seed)
     centroids = _kmeans_pp_init(points, k, rng)
     # Each step starts from the distances and labels its predecessor ended
@@ -137,12 +131,10 @@ def kmeans_cluster(vectors, k: int, seed: int) -> Clustering:
         # every point already sits on its nearest centroid.
         if improved < TOL and np.array_equal(labels, update_labels):
             break
-    assignments = np.full(matrix.shape[0], -1, dtype=int)
-    assignments[index_map] = labels
     return Clustering(
         k=k,
         centroids=centroids,
-        assignments=assignments,
+        assignments=labels,
         objective=objective,
         iterations_run=iterations,
         objective_history=history,
@@ -198,15 +190,14 @@ def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
 
 
 def distinct_rows(points: np.ndarray, limit: int) -> int:
-    """How many distinct non-zero rows ``points`` has, counted up to
-    ``limit``. k-means fills no more clusters than that, and repairs an
-    empty one on every step it runs."""
+    """How many distinct rows ``points`` has, counted up to ``limit``.
+    k-means fills no more clusters than that, and repairs an empty one on
+    every step it runs."""
     seen: set[bytes] = set()
     for row in points:
-        if row.any():
-            seen.add((row + 0.0).tobytes())  # + 0.0 makes -0.0 the bytes of 0.0
-            if len(seen) >= limit:
-                break
+        seen.add((row + 0.0).tobytes())  # + 0.0 makes -0.0 the bytes of 0.0
+        if len(seen) >= limit:
+            break
     return len(seen)
 
 
@@ -218,17 +209,13 @@ def scan_k(vectors, seed: int, k_min: int = 2, k_max: int = 10) -> tuple[int | N
     tried; with fewer than 2 of them there is nothing to scan, and the
     result is (None, {}).
     """
-    matrix = np.asarray(vectors, dtype=float)
-    nonzero = matrix[np.any(matrix != 0.0, axis=1)]
-    n = nonzero.shape[0]
+    sample = np.asarray(vectors, dtype=float)
+    n = sample.shape[0]
     if n < 3:
-        raise ClusteringError("need at least 3 non-zero vectors to scan k")
+        raise ClusteringError("need at least 3 vectors to scan k")
     if n > SAMPLE_CAP:
         rng = random.Random(seed)
-        idx = sorted(rng.sample(range(n), SAMPLE_CAP))
-        sample = nonzero[idx]
-    else:
-        sample = nonzero
+        sample = sample[sorted(rng.sample(range(n), SAMPLE_CAP))]
     distinct = distinct_rows(sample, k_max)
     if distinct < 2:
         return None, {}

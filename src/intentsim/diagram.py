@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .clustering import Clustering
 from .mining import IntentionRepository
@@ -52,21 +51,12 @@ WindowedClusters = list[dict[int, dict[int, int]]]
 
 
 def window_partition(
-    repo: IntentionRepository,
-    clustering: Clustering,
-    spec: WindowSpec,
-    warn_sink: Callable[[str], None] | None = None,
+    repo: IntentionRepository, clustering: Clustering, spec: WindowSpec
 ) -> WindowedClusters:
     """Group repository entries by (window, cluster, agent) first occurrence."""
     windows: WindowedClusters = [dict() for _ in range(spec.n_windows)]
     for idx, entry in enumerate(repo.entries):
         cluster = int(clustering.assignments[idx])
-        if cluster < 0:
-            if warn_sink is not None:
-                warn_sink(
-                    f"record {entry.record_id} has no cluster assignment (zero vector); skipped"
-                )
-            continue
         w = entry.tick // spec.window_ticks
         if w >= len(windows):
             # Entries past the declared span extend the window list.
@@ -191,14 +181,13 @@ def build_diagram(
     clustering: Clustering,
     spec: WindowSpec,
     cluster_labels: dict[int, str] | None = None,
-    warn_sink: Callable[[str], None] | None = None,
 ) -> tuple[EmergenceDiagram, InfluenceMap, list[EmergencePoint]]:
     """Walk every window, birth new clusters, and record influence points.
 
     Windows follow ticks, so the earliest (tick, agent) of a cluster in its
     birth window is its earliest anywhere: that entry is the origin.
     """
-    windows = window_partition(repo, clustering, spec, warn_sink)
+    windows = window_partition(repo, clustering, spec)
     diagram = EmergenceDiagram(
         window_ticks=spec.window_ticks,
         n_windows=len(windows),

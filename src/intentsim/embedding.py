@@ -5,7 +5,7 @@ per text: a remote HTTP service (the production path) and a seeded hashing
 embedder that keeps every test hermetic. The hashing scheme: lowercase,
 split on non-alphanumerics, hash each token into one of ``dim`` buckets
 with a seed-keyed hash, weight by term frequency, L2-normalize. Empty text
-embeds to the zero vector, which is flagged and excluded from clustering.
+embeds to the zero vector, which mining never takes for an intention.
 """
 
 from __future__ import annotations

@@ -231,7 +231,9 @@ def mine_records(
     thoughts. The present records are taken agent by agent in (tick, id)
     order and embedded and judged :data:`BLOCK_ROWS` at a time: each block
     is one matrix product against itself and the rows of its first agent
-    just before it. An LLM detector asks about every thought first.
+    just before it. An LLM detector asks about every thought first. A
+    thought whose embedding is the zero vector is never an intention,
+    whatever the verdict, so every repository entry can be clustered.
     """
     if memory_capacity < 0:
         raise ValueError(f"memory capacity must be >= 0, got {memory_capacity}")
@@ -260,7 +262,7 @@ def mine_records(
         for i, verdict in enumerate(asked[start:start + len(block)]):
             if verdict is not None:
                 verdicts[i] = verdict
-        keep = np.flatnonzero(verdicts)
+        keep = np.flatnonzero(verdicts & vectors.any(axis=1))
         emergent += zip([block[i] for i in keep], vectors[keep])
     repo = IntentionRepository()
     for record, vector in sorted(emergent, key=lambda item: item[0].record_id):

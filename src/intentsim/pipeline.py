@@ -17,8 +17,6 @@ import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .clustering import Clustering, distinct_rows, kmeans_cluster, label_cluster, scan_k
 from .diagram import (
     DEFAULT_WINDOW_TICKS,
@@ -79,7 +77,6 @@ class AnalysisOptions:
 class AnalysisResult:
     repository: IntentionRepository
     clustering: Clustering | None
-    cluster_labels: dict[int, str]
     diagram: EmergenceDiagram
     chosen_k: int
     warnings: list[str] = field(default_factory=list)
@@ -131,54 +128,45 @@ def analyze_records(
     chosen_k = options.k
     if len(repo):
         vectors = repo.vectors()
-        nonzero = int(np.sum(np.any(vectors != 0.0, axis=1)))
-        if nonzero == 0:
-            warnings.append("no embeddable intentions; skipping clustering")
-        else:
-            if options.scan_k and nonzero >= 3:
-                best_k, _scores = scan_k(vectors, options.seed)
-                if best_k is None:
-                    warnings.append("k scan skipped: fewer than 2 distinct intentions")
-                else:
-                    chosen_k = best_k
-                    warnings.append(f"k scan selected k={chosen_k}")
-            # Identical intentions are one point to k-means.
-            distinct = distinct_rows(vectors, chosen_k)
-            if chosen_k > distinct:
-                warnings.append(
-                    f"k={chosen_k} exceeds {distinct} clusterable intentions; using k={distinct}"
-                )
-                chosen_k = distinct
-            clustering = kmeans_cluster(vectors, chosen_k, options.seed)
-            for cluster_id in range(clustering.k):
-                members = [
-                    (entry.record_id, entry.combined_text, entry.embedding)
-                    for idx, entry in enumerate(repo.entries)
-                    if clustering.assignments[idx] == cluster_id
-                ]
-                if not members:
+        if options.scan_k and len(repo) >= 3:
+            best_k, _scores = scan_k(vectors, options.seed)
+            if best_k is None:
+                warnings.append("k scan skipped: fewer than 2 distinct intentions")
+            else:
+                chosen_k = best_k
+                warnings.append(f"k scan selected k={chosen_k}")
+        # Identical intentions are one point to k-means.
+        distinct = distinct_rows(vectors, chosen_k)
+        if chosen_k > distinct:
+            warnings.append(
+                f"k={chosen_k} exceeds {distinct} clusterable intentions; using k={distinct}"
+            )
+            chosen_k = distinct
+        clustering = kmeans_cluster(vectors, chosen_k, options.seed)
+        for cluster_id in range(clustering.k):
+            members = [
+                (entry.record_id, entry.combined_text, entry.embedding)
+                for idx, entry in enumerate(repo.entries)
+                if clustering.assignments[idx] == cluster_id
+            ]
+            if not members:
+                continue
+            if options.label_summarizer is not None:
+                try:
+                    labels[cluster_id] = str(options.label_summarizer([m[1] for m in members]))
                     continue
-                if options.label_summarizer is not None:
-                    try:
-                        labels[cluster_id] = str(
-                            options.label_summarizer([m[1] for m in members])
-                        )
-                        continue
-                    except Exception as exc:
-                        warnings.append(f"label summarizer failed ({exc}); using medoid")
-                labels[cluster_id] = label_cluster(members, clustering.centroids[cluster_id])
+                except Exception as exc:
+                    warnings.append(f"label summarizer failed ({exc}); using medoid")
+            labels[cluster_id] = label_cluster(members, clustering.centroids[cluster_id])
 
     if clustering is not None:
-        diagram, _influence, _points = build_diagram(
-            repo, clustering, spec, cluster_labels=labels, warn_sink=warnings.append
-        )
+        diagram, _influence, _points = build_diagram(repo, clustering, spec, cluster_labels=labels)
     else:
         diagram = EmergenceDiagram(window_ticks=spec.window_ticks, n_windows=spec.n_windows)
 
     return AnalysisResult(
         repository=repo,
         clustering=clustering,
-        cluster_labels=labels,
         diagram=diagram,
         chosen_k=chosen_k if clustering is not None else 0,
         warnings=warnings,
@@ -190,7 +178,7 @@ def clusters_csv(result: AnalysisResult) -> str:
     if result.clustering is not None:
         for idx, entry in enumerate(result.repository.entries):
             cluster = int(result.clustering.assignments[idx])
-            label = result.cluster_labels.get(cluster, "") if cluster >= 0 else ""
+            label = result.diagram.cluster_labels.get(cluster, "")
             rows.append([entry.record_id, entry.agent_id, entry.tick, cluster, label])
     return csv_text(rows)
 

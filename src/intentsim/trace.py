@@ -19,7 +19,8 @@ that writes a set of files builds them all first, then :func:`write_files`.
 Both write under temporary names beside the targets and rename them only
 once everything is written, so a failure leaves the previous files (or
 none) in place; an output path that cannot be written is an
-:class:`~intentsim.errors.OutputError`.
+:class:`~intentsim.errors.OutputError`. A write also deletes the
+temporaries of its targets that a process no longer running left behind.
 
 A reader shares one payload dict between a rider's identical fixed-shape
 lines (:data:`SHAPES`) and one int between the events of a tick, so the
@@ -149,7 +150,9 @@ def write_files(out_dir: str | Path, texts: dict[str, str], owned: str) -> dict[
 def _staged(paths: list[Path]):
     """Text files open under temporary names beside ``paths``; once the
     block ends without an error, each replaces its path. An error deletes
-    them all."""
+    them all, and a killed run's are deleted by the next run on its path."""
+    for path in paths:
+        _delete_orphans(path)
     temps = [path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp") for path in paths]
     handles = []
     try:
@@ -166,6 +169,31 @@ def _staged(paths: list[Path]):
         for temp in temps:
             temp.unlink(missing_ok=True)
         raise
+
+
+def _delete_orphans(path: Path) -> None:
+    """Delete each temporary of ``path`` whose process no longer runs, such
+    as a killed run's: ``.NAME.PID-HEX.tmp`` with a PID that names no
+    process. A running process's temporaries stay. Best effort: writing
+    reports an unusable directory."""
+    orphan = re.compile(rf"\.{re.escape(path.name)}\.(\d+)-[0-9a-f]{{8}}\.tmp")
+    try:
+        for temp in path.parent.iterdir():
+            found = orphan.fullmatch(temp.name)
+            if found and not _running(int(found[1])):
+                temp.unlink(missing_ok=True)
+    except OSError:
+        pass
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # signal 0 only checks that the process exists
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):
+        pass  # another user's process, or no PID of this system: keep its files
+    return True
 
 
 def _output_step(path: Path, action, *args, **kwargs):

@@ -120,7 +120,6 @@ def shift_active(shift_start: int, shift_end: int, tick_of_day: int, steps_per_d
 
 def init_world(config: SimConfig) -> WorldState:
     """Create the tick-0 world: seeded riders, personas, empty order book."""
-    config.validate()
     rng = random.Random(config.seed)
     riders: list[RiderState] = []
     for rider_id in range(config.n_riders):

@@ -332,7 +332,7 @@ def test_criterion_10_external_ingestion(tmp_path):
     options = AnalysisOptions(k=2, theta=0.8, window_ticks=40, seed=0)
     result, ingest = analyze_external(log_path, mapping, options)
     assert ingest.skipped == 0
-    support = [cid for cid, label in result.cluster_labels.items()
+    support = [cid for cid, label in result.diagram.cluster_labels.items()
                if "support" in label and "candidacy" in label]
     assert len(support) == 1
     support_id = support[0]

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -506,6 +509,32 @@ def test_unwritable_output_exits_1(runner, tmp_path, command):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "an", "sim.cfg", "t.jsonl"]
     assert (tmp_path / "afile").read_text() == "keep"
+
+
+def test_killed_runs_temporaries_are_deleted(runner, tmp_path):
+    # A killed run leaves its temporary beside the target; the next run on
+    # that target deletes it, but not a running process's temporaries.
+    dead, live = subprocess.Popen([sys.executable, "-c", ""]), os.getpid()
+    dead.wait()  # reaped: its PID names no process now
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace, reports = tmp_path / "t.jsonl", tmp_path / "r"
+    reports.mkdir()
+    kept = {
+        tmp_path / f".t.jsonl.{live}-0123abcd.tmp",
+        tmp_path / f".other.jsonl.{dead.pid}-0123abcd.tmp",
+        tmp_path / "notes.txt",
+        reports / f".involution.csv.{live}-89abcdef.tmp",
+    }
+    orphans = {tmp_path / f".t.jsonl.{dead.pid}-0123abcd.tmp",
+               reports / f".involution.csv.{dead.pid}-89abcdef.tmp"}
+    for path in kept | orphans:
+        path.write_text("partial")
+    for args in (["simulate", "--config", str(cfg), "--out", str(trace)],
+                 ["metrics", "--trace", str(trace), "--out", str(reports)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    assert all(path.read_text() == "partial" for path in kept)
+    assert not any(path.exists() for path in orphans)
 
 
 def test_help_documents_exit_codes(runner):

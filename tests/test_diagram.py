@@ -76,15 +76,6 @@ def test_two_agents_group_into_one_cluster_entry():
     assert windows[0] == {0: {1: 10, 2: 30}}
 
 
-def test_zero_vector_entries_skipped_with_warning():
-    repo = repo_from([(1, 10, "real"), (2, 20, "")])
-    warnings = []
-    spec = WindowSpec(window_ticks=100, n_windows=1)
-    windows = window_partition(repo, clustering_with([0, -1], k=1), spec, warnings.append)
-    assert windows[0] == {0: {1: 10}}
-    assert len(warnings) == 1
-
-
 def diagram_of(entries, assignments, spec, k=None):
     """build_diagram over (agent, tick) entries with the given cluster ids."""
     repo = repo_from([(agent, tick, f"thought {i}") for i, (agent, tick) in enumerate(entries)])
@@ -199,7 +190,7 @@ def reference_diagram(windows):
 
 @given(
     entries=st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, 499), st.integers(-1, 3)), max_size=40
+        st.tuples(st.integers(0, 5), st.integers(0, 499), st.integers(0, 3)), max_size=40
     ),
     window_ticks=st.integers(1, 200),
     n_windows=st.integers(0, 4),

@@ -480,6 +480,44 @@ def test_llm_detector_via_cli(stub_server, tmp_path):
     assert all("novel intention" in p for p in prompts)
 
 
+def test_zero_embedding_is_never_an_intention(stub_server, tmp_path):
+    # The chat model calls every thought new, but the second one embeds to
+    # the zero vector: it stays out of the repository, so every intention
+    # has a cluster.
+    from click.testing import CliRunner
+
+    from intentsim.cli import main as cli_main
+
+    texts = ["ride to the market", "say nothing", "wait at the station"]
+    log = tmp_path / "foreign.jsonl"
+    log.write_text("".join(
+        json.dumps({"speaker": i, "step": i + 1, "utterance": t}) + "\n" for i, t in enumerate(texts)
+    ))
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps({"agent": "speaker", "tick": "step", "text": "utterance"}))
+    stub_server.script = {
+        "/embed": [{"embedding": [v]} for v in ([1.0, 0.0], [0.0, 0.0], [0.0, 1.0])],
+        "/v1/chat/completions": [{"chat": "yes"}] * 3,
+    }
+    host, port = stub_server.server_address
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, [
+        "analyze", "--external", str(log), "--mapping", str(mapping), "--out", str(out),
+        "--k", "2", "--window-ticks", "10",
+        "--embed-url", f"http://{host}:{port}/embed", "--embed-model", "stub-embed",
+        "--detector", "llm",
+        "--llm-url", f"http://{host}:{port}/v1/chat/completions", "--llm-model", "stub-model",
+    ])
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert not any(stub_server.script.values())
+    repo = [json.loads(line) for line in (out / "repository.jsonl").read_text().splitlines()]
+    assert [entry["record_id"] for entry in repo] == [0, 2]
+    clusters = (out / "clusters.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in clusters] == ["0", "2"]
+    assert all(int(row.split(",")[3]) >= 0 for row in clusters)
+    assert "cluster assignment" not in (out / "analysis_events.jsonl").read_text()
+
+
 def test_label_llm_via_cli(stub_server, tmp_path):
     import json as _json
 

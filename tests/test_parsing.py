@@ -1,14 +1,19 @@
+import json
+import time
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intentsim.backends.parsing import (
     extract_think_block,
+    last_json_object,
     parse_decision_payload,
     prose_before_payload,
     strip_think_blocks,
 )
 from intentsim.backends.types import OrderSelection, WorkHoursDecision
 from intentsim.errors import DecisionParseError
+from intentsim.trace import decode_json
 
 
 def test_parse_work_hours_happy_path():
@@ -134,3 +139,50 @@ def test_undecodable_payload_is_a_parse_error(reply):
     with pytest.raises(DecisionParseError, match="no JSON object found"):
         parse_decision_payload(reply, "work_hours")
     assert prose_before_payload(reply) == reply
+
+
+def last_json_object_at_every_brace(text):
+    """``last_json_object`` as first written: a decode tried at every "{"."""
+    last = None
+    pos = 0
+    while True:
+        start = text.find("{", pos)
+        if start < 0:
+            return last
+        try:
+            value, length = decode_json(text[start:], prefix=True)
+        except ValueError:
+            pos = start + 1
+            continue
+        if isinstance(value, dict):
+            last = (start, value)
+            pos = start + length
+        else:
+            pos = start + 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+reply_pieces = (
+    st.sampled_from(list('{}"\\:,[]0123456789 \t\n\r') + ["true", "null"])
+    | st.dictionaries(st.text(max_size=3), json_values, max_size=3).map(json.dumps)
+    | st.dictionaries(st.text(max_size=3), json_values, max_size=3).map(lambda d: json.dumps(d, indent=1))
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(reply_pieces, max_size=40).map("".join))
+@example('{\r}')  # each JSON whitespace character may come between "{" and '"' or "}"
+@example('{\t\n\r "a": [1]} {\n}')
+def test_last_json_object_matches_a_decode_at_every_brace(text):
+    assert last_json_object(text) == last_json_object_at_every_brace(text)
+
+
+@pytest.mark.parametrize("reply", ["{" * 100_000, "{ \n" * 100_000], ids=["braces", "spaced_braces"])
+def test_many_braces_without_an_object_parse_fast(reply):
+    began = time.perf_counter()
+    assert last_json_object(reply) is None
+    assert time.perf_counter() - began < 0.1

@@ -61,7 +61,7 @@ def test_analyze_builds_repository_and_diagram(tmp_path):
     result = analyze_trace_events(events, AnalysisOptions(k=2, window_ticks=120))
     assert len(result.repository) == 4
     assert result.chosen_k == 2
-    assert any("imitate" in label for label in result.cluster_labels.values())
+    assert any("imitate" in label for label in result.diagram.cluster_labels.values())
 
 
 def test_shared_options_keep_each_trace_span(tmp_path):
@@ -96,14 +96,14 @@ def test_no_inspector_drops_imitation_cluster(tmp_path):
     for entry in result.repository.entries:
         assert "imitate" not in entry.combined_text
         assert not entry.combined_text.startswith("bounded:")
-    assert all("imitate" not in label for label in result.cluster_labels.values())
+    assert all("imitate" not in label for label in result.diagram.cluster_labels.values())
 
 
 def test_inspector_on_keeps_imitation_cluster(tmp_path):
     events = load_trace(thought_trace(tmp_path)).events
     result = analyze_trace_events(events, AnalysisOptions(k=2, window_ticks=120))
     imitate_clusters = [
-        cid for cid, label in result.cluster_labels.items() if "imitate" in label
+        cid for cid, label in result.diagram.cluster_labels.items() if "imitate" in label
     ]
     assert len(imitate_clusters) == 1
 
@@ -264,7 +264,7 @@ def test_election_fixture_full_pipeline(tmp_path):
     assert ingest.skipped == 0
     assert len(result.repository) == 5
 
-    support_clusters = [cid for cid, label in result.cluster_labels.items()
+    support_clusters = [cid for cid, label in result.diagram.cluster_labels.items()
                         if "support" in label and "candidacy" in label]
     assert len(support_clusters) == 1
     support = support_clusters[0]
