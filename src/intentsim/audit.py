@@ -1,21 +1,19 @@
 """Trace auditor: replays a full event stream and checks every simulation
-invariant — order lifecycle and conservation, movement speed and grid
-bounds, the hold cap, and the earnings / labor-cost / distance accounting
-identities against the final summary."""
+invariant — the order lifecycle, movement speed and grid bounds, the hold
+cap, and the earnings / labor-cost / distance accounting identities against
+the final summary — with one ledger per rider and one entry per order."""
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import AuditError
 from .trace import FIELD_TYPES, field_error, is_point, start_config
 
-_LEGAL_TRANSITIONS = {
-    ("created", "assigned"),
-    ("assigned", "picked_up"),
-    ("picked_up", "delivered"),
-}
+# Each later order event and the state it requires.
+_BEFORE = {"assigned": "created", "picked_up": "assigned", "delivered": "picked_up"}
 
 
 @dataclass
@@ -27,26 +25,33 @@ class AuditReport:
     max_displacement: int = 0
 
 
+@dataclass(slots=True)
+class _Rider:
+    position: tuple[int, int] | None = None
+    held: int = 0
+    ticks: int = 0  # position events, i.e. ticks at work
+    accrued_ticks: int = 0  # ``ticks`` at the last cost accrual
+    accrued: float = 0.0
+    earnings: float = 0.0
+    delivered: int = 0
+    distance: int = 0
+
+
 def audit_trace(events) -> AuditReport:
     """Validate a trace's events (any iterable, starting with a ``sim_start``
-    that carries the config); raises :class:`AuditError` on any violation."""
+    that carries the config) in the order a trace reader yields them, whose
+    :class:`~intentsim.trace.OrderGuard` owns seq and tick order; raises
+    :class:`AuditError` on any violation."""
     stream = iter(events)
     start = next(stream, None)
     config = start_config(start)
     if config is None:
         raise AuditError("trace does not start with a sim_start event carrying the config")
     report = AuditReport(events=1)
-    order_state: dict[int, str] = {}
-    order_created_tick: dict[int, int] = {}
-    order_payment: dict[int, float] = {}
-    held: dict[int, int] = {}
-    last_pos: dict[int, tuple[int, int]] = {}
-    at_work_ticks: dict[int, int] = {}
-    accrued: dict[int, float] = {}
-    earnings: dict[int, float] = {}
-    delivered_count: dict[int, int] = {}
-    distance: dict[int, int] = {}
-    last_accrual_mark: dict[int, int] = {}
+    riders: defaultdict[int, _Rider] = defaultdict(_Rider)
+    # An order enters only on "created", which is counted, so the states of
+    # ``orders`` always add up to ``orders_created``: conservation by construction.
+    orders: dict[int, list] = {}  # id -> [state, payment]
     sim_end_payload: dict | None = None
     rider_start = start.payload.get("rider_start", {})
     if not isinstance(rider_start, dict) or not all(
@@ -54,7 +59,7 @@ def audit_trace(events) -> AuditReport:
     ):
         raise AuditError("sim_start rider_start does not map rider ids to [x, y] points")
     for rider_id, point in rider_start.items():
-        last_pos[int(rider_id)] = (point[0], point[1])
+        riders[int(rider_id)].position = (point[0], point[1])
     grid = config["grid_size"]
 
     for event in stream:
@@ -64,12 +69,11 @@ def audit_trace(events) -> AuditReport:
         if kind == "order_event":
             what = payload["event"]
             oid = payload["order"]
+            order = orders.get(oid)
             if what == "created":
-                if oid in order_state:
+                if order is not None:
                     raise AuditError(f"order {oid} created twice")
-                order_state[oid] = "created"
-                order_created_tick[oid] = event.tick
-                order_payment[oid] = payload["payment"]
+                orders[oid] = ["created", payload["payment"]]
                 report.orders_created += 1
                 lo, hi = config["payment_range"]
                 if not lo <= payload["payment"] <= hi:
@@ -79,55 +83,51 @@ def audit_trace(events) -> AuditReport:
                 for point in (payload["pickup"], payload["dropoff"]):
                     if not (0 <= point[0] < grid and 0 <= point[1] < grid):
                         raise AuditError(f"order {oid} endpoint {point} outside grid")
-            else:
-                previous = order_state.get(oid)
-                if previous is None or (previous, what) not in _LEGAL_TRANSITIONS:
-                    raise AuditError(
-                        f"order {oid} illegal transition {previous!r} -> {what!r}"
-                    )
-                order_state[oid] = what
-                agent = payload["agent"]
-                if what == "assigned":
-                    held[agent] = held.get(agent, 0) + 1
-                    if held[agent] > config["order_cap"]:
-                        raise AuditError(
-                            f"rider {agent} exceeds order cap at tick {event.tick}"
-                        )
-                elif what == "delivered":
-                    if event.tick < order_created_tick[oid]:
-                        raise AuditError(f"order {oid} delivered before creation")
-                    held[agent] = held.get(agent, 0) - 1
-                    if held[agent] < 0:
-                        raise AuditError(f"rider {agent} delivered an unheld order {oid}")
-                    earnings[agent] = earnings.get(agent, 0.0) + order_payment[oid]
-                    delivered_count[agent] = delivered_count.get(agent, 0) + 1
-                    report.orders_delivered += 1
+                continue
+            previous = order[0] if order else None
+            if previous is None or _BEFORE.get(what) != previous:
+                raise AuditError(f"order {oid} illegal transition {previous!r} -> {what!r}")
+            order[0] = what
+            agent = payload["agent"]
+            rider = riders[agent]
+            if what == "assigned":
+                rider.held += 1
+                if rider.held > config["order_cap"]:
+                    raise AuditError(f"rider {agent} exceeds order cap at tick {event.tick}")
+            elif what == "delivered":
+                rider.held -= 1
+                if rider.held < 0:
+                    raise AuditError(f"rider {agent} delivered an unheld order {oid}")
+                rider.earnings += order[1]
+                rider.delivered += 1
+                report.orders_delivered += 1
         elif kind == "position":
             agent = payload["agent"]
+            rider = riders[agent]
             x, y = payload["x"], payload["y"]
             report.position_events += 1
             if not (0 <= x < grid and 0 <= y < grid):
                 raise AuditError(f"rider {agent} position ({x}, {y}) outside grid")
-            if payload["held"] != held.get(agent, 0):
+            if payload["held"] != rider.held:
                 raise AuditError(
                     f"rider {agent} held-count mismatch at tick {event.tick}: "
-                    f"event says {payload['held']}, ledger says {held.get(agent, 0)}"
+                    f"event says {payload['held']}, ledger says {rider.held}"
                 )
-            previous = last_pos.get(agent)
-            if previous is not None:
-                moved = abs(x - previous[0]) + abs(y - previous[1])
+            if rider.position is not None:
+                moved = abs(x - rider.position[0]) + abs(y - rider.position[1])
                 report.max_displacement = max(report.max_displacement, moved)
                 if moved > config["max_move_per_step"]:
                     raise AuditError(
                         f"rider {agent} moved {moved} > cap {config['max_move_per_step']}"
                     )
-                distance[agent] = distance.get(agent, 0) + moved
-            last_pos[agent] = (x, y)
-            at_work_ticks[agent] = at_work_ticks.get(agent, 0) + 1
+                rider.distance += moved
+            rider.position = (x, y)
+            rider.ticks += 1
         elif kind == "cost_accrual":
             agent = payload["agent"]
-            accrued[agent] = accrued.get(agent, 0.0) + payload["amount"]
-            worked = at_work_ticks.get(agent, 0) - last_accrual_mark.get(agent, 0)
+            rider = riders[agent]
+            rider.accrued += payload["amount"]
+            worked = rider.ticks - rider.accrued_ticks
             if payload["ticks"] != worked:
                 raise AuditError(
                     f"rider {agent} cost accrual covers {payload['ticks']} ticks "
@@ -138,17 +138,9 @@ def audit_trace(events) -> AuditReport:
                 raise AuditError(
                     f"rider {agent} accrual amount {payload['amount']} != wage x ticks {expected}"
                 )
-            last_accrual_mark[agent] = at_work_ticks.get(agent, 0)
+            rider.accrued_ticks = rider.ticks
         elif kind == "sim_end":
             sim_end_payload = payload
-
-    # Conservation: every order is in exactly one state and the ledger's
-    # state counts add back up to everything ever created.
-    states = {"created": 0, "assigned": 0, "picked_up": 0, "delivered": 0}
-    for state in order_state.values():
-        states[state] += 1
-    if sum(states.values()) != report.orders_created:
-        raise AuditError("order conservation violated")
 
     if sim_end_payload is not None:
         if sim_end_payload.get("orders_created") != report.orders_created:
@@ -156,11 +148,12 @@ def audit_trace(events) -> AuditReport:
                 f"sim_end reports {sim_end_payload.get('orders_created')} orders, "
                 f"trace contains {report.orders_created}"
             )
-        riders = sim_end_payload.get("riders")
-        if not isinstance(riders, dict) or not all(map(str.isdecimal, riders)):
+        summaries = sim_end_payload.get("riders")
+        if not isinstance(summaries, dict) or not all(map(str.isdecimal, summaries)):
             raise AuditError("sim_end riders does not map rider ids to summaries")
-        for rider_id, summary in riders.items():
+        for rider_id, summary in summaries.items():
             agent = int(rider_id)
+            rider = riders[agent]
             problem = (
                 field_error(FIELD_TYPES["rider_summary"], summary)
                 if isinstance(summary, dict)
@@ -168,31 +161,27 @@ def audit_trace(events) -> AuditReport:
             )
             if problem is not None:
                 raise AuditError(f"rider {agent} sim_end summary {problem}")
-            if not math.isclose(
-                summary["earnings"], earnings.get(agent, 0.0), rel_tol=1e-9, abs_tol=1e-6
-            ):
+            if not math.isclose(summary["earnings"], rider.earnings, rel_tol=1e-9, abs_tol=1e-6):
                 raise AuditError(
                     f"rider {agent} earnings {summary['earnings']} != delivered payments "
-                    f"{earnings.get(agent, 0.0)}"
+                    f"{rider.earnings}"
                 )
-            if summary["orders_completed"] != delivered_count.get(agent, 0):
+            if summary["orders_completed"] != rider.delivered:
                 raise AuditError(f"rider {agent} completion count mismatch")
-            if summary["distance_ridden"] != distance.get(agent, 0):
+            if summary["distance_ridden"] != rider.distance:
                 raise AuditError(
                     f"rider {agent} distance {summary['distance_ridden']} != "
-                    f"sum of displacements {distance.get(agent, 0)}"
+                    f"sum of displacements {rider.distance}"
                 )
-            expected_cost = config["wage_rate"] * at_work_ticks.get(agent, 0)
+            expected_cost = config["wage_rate"] * rider.ticks
             if not math.isclose(summary["labor_cost"], expected_cost, rel_tol=1e-9, abs_tol=1e-6):
                 raise AuditError(
                     f"rider {agent} labor cost {summary['labor_cost']} != "
                     f"wage x at-work ticks {expected_cost}"
                 )
-            if not math.isclose(
-                accrued.get(agent, 0.0), summary["labor_cost"], rel_tol=1e-9, abs_tol=1e-6
-            ):
+            if not math.isclose(rider.accrued, summary["labor_cost"], rel_tol=1e-9, abs_tol=1e-6):
                 raise AuditError(
-                    f"rider {agent} accrual events sum to {accrued.get(agent, 0.0)} "
+                    f"rider {agent} accrual events sum to {rider.accrued} "
                     f"but final labor cost is {summary['labor_cost']}"
                 )
     return report

@@ -253,7 +253,7 @@ def analyze(
             click.echo(f"ingest skipped {ingest.skipped} record(s)", err=True)
     write_analysis_outputs(result, out_dir, source_digest=digest, seed=seed, similarity=similarity_csv)
     click.echo(
-        f"{len(result.repository)} intentions, k={result.chosen_k}, "
+        f"{len(result.repository)} intentions, k={result.clustering.k if result.clustering else 0}, "
         f"{len(result.diagram.points)} emergence points -> {Path(out_dir)}"
     )
 

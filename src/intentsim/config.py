@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -53,6 +54,8 @@ class SimConfig:
                 values, rule = (value,), "must be"
             if not all(type(v) is int or (kind is float and type(v) is float) for v in values):
                 raise ConfigError(name, f"{rule} {'an integer' if kind is int else 'a number'}")
+            if not all(type(v) is int or math.isfinite(v) for v in values):  # NaN fails no range check
+                raise ConfigError(name, f"{rule} finite")
         if not 0 < self.grid_size <= MAX_GRID_SIZE:
             raise ConfigError("grid_size", f"must be > 0 and <= {MAX_GRID_SIZE}")
         if self.steps_per_day <= 0:

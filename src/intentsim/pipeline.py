@@ -78,7 +78,6 @@ class AnalysisResult:
     repository: IntentionRepository
     clustering: Clustering | None
     diagram: EmergenceDiagram
-    chosen_k: int
     warnings: list[str] = field(default_factory=list)
 
 
@@ -168,7 +167,6 @@ def analyze_records(
         repository=repo,
         clustering=clustering,
         diagram=diagram,
-        chosen_k=chosen_k if clustering is not None else 0,
         warnings=warnings,
     )
 

@@ -1,13 +1,14 @@
 import json
+import re
 
 import pytest
 
 from intentsim.audit import audit_trace
 from intentsim.backends.scripted import ScriptedBackend
-from intentsim.config import SimConfig
+from intentsim.config import SimConfig, config_digest
 from intentsim.engine import run_simulation
 from intentsim.errors import AuditError
-from intentsim.trace import TraceEvent, load_trace
+from intentsim.trace import TraceEvent, TraceHeader, load_trace, write_trace
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,38 @@ def tamper(path, tmp_path, mutate):
     return out
 
 
+def first(kind, edit, event=None):
+    """A ``tamper`` mutation that applies ``edit`` to the payload of the first
+    ``kind`` event (of the first order event ``event``, when given)."""
+    def mutate(data):
+        if data["kind"] != kind or event not in (None, data["payload"].get("event")):
+            return False
+        edit(data["payload"])
+        return True
+    return mutate
+
+
+def hand_built(tmp_path, n_riders, events):
+    """Read back a trace of ``(tick, kind, payload)`` events after a
+    ``sim_start`` whose riders all start at (0, 0)."""
+    cfg = SimConfig(grid_size=40, total_steps=120, steps_per_day=120, n_riders=n_riders,
+                    base_order_rate=0.0, max_move_per_step=30, order_cap=1, seed=1)
+    start = (0, "sim_start", {"config": cfg.to_dict(), "backend": {},
+                              "rider_start": {str(r): [0, 0] for r in range(n_riders)}})
+    path = tmp_path / "hand.jsonl"
+    write_trace(path, TraceHeader(1, config_digest(cfg), cfg.seed),
+                [TraceEvent(seq, *event) for seq, event in enumerate([start, *events])])
+    return load_trace(path).events
+
+
+def order(tick, what, oid, **fields):
+    return tick, "order_event", {"event": what, "order": oid, **fields}
+
+
+NEW = dict(pickup=[1, 1], dropoff=[2, 2], payment=10.0)
+END = (120, "sim_end", {})
+
+
 def test_clean_trace_passes(clean_trace):
     report = audit_trace(load_trace(clean_trace).events)
     assert report.orders_delivered > 0
@@ -49,21 +82,31 @@ def test_sim_start_without_config_rejected(clean_trace):
 
 
 def test_speed_cap_violation_detected(tmp_path):
-    from intentsim.config import config_digest
-    from intentsim.trace import TraceEvent, TraceHeader, write_trace
-
-    cfg = SimConfig(grid_size=40, total_steps=120, steps_per_day=120, n_riders=1,
-                    base_order_rate=0.0, max_move_per_step=30, seed=1)
-    events = [
-        TraceEvent(0, 0, "sim_start", {"config": cfg.to_dict(), "backend": {},
-                                       "rider_start": {"0": [0, 0]}}),
-        TraceEvent(1, 1, "position", {"agent": 0, "x": 31, "y": 0, "held": 0}),
-        TraceEvent(2, 120, "sim_end", {}),
-    ]
-    path = tmp_path / "speed.jsonl"
-    write_trace(path, TraceHeader(1, config_digest(cfg), cfg.seed), events)
+    events = hand_built(tmp_path, 1, [(1, "position", {"agent": 0, "x": 31, "y": 0, "held": 0}), END])
     with pytest.raises(AuditError, match="moved 31"):
-        audit_trace(load_trace(path).events)
+        audit_trace(events)
+
+
+@pytest.mark.parametrize(
+    "n_riders, events, message",
+    [
+        (1, [order(1, "created", 0, **NEW), order(1, "created", 1, **NEW),
+             order(1, "assigned", 0, agent=0), order(1, "assigned", 1, agent=0), END],
+         "rider 0 exceeds order cap at tick 1"),
+        (2, [order(1, "created", 0, **NEW), order(1, "assigned", 0, agent=0),
+             order(2, "picked_up", 0, agent=0), order(3, "delivered", 0, agent=1, payment=10.0),
+             END],
+         "rider 1 delivered an unheld order 0"),
+        (1, [(1, "position", {"agent": 0, "x": 0, "y": 0, "held": 0}),
+             (120, "sim_end", {"orders_created": 0, "riders": {"0": {
+                 "earnings": 0.0, "labor_cost": 1.0, "orders_completed": 0, "distance_ridden": 0}}})],
+         "rider 0 accrual events sum to 0.0 but final labor cost is 1.0"),
+    ],
+    ids=["order_cap", "delivery_by_another_rider", "labor_cost_never_accrued"],
+)
+def test_hand_built_violation_detected(tmp_path, n_riders, events, message):
+    with pytest.raises(AuditError, match=re.escape(message)):
+        audit_trace(hand_built(tmp_path, n_riders, events))
 
 
 def test_held_count_tamper_detected(clean_trace, tmp_path):
@@ -100,7 +143,7 @@ def test_double_creation_detected(clean_trace, tmp_path):
             return True
         return False
 
-    with pytest.raises(AuditError, match="created twice|illegal transition"):
+    with pytest.raises(AuditError, match="created twice"):
         audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)
 
 
@@ -112,7 +155,7 @@ def test_skipped_pickup_detected(clean_trace, tmp_path):
             return True
         return False
 
-    with pytest.raises(AuditError, match="illegal transition|held-count|earnings"):
+    with pytest.raises(AuditError, match="illegal transition 'assigned' -> 'delivered'"):
         audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)
 
 
@@ -136,7 +179,36 @@ def test_accrual_mismatch_detected(clean_trace, tmp_path):
             return True
         return False
 
-    with pytest.raises(AuditError, match="accrual"):
+    with pytest.raises(AuditError, match="accrual amount"):
+        audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (first("order_event", lambda p: p.update(payment=99.0), "created"),
+         r"order \d+ payment 99.0 outside range \[5.0, 15.0\]"),
+        (first("order_event", lambda p: p.update(dropoff=[3, 40]), "created"),
+         r"order \d+ endpoint \[3, 40\] outside grid"),
+        (first("cost_accrual", lambda p: p.update(ticks=p["ticks"] + 1)),
+         r"cost accrual covers \d+ ticks but \d+ position events"),
+        (first("sim_end", lambda p: p.update(orders_created=p["orders_created"] + 1)),
+         r"sim_end reports \d+ orders, trace contains \d+"),
+        (first("sim_end", lambda p: p["riders"]["2"].update(
+            orders_completed=p["riders"]["2"]["orders_completed"] + 1)),
+         "rider 2 completion count mismatch"),
+        (first("sim_end", lambda p: p["riders"]["2"].update(
+            distance_ridden=p["riders"]["2"]["distance_ridden"] + 1)),
+         "rider 2 distance .* != sum of displacements"),
+        (first("sim_end", lambda p: p["riders"]["2"].update(
+            labor_cost=p["riders"]["2"]["labor_cost"] + 1.0)),
+         "rider 2 labor cost .* != wage x at-work ticks"),
+    ],
+    ids=["payment", "endpoint", "accrual_ticks", "orders_created", "orders_completed",
+         "distance_ridden", "labor_cost"],
+)
+def test_one_field_tamper_detected(clean_trace, tmp_path, mutate, message):
+    with pytest.raises(AuditError, match=message):
         audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)
 
 
@@ -147,18 +219,21 @@ def rename_key(summary, key):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda s: rename_key(s, "earnings"), "has no 'earnings'"),
-        (lambda s: rename_key(s, "labor_cost"), "has no 'labor_cost'"),
-        (lambda s: rename_key(s, "orders_completed"), "has no 'orders_completed'"),
-        (lambda s: rename_key(s, "distance_ridden"), "has no 'distance_ridden'"),
-        (lambda s: s.update(earnings=str(s["earnings"])), "'earnings' is not a number"),
+        (lambda riders: rename_key(riders["2"], "earnings"), "has no 'earnings'"),
+        (lambda riders: rename_key(riders["2"], "labor_cost"), "has no 'labor_cost'"),
+        (lambda riders: rename_key(riders["2"], "orders_completed"), "has no 'orders_completed'"),
+        (lambda riders: rename_key(riders["2"], "distance_ridden"), "has no 'distance_ridden'"),
+        (lambda riders: riders["2"].update(earnings=str(riders["2"]["earnings"])),
+         "'earnings' is not a number"),
+        (lambda riders: riders.update({"2": [riders["2"]["earnings"]]}), "is not an object"),
     ],
-    ids=["earnings", "labor_cost", "orders_completed", "distance_ridden", "string_earnings"],
+    ids=["earnings", "labor_cost", "orders_completed", "distance_ridden", "string_earnings",
+         "list_summary"],
 )
 def test_malformed_rider_summary_names_rider(clean_trace, tmp_path, edit, message):
     def mutate(data):
         if data["kind"] == "sim_end":
-            edit(data["payload"]["riders"]["2"])
+            edit(data["payload"]["riders"])
             return True
         return False
 

@@ -209,23 +209,49 @@ def test_missing_trace_exits_3(runner, tmp_path):
     assert "error:" in result.output
 
 
-def test_bad_config_exits_4(runner, tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("grid_size = 0\n", "'grid_size': must be > 0"),
+        ("grid_size = abc\n", "'grid_size': cannot parse value 'abc'"),
+        ("payment_range = 1\n", "'payment_range': expected two comma-separated numbers"),
+        ("grid_size 30\n", "line 1: expected 'key = value'"),
+        ("seed = 1\nseed = 2\n", "'seed': duplicated on line 2"),
+        ("peak_multiplier = -1\n", "'peak_multiplier': must be >= 0"),
+        # Non-finite floats used to simulate with exit 0, and a NaN payment
+        # range wrote a trace that the auditor then refused.
+        ("payment_range = 1, nan\n", "'payment_range': each value must be finite"),
+        ("wage_rate = inf\n", "'wage_rate': must be finite"),
+        ("base_order_rate = nan\n", "'base_order_rate': must be finite"),
+        ("peak_multiplier = inf\n", "'peak_multiplier': must be finite"),
+    ],
+    ids=["zero_grid", "unparsable", "one_payment", "no_equals", "duplicate", "negative_peak",
+         "nan_payment", "inf_wage", "nan_rate", "inf_peak"],
+)
+def test_bad_config_exits_4(runner, tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("grid_size = 0\n")
-    result = runner.invoke(
-        main, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")]
-    )
-    assert result.exit_code == 4
-    assert "grid_size" in result.output
+    cfg.write_text(text)
+    trace = tmp_path / "t.jsonl"
+    result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    assert result.exit_code == 4, result.output
+    assert message in result.output
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize(
-    "corrupt",
-    [lambda line: line[:10], lambda line: line[:10] + b"\xff" + line[10:],
-     lambda line: b"[" * 100_000],
-    ids=["truncated", "non_utf8", "deep_nesting"],
+    "corrupt, message",
+    [
+        (lambda line: line[:10], "malformed event"),
+        (lambda line: line[:10] + b"\xff" + line[10:], "invalid UTF-8"),
+        (lambda line: b"[" * 100_000, "malformed event: maximum recursion depth"),
+        (lambda line: b"", "blank line inside trace"),
+        (lambda line: b"[1]", "event is not an object"),
+        (lambda line: json.dumps({**json.loads(line), "kind": "sim_start"}).encode(),
+         "duplicate sim_start"),
+    ],
+    ids=["truncated", "non_utf8", "deep_nesting", "blank", "list_event", "second_sim_start"],
 )
-def test_corrupt_trace_exits_5(runner, tmp_path, corrupt):
+def test_corrupt_trace_exits_5(runner, tmp_path, corrupt, message):
     cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
     trace = tmp_path / "t.jsonl"
     runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
@@ -236,7 +262,34 @@ def test_corrupt_trace_exits_5(runner, tmp_path, corrupt):
         main, ["metrics", "--trace", str(trace), "--out", str(tmp_path / "r")]
     )
     assert result.exit_code == 5
-    assert "line 6" in result.output
+    assert f"line 6: {message}" in result.output
+
+
+def test_header_only_trace_exits_5(runner, tmp_path):
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    trace.write_text(trace.read_text().splitlines()[0] + "\n")
+    for command in ("metrics", "analyze"):
+        result = runner.invoke(
+            main, [command, "--trace", str(trace), "--out", str(tmp_path / command)]
+        )
+        assert result.exit_code == 5, (command, result.output)
+        assert "trace contains no events" in result.output
+
+
+def test_metrics_on_analysis_events_exits_5(runner, tmp_path):
+    # analysis_events.jsonl is in trace format, but its sim_start has no config.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    runner.invoke(main, ["analyze", "--trace", str(trace), "--out", str(tmp_path / "an")])
+    result = runner.invoke(
+        main, ["metrics", "--trace", str(tmp_path / "an" / "analysis_events.jsonl"),
+               "--out", str(tmp_path / "r")]
+    )
+    assert result.exit_code == 5, result.output
+    assert "line 2: the first event is not a sim_start carrying the config" in result.output
 
 
 def edit_first_event(trace, kind, edit):
@@ -279,13 +332,13 @@ def test_out_of_grid_position_exits_5(runner, tmp_path, x):
     assert f"line {line_no}:" in result.output
 
 
-def test_incomplete_config_without_digest_exits_5(runner, tmp_path):
-    # With no header digest to compare against, the embedded config is still
-    # checked, so metrics never indexes a key the config lacks.
+def assert_embedded_config_refused(runner, tmp_path, edit, message):
+    """Edit a simulated trace's embedded config, drop the header digest, and
+    check that metrics and analyze both refuse the trace at its sim_start."""
     cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
     trace = tmp_path / "t.jsonl"
     runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
-    line_no = edit_first_event(trace, "sim_start", lambda payload: payload["config"].pop("steps_per_day"))
+    line_no = edit_first_event(trace, "sim_start", lambda payload: edit(payload["config"]))
     lines = trace.read_text().splitlines()
     lines[0] = json.dumps({**json.loads(lines[0]), "config_digest": ""})
     trace.write_text("\n".join(lines) + "\n")
@@ -296,28 +349,29 @@ def test_incomplete_config_without_digest_exits_5(runner, tmp_path):
         )
         assert result.exit_code == 5, (command, result.output)
         assert f"line {line_no}: unusable embedded config" in result.output
-        assert "steps_per_day" in result.output
+        assert message in result.output
+
+
+def test_incomplete_config_without_digest_exits_5(runner, tmp_path):
+    # With no header digest to compare against, the embedded config is still
+    # checked, so metrics never indexes a key the config lacks.
+    assert_embedded_config_refused(
+        runner, tmp_path, lambda config: config.pop("steps_per_day"), "steps_per_day")
 
 
 @pytest.mark.parametrize("key, value", [("n_riders", 4.0), ("grid_size", True)])
 def test_mistyped_config_without_digest_exits_5(runner, tmp_path, key, value):
     # A float where an int belongs, or a bool, is refused by the embedded
     # config check rather than failing later in the report code.
-    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
-    trace = tmp_path / "t.jsonl"
-    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
-    line_no = edit_first_event(trace, "sim_start", lambda payload: payload["config"].update({key: value}))
-    lines = trace.read_text().splitlines()
-    lines[0] = json.dumps({**json.loads(lines[0]), "config_digest": ""})
-    trace.write_text("\n".join(lines) + "\n")
-    for command in ("metrics", "analyze"):
-        result = runner.invoke(
-            main, [command, "--trace", str(trace), "--out", str(tmp_path / command),
-                   "--window-ticks", "120"]
-        )
-        assert result.exit_code == 5, (command, result.output)
-        assert f"line {line_no}: unusable embedded config" in result.output
-        assert f"'{key}': must be an integer" in result.output
+    assert_embedded_config_refused(
+        runner, tmp_path, lambda config: config.update({key: value}), f"'{key}': must be an integer")
+
+
+def test_non_finite_config_without_digest_exits_5(runner, tmp_path):
+    # json writes NaN as the bare token NaN, which the reader decodes.
+    assert_embedded_config_refused(
+        runner, tmp_path, lambda config: config.update(wage_rate=float("nan")),
+        "'wage_rate': must be finite")
 
 
 @pytest.mark.parametrize("kind, key", [("position", "x"), ("thought", "agent")])

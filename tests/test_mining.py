@@ -98,14 +98,14 @@ def test_duplicate_intentions_clamp_k_to_distinct():
     for scan in (False, True):
         result = analyze_records(records_from_rows(rows), AnalysisOptions(k=5, scan_k=scan))
         assert len(result.repository) == 4
-        assert result.chosen_k == 2
+        assert result.clustering.k == 2
         assert result.warnings == (["k scan selected k=2"] if scan else
                                    ["k=5 exceeds 2 clusterable intentions; using k=2"])
         assert result.clustering.repaired_iterations == []
         assert result.clustering.iterations_run < MAX_ITER
     same = analyze_records(records_from_rows(rows[:3]), AnalysisOptions(k=5, scan_k=True))
     assert "k scan skipped: fewer than 2 distinct intentions" in same.warnings
-    assert same.chosen_k == 1
+    assert same.clustering.k == 1
 
 
 def test_empty_rational_text_is_missing():

@@ -60,7 +60,7 @@ def test_analyze_builds_repository_and_diagram(tmp_path):
     events = load_trace(thought_trace(tmp_path)).events
     result = analyze_trace_events(events, AnalysisOptions(k=2, window_ticks=120))
     assert len(result.repository) == 4
-    assert result.chosen_k == 2
+    assert result.clustering.k == 2
     assert any("imitate" in label for label in result.diagram.cluster_labels.values())
 
 
@@ -177,7 +177,7 @@ def test_analysis_rerun_is_byte_identical(tmp_path):
 def test_k_reduced_when_repository_small(tmp_path):
     events = load_trace(thought_trace(tmp_path)).events
     result = analyze_trace_events(events, AnalysisOptions(k=9, window_ticks=120))
-    assert result.chosen_k == 4
+    assert result.clustering.k == 4
     assert any("exceeds" in w for w in result.warnings)
 
 
@@ -186,7 +186,7 @@ def test_scan_k_flag_selects_k(tmp_path):
     result = analyze_trace_events(
         events, AnalysisOptions(k=2, window_ticks=120, scan_k=True)
     )
-    assert result.chosen_k >= 2
+    assert result.clustering.k >= 2
     assert any("scan" in w for w in result.warnings)
 
 

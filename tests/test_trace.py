@@ -360,10 +360,12 @@ def test_ingest_nested_paths_and_names(tmp_path):
 
 def test_ingest_tolerates_malformed_lines(tmp_path):
     path = tmp_path / "foreign.jsonl"
-    path.write_text('{"speaker":1,"step":0,"utterance":"ok"}\n{broken json\n')
+    # A blank line is skipped without being counted.
+    path.write_text('{"speaker":1,"step":0,"utterance":"ok"}\n\n{broken json\n[1]\n')
     result = ingest_external(path, mapping())
     assert len(result.rows) == 1
-    assert result.skipped == 1
+    assert result.skipped == 2
+    assert result.warnings == ["line 3: malformed record", "line 4: record is not an object"]
 
 
 def test_mapping_requires_all_targets():
