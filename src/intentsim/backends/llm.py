@@ -17,11 +17,7 @@ from importlib import resources
 
 from ..errors import BackendError, DecisionParseError
 from ..transport import Endpoint, post_json
-from .parsing import (
-    extract_think_block,
-    parse_decision_payload,
-    prose_before_payload,
-)
+from .parsing import parse_reply, read_reply
 from .types import DecisionContext, OrderSelection, ThoughtPair, WorkHoursDecision
 
 
@@ -55,14 +51,6 @@ def complete(endpoint: Endpoint, messages: list[dict]) -> str:
     """The reply text of one chat completion, with transport retries."""
     request = chat_request(endpoint.model_id, messages)
     return post_json(endpoint, request, _reply_text, BackendError, "chat", CHAT_BACKOFF_S)
-
-
-def thought_from(reply: str) -> str:
-    """The reasoning in a reply: its think block, else the prose before the payload."""
-    block = extract_think_block(reply)
-    if block is not None:
-        return block
-    return prose_before_payload(reply)
 
 
 def _format_memory(memory: tuple[str, ...]) -> str:
@@ -128,13 +116,12 @@ class LlmBackend:
         conversation = [{"role": "user", "content": prompt}]
         bounded_text = ""
         if self.dual:
-            bounded_text = thought_from(self.ask(ctx, "bounded", conversation))
+            bounded_text = read_reply(self.ask(ctx, "bounded", conversation))[0]
         last_error: DecisionParseError | None = None
         for _ in range(ASKS):
             reply = self.ask(ctx, "rational", conversation)
-            rational_text = thought_from(reply)
             try:
-                decision = parse_decision_payload(reply, schema)
+                rational_text, decision = parse_reply(reply, schema)
             except DecisionParseError as exc:
                 last_error = exc
                 conversation = conversation + [

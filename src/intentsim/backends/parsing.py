@@ -2,7 +2,8 @@
 
 Replies may wrap deliberation in think tags and may surround the JSON
 payload with prose; parsing strips the tags, finds the last well-formed
-JSON object, and validates the schema-specific fields. Every failure is a
+JSON object, and validates the schema-specific fields. One think-tag pass
+and one JSON scan give a reply's thought and its payload. Every failure is a
 :class:`DecisionParseError` naming the violation, never a crash.
 """
 
@@ -23,8 +24,11 @@ _HOUR_RE = re.compile(r"^(\d{1,2}):(\d{2})$")
 _OBJECT_START = re.compile(r'\{[ \t\n\r]*["}]')
 
 
-def strip_think_blocks(text: str) -> str:
-    """Remove every think-tagged span (unterminated spans drop to end)."""
+def split_think_blocks(text: str) -> tuple[str | None, str]:
+    """The content of the first think-tagged span (None when no tags are
+    present) and the text without every such span, in one pass; an
+    unterminated span runs to the end."""
+    first: str | None = None
     out: list[str] = []
     pos = 0
     while True:
@@ -34,21 +38,12 @@ def strip_think_blocks(text: str) -> str:
             break
         out.append(text[pos:start])
         end = text.find(THINK_CLOSE, start + len(THINK_OPEN))
+        if first is None:
+            first = text[start + len(THINK_OPEN):end if end >= 0 else len(text)].strip()
         if end < 0:
             break
         pos = end + len(THINK_CLOSE)
-    return "".join(out)
-
-
-def extract_think_block(text: str) -> str | None:
-    """Content of the first think-tagged span, or None when no tags are present."""
-    start = text.find(THINK_OPEN)
-    if start < 0:
-        return None
-    end = text.find(THINK_CLOSE, start + len(THINK_OPEN))
-    if end < 0:
-        return text[start + len(THINK_OPEN):].strip()
-    return text[start + len(THINK_OPEN):end].strip()
+    return first, "".join(out)
 
 
 def last_json_object(text: str) -> tuple[int, dict] | None:
@@ -70,10 +65,16 @@ def last_json_object(text: str) -> tuple[int, dict] | None:
         pos = start + length
 
 
-def prose_before_payload(text: str) -> str:
-    """Reply body preceding the final JSON object (fallback thought text)."""
-    found = last_json_object(text)
-    return text[: found[0] if found else len(text)].strip()
+def read_reply(raw: str) -> tuple[str, dict | None]:
+    """A reply's thought and its payload, from one think-tag pass and one
+    JSON scan. The payload is the last JSON object outside the think blocks
+    (None without one); the thought is the first think block, else the
+    prose before the payload."""
+    thought, cleaned = split_think_blocks(raw)
+    found = last_json_object(cleaned)
+    if thought is None:
+        thought = cleaned[: found[0] if found else len(cleaned)].strip()
+    return thought, None if found is None else found[1]
 
 
 def parse_hour(value) -> int:
@@ -90,23 +91,21 @@ def parse_hour(value) -> int:
     return hour
 
 
-def parse_decision_payload(raw: str, schema: str):
-    """Parse a backend reply into a decision per ``schema``.
+def parse_reply(raw: str, schema: str) -> tuple[str, object]:
+    """A backend reply's thought and its decision per ``schema``.
 
     schema: ``work_hours`` or ``order_selection``.
     """
     if not raw:
         raise DecisionParseError("empty reply")
-    cleaned = strip_think_blocks(raw)
-    found = last_json_object(cleaned)
-    if found is None:
+    thought, payload = read_reply(raw)
+    if payload is None:
         raise DecisionParseError("no JSON object found in reply")
-    payload = found[1]
     if schema == "work_hours":
         for key in ("go_to_work_time", "get_off_work_time"):
             if key not in payload:
                 raise DecisionParseError(f"missing key {key}")
-        return WorkHoursDecision(
+        return thought, WorkHoursDecision(
             go_to_work_hour=parse_hour(payload["go_to_work_time"]),
             get_off_work_hour=parse_hour(payload["get_off_work_time"]),
         )
@@ -121,5 +120,5 @@ def parse_decision_payload(raw: str, schema: str):
             if isinstance(item, bool) or not isinstance(item, int):
                 raise DecisionParseError(f"order ids must be integers, got {item!r}")
             ids.append(item)
-        return OrderSelection(order_ids=tuple(ids))
+        return thought, OrderSelection(order_ids=tuple(ids))
     raise ValueError(f"unknown schema {schema!r}")

@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 
-from .backends.llm import LlmBackend, complete
+from .backends.llm import LlmBackend, complete, load_prompt
 from .backends.scripted import ScriptedBackend, ScriptedPolicy
 from .config import SimConfig, load_config
 from .diagram import DEFAULT_WINDOW_TICKS, EmergenceDiagram, render_diagram
@@ -235,10 +235,8 @@ def analyze(
         if detector == "llm":
             options.detector_ask = ask
         if label_llm:
-            options.label_summarizer = lambda texts: ask(
-                "Give one short label (under ten words) for this group of intentions:\n- "
-                + "\n- ".join(texts[:20])
-            )
+            template = load_prompt("cluster_label.txt").rstrip("\n")
+            options.label_summarizer = lambda texts: ask(template.format(intentions="\n- ".join(texts[:20])))
     if trace_path is not None:
         stream = iter_trace(trace_path)
         digest = next(stream).config_digest

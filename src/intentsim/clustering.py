@@ -142,22 +142,20 @@ def kmeans_cluster(vectors, k: int, seed: int) -> Clustering:
     )
 
 
-def label_cluster(members: list[tuple[int, str, np.ndarray]], centroid: np.ndarray) -> str:
+def label_cluster(texts: list[str], vectors: np.ndarray, centroid: np.ndarray) -> str:
     """Pick the member text most aligned with the centroid (the medoid).
 
-    ``members`` are (record_id, text, vector); exact similarity ties go to
-    the earliest record id.
+    ``texts`` and the rows of ``vectors`` are the members in record-id
+    order; an exact similarity tie goes to the first text, the earliest
+    record.
     """
-    if not members:
+    if not texts:
         raise ClusteringError("cannot label an empty cluster")
-    best: str | None = None
-    best_sim = -2.0
-    for _record_id, text, vector in sorted(members, key=lambda m: m[0]):
+    best, best_sim = texts[0], -2.0
+    for text, vector in zip(texts, vectors):
         sim = cosine_similarity(vector, centroid)
         if sim > best_sim:
-            best_sim = sim
-            best = text
-    assert best is not None
+            best, best_sim = text, sim
     return best
 
 

@@ -1,13 +1,15 @@
 """Temporal emergence diagram over windowed intention clusters.
 
-The repository is partitioned into fixed-width tick windows. A cluster is
-*emergent* in the first window where it appears (the baseline of already
-seen clusters grows as windows are consumed, so each cluster has exactly
-one birth). The origin of an emergent cluster is the agent with the
-globally earliest repository tick in it; any other agent contributing to
-the same cluster in the emergence window or the one after it, strictly
-after the origin tick, is recorded as influenced. The influence map keys
-each influenced agent to the set of clusters that reached it.
+The repository's records are partitioned into fixed-width tick windows;
+only the windows that hold an intention exist, so memory follows the
+intentions, not the span. A cluster is *emergent* in the first window where
+it appears (the baseline of already seen clusters grows as windows are
+consumed, so each cluster has exactly one birth). The origin of an
+emergent cluster is the agent with the globally earliest repository tick in
+it; any other agent contributing to the same cluster in the emergence
+window or the one after it, strictly after the origin tick, is recorded as
+influenced. The influence map keys each influenced agent to the set of
+clusters that reached it.
 """
 
 from __future__ import annotations
@@ -46,25 +48,21 @@ class WindowSpec:
         return cls(window_ticks=window_ticks, n_windows=n)
 
 
-# Per window: cluster id -> {agent id -> first tick of that agent in the window}.
-WindowedClusters = list[dict[int, dict[int, int]]]
+# Window -> cluster id -> {agent id -> first tick of that agent in the window},
+# for each window that holds an intention.
+WindowedClusters = dict[int, dict[int, dict[int, int]]]
 
 
 def window_partition(
     repo: IntentionRepository, clustering: Clustering, spec: WindowSpec
 ) -> WindowedClusters:
-    """Group repository entries by (window, cluster, agent) first occurrence."""
-    windows: WindowedClusters = [dict() for _ in range(spec.n_windows)]
-    for idx, entry in enumerate(repo.entries):
-        cluster = int(clustering.assignments[idx])
-        w = entry.tick // spec.window_ticks
-        if w >= len(windows):
-            # Entries past the declared span extend the window list.
-            windows.extend(dict() for _ in range(w - len(windows) + 1))
-        agents = windows[w].setdefault(cluster, {})
-        previous = agents.get(entry.agent_id)
-        if previous is None or entry.tick < previous:
-            agents[entry.agent_id] = entry.tick
+    """Group the repository's records by (window, cluster, agent) first occurrence."""
+    windows: WindowedClusters = {}
+    for record, cluster in zip(repo.records, clustering.assignments.tolist()):
+        agents = windows.setdefault(record.tick // spec.window_ticks, {}).setdefault(cluster, {})
+        previous = agents.get(record.agent_id)
+        if previous is None or record.tick < previous:
+            agents[record.agent_id] = record.tick
     return windows
 
 
@@ -182,20 +180,22 @@ def build_diagram(
     spec: WindowSpec,
     cluster_labels: dict[int, str] | None = None,
 ) -> tuple[EmergenceDiagram, InfluenceMap, list[EmergencePoint]]:
-    """Walk every window, birth new clusters, and record influence points.
+    """Walk the windows in order, birth new clusters, and record influence
+    points. The diagram spans the spec's windows, and past them up to the
+    last window that holds an intention.
 
     Windows follow ticks, so the earliest (tick, agent) of a cluster in its
-    birth window is its earliest anywhere: that entry is the origin.
+    birth window is its earliest anywhere: that record is the origin.
     """
     windows = window_partition(repo, clustering, spec)
     diagram = EmergenceDiagram(
         window_ticks=spec.window_ticks,
-        n_windows=len(windows),
+        n_windows=max(spec.n_windows, max(windows, default=-1) + 1),
         cluster_labels=dict(cluster_labels or {}),
     )
     births = diagram.emergence_windows
     agent_nodes: set[tuple[int, int]] = set()
-    for w, window in enumerate(windows):
+    for w, window in sorted(windows.items()):
         for cluster_id in sorted(window.keys() - births.keys()):
             origin_tick, origin_agent = min((tick, agent) for agent, tick in window[cluster_id].items())
             diagram.cluster_nodes.append((w, cluster_id))
@@ -205,8 +205,8 @@ def build_diagram(
             # Every later agent in the birth window or the next one, each
             # counted once, at its earlier window.
             reached: dict[int, int] = {}
-            for later in range(w, min(w + 2, len(windows))):
-                for agent, tick in windows[later].get(cluster_id, {}).items():
+            for later in (w, w + 1):
+                for agent, tick in windows.get(later, {}).get(cluster_id, {}).items():
                     if agent != origin_agent and tick > origin_tick:
                         reached.setdefault(agent, later)
             for agent, agent_window in sorted(reached.items(), key=lambda kv: (kv[1], kv[0])):

@@ -1,5 +1,5 @@
-"""Dual-perspective thought records, emergence detection, and the
-append-only group intention repository.
+"""Dual-perspective thought records, emergence detection, and the group
+intention repository.
 
 A thought record pairs an agent's instinct-driven and calculation-driven
 texts for one decision. Both record builders, over trace events and over
@@ -11,8 +11,9 @@ present thoughts whatever their verdicts. So :func:`mine_records` takes the
 present records agent by agent, not in canonical order, and embeds and
 judges them in fixed blocks of :data:`BLOCK_ROWS`, one masked matrix product
 per block (:meth:`SimilarityDetector.detect`); no agent keeps a memory of
-its own. Emergent thoughts accumulate, in record-id order, in a shared
-repository that later stages cluster and window.
+its own. The repository is one table: the emergent records in record-id
+order and one embedding matrix, row for row, which later stages cluster and
+window.
 """
 
 from __future__ import annotations
@@ -83,55 +84,23 @@ def _numbered(items: list[tuple]) -> list[ThoughtRecord]:
 
 
 @dataclass
-class RepositoryEntry:
-    record_id: int
-    agent_id: int
-    tick: int
-    combined_text: str
-    embedding: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "record_id": self.record_id,
-            "agent_id": self.agent_id,
-            "tick": self.tick,
-            "combined_text": self.combined_text,
-            "embedding": [float(x) for x in self.embedding],
-        }
-
-
 class IntentionRepository:
-    """Append-only store of every detected emergent intention."""
+    """Every detected emergent intention: the records in record-id order and
+    one ``(n, dim)`` matrix whose row i embeds ``records[i]``."""
 
-    def __init__(self):
-        self.entries: list[RepositoryEntry] = []
+    records: list[ThoughtRecord] = field(default_factory=list)
+    vectors: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def append(self, record: ThoughtRecord, embedding: np.ndarray) -> RepositoryEntry:
-        if self.entries and record.record_id <= self.entries[-1].record_id:
-            raise ValueError("repository record ids must be strictly increasing")
-        entry = RepositoryEntry(
-            record_id=record.record_id,
-            agent_id=record.agent_id,
-            tick=record.tick,
-            combined_text=record.combined_text,
-            embedding=embedding,
-        )
-        self.entries.append(entry)
-        return entry
-
-    def vectors(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros((0, 0), dtype=float)
-        return np.vstack([e.embedding for e in self.entries])
+        return len(self.records)
 
     def to_jsonl(self) -> str:
-        """One line per entry, in the repository's order."""
+        """One line per intention, in the repository's order."""
         return "".join(
-            json.dumps(entry.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-            for entry in self.entries
+            json.dumps({"record_id": r.record_id, "agent_id": r.agent_id, "tick": r.tick,
+                        "combined_text": r.combined_text, "embedding": row.tolist()},
+                       sort_keys=True, separators=(",", ":")) + "\n"
+            for r, row in zip(self.records, self.vectors)
         )
 
 
@@ -233,13 +202,15 @@ def mine_records(
     is one matrix product against itself and the rows of its first agent
     just before it. An LLM detector asks about every thought first. A
     thought whose embedding is the zero vector is never an intention,
-    whatever the verdict, so every repository entry can be clustered.
+    whatever the verdict, so every repository row can be clustered.
     """
     if memory_capacity < 0:
         raise ValueError(f"memory capacity must be >= 0, got {memory_capacity}")
     present = sorted(
         (r for r in records if not r.missing), key=lambda r: (r.agent_id, r.tick, r.record_id)
     )
+    if not present:
+        return IntentionRepository()
     memory_capacity = min(memory_capacity, len(present))  # no memory is longer than that
     agents = np.array([r.agent_id for r in present])
     # Where each thought's memory begins: at most memory_capacity back, and
@@ -249,7 +220,8 @@ def mine_records(
     if isinstance(detector, LlmEmergenceDetector):
         asked = detector.ask_all(present, lows)
         detector = detector.fallback
-    emergent: list[tuple[ThoughtRecord, np.ndarray]] = []
+    kept: list[int] = []  # the positions in ``present`` of the intentions
+    chunks: list[np.ndarray] = []  # their vectors, block by block
     rows, low = None, 0  # the previous block's rows, from position ``low`` on
     for start in range(0, len(present), BLOCK_ROWS):
         block = present[start:start + BLOCK_ROWS]
@@ -263,11 +235,11 @@ def mine_records(
             if verdict is not None:
                 verdicts[i] = verdict
         keep = np.flatnonzero(verdicts & vectors.any(axis=1))
-        emergent += zip([block[i] for i in keep], vectors[keep])
-    repo = IntentionRepository()
-    for record, vector in sorted(emergent, key=lambda item: item[0].record_id):
-        repo.append(record, vector)
-    return repo
+        kept += (start + keep).tolist()
+        chunks.append(vectors[keep])
+    # The blocks went agent by agent; the repository is in record-id order.
+    order = sorted(range(len(kept)), key=lambda i: present[kept[i]].record_id)
+    return IntentionRepository([present[kept[i]] for i in order], np.concatenate(chunks)[order])
 
 
 def records_from_trace(events, inspector: bool = True) -> list[ThoughtRecord]:
@@ -284,9 +256,8 @@ def records_from_trace(events, inspector: bool = True) -> list[ThoughtRecord]:
         kind = payload.get("decision", "external")
         if kind not in DECISION_KINDS:
             raise TraceFormatError(event_line(event.seq), f"unknown decision kind {kind!r}")
-        pair = None if payload.get("missing") else ThoughtPair(
-            bounded=payload.get("bounded", "") if inspector else "",
-            rational=payload.get("rational", ""),
+        pair = None if payload["missing"] else ThoughtPair(
+            bounded=payload["bounded"] if inspector else "", rational=payload["rational"]
         )
         items.append((event.tick, payload["agent"], arrival, pair))
     return _numbered(items)

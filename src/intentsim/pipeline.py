@@ -17,6 +17,8 @@ import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .clustering import Clustering, distinct_rows, kmeans_cluster, label_cluster, scan_k
 from .diagram import (
     DEFAULT_WINDOW_TICKS,
@@ -126,7 +128,7 @@ def analyze_records(
     labels: dict[int, str] = {}
     chosen_k = options.k
     if len(repo):
-        vectors = repo.vectors()
+        vectors = repo.vectors
         if options.scan_k and len(repo) >= 3:
             best_k, _scores = scan_k(vectors, options.seed)
             if best_k is None:
@@ -143,20 +145,17 @@ def analyze_records(
             chosen_k = distinct
         clustering = kmeans_cluster(vectors, chosen_k, options.seed)
         for cluster_id in range(clustering.k):
-            members = [
-                (entry.record_id, entry.combined_text, entry.embedding)
-                for idx, entry in enumerate(repo.entries)
-                if clustering.assignments[idx] == cluster_id
-            ]
-            if not members:
+            members = np.flatnonzero(clustering.assignments == cluster_id)
+            if not members.size:
                 continue
+            texts = [repo.records[i].combined_text for i in members]
             if options.label_summarizer is not None:
                 try:
-                    labels[cluster_id] = str(options.label_summarizer([m[1] for m in members]))
+                    labels[cluster_id] = str(options.label_summarizer(texts))
                     continue
                 except Exception as exc:
                     warnings.append(f"label summarizer failed ({exc}); using medoid")
-            labels[cluster_id] = label_cluster(members, clustering.centroids[cluster_id])
+            labels[cluster_id] = label_cluster(texts, vectors[members], clustering.centroids[cluster_id])
 
     if clustering is not None:
         diagram, _influence, _points = build_diagram(repo, clustering, spec, cluster_labels=labels)
@@ -174,10 +173,9 @@ def analyze_records(
 def clusters_csv(result: AnalysisResult) -> str:
     rows = [["record_id", "agent_id", "tick", "cluster", "label"]]
     if result.clustering is not None:
-        for idx, entry in enumerate(result.repository.entries):
-            cluster = int(result.clustering.assignments[idx])
-            label = result.diagram.cluster_labels.get(cluster, "")
-            rows.append([entry.record_id, entry.agent_id, entry.tick, cluster, label])
+        labels = result.diagram.cluster_labels
+        for record, cluster in zip(result.repository.records, result.clustering.assignments.tolist()):
+            rows.append([record.record_id, record.agent_id, record.tick, cluster, labels.get(cluster, "")])
     return csv_text(rows)
 
 
@@ -194,16 +192,12 @@ def write_analysis_outputs(
     writer = TraceWriter(log, source_digest, seed)
     writer.emit("sim_start", 0, {"stage": "analysis"})
     last_tick = 0
-    for entry in result.repository.entries:
-        last_tick = max(last_tick, entry.tick)
+    for record in result.repository.records:
+        last_tick = max(last_tick, record.tick)
         writer.emit(
             "intention",
-            entry.tick,
-            {
-                "agent": entry.agent_id,
-                "record_id": entry.record_id,
-                "text": entry.combined_text,
-            },
+            record.tick,
+            {"agent": record.agent_id, "record_id": record.record_id, "text": record.combined_text},
         )
     for message in result.warnings:
         writer.emit("warning", last_tick, {"message": message})
@@ -224,10 +218,10 @@ def similarity_csv(repo: IntentionRepository) -> str:
     """Pairwise cosine matrix of the repository, record ids as labels."""
     from .embedding import similarity_matrix
 
-    ids = [entry.record_id for entry in repo.entries]
+    ids = [record.record_id for record in repo.records]
     rows = [["record_id", *ids]]
     if ids:
-        matrix = similarity_matrix(repo.vectors())
+        matrix = similarity_matrix(repo.vectors)
         rows += ([rid, *[f"{value:.6f}" for value in row]] for rid, row in zip(ids, matrix))
     return csv_text(rows)
 

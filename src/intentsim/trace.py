@@ -67,9 +67,9 @@ EVENT_KINDS = frozenset(
 
 # Value types, as the allowed ``type()`` of a JSON value; bool is not an
 # integer here. A POINT is a list of exactly two integers.
-INT, NUMBER, TEXT, OBJECT, POINT = (int,), (int, float), (str,), (dict,), (list,)
+INT, NUMBER, TEXT, OBJECT, POINT, BOOL = (int,), (int, float), (str,), (dict,), (list,), (bool,)
 _TYPE_NAMES = {INT: "an integer", NUMBER: "a number", TEXT: "a string", OBJECT: "an object",
-               POINT: "an [x, y] pair of integers"}
+               POINT: "an [x, y] pair of integers", BOOL: "a boolean"}
 
 # The type of every value that readers index. "event" holds the fields of
 # each event line; the other entries hold the payload keys of one event
@@ -79,7 +79,7 @@ _TYPE_NAMES = {INT: "an integer", NUMBER: "a number", TEXT: "a string", OBJECT: 
 FIELD_TYPES = {
     "event": {"seq": INT, "tick": INT, "kind": TEXT, "payload": OBJECT},
     "position": {"agent": INT, "x": INT, "y": INT, "held": INT},
-    "thought": {"agent": INT},
+    "thought": {"agent": INT, "bounded": TEXT, "rational": TEXT, "missing": BOOL},
     "order_event": {"event": TEXT, "order": INT, "agent": INT},
     "created": {"event": TEXT, "order": INT, "pickup": POINT, "dropoff": POINT, "payment": NUMBER},
     "cost_accrual": {"agent": INT, "amount": NUMBER, "ticks": INT},

@@ -200,11 +200,10 @@ def test_criterion_5_emergence_detection():
 
 def test_criterion_6_diagram_oracle():
     embedder = HashingEmbedder(dim=32, seed=0)
-    repo = IntentionRepository()
-    for record in records_from_rows([{"agent_id": agent, "tick": tick, "text": "dense areas"}
-                                     for agent, tick in ((1, 10), (2, 200), (3, 1300))]):
-        repo.append(record, embedder.embed(["dense areas"])[0])
-    clustering = kmeans_cluster(repo.vectors(), 1, seed=0)
+    records = records_from_rows([{"agent_id": agent, "tick": tick, "text": "dense areas"}
+                                 for agent, tick in ((1, 10), (2, 200), (3, 1300))])
+    repo = IntentionRepository(records, embedder.embed(["dense areas"] * 3))
+    clustering = kmeans_cluster(repo.vectors, 1, seed=0)
     spec = WindowSpec(window_ticks=1200, n_windows=2)
     diagram, influence, points = build_diagram(repo, clustering, spec)
     assert points == [

@@ -318,6 +318,25 @@ def test_thought_without_agent_exits_5(runner, tmp_path):
     assert f"line {line_no}:" in result.output
 
 
+@pytest.mark.parametrize("edit, problem", [
+    ({"rational": ["not", "text"], "bounded": 7}, "'bounded' is not a string"),
+    ({"rational": None}, "'rational' is not a string"),
+    ({"missing": 0}, "'missing' is not a boolean"),
+])
+def test_mistyped_thought_text_exits_5(runner, tmp_path, edit, problem):
+    # Analysis used to format any JSON value into the thought's text.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    line_no = edit_first_event(trace, "thought", lambda payload: payload.update(edit))
+    result = runner.invoke(
+        main, ["analyze", "--trace", str(trace), "--out", str(tmp_path / "an"),
+               "--window-ticks", "120"]
+    )
+    assert result.exit_code == 5, result.output
+    assert f"line {line_no}: thought event {problem}" in result.output
+
+
 @pytest.mark.parametrize("x", [999, -1])
 def test_out_of_grid_position_exits_5(runner, tmp_path, x):
     cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)

@@ -140,32 +140,27 @@ def test_invariants_hold_on_random_inputs(raw_points, k, seed):
 
 def test_label_cluster_singleton():
     vec = np.array([1.0, 0.0])
-    assert label_cluster([(5, "only member", vec)], vec) == "only member"
+    assert label_cluster(["only member"], np.array([vec]), vec) == "only member"
 
 
 def test_label_cluster_prefers_colinear():
     centroid = np.array([1.0, 0.0])
-    members = [
-        (1, "angled", np.array([0.8, 0.6])),
-        (2, "colinear", np.array([2.0, 0.0])),
-    ]
-    assert label_cluster(members, centroid) == "colinear"
+    vectors = np.array([[0.8, 0.6], [2.0, 0.0]])
+    assert label_cluster(["angled", "colinear"], vectors, centroid) == "colinear"
 
 
 def test_label_cluster_tie_breaks_by_earliest_record():
+    # Members come in record-id order: an exact tie goes to the first text.
     centroid = np.array([1.0, 0.0])
     y = (1.0 - 0.9**2) ** 0.5
-    members = [
-        (1, "first-high", np.array([0.9, y])),
-        (2, "low", np.array([0.7, (1.0 - 0.49) ** 0.5])),
-        (3, "second-high", np.array([0.9, -y])),
-    ]
-    assert label_cluster(members, centroid) == "first-high"
+    vectors = np.array([[0.9, y], [0.7, (1.0 - 0.49) ** 0.5], [0.9, -y]])
+    assert label_cluster(["first-high", "low", "second-high"], vectors, centroid) == "first-high"
+    assert label_cluster(["second-high", "first-high"], vectors[[2, 0]], centroid) == "second-high"
 
 
 def test_label_cluster_empty_is_error():
     with pytest.raises(ClusteringError):
-        label_cluster([], np.array([1.0, 0.0]))
+        label_cluster([], np.zeros((0, 2)), np.array([1.0, 0.0]))
 
 
 def test_scan_k_recovers_three_blobs():

@@ -290,7 +290,8 @@ IDLE_PAYLOADS = {
     "cost_accrual": lambda agent, v: {"agent": agent, "amount": v / 4 + 0.5, "ticks": 1},
     "decision": lambda agent, v: {"agent": agent, "decision": "work_hours", "end": 20 + v,
                                   "start": 8},
-    "thought": lambda agent, v: {"agent": agent, "text": f"idle {v}"},
+    "thought": lambda agent, v: {"agent": agent, "bounded": "", "rational": f"idle {v}",
+                                 "missing": False},
     "position+": lambda agent, v: {"agent": agent, "held": 0, "x": v, "y": 3, "z": 1},
 }
 idle_steps = st.lists(

@@ -22,12 +22,9 @@ from intentsim.mining import IntentionRepository, ThoughtRecord
 
 def repo_from(entries):
     """entries: (agent_id, tick, text) triples, already ordered by record id."""
-    emb = HashingEmbedder(dim=32, seed=0)
-    repo = IntentionRepository()
-    for record_id, (agent, tick, text) in enumerate(entries):
-        record = ThoughtRecord(record_id, agent, tick, ThoughtPair(text, text))
-        repo.append(record, emb.embed([text])[0])
-    return repo
+    records = [ThoughtRecord(record_id, agent, tick, ThoughtPair(text, text))
+               for record_id, (agent, tick, text) in enumerate(entries)]
+    return IntentionRepository(records, HashingEmbedder(dim=32, seed=0).embed([t for _, _, t in entries]))
 
 
 def clustering_with(assignments, k=None):
@@ -58,22 +55,21 @@ def assert_diagram_invariants(diagram, influence, points):
 def test_empty_repo_gives_empty_windows():
     spec = WindowSpec(window_ticks=100, n_windows=3)
     windows = window_partition(IntentionRepository(), clustering_with([], k=1), spec)
-    assert windows == [{}, {}, {}]
+    assert windows == {}
 
 
 def test_entry_lands_in_floor_window():
     repo = repo_from([(1, 1250, "a thought")])
     spec = WindowSpec(window_ticks=1200, n_windows=2)
     windows = window_partition(repo, clustering_with([0]), spec)
-    assert windows[0] == {}
-    assert windows[1] == {0: {1: 1250}}
+    assert windows == {1: {0: {1: 1250}}}
 
 
 def test_two_agents_group_into_one_cluster_entry():
     repo = repo_from([(1, 10, "alike"), (2, 30, "alike"), (1, 20, "alike")])
     spec = WindowSpec(window_ticks=100, n_windows=1)
     windows = window_partition(repo, clustering_with([0, 0, 0]), spec)
-    assert windows[0] == {0: {1: 10, 2: 30}}
+    assert windows == {0: {0: {1: 10, 2: 30}}}
 
 
 def diagram_of(entries, assignments, spec, k=None):
@@ -200,7 +196,12 @@ def test_origins_match_all_window_scan(entries, window_ticks, n_windows):
     clustering = clustering_with([c for _, _, c in entries], k=4)
     spec = WindowSpec(window_ticks, n_windows)
     diagram, influence, points = build_diagram(repo, clustering, spec)
-    origins, births, expected_points = reference_diagram(window_partition(repo, clustering, spec))
+    assert diagram.n_windows == max([n_windows] + [tick // window_ticks + 1 for _, tick, _ in entries])
+    # The oracle reads every window up to the diagram's last, empty ones too.
+    partition = window_partition(repo, clustering, spec)
+    origins, births, expected_points = reference_diagram(
+        [partition.get(w, {}) for w in range(diagram.n_windows)]
+    )
     assert diagram.origins == origins
     assert diagram.emergence_windows == births
     assert points == expected_points

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from intentsim import transport
-from intentsim.backends import llm
+from intentsim.backends import llm, parsing
 from intentsim.backends.llm import LlmBackend, complete
-from intentsim.backends.types import DecisionContext, OfferedOrder
+from intentsim.backends.types import DecisionContext, OfferedOrder, ThoughtPair
 from intentsim.embedding import RemoteEmbedder
 from intentsim.errors import BackendError, EmbeddingError
 from intentsim.transport import Endpoint
@@ -157,6 +157,24 @@ def test_malformed_reply_is_reasked_with_error(stub_server):
     retry_request = stub_server.requests[-1][1]
     user_turns = [m for m in retry_request["messages"] if m["role"] == "user"]
     assert "minutes must be 00" in user_turns[-1]["content"]
+
+
+def test_each_reply_is_scanned_once(stub_server, monkeypatch):
+    # A reply without a think block was scanned for its payload twice: for
+    # the prose before it (the thought) and for the decision.
+    replies = [
+        "go early",
+        'minutes are off {"go_to_work_time":"8:30","get_off_work_time":"17:00"}',
+        'widen the shift {"go_to_work_time":"8:00","get_off_work_time":"17:00"}',
+    ]
+    stub_server.script = [{"chat": reply} for reply in replies]
+    scanned = []
+    scan = parsing.last_json_object
+    monkeypatch.setattr(parsing, "last_json_object", lambda text: scanned.append(text) or scan(text))
+    decision, pair = LlmBackend(endpoint_for(stub_server)).decide_work_hours(make_ctx())
+    assert decision.go_to_work_hour == 8
+    assert pair == ThoughtPair(bounded="go early", rational="widen the shift")
+    assert scanned == replies
 
 
 def test_unparseable_after_retries_raises_backend_error(stub_server):
@@ -546,6 +564,12 @@ def test_label_llm_via_cli(stub_server, tmp_path):
     assert result.exit_code == 0, result.output
     doc = _json.loads((tmp_path / "out" / "diagram.json").read_text())
     assert doc["cluster_labels"] == {"0": "market rush"}
+    [(_path, request)] = stub_server.requests
+    assert request["messages"][0]["content"] == (
+        "Give one short label (under ten words) for this group of intentions:\n"
+        "- bounded: ride to the market square | rational: ride to the market square\n"
+        "- bounded: ride to the market now | rational: ride to the market now"
+    )
 
 
 BOOM = {"status": 500, "body": b"boom"}

@@ -32,7 +32,7 @@ def make_record(record_id=0, agent=1, tick=0, bounded="save time", rational="max
 
 
 def thought_event(seq, tick, **payload):
-    return TraceEvent(seq, tick, "thought", payload)
+    return TraceEvent(seq, tick, "thought", {"bounded": "", "rational": "", "missing": False, **payload})
 
 
 class TableEmbedder:
@@ -62,9 +62,10 @@ def mine_thoughts(thoughts, theta=DEFAULT_THETA, capacity=DEFAULT_MEMORY_CAPACIT
     # Each present thought is embedded once, in blocks of at most BLOCK_ROWS.
     assert all(len(block) <= BLOCK_ROWS for block in embedder.blocks)
     assert sorted(t for block in embedder.blocks for t in block) == sorted(embedder.table)
-    found = [int(entry.combined_text.split()[1][1:]) for entry in repo.entries]
-    for index, entry in zip(found, repo.entries):
-        assert np.array_equal(entry.embedding, thoughts[index][2])  # the embedder's row, bit for bit
+    found = [int(record.combined_text.split()[1][1:]) for record in repo.records]
+    assert len(repo.vectors) == len(found)
+    for index, row in zip(found, repo.vectors):
+        assert np.array_equal(row, thoughts[index][2])  # the embedder's row, bit for bit
     return found
 
 
@@ -180,8 +181,7 @@ def test_mine_records_appends_emergent_and_remembers_all():
     prompts = []
     repo = mine_records(records, scripted_llm(["no", "yes", "no"], prompts), emb)
     # Not emergent: nothing appended, still remembered; emergent: appended.
-    assert [e.record_id for e in repo.entries] == [records[1].record_id]
-    assert repo.entries[-1].combined_text == records[1].combined_text
+    assert repo.records == [records[1]]
     text = records[0].combined_text
     assert prompts == [f"{text}\n(no memory yet)", f"{text}\n- {text}", f"{text}\n- {text}\n- {text}"]
 
@@ -199,35 +199,38 @@ def test_memory_fifo_eviction_at_capacity():
     assert mine_thoughts([(1, 0, a), (1, 1, b), (1, 2, c), (1, 3, b)], capacity=2) == [0, 1, 2]
 
 
-def test_repository_record_ids_strictly_increase():
-    emb = HashingEmbedder(dim=32)
-    repo = IntentionRepository()
-    first = make_record(0, tick=0, bounded="x", rational="one")
-    second = make_record(1, tick=1, bounded="y", rational="two")
-    repo.append(first, emb.embed([first.combined_text])[0])
-    repo.append(second, emb.embed([second.combined_text])[0])
-    with pytest.raises(ValueError):
-        repo.append(first, emb.embed([first.combined_text])[0])
+def test_repository_rows_embed_their_records_across_blocks():
+    # Three agents' thoughts interleaved in time: the block pass takes them
+    # agent by agent over several blocks, the repository is in record-id order.
+    rows = [{"agent_id": t % 3, "tick": t, "text": f"plan {t} {'river' if t % 2 else 'market'}"}
+            for t in range(3 * BLOCK_ROWS)]
+    records = records_from_rows(rows)
+    emb = HashingEmbedder(dim=64, seed=0)
+    repo = mine_records(records, SimilarityDetector(theta=0.99), emb)
+    ids = [record.record_id for record in repo.records]
+    assert len(ids) > BLOCK_ROWS and ids == sorted(set(ids))
+    assert {record.agent_id for record in repo.records} == {0, 1, 2}
+    assert repo.vectors.shape == (len(ids), 64)
+    for record, row in zip(repo.records, repo.vectors):
+        assert np.array_equal(row, emb.embed([record.combined_text])[0])
 
 
 def test_repository_jsonl_round_trip():
     emb = HashingEmbedder(dim=16)
-    repo = IntentionRepository()
-    for i in range(3):
-        record = make_record(i, agent=i, tick=i * 10, rational=f"thought {i}")
-        repo.append(record, emb.embed([record.combined_text])[0])
+    records = [make_record(i, agent=i, tick=i * 10, rational=f"thought {i}") for i in range(3)]
+    repo = IntentionRepository(records, emb.embed([r.combined_text for r in records]))
     text = repo.to_jsonl()
     assert text.endswith("\n")
     loaded = [json.loads(line) for line in text.splitlines()]
     assert len(loaded) == 3
-    for a, b in zip(repo.entries, loaded):
+    for a, row, b in zip(repo.records, repo.vectors, loaded):
         assert (a.record_id, a.agent_id, a.tick, a.combined_text) == (
             b["record_id"],
             b["agent_id"],
             b["tick"],
             b["combined_text"],
         )
-        assert np.allclose(a.embedding, b["embedding"])
+        assert b["embedding"] == [float(x) for x in row]
 
 
 def test_mining_deterministic():
@@ -240,7 +243,7 @@ def test_mining_deterministic():
     def run():
         emb = HashingEmbedder(dim=64, seed=0)
         repo = mine_records(records_from_rows(rows), detector, emb)
-        return [(e.record_id, e.agent_id, e.combined_text) for e in repo.entries]
+        return [(r.record_id, r.agent_id, r.combined_text) for r in repo.records], repo.vectors.tolist()
 
     assert run() == run()
 
@@ -273,11 +276,11 @@ def test_llm_detector_falls_back_to_similarity():
     fallbacks: list[str] = []
     garbled = scripted_llm(["hmm unclear", "no"], [], on_fallback=fallbacks.append)
     # Similarity decides the first (empty memory: emergent), the reply the second.
-    assert [e.record_id for e in mine_records(records, garbled, emb).entries] == [0]
+    assert [r.record_id for r in mine_records(records, garbled, emb).records] == [0]
     assert fallbacks == ["llm detector fell back to similarity: reply contained neither yes nor no"]
 
     failing = scripted_llm([RuntimeError("endpoint down")] * 2, [], on_fallback=fallbacks.append)
-    assert [e.record_id for e in mine_records(records, failing, emb).entries] == [0]
+    assert [r.record_id for r in mine_records(records, failing, emb).records] == [0]
     assert fallbacks[1:] == ["llm detector fell back to similarity: endpoint down"] * 2
 
 

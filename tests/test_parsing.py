@@ -4,16 +4,15 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from intentsim.backends.parsing import (
-    extract_think_block,
-    last_json_object,
-    parse_decision_payload,
-    prose_before_payload,
-    strip_think_blocks,
-)
+from intentsim.backends.parsing import last_json_object, parse_reply, read_reply, split_think_blocks
 from intentsim.backends.types import OrderSelection, WorkHoursDecision
 from intentsim.errors import DecisionParseError
 from intentsim.trace import decode_json
+
+
+def parse_decision_payload(raw, schema):
+    """The decision half of :func:`parse_reply`."""
+    return parse_reply(raw, schema)[1]
 
 
 def test_parse_work_hours_happy_path():
@@ -91,19 +90,27 @@ def test_parse_no_object_is_typed_error():
 
 
 def test_think_block_extraction():
-    assert extract_think_block("<think>ABC</think>{}") == "ABC"
-    assert extract_think_block("no tags here") is None
-    assert extract_think_block("<think>unterminated rest") == "unterminated rest"
+    assert split_think_blocks("<think>ABC</think>{}")[0] == "ABC"
+    assert split_think_blocks("no tags here")[0] is None
+    assert split_think_blocks("<think>unterminated rest")[0] == "unterminated rest"
 
 
 def test_prose_fallback_before_payload():
-    assert prose_before_payload('XYZ {"a":1}') == "XYZ"
-    assert prose_before_payload("only prose") == "only prose"
+    assert read_reply('XYZ {"a":1}') == ("XYZ", {"a": 1})
+    assert read_reply("only prose") == ("only prose", None)
 
 
 def test_strip_think_blocks():
-    assert strip_think_blocks("a<think>x</think>b<think>y</think>c") == "abc"
-    assert strip_think_blocks("a<think>x") == "a"
+    assert split_think_blocks("a<think>x</think>b<think>y</think>c") == ("x", "abc")
+    assert split_think_blocks("a<think>x") == ("x", "a")
+
+
+def test_reply_gives_thought_and_decision_together():
+    assert parse_reply('take it {"order_list":[1]}', "order_selection") == (
+        "take it", OrderSelection(order_ids=(1,)))
+    # The first think block is the thought; the payload is read outside every block.
+    raw = '<think> near </think>prose<think>{"order_list":[9]}</think>{"order_list":[2]}'
+    assert parse_reply(raw, "order_selection") == ("near", OrderSelection(order_ids=(2,)))
 
 
 @given(st.text(max_size=400))
@@ -138,7 +145,7 @@ def test_render_parse_round_trip_orders(ids):
 def test_undecodable_payload_is_a_parse_error(reply):
     with pytest.raises(DecisionParseError, match="no JSON object found"):
         parse_decision_payload(reply, "work_hours")
-    assert prose_before_payload(reply) == reply
+    assert read_reply(reply) == (reply, None)
 
 
 def last_json_object_at_every_brace(text):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -93,9 +94,9 @@ def test_no_inspector_drops_imitation_cluster(tmp_path):
         events, AnalysisOptions(k=2, window_ticks=120, inspector=False)
     )
     assert len(result.repository) == 4
-    for entry in result.repository.entries:
-        assert "imitate" not in entry.combined_text
-        assert not entry.combined_text.startswith("bounded:")
+    for record in result.repository.records:
+        assert "imitate" not in record.combined_text
+        assert not record.combined_text.startswith("bounded:")
     assert all("imitate" not in label for label in result.diagram.cluster_labels.values())
 
 
@@ -216,8 +217,8 @@ def test_same_tick_mixed_decision_kinds_keep_ids_ordered(tmp_path):
     result = analyze_trace_events(
         load_trace(path).events, AnalysisOptions(k=2, theta=0.99, window_ticks=120)
     )
-    ids = [e.record_id for e in result.repository.entries]
-    agents = [e.agent_id for e in result.repository.entries]
+    ids = [r.record_id for r in result.repository.records]
+    agents = [r.agent_id for r in result.repository.records]
     assert ids == sorted(ids)
     assert len(result.repository) == 4
     assert agents == [0, 0, 1, 1]
@@ -236,8 +237,8 @@ def test_pipeline_deterministic_repository(tmp_path):
 
     def repo_digest():
         result = analyze_trace_events(events, AnalysisOptions(k=3, window_ticks=120, theta=0.8))
-        return [(e.record_id, e.agent_id, e.tick, e.combined_text)
-                for e in result.repository.entries]
+        return ([(r.record_id, r.agent_id, r.tick, r.combined_text)
+                 for r in result.repository.records], result.repository.vectors.tolist())
 
     assert repo_digest() == repo_digest()
 
@@ -287,7 +288,27 @@ def test_external_records_run_through_detection(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     mapping = IngestMapping(agent="speaker", tick="step", text="utterance")
     result, _ = analyze_external(path, mapping, AnalysisOptions(k=2, theta=0.8, window_ticks=10))
-    texts = [e.combined_text for e in result.repository.entries]
+    texts = [r.combined_text for r in result.repository.records]
     assert len(texts) == 2
     assert "same thought" in texts[0]
     assert "unrelated plan" in texts[1]
+
+
+def test_far_ticks_cost_memory_only_where_intentions_are(tmp_path):
+    # Two thoughts two million one-tick windows apart: the diagram spans
+    # every window, but only the two that hold an intention are built.
+    rows = [{"speaker": 1, "step": 0, "utterance": "open the stall early"},
+            {"speaker": 2, "step": 2_000_000, "utterance": "close the stall late"}]
+    path = tmp_path / "far.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    mapping = IngestMapping(agent="speaker", tick="step", text="utterance")
+    tracemalloc.start()
+    try:
+        result, _ = analyze_external(path, mapping, AnalysisOptions(k=2, window_ticks=1))
+        write_analysis_outputs(result, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert result.diagram.n_windows == 2_000_001
+    assert result.diagram.cluster_nodes == [(0, 1), (2_000_000, 0)]
