@@ -2,17 +2,18 @@
 
 Two embedders share one interface, ``embed(texts)``, which returns one row
 per text: a remote HTTP service (the production path) and a seeded hashing
-embedder that keeps every test hermetic. The hashing scheme: lowercase,
-split on non-alphanumerics, hash each token into one of ``dim`` buckets
-with a seed-keyed hash, weight by term frequency, L2-normalize. Empty text
-embeds to the zero vector, which mining never takes for an intention.
+embedder that keeps every test hermetic. The hashing scheme: lowercase with
+``str.lower()``, take each maximal run of ASCII ``a-z0-9`` as a token (any
+other character separates tokens, non-ASCII letters and digits too: ``"café"``
+gives ``caf``), hash each token into one of ``dim`` buckets with a seed-keyed
+hash, weight by term frequency, L2-normalize. Empty text embeds to the zero
+vector, which mining never takes for an intention.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
@@ -24,7 +25,9 @@ from .transport import Endpoint, post_json
 
 DEFAULT_DIM = 384
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Keeps ASCII a-z0-9 and turns every other byte into a space. A non-ASCII
+# character, a lone surrogate too ("surrogatepass"), encodes to bytes >= 0x80.
+_TOKEN_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for b in range(256))
 
 
 def l2_normalize(vec: np.ndarray) -> np.ndarray:
@@ -52,8 +55,9 @@ def similarity_matrix(vectors: np.ndarray) -> np.ndarray:
     return unit @ unit.T
 
 
-def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+def tokenize(text: str) -> list[bytes]:
+    """The tokens of ``text``, in order, as ASCII bytes."""
+    return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).split()
 
 
 @dataclass
@@ -62,12 +66,12 @@ class HashingEmbedder:
 
     dim: int = DEFAULT_DIM
     seed: int = 0
-    _buckets: dict[str, int] = field(default_factory=dict, repr=False)
+    _buckets: dict[bytes, int] = field(default_factory=dict, repr=False)
 
-    def bucket(self, token: str) -> int:
+    def bucket(self, token: bytes) -> int:
         cached = self._buckets.get(token)
         if cached is None:
-            digest = hashlib.sha256(f"{self.seed}|{token}".encode("utf-8")).digest()
+            digest = hashlib.sha256(f"{self.seed}|".encode() + token).digest()
             cached = int.from_bytes(digest[:8], "big") % self.dim
             self._buckets[token] = cached
         return cached

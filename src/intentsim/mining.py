@@ -95,13 +95,18 @@ class IntentionRepository:
         return len(self.records)
 
     def to_jsonl(self) -> str:
-        """One line per intention, in the repository's order."""
-        return "".join(
-            json.dumps({"record_id": r.record_id, "agent_id": r.agent_id, "tick": r.tick,
-                        "combined_text": r.combined_text, "embedding": row.tolist()},
-                       sort_keys=True, separators=(",", ":")) + "\n"
-            for r, row in zip(self.records, self.vectors)
-        )
+        """One line per intention, in the repository's order, as ``json.dumps``
+        with sorted keys and no spaces writes it. Each distinct float of a row,
+        keyed by its bits so ``-0.0`` stays apart from ``0.0``, is ``repr``-ed
+        once; a row at a time, so no more than one row's strings are held."""
+        lines = []
+        for r, row in zip(self.records, np.ascontiguousarray(self.vectors, dtype=np.float64)):
+            bits, inverse = np.unique(row.view(np.int64), return_inverse=True)
+            floats = [repr(x) for x in bits.view(np.float64).tolist()]
+            embedding = ",".join(map(floats.__getitem__, inverse.tolist()))
+            lines.append(f'{{"agent_id":{r.agent_id},"combined_text":{json.dumps(r.combined_text)},'
+                         f'"embedding":[{embedding}],"record_id":{r.record_id},"tick":{r.tick}}}\n')
+        return "".join(lines)
 
 
 @dataclass

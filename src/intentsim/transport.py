@@ -3,18 +3,12 @@ embedding clients."""
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
-import urllib.request
 from dataclasses import dataclass
 
 from .trace import decode_json
 
-# Every transport failure is retried: OSError covers URLError, HTTPError and
-# TimeoutError, HTTPException covers a truncated body (IncompleteRead), and
-# the rest are a reply that is not JSON or lacks the fields ``read`` reads.
-RETRIED = (OSError, http.client.HTTPException, ValueError, KeyError, IndexError, TypeError)
 TIMEOUT_S = 30.0
 ATTEMPTS = 3
 
@@ -32,8 +26,16 @@ def post_json(endpoint: Endpoint, body: dict, read, error, name: str, backoff_s:
 
     Makes :data:`ATTEMPTS` attempts, sleeping ``backoff_s * attempt number``
     between them, then raises ``error`` with the last failure. What ``read``
-    raises outside :data:`RETRIED` propagates at once.
+    raises outside the retried failures propagates at once. Only a command
+    that reaches a remote model loads the HTTP modules.
     """
+    import http.client
+    import urllib.request
+
+    # Every transport failure is retried: OSError covers URLError, HTTPError and
+    # TimeoutError, HTTPException covers a truncated body (IncompleteRead), and
+    # the rest are a reply that is not JSON or lacks the fields ``read`` reads.
+    retried = (OSError, http.client.HTTPException, ValueError, KeyError, IndexError, TypeError)
     request = urllib.request.Request(
         endpoint.base_url,
         data=json.dumps(body).encode("utf-8"),
@@ -45,7 +47,7 @@ def post_json(endpoint: Endpoint, body: dict, read, error, name: str, backoff_s:
         try:
             with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:
                 return read(decode_json(resp.read().decode("utf-8")))
-        except RETRIED as exc:
+        except retried as exc:
             last_error = exc
             if attempt < ATTEMPTS and backoff_s:
                 time.sleep(backoff_s * attempt)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def test_tf_weighting_hand_check():
     # "a a b": bucket(a) carries weight 2 and bucket(b) weight 1 before
     # normalization, so the normalized components are 2/sqrt(5), 1/sqrt(5).
     emb = HashingEmbedder(dim=64, seed=3)
-    ba, bb = emb.bucket("a"), emb.bucket("b")
+    ba, bb = emb.bucket(b"a"), emb.bucket(b"b")
     assert ba != bb
     vec = emb.embed(["a a b"])[0]
     assert abs(vec[ba] - 2.0 / math.sqrt(5.0)) < 1e-12
@@ -97,8 +98,34 @@ def test_unit_norm_for_nonempty_text(tokens):
     assert abs(float(np.linalg.norm(vec)) - 1.0) < 1e-9
 
 
+def oracle_tokens(text: str) -> list[bytes]:
+    """The token rule as a regular expression over the lowered text: the oracle."""
+    return [token.encode("ascii") for token in re.findall(r"[a-z0-9]+", text.lower())]
+
+
 def test_tokenize_lowercases_and_splits_punctuation():
-    assert tokenize("Go, RIDE-fast!") == ["go", "ride", "fast"]
+    assert oracle_tokens("Go, RIDE-fast!") == [b"go", b"ride", b"fast"]
+    assert tokenize("Go, RIDE-fast!") == oracle_tokens("Go, RIDE-fast!")
+
+
+# Any code point, lone surrogates included (st.text leaves them out by
+# default), mixed with the characters where lowering or encoding is subtle.
+ANY_CHAR = (
+    st.characters(exclude_categories=())
+    | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=())
+    | st.sampled_from("aZ09 _-\u212a\u0130\u00e9\uff11\u00df\u0391")
+)
+
+
+@given(st.text(ANY_CHAR))
+@example("\u212a")  # the Kelvin sign lowercases to ASCII "k"
+@example("\u0130stanbul")  # "İ" lowercases to "i" and a combining dot
+@example("a\ud800b")  # a lone surrogate
+@example("\x00nul\ttab\nnew")
+@example("café au lait")
+@example("\uff11\uff12\uff13 123")  # fullwidth digits are no ASCII digits
+def test_tokenize_matches_regex_oracle(text):
+    assert tokenize(text) == oracle_tokens(text)
 
 
 def test_similarity_matrix_matches_pairwise():
@@ -115,7 +142,7 @@ def test_similarity_matrix_matches_pairwise():
 def reference_embed(embedder: HashingEmbedder, text: str) -> np.ndarray:
     """The token-by-token formula embed replaced: the oracle."""
     vec = np.zeros(embedder.dim, dtype=float)
-    for token in tokenize(text):
+    for token in oracle_tokens(text):
         vec[embedder.bucket(token)] += 1.0
     return l2_normalize(vec)
 

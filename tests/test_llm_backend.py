@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -254,6 +258,21 @@ def test_embedding_transport_fault_retries_then_raises(stub_server, monkeypatch,
     with pytest.raises(EmbeddingError, match="embedding endpoint failed after retries"):
         embedder.embed(["a"])
     assert len(stub_server.requests) == 3
+
+
+def test_local_stages_never_import_the_http_modules():
+    # Only post_json loads them, so a command that reaches no remote model
+    # does not pay for their import.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "import intentsim.engine, intentsim.pipeline, intentsim.metrics, intentsim.audit, intentsim.cli\n"
+        "print(sorted(m for m in ('http.client', 'urllib.request') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_vector_count_mismatch_is_not_retried(stub_server):

@@ -5,7 +5,8 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from intentsim.backends.types import ThoughtPair
 from intentsim.embedding import HashingEmbedder, cosine_similarity
@@ -153,7 +154,7 @@ def test_crafted_half_similarity_threshold_behavior():
     # Token overlap control: "alpha beta" vs "alpha gamma" share one of two
     # unit-weight tokens, giving cosine exactly 0.5 when buckets are distinct.
     emb = HashingEmbedder(dim=384, seed=0)
-    buckets = {emb.bucket(t) for t in ("alpha", "beta", "gamma")}
+    buckets = {emb.bucket(t) for t in (b"alpha", b"beta", b"gamma")}
     assert len(buckets) == 3
     old, new = emb.embed(["alpha beta", "alpha gamma"])
     assert abs(cosine_similarity(old, new) - 0.5) < 1e-12
@@ -231,6 +232,50 @@ def test_repository_jsonl_round_trip():
             b["combined_text"],
         )
         assert b["embedding"] == [float(x) for x in row]
+
+
+def reference_jsonl(repo: IntentionRepository) -> str:
+    """The one ``json.dumps`` per line that to_jsonl replaced: the oracle."""
+    return "".join(
+        json.dumps({"record_id": r.record_id, "agent_id": r.agent_id, "tick": r.tick,
+                    "combined_text": r.combined_text, "embedding": row.tolist()},
+                   sort_keys=True, separators=(",", ":")) + "\n"
+        for r, row in zip(repo.records, repo.vectors)
+    )
+
+
+# Signed zeros, the smallest subnormal and tiny normals among arbitrary finite
+# floats; texts of any code point, with quotes, backslashes and controls.
+ROW_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.1, 1.0]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+TEXTS = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\n\t\u2028\u00e9\U0001f6b2'))
+
+
+@st.composite
+def repositories(draw):
+    n, dim = draw(st.integers(0, 4)), draw(st.integers(1, 12))
+    records = [
+        make_record(i, agent=draw(st.integers(0, 2**40)), tick=draw(st.integers(0, 2**40)),
+                    bounded=draw(TEXTS), rational=draw(TEXTS))
+        for i in range(n)
+    ]
+    return IntentionRepository(records, draw(arrays(np.float64, (n, dim), elements=ROW_FLOATS)))
+
+
+def dense_repository() -> IntentionRepository:
+    rng = np.random.default_rng(0)
+    records = [make_record(i, agent=i, tick=7 * i, rational=f'"q\\{i}" caf\u00e9\n') for i in range(3)]
+    vectors = np.vstack([rng.standard_normal((2, 384)), HashingEmbedder().embed(["alpha beta"])])
+    return IntentionRepository(records, vectors)
+
+
+@given(repositories())
+@example(dense_repository())
+@example(IntentionRepository([make_record()], np.array([[0.0, -0.0, 5e-324, 1e-300, -0.0, 0.0]])))
+@example(IntentionRepository([make_record()], np.arange(12.0).reshape(2, 6)[:1, ::2]))  # a strided view
+def test_to_jsonl_matches_json_dumps(repo):
+    assert repo.to_jsonl() == reference_jsonl(repo)
 
 
 def test_mining_deterministic():
