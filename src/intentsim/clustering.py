@@ -147,10 +147,13 @@ def label_cluster(texts: list[str], vectors: np.ndarray, centroid: np.ndarray) -
 
     ``texts`` and the rows of ``vectors`` are the members in record-id
     order; an exact similarity tie goes to the first text, the earliest
-    record.
+    record. Every member ties with a zero centroid, such as the mean of two
+    opposite vectors.
     """
     if not texts:
         raise ClusteringError("cannot label an empty cluster")
+    if not centroid.any():
+        return texts[0]
     best, best_sim = texts[0], -2.0
     for text, vector in zip(texts, vectors):
         sim = cosine_similarity(vector, centroid)

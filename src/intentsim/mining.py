@@ -11,9 +11,11 @@ present thoughts whatever their verdicts. So :func:`mine_records` takes the
 present records agent by agent, not in canonical order, and embeds and
 judges them in fixed blocks of :data:`BLOCK_ROWS`, one masked matrix product
 per block (:meth:`SimilarityDetector.detect`); no agent keeps a memory of
-its own. The repository is one table: the emergent records in record-id
-order and one embedding matrix, row for row, which later stages cluster and
-window.
+its own. With a chat model, the block pass only gathers the candidates (the
+thoughts with a non-zero embedding), and the model then judges each in
+canonical order. The repository is one table: the emergent records in
+record-id order and one embedding matrix, row for row, which later stages
+cluster and window.
 """
 
 from __future__ import annotations
@@ -149,37 +151,26 @@ class LlmEmergenceDetector:
     """Ask a chat endpoint for a yes/no novelty judgement.
 
     ``ask`` is a callable(prompt) -> reply text. An unparsable reply or a
-    failed call leaves the verdict to the similarity detector, and the
+    failed call leaves the similarity detector's verdict standing, and the
     fallback is reported via ``on_fallback`` so it lands in the analysis log.
     """
 
     ask: Callable[[str], str]
     template: str
-    fallback: SimilarityDetector = field(default_factory=SimilarityDetector)
     on_fallback: Callable[[str], None] | None = None
 
-    def ask_all(self, present: list[ThoughtRecord], lows: np.ndarray) -> list[bool | None]:
-        """A verdict for each of ``present``, ``None`` where the similarity
-        detector decides. The questions go out in canonical (tick, agent)
-        order; each carries its memory, the texts of ``present[lows[i]:i]``."""
-        verdicts: list[bool | None] = [None] * len(present)
-        canonical = sorted(
-            range(len(present)),
-            key=lambda p: (present[p].tick, present[p].agent_id, present[p].record_id),
-        )
-        for pos in canonical:
-            memory = present[lows[pos]:pos]
-            memory_lines = "\n".join(f"- {r.combined_text}" for r in memory) or "(no memory yet)"
-            prompt = self.template.format(thought=present[pos].combined_text, memory=memory_lines)
-            try:
-                verdicts[pos] = _parse_yes_no(self.ask(prompt))
-            except Exception as exc:
-                reason = str(exc)
-            else:
-                reason = "reply contained neither yes nor no"
-            if verdicts[pos] is None and self.on_fallback is not None:
-                self.on_fallback(f"llm detector fell back to similarity: {reason}")
-        return verdicts
+    def judge(self, thought: ThoughtRecord, memory: list[ThoughtRecord], similar: bool) -> bool:
+        """The model's verdict on ``thought``, whose memory is ``memory``; the
+        similarity verdict ``similar`` where the reply cannot be used."""
+        memory_lines = "\n".join(f"- {r.combined_text}" for r in memory) or "(no memory yet)"
+        prompt = self.template.format(thought=thought.combined_text, memory=memory_lines)
+        try:
+            verdict, reason = _parse_yes_no(self.ask(prompt)), "reply contained neither yes nor no"
+        except Exception as exc:
+            verdict, reason = None, str(exc)
+        if verdict is None and self.on_fallback is not None:
+            self.on_fallback(f"llm detector fell back to similarity: {reason}")
+        return similar if verdict is None else verdict
 
 
 def _parse_yes_no(reply: str) -> bool | None:
@@ -193,9 +184,10 @@ def _parse_yes_no(reply: str) -> bool | None:
 
 def mine_records(
     records: Iterable[ThoughtRecord],
-    detector,
+    detector: SimilarityDetector,
     embedder,
     memory_capacity: int = DEFAULT_MEMORY_CAPACITY,
+    llm: LlmEmergenceDetector | None = None,
 ) -> IntentionRepository:
     """The repository of the emergent records, in record-id order.
 
@@ -205,9 +197,11 @@ def mine_records(
     thoughts. The present records are taken agent by agent in (tick, id)
     order and embedded and judged :data:`BLOCK_ROWS` at a time: each block
     is one matrix product against itself and the rows of its first agent
-    just before it. An LLM detector asks about every thought first. A
-    thought whose embedding is the zero vector is never an intention,
-    whatever the verdict, so every repository row can be clustered.
+    just before it. A thought whose embedding is the zero vector is never an
+    intention, so every repository row can be clustered. With ``llm``, every
+    other thought is a candidate: once the block pass is done, the model is
+    asked about each in record-id order, which is canonical order, and a
+    reply it cannot use leaves the similarity verdict standing.
     """
     if memory_capacity < 0:
         raise ValueError(f"memory capacity must be >= 0, got {memory_capacity}")
@@ -221,11 +215,8 @@ def mine_records(
     # Where each thought's memory begins: at most memory_capacity back, and
     # not before its agent's first thought.
     lows = np.maximum(np.searchsorted(agents, agents), np.arange(len(present)) - memory_capacity)
-    asked: list[bool | None] = [None] * len(present)
-    if isinstance(detector, LlmEmergenceDetector):
-        asked = detector.ask_all(present, lows)
-        detector = detector.fallback
-    kept: list[int] = []  # the positions in ``present`` of the intentions
+    kept: list[int] = []  # the positions in ``present`` of the candidates
+    similar: list[bool] = []  # their similarity verdicts
     chunks: list[np.ndarray] = []  # their vectors, block by block
     rows, low = None, 0  # the previous block's rows, from position ``low`` on
     for start in range(0, len(present), BLOCK_ROWS):
@@ -236,14 +227,14 @@ def mine_records(
         rows = vectors if reach == start else np.vstack([rows[reach - low:], vectors])
         low = reach
         verdicts = detector.detect(rows, agents[low:start + len(block)], start - low, memory_capacity)
-        for i, verdict in enumerate(asked[start:start + len(block)]):
-            if verdict is not None:
-                verdicts[i] = verdict
-        keep = np.flatnonzero(verdicts & vectors.any(axis=1))
+        keep = np.flatnonzero((verdicts | (llm is not None)) & vectors.any(axis=1))
         kept += (start + keep).tolist()
+        similar += verdicts[keep].tolist()
         chunks.append(vectors[keep])
     # The blocks went agent by agent; the repository is in record-id order.
     order = sorted(range(len(kept)), key=lambda i: present[kept[i]].record_id)
+    if llm is not None:
+        order = [i for i in order if llm.judge(present[kept[i]], present[lows[kept[i]]:kept[i]], similar[i])]
     return IntentionRepository([present[kept[i]] for i in order], np.concatenate(chunks)[order])
 
 

@@ -89,20 +89,6 @@ def make_embedder(options: AnalysisOptions):
     return HashingEmbedder(seed=options.seed)
 
 
-def make_detector(options: AnalysisOptions, warn_sink):
-    similarity = SimilarityDetector(theta=options.theta)
-    if options.detector_ask is None:
-        return similarity
-    from .backends.llm import load_prompt
-
-    return LlmEmergenceDetector(
-        ask=options.detector_ask,
-        template=load_prompt("emergence_check.txt"),
-        fallback=similarity,
-        on_fallback=warn_sink,
-    )
-
-
 def analyze_records(
     records: list[ThoughtRecord],
     options: AnalysisOptions,
@@ -112,9 +98,14 @@ def analyze_records(
     length; by default, up to the last record's tick)."""
     warnings: list[str] = []
     if options.analyzer and records:
-        embedder = make_embedder(options)
-        detector = make_detector(options, warnings.append)
-        repo = mine_records(records, detector, embedder, memory_capacity=options.memory_capacity)
+        llm = None
+        if options.detector_ask is not None:
+            from .backends.llm import load_prompt
+
+            template = load_prompt("emergence_check.txt")
+            llm = LlmEmergenceDetector(options.detector_ask, template, warnings.append)
+        detector = SimilarityDetector(theta=options.theta)
+        repo = mine_records(records, detector, make_embedder(options), options.memory_capacity, llm)
     else:
         repo = IntentionRepository()
         if not options.analyzer:

@@ -603,8 +603,11 @@ def _lookup_path(record: dict, parts: list[str]):
 @dataclass
 class IngestResult:
     rows: list[dict]
-    skipped: int
-    warnings: list[str]
+    warnings: list[str]  # one per skipped record
+
+    @property
+    def skipped(self) -> int:
+        return len(self.warnings)
 
 
 def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
@@ -616,7 +619,6 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
     skipped, counted, and reported.
     """
     rows: list[dict] = []
-    skipped = 0
     warnings: list[str] = []
     paths = [(target, getattr(mapping, target).split(".")) for target in ("agent", "tick", "text")]
     with Path(path).open("rb") as fh:
@@ -627,11 +629,9 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
                     continue
                 record = decode_json(line)
             except ValueError:  # invalid UTF-8 is a ValueError too
-                skipped += 1
                 warnings.append(f"line {line_no}: malformed record")
                 continue
             if not isinstance(record, dict):
-                skipped += 1
                 warnings.append(f"line {line_no}: record is not an object")
                 continue
             values = {}
@@ -645,17 +645,14 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
                     break
                 values[target] = value
             if missing is not None:
-                skipped += 1
                 warnings.append(f"line {line_no}: missing mapped field '{missing}'")
                 continue
             try:
                 tick = int(values["tick"])
             except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
-                skipped += 1
                 warnings.append(f"line {line_no}: tick {values['tick']!r} is not an integer")
                 continue
             if tick < 0:  # tick windows and the analysis log start at tick 0
-                skipped += 1
                 warnings.append(f"line {line_no}: tick {tick} is negative")
                 continue
             rows.append({"agent_raw": values["agent"], "tick": tick, "text": str(values["text"]), "line": line_no})
@@ -670,4 +667,4 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
         # Mixed or named identifiers: stable ids by first appearance.
         agent_id = raw if all_int_ids else agent_ids.setdefault(str(raw), len(agent_ids))
         out.append({"agent_id": agent_id, "tick": row["tick"], "text": row["text"]})
-    return IngestResult(rows=out, skipped=skipped, warnings=warnings)
+    return IngestResult(rows=out, warnings=warnings)

@@ -158,6 +158,16 @@ def test_label_cluster_tie_breaks_by_earliest_record():
     assert label_cluster(["second-high", "first-high"], vectors[[2, 0]], centroid) == "second-high"
 
 
+def test_label_cluster_zero_centroid_ties_every_member():
+    # Two opposite intentions in one cluster: the centroid is their mean, the
+    # zero vector, and the label goes to the first, the earliest record.
+    clustering = kmeans_cluster([[1, 0], [-1, 0]], 1, 0)
+    assert not clustering.centroids[0].any()
+    vectors = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert label_cluster(["east", "west"], vectors, clustering.centroids[0]) == "east"
+    assert label_cluster(["west", "east"], vectors[::-1], clustering.centroids[0]) == "west"
+
+
 def test_label_cluster_empty_is_error():
     with pytest.raises(ClusteringError):
         label_cluster([], np.zeros((0, 2)), np.array([1.0, 0.0]))

@@ -520,7 +520,7 @@ def test_llm_detector_via_cli(stub_server, tmp_path):
 def test_zero_embedding_is_never_an_intention(stub_server, tmp_path):
     # The chat model calls every thought new, but the second one embeds to
     # the zero vector: it stays out of the repository, so every intention
-    # has a cluster.
+    # has a cluster, and the model is never asked about it.
     from click.testing import CliRunner
 
     from intentsim.cli import main as cli_main
@@ -534,7 +534,7 @@ def test_zero_embedding_is_never_an_intention(stub_server, tmp_path):
     mapping.write_text(json.dumps({"agent": "speaker", "tick": "step", "text": "utterance"}))
     stub_server.script = {
         "/embed": [{"embedding": [v]} for v in ([1.0, 0.0], [0.0, 0.0], [0.0, 1.0])],
-        "/v1/chat/completions": [{"chat": "yes"}] * 3,
+        "/v1/chat/completions": [{"chat": "yes"}] * 2,
     }
     host, port = stub_server.server_address
     out = tmp_path / "out"
@@ -547,12 +547,46 @@ def test_zero_embedding_is_never_an_intention(stub_server, tmp_path):
     ])
     assert result.exit_code == 0, (result.output, result.exception)
     assert not any(stub_server.script.values())
+    prompts = [body["messages"][0]["content"] for path, body in stub_server.requests
+               if path == "/v1/chat/completions"]
+    assert len(prompts) == 2 and not any("say nothing" in prompt for prompt in prompts)
     repo = [json.loads(line) for line in (out / "repository.jsonl").read_text().splitlines()]
     assert [entry["record_id"] for entry in repo] == [0, 2]
     clusters = (out / "clusters.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in clusters] == ["0", "2"]
     assert all(int(row.split(",")[3]) >= 0 for row in clusters)
     assert "cluster assignment" not in (out / "analysis_events.jsonl").read_text()
+
+
+def test_opposite_remote_embeddings_share_one_label(stub_server, tmp_path):
+    # At --k 1 the two intentions' centroid is the zero vector; the cluster
+    # takes the first record's text as its label.
+    from click.testing import CliRunner
+
+    from intentsim.cli import main as cli_main
+
+    log = tmp_path / "foreign.jsonl"
+    log.write_text("".join(
+        json.dumps({"speaker": i, "step": i, "utterance": t}) + "\n"
+        for i, t in enumerate(["go east", "go west"])
+    ))
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps({"agent": "speaker", "tick": "step", "text": "utterance"}))
+    stub_server.script = [{"embedding": [[1.0, 0.0]]}, {"embedding": [[-1.0, 0.0]]}]
+    host, port = stub_server.server_address
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, [
+        "analyze", "--external", str(log), "--mapping", str(mapping), "--out", str(out), "--k", "1",
+        "--embed-url", f"http://{host}:{port}/embed", "--embed-model", "stub-embed",
+    ])
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert json.loads((out / "diagram.json").read_text())["cluster_labels"] == {
+        "0": "bounded: go east | rational: go east"
+    }
+    assert (out / "clusters.csv").read_text().splitlines()[1:] == [
+        "0,0,0,0,bounded: go east | rational: go east",
+        "1,1,1,0,bounded: go east | rational: go east",
+    ]
 
 
 def test_label_llm_via_cli(stub_server, tmp_path):

@@ -48,9 +48,10 @@ class TableEmbedder:
         return np.array([self.table[text] for text in texts], dtype=float)
 
 
-def mine_thoughts(thoughts, theta=DEFAULT_THETA, capacity=DEFAULT_MEMORY_CAPACITY):
+def mine_thoughts(thoughts, theta=DEFAULT_THETA, capacity=DEFAULT_MEMORY_CAPACITY, llm=None):
     """The indexes of the emergent ``(agent, tick, vector)`` thoughts, in
-    record-id order; a ``None`` vector makes the thought missing."""
+    record-id order; a ``None`` vector makes the thought missing. Thought i's
+    combined text is ``bounded: ti | rational: ti``."""
     records = records_from_rows([
         {"agent_id": agent, "tick": tick, "text": "" if vec is None else f"t{i}"}
         for i, (agent, tick, vec) in enumerate(thoughts)
@@ -59,7 +60,7 @@ def mine_thoughts(thoughts, theta=DEFAULT_THETA, capacity=DEFAULT_MEMORY_CAPACIT
         combine_pair(ThoughtPair(f"t{i}", f"t{i}")): vec
         for i, (_agent, _tick, vec) in enumerate(thoughts) if vec is not None
     })
-    repo = mine_records(records, SimilarityDetector(theta), embedder, capacity)
+    repo = mine_records(records, SimilarityDetector(theta), embedder, capacity, llm)
     # Each present thought is embedded once, in blocks of at most BLOCK_ROWS.
     assert all(len(block) <= BLOCK_ROWS for block in embedder.blocks)
     assert sorted(t for block in embedder.blocks for t in block) == sorted(embedder.table)
@@ -180,7 +181,7 @@ def test_mine_records_appends_emergent_and_remembers_all():
     emb = HashingEmbedder(dim=32)
     records = records_from_rows([{"agent_id": 1, "tick": t, "text": "save time"} for t in range(3)])
     prompts = []
-    repo = mine_records(records, scripted_llm(["no", "yes", "no"], prompts), emb)
+    repo = mine_records(records, SimilarityDetector(), emb, llm=scripted_llm(["no", "yes", "no"], prompts))
     # Not emergent: nothing appended, still remembered; emergent: appended.
     assert repo.records == [records[1]]
     text = records[0].combined_text
@@ -191,7 +192,8 @@ def test_memory_fifo_eviction_at_capacity():
     # The 52nd thought's memory is the 50 before it: t1 to t50.
     records = records_from_rows([{"agent_id": 1, "tick": t, "text": f"t{t}"} for t in range(52)])
     prompts = []
-    mine_records(records, scripted_llm(["yes"] * 52, prompts), HashingEmbedder(dim=32), 50)
+    llm = scripted_llm(["yes"] * 52, prompts)
+    mine_records(records, SimilarityDetector(), HashingEmbedder(dim=32), 50, llm)
     assert prompts[-1].splitlines()[1:] == [f"- bounded: t{t} | rational: t{t}" for t in range(1, 51)]
     # The similarity detector forgets the same way: a repeat of an evicted
     # thought is emergent again, one still remembered is not.
@@ -310,9 +312,9 @@ def test_llm_detector_parses_verdicts():
     records = records_from_rows([{"agent_id": 1, "tick": t, "text": "save time"} for t in range(2)])
     emb = HashingEmbedder(dim=32)
     yes = scripted_llm(["Yes, clearly new."] * 2, [])
-    assert len(mine_records(records, yes, emb)) == 2
+    assert len(mine_records(records, SimilarityDetector(), emb, llm=yes)) == 2
     no = scripted_llm(["No."] * 2, [])
-    assert len(mine_records(records, no, emb)) == 0
+    assert len(mine_records(records, SimilarityDetector(), emb, llm=no)) == 0
 
 
 def test_llm_detector_falls_back_to_similarity():
@@ -321,11 +323,11 @@ def test_llm_detector_falls_back_to_similarity():
     fallbacks: list[str] = []
     garbled = scripted_llm(["hmm unclear", "no"], [], on_fallback=fallbacks.append)
     # Similarity decides the first (empty memory: emergent), the reply the second.
-    assert [r.record_id for r in mine_records(records, garbled, emb).records] == [0]
+    assert [r.record_id for r in mine_records(records, SimilarityDetector(), emb, llm=garbled).records] == [0]
     assert fallbacks == ["llm detector fell back to similarity: reply contained neither yes nor no"]
 
     failing = scripted_llm([RuntimeError("endpoint down")] * 2, [], on_fallback=fallbacks.append)
-    assert [r.record_id for r in mine_records(records, failing, emb).records] == [0]
+    assert [r.record_id for r in mine_records(records, SimilarityDetector(), emb, llm=failing).records] == [0]
     assert fallbacks[1:] == ["llm detector fell back to similarity: endpoint down"] * 2
 
 
@@ -441,6 +443,65 @@ def test_block_boundaries_match_pairwise_oracle(capacity, agents):
         for _ in range(300)
     ]
     check_against_oracle(thoughts, capacity, THETAS)
+
+
+def ask_every_thought(thoughts, replies, capacity, theta):
+    """The ask-everything rule, the oracle of the question round: every present
+    thought is asked about in canonical order, its memory its agent's last
+    ``capacity`` present thoughts; an unusable reply falls back to the pairwise
+    similarity rule, and a verdict counts only where the vector is non-zero.
+    Returns the kept indexes in canonical order, and each prompt and fallback
+    warning as an ``(index, text)`` pair."""
+    text = "bounded: t{0} | rational: t{0}".format
+    bests = pairwise_bests(thoughts, capacity)
+    memories: dict[int, deque] = {}
+    kept, prompts, warnings = [], [], []
+    for i in sorted(bests, key=lambda i: (thoughts[i][1], thoughts[i][0], i)):
+        memory = memories.setdefault(thoughts[i][0], deque(maxlen=capacity))
+        prompts.append((i, f"{text(i)}\n" + ("\n".join(f"- {text(j)}" for j in memory) or "(no memory yet)")))
+        memory.append(i)
+        verdict = {"yes": True, "no": False}.get(replies[i])
+        if verdict is None:
+            reason = "endpoint down" if replies[i] == "raise" else "reply contained neither yes nor no"
+            warnings.append((i, f"llm detector fell back to similarity: {reason}"))
+            verdict = bests[i] is not None and bests[i] < theta
+        if verdict and thoughts[i][2].any():
+            kept.append(i)
+    return kept, prompts, warnings
+
+
+@given(data=st.data())
+def test_llm_round_matches_ask_every_thought_oracle(data):
+    # The test embedder gives chosen thoughts the zero row: the model is never
+    # asked about one, and every other question, verdict and warning is the
+    # oracle's, in canonical order, across agents, blocks and capacities.
+    agents = data.draw(st.sampled_from((1, 2, 3, 500)))
+    n = data.draw(st.integers(0, 2 * BLOCK_ROWS + 10))
+    thoughts = data.draw(st.lists(
+        st.tuples(st.integers(0, agents - 1), st.integers(0, 30),
+                  st.none() | st.just(np.zeros(4)) | int_vectors),
+        min_size=n, max_size=n,
+    ))
+    replies = data.draw(st.lists(st.sampled_from(("yes", "no", "hmm", "raise")), min_size=n, max_size=n))
+    capacity = data.draw(
+        st.sampled_from((0, 1, 2, BLOCK_ROWS, 2 * BLOCK_ROWS)) | st.integers(0, 3 * BLOCK_ROWS)
+    )
+    theta = data.draw(st.sampled_from(THETAS))
+    prompts, warnings = [], []
+
+    def ask(prompt):
+        prompts.append(prompt)
+        reply = replies[int(prompt.split(" | ")[0].removeprefix("bounded: t"))]
+        if reply == "raise":
+            raise RuntimeError("endpoint down")
+        return reply
+
+    llm = LlmEmergenceDetector(ask, "{thought}\n{memory}", warnings.append)
+    kept, expected_prompts, expected_warnings = ask_every_thought(thoughts, replies, capacity, theta)
+    assert mine_thoughts(thoughts, theta, capacity, llm) == kept
+    asked = {i for i, _ in expected_prompts if thoughts[i][2].any()}
+    assert prompts == [prompt for i, prompt in expected_prompts if i in asked]
+    assert warnings == [warning for i, warning in expected_warnings if i in asked]
 
 
 def test_memory_capacity_beyond_the_transcript():
