@@ -162,16 +162,16 @@ def label_cluster(texts: list[str], vectors: np.ndarray, centroid: np.ndarray) -
     return best
 
 
-def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette over all points, one cluster at a time: b from every
-    point's mean distance to each cluster, a from each cluster's block
-    without its diagonal. Each mean sums a contiguous row in member order,
-    so the score is the per-point formula's to the last bit."""
-    n = points.shape[0]
+def silhouette_score(distances: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette over all points, given their pairwise distance
+    matrix, one cluster at a time: b from every point's mean distance to
+    each cluster, a from each cluster's block without its diagonal. Each
+    mean sums a contiguous row in member order, so the score is the
+    per-point formula's to the last bit."""
+    n = distances.shape[0]
     clusters, own, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     if clusters.size < 2:
         return 0.0
-    distances = np.sqrt(_squared_distances(points, points))
     to_cluster = np.empty((n, clusters.size))  # each point's mean distance to each cluster
     a = np.zeros(n)
     for j, m in enumerate(sizes):
@@ -222,8 +222,9 @@ def scan_k(vectors, seed: int, k_min: int = 2, k_max: int = 10) -> tuple[int | N
         return None, {}
     scores: dict[int, float] = {}
     upper = min(k_max, sample.shape[0] - 1, distinct)
+    distances = np.sqrt(_squared_distances(sample, sample))  # one matrix for every k
     for k in range(k_min, upper + 1):
         result = kmeans_cluster(sample, k, seed)
-        scores[k] = silhouette_score(sample, result.assignments)
+        scores[k] = silhouette_score(distances, result.assignments)
     best = max(scores.items(), key=lambda kv: (kv[1], -kv[0]))[0]
     return best, scores

@@ -6,8 +6,10 @@ embedder that keeps every test hermetic. The hashing scheme: lowercase with
 ``str.lower()``, take each maximal run of ASCII ``a-z0-9`` as a token (any
 other character separates tokens, non-ASCII letters and digits too: ``"café"``
 gives ``caf``), hash each token into one of ``dim`` buckets with a seed-keyed
-hash, weight by term frequency, L2-normalize. Empty text embeds to the zero
-vector, which mining never takes for an intention.
+hash (the first 8 bytes of ``sha256(b"SEED|" + token)``, big-endian, modulo
+``dim``; each embedder hashes a token only the first time it sees it), weight
+by term frequency, L2-normalize. Empty text embeds to the zero vector, which
+mining never takes for an intention.
 """
 
 from __future__ import annotations
@@ -60,21 +62,33 @@ def tokenize(text: str) -> list[bytes]:
     return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).split()
 
 
+class _Buckets(dict):
+    """Token -> bucket; a token is hashed the first time it is looked up."""
+
+    def __init__(self, dim: int, seed: int):
+        super().__init__()
+        self.dim = dim
+        self.prefix = f"{seed}|".encode()
+
+    def __missing__(self, token: bytes) -> int:
+        digest = hashlib.sha256(self.prefix + token).digest()
+        bucket = self[token] = int.from_bytes(digest[:8], "big") % self.dim
+        return bucket
+
+
 @dataclass
 class HashingEmbedder:
     """Deterministic term-frequency hashing embedder."""
 
     dim: int = DEFAULT_DIM
     seed: int = 0
-    _buckets: dict[bytes, int] = field(default_factory=dict, repr=False)
+    _buckets: _Buckets = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._buckets = _Buckets(self.dim, self.seed)
 
     def bucket(self, token: bytes) -> int:
-        cached = self._buckets.get(token)
-        if cached is None:
-            digest = hashlib.sha256(f"{self.seed}|".encode() + token).digest()
-            cached = int.from_bytes(digest[:8], "big") % self.dim
-            self._buckets[token] = cached
-        return cached
+        return self._buckets[token]
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text. Every row's buckets are counted by one
@@ -82,11 +96,9 @@ class HashingEmbedder:
         by its counts' norm ``sqrt(c·c)``; the counts are integers, so a row
         equals the text embedded alone to the last bit."""
         tokens = [tokenize(text) for text in texts]
-        flat = list(chain.from_iterable(tokens))
-        for token in set(flat).difference(self._buckets):
-            self.bucket(token)  # hash each token only the first time it appears
         rows = np.repeat(np.arange(len(texts)) * self.dim, [len(row) for row in tokens])
-        rows += np.fromiter(map(self._buckets.__getitem__, flat), dtype=np.int64, count=len(flat))
+        buckets = map(self._buckets.__getitem__, chain.from_iterable(tokens))  # hashes the new tokens
+        rows += np.fromiter(buckets, dtype=np.int64, count=len(rows))
         counts = np.bincount(rows, minlength=len(texts) * self.dim).astype(float)
         counts = counts.reshape(len(texts), self.dim)
         norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))

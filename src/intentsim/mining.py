@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -49,7 +50,7 @@ def combine_pair(pair: ThoughtPair) -> str:
     return f"rational: {pair.rational}"
 
 
-@dataclass
+@dataclass(slots=True)
 class ThoughtRecord:
     record_id: int
     agent_id: int
@@ -72,7 +73,7 @@ def _numbered(items: list[tuple]) -> list[ThoughtRecord]:
     processes records in — so repository ids always increase. A ``None``
     pair or an empty rational text makes the record missing.
     """
-    items.sort(key=lambda item: item[:3])
+    items.sort()  # the arrivals are unique, so no comparison reaches a pair
     return [
         ThoughtRecord(
             record_id=record_id,
@@ -98,16 +99,23 @@ class IntentionRepository:
 
     def to_jsonl(self) -> str:
         """One line per intention, in the repository's order, as ``json.dumps``
-        with sorted keys and no spaces writes it. Each distinct float of a row,
-        keyed by its bits so ``-0.0`` stays apart from ``0.0``, is ``repr``-ed
-        once; a row at a time, so no more than one row's strings are held."""
+        with sorted keys and no spaces writes it. Each row starts as ``dim``
+        strings ``0.0``; only its non-zero entries, by their bits so that
+        ``-0.0`` counts as non-zero, go through ``np.unique``, and each distinct
+        one is ``repr``-ed once. A row at a time, so no more than one row's
+        strings are held."""
+        vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
+        zeros = ["0.0"] * vectors.shape[1]
         lines = []
-        for r, row in zip(self.records, np.ascontiguousarray(self.vectors, dtype=np.float64)):
-            bits, inverse = np.unique(row.view(np.int64), return_inverse=True)
+        for r, row in zip(self.records, vectors.view(np.int64)):
+            nonzero = np.flatnonzero(row)
+            bits, inverse = np.unique(row[nonzero], return_inverse=True)
             floats = [repr(x) for x in bits.view(np.float64).tolist()]
-            embedding = ",".join(map(floats.__getitem__, inverse.tolist()))
+            cells = zeros.copy()
+            for i, text in zip(nonzero.tolist(), map(floats.__getitem__, inverse.tolist())):
+                cells[i] = text
             lines.append(f'{{"agent_id":{r.agent_id},"combined_text":{json.dumps(r.combined_text)},'
-                         f'"embedding":[{embedding}],"record_id":{r.record_id},"tick":{r.tick}}}\n')
+                         f'"embedding":[{",".join(cells)}],"record_id":{r.record_id},"tick":{r.tick}}}\n')
         return "".join(lines)
 
 
@@ -205,9 +213,7 @@ def mine_records(
     """
     if memory_capacity < 0:
         raise ValueError(f"memory capacity must be >= 0, got {memory_capacity}")
-    present = sorted(
-        (r for r in records if not r.missing), key=lambda r: (r.agent_id, r.tick, r.record_id)
-    )
+    present = sorted((r for r in records if not r.missing), key=attrgetter("agent_id", "tick", "record_id"))
     if not present:
         return IntentionRepository()
     memory_capacity = min(memory_capacity, len(present))  # no memory is longer than that

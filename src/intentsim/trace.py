@@ -115,7 +115,10 @@ def decode_json(text: str, prefix: bool = False):
     Text that is not JSON, an integer past Python's int-string limit and
     nesting too deep for the decoder each raise a ``ValueError``."""
     try:
-        return _DECODER.raw_decode(text) if prefix else json.loads(text)
+        if prefix:
+            return _DECODER.raw_decode(text)
+        # Only json.loads names a leading BOM in its error.
+        return json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
     except RecursionError as exc:
         raise ValueError(f"{exc} (nesting too deep)") from None
 
@@ -125,7 +128,8 @@ def open_output(path: str | Path):
     """Open ``path`` to write text: UTF-8, with "\\n" line ends. The text
     goes to a temporary file beside ``path`` that replaces it only when the
     block ends without an error; any error deletes it."""
-    with _staged([Path(path)]) as (fh,):
+    path = Path(path)
+    with _staged(path.parent, [path.name]) as (temp,), _open_temp(path, temp) as fh:
         yield fh
 
 
@@ -133,13 +137,15 @@ def write_files(out_dir: str | Path, texts: dict[str, str], owned: str) -> dict[
     """Write each text to its file name in ``out_dir``, then delete each
     file there whose name the regex ``owned`` matches and that this call did
     not write (a previous run's); returns the paths by file name. No file
-    takes its name before every text is written."""
+    takes its name before every text is written, and no more than one file
+    is open at a time."""
     out = Path(out_dir)
     _output_step(out, out.mkdir, parents=True, exist_ok=True)
     paths = {name: out / name for name in texts}
-    with _staged(list(paths.values())) as handles:
-        for path, fh, text in zip(paths.values(), handles, texts.values()):
-            _output_step(path, fh.write, text)
+    with _staged(out, list(texts)) as temps:
+        for path, temp, text in zip(paths.values(), temps, texts.values()):
+            with _open_temp(path, temp) as fh:
+                _output_step(path, fh.write, text)
     for path in out.iterdir():
         if path.name not in texts and re.fullmatch(owned, path.name) and path.is_file():
             path.unlink()
@@ -147,40 +153,46 @@ def write_files(out_dir: str | Path, texts: dict[str, str], owned: str) -> dict[
 
 
 @contextmanager
-def _staged(paths: list[Path]):
-    """Text files open under temporary names beside ``paths``; once the
-    block ends without an error, each replaces its path. An error deletes
-    them all, and a killed run's are deleted by the next run on its path."""
-    for path in paths:
-        _delete_orphans(path)
-    temps = [path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp") for path in paths]
-    handles = []
+def _staged(directory: Path, names: list[str]):
+    """Temporary paths in ``directory``, one for each of ``names``; once the
+    block ends without an error, each replaces its name. An error deletes
+    them all, and a killed run's are deleted by the next run on its names."""
+    _delete_orphans(directory, set(names))
+    temps = [directory / f".{name}.{os.getpid()}-{secrets.token_hex(4)}.tmp" for name in names]
     try:
-        for path, temp in zip(paths, temps):
-            handles.append(_output_step(path, temp.open, "x", encoding="utf-8", newline="\n"))
-        try:
-            yield handles
-        finally:
-            for path, fh in zip(paths, handles):
-                _output_step(path, fh.close)
-        for path, temp in zip(paths, temps):
-            _output_step(path, os.replace, temp, path)
+        yield temps
+        for name, temp in zip(names, temps):
+            _output_step(directory / name, os.replace, temp, directory / name)
     except BaseException:
         for temp in temps:
             temp.unlink(missing_ok=True)
         raise
 
 
-def _delete_orphans(path: Path) -> None:
-    """Delete each temporary of ``path`` whose process no longer runs, such
-    as a killed run's: ``.NAME.PID-HEX.tmp`` with a PID that names no
-    process. A running process's temporaries stay. Best effort: writing
-    reports an unusable directory."""
-    orphan = re.compile(rf"\.{re.escape(path.name)}\.(\d+)-[0-9a-f]{{8}}\.tmp")
+@contextmanager
+def _open_temp(path: Path, temp: Path):
+    """Create ``temp`` and open it for the text of ``path``, whose name an
+    error carries; closed when the block ends."""
+    fh = _output_step(path, temp.open, "x", encoding="utf-8", newline="\n")
     try:
-        for temp in path.parent.iterdir():
-            found = orphan.fullmatch(temp.name)
-            if found and not _running(int(found[1])):
+        yield fh
+    finally:
+        _output_step(path, fh.close)
+
+
+_TEMP_NAME = re.compile(r"\.(.+)\.(\d+)-[0-9a-f]{8}\.tmp")  # .NAME.PID-HEX.tmp
+
+
+def _delete_orphans(directory: Path, names: set[str]) -> None:
+    """Delete each temporary of ``names`` in ``directory`` whose process no
+    longer runs, such as a killed run's: ``.NAME.PID-HEX.tmp`` with a PID
+    that names no process. A running process's temporaries stay. One
+    listing of ``directory``, and best effort: writing reports an unusable
+    directory."""
+    try:
+        for temp in directory.iterdir():
+            found = _TEMP_NAME.fullmatch(temp.name)
+            if found and found[1] in names and not _running(int(found[2])):
                 temp.unlink(missing_ok=True)
     except OSError:
         pass
@@ -616,9 +628,10 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
     Single-perspective sources fill both thought slots downstream. Non-integer
     agent identifiers get stable integer ids in order of first appearance
     (after sorting by tick). Bad records never abort the run: they are
-    skipped, counted, and reported.
+    skipped, counted, and reported. A tick must be a non-negative integer, a
+    float with an integral value or a string of one; a bool is none of them.
     """
-    rows: list[dict] = []
+    rows: list[tuple] = []  # (tick, line, agent, text); the line numbers are unique
     warnings: list[str] = []
     paths = [(target, getattr(mapping, target).split(".")) for target in ("agent", "tick", "text")]
     with Path(path).open("rb") as fh:
@@ -634,37 +647,35 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
             if not isinstance(record, dict):
                 warnings.append(f"line {line_no}: record is not an object")
                 continue
-            values = {}
-            missing = None
+            values = []
             for target, parts in paths:
-                value = _lookup_path(record, parts)
+                value = record.get(parts[0]) if len(parts) == 1 else _lookup_path(record, parts)
                 if value is None:
                     value = mapping.defaults.get(target)
                 if value is None:
-                    missing = target
+                    warnings.append(f"line {line_no}: missing mapped field '{target}'")
                     break
-                values[target] = value
-            if missing is not None:
-                warnings.append(f"line {line_no}: missing mapped field '{missing}'")
-                continue
-            try:
-                tick = int(values["tick"])
-            except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
-                warnings.append(f"line {line_no}: tick {values['tick']!r} is not an integer")
-                continue
-            if tick < 0:  # tick windows and the analysis log start at tick 0
-                warnings.append(f"line {line_no}: tick {tick} is negative")
-                continue
-            rows.append({"agent_raw": values["agent"], "tick": tick, "text": str(values["text"]), "line": line_no})
-    rows.sort(key=lambda r: (r["tick"], r["line"]))
-    all_int_ids = all(
-        isinstance(r["agent_raw"], int) and not isinstance(r["agent_raw"], bool) for r in rows
-    )
+                values.append(value)
+            else:
+                agent, tick, text = values
+                try:
+                    if isinstance(tick, bool) or (isinstance(tick, float) and not tick.is_integer()):
+                        raise ValueError  # inf and NaN are not integral either
+                    tick = int(tick)
+                except (TypeError, ValueError):
+                    warnings.append(f"line {line_no}: tick {tick!r} is not an integer")
+                    continue
+                if tick < 0:  # tick windows and the analysis log start at tick 0
+                    warnings.append(f"line {line_no}: tick {tick} is negative")
+                    continue
+                rows.append((tick, line_no, agent, str(text)))
+    rows.sort()
+    all_int_ids = all(isinstance(agent, int) and not isinstance(agent, bool) for _, _, agent, _ in rows)
     agent_ids: dict[str, int] = {}
-    out: list[dict] = []
-    for row in rows:
-        raw = row["agent_raw"]
-        # Mixed or named identifiers: stable ids by first appearance.
-        agent_id = raw if all_int_ids else agent_ids.setdefault(str(raw), len(agent_ids))
-        out.append({"agent_id": agent_id, "tick": row["tick"], "text": row["text"]})
+    # Mixed or named identifiers: stable ids by first appearance.
+    out = [
+        {"agent_id": agent if all_int_ids else agent_ids.setdefault(str(agent), len(agent_ids)),
+         "tick": tick, "text": text}
+        for tick, _, agent, text in rows
+    ]
     return IngestResult(rows=out, warnings=warnings)

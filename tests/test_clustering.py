@@ -178,6 +178,9 @@ def test_scan_k_recovers_three_blobs():
     best, scores = scan_k(points, seed=0, k_min=2, k_max=6)
     assert best == 3
     assert set(scores) == {2, 3, 4, 5, 6}
+    # One distance matrix serves every k, and each score is the oracle's.
+    for k, score in scores.items():
+        assert score == reference_silhouette(points, kmeans_cluster(points, k, 0).assignments)
 
 
 def test_scan_k_tries_no_k_above_distinct_points():
@@ -189,9 +192,13 @@ def test_scan_k_tries_no_k_above_distinct_points():
     assert scan_k(np.ones((5, 2)), seed=0) == (None, {})
 
 
+def pairwise(points: np.ndarray) -> np.ndarray:
+    return np.sqrt(_squared_distances(points, points))
+
+
 def test_silhouette_well_separated_blobs():
     points, labels = three_blobs(per_blob=8)
-    assert silhouette_score(points, np.array(labels)) > 0.7
+    assert silhouette_score(pairwise(points), np.array(labels)) > 0.7
 
 
 def reference_silhouette(points: np.ndarray, labels: np.ndarray) -> float:
@@ -247,4 +254,4 @@ def labelled_points(draw):
 @example((np.arange(40.0).reshape(20, 2), np.array([9, 1] * 10)))  # rows of 10 and 9 distances
 def test_silhouette_matches_per_point_loop(case):
     points, labels = case
-    assert silhouette_score(points, labels) == reference_silhouette(points, labels)
+    assert silhouette_score(pairwise(points), labels) == reference_silhouette(points, labels)

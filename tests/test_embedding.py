@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -89,6 +90,23 @@ def test_seed_changes_buckets():
     a = HashingEmbedder(dim=384, seed=0).embed(["alpha beta gamma"])[0]
     b = HashingEmbedder(dim=384, seed=1).embed(["alpha beta gamma"])[0]
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+@pytest.mark.parametrize("dim", [4, 384])
+def test_bucket_formula_pinned(dim, seed):
+    # The first 8 bytes of sha256(b"SEED|" + token), big-endian, modulo dim;
+    # the same whether bucket() or embed() first hashed the token.
+    tokens = [b"alpha", b"route", b"17", b"x", b"0", b"imitate"]
+    expected = {
+        token: int.from_bytes(hashlib.sha256(f"{seed}|".encode() + token).digest()[:8], "big") % dim
+        for token in tokens
+    }
+    assert {token: HashingEmbedder(dim=dim, seed=seed).bucket(token) for token in tokens} == expected
+    filled = HashingEmbedder(dim=dim, seed=seed)
+    rows = filled.embed([token.decode() for token in tokens])
+    assert [int(np.flatnonzero(row)[0]) for row in rows] == [expected[token] for token in tokens]
+    assert {token: filled.bucket(token) for token in tokens} == expected
 
 
 @given(st.lists(st.sampled_from(["ride", "fast", "order", "pay", "wait"]), min_size=1, max_size=8))

@@ -1,8 +1,14 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intentsim.audit import audit_trace
 from intentsim.backends.scripted import ScriptedBackend, ScriptedPolicy
@@ -21,9 +27,11 @@ from intentsim.trace import (
     TraceEvent,
     TraceHeader,
     TraceWriter,
+    decode_json,
     ingest_external,
     iter_trace,
     load_trace,
+    write_files,
     write_trace,
 )
 
@@ -313,6 +321,10 @@ def test_ingest_skips_undecodable_lines(tmp_path):
 @pytest.mark.parametrize("step, warning", [
     ("1e999", "tick inf is not an integer"),
     ("-5", "tick -5 is negative"),
+    # int() used to read true as tick 1 and 2.7 as tick 2.
+    ("true", "tick True is not an integer"),
+    ("false", "tick False is not an integer"),
+    ("2.7", "tick 2.7 is not an integer"),
 ])
 def test_ingest_skips_unusable_ticks(tmp_path, step, warning):
     path = tmp_path / "foreign.jsonl"
@@ -322,6 +334,16 @@ def test_ingest_skips_unusable_ticks(tmp_path, step, warning):
     assert [r["text"] for r in result.rows] == ["ok"]
     assert result.skipped == 1
     assert result.warnings == [f"line 1: {warning}"]
+
+
+def test_ingest_accepts_integral_float_and_numeric_string_ticks(tmp_path):
+    path = tmp_path / "foreign.jsonl"
+    path.write_text('{"speaker": 1, "step": 3.0, "utterance": "float"}\n'
+                    '{"speaker": 2, "step": "12", "utterance": "string"}\n')
+    result = ingest_external(path, mapping())
+    assert result.skipped == 0
+    assert [(r["tick"], r["text"]) for r in result.rows] == [(3, "float"), (12, "string")]
+    assert all(type(r["tick"]) is int for r in result.rows)
 
 
 def test_ingest_defaults_fill_absent_fields(tmp_path):
@@ -368,6 +390,155 @@ def test_ingest_tolerates_malformed_lines(tmp_path):
     assert result.warnings == ["line 3: malformed record", "line 4: record is not an object"]
 
 
+@pytest.mark.parametrize("text", [
+    '{"a": [1, 2.5, null, "\\u00e9"]}', " 7 ", "NaN", "\ufeff{}", '{"a": 1} x', "", "[1,", "tru",
+])
+def test_decode_json_matches_json_loads(text):
+    # A leading BOM still goes through json.loads: only it names the BOM.
+    try:
+        expected = json.loads(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            decode_json(text)
+        assert str(caught.value) == str(exc)
+    else:
+        assert repr(decode_json(text)) == repr(expected)
+
+
 def test_mapping_requires_all_targets():
     with pytest.raises(ValueError):
         IngestMapping.from_dict({"agent": "a", "tick": "t"})
+
+
+def oracle_lookup(record, parts):
+    node = record
+    for part in parts:
+        if not isinstance(node, dict) or part not in node:
+            return None
+        node = node[part]
+    return node
+
+
+def oracle_ingest(path, mapping):
+    """The row-by-row ingest that ingest_external replaced, with the tick
+    rule for bools and fractional floats applied: the oracle."""
+    rows, warnings = [], []
+    paths = [(target, getattr(mapping, target).split(".")) for target in ("agent", "tick", "text")]
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                record = json.loads(line)
+            except (ValueError, RecursionError):
+                warnings.append(f"line {line_no}: malformed record")
+                continue
+            if not isinstance(record, dict):
+                warnings.append(f"line {line_no}: record is not an object")
+                continue
+            values = {}
+            missing = None
+            for target, parts in paths:
+                value = oracle_lookup(record, parts)
+                if value is None:
+                    value = mapping.defaults.get(target)
+                if value is None:
+                    missing = target
+                    break
+                values[target] = value
+            if missing is not None:
+                warnings.append(f"line {line_no}: missing mapped field '{missing}'")
+                continue
+            raw_tick = values["tick"]
+            try:
+                if isinstance(raw_tick, bool) or (isinstance(raw_tick, float) and not raw_tick.is_integer()):
+                    raise ValueError
+                tick = int(raw_tick)
+            except (TypeError, ValueError, OverflowError):
+                warnings.append(f"line {line_no}: tick {raw_tick!r} is not an integer")
+                continue
+            if tick < 0:
+                warnings.append(f"line {line_no}: tick {tick} is negative")
+                continue
+            rows.append({"agent_raw": values["agent"], "tick": tick, "text": str(values["text"]), "line": line_no})
+    rows.sort(key=lambda r: (r["tick"], r["line"]))
+    all_int_ids = all(isinstance(r["agent_raw"], int) and not isinstance(r["agent_raw"], bool) for r in rows)
+    agent_ids = {}
+    out = []
+    for row in rows:
+        raw = row["agent_raw"]
+        agent_id = raw if all_int_ids else agent_ids.setdefault(str(raw), len(agent_ids))
+        out.append({"agent_id": agent_id, "tick": row["tick"], "text": row["text"]})
+    return out, warnings
+
+
+# Few names and ticks, so that lookups hit and ticks tie; "n" holds nested keys.
+PATHS = st.sampled_from(["a", "t", "x", "n.a", "n.t"])
+SCALARS = (
+    st.integers(-2, 6) | st.sampled_from(["7", "x", "-2", " 3 ", "Tom"]) | st.booleans()
+    | st.sampled_from([0.0, 3.0, 2.7, -1.0, -0.5, float("inf"), float("nan"), 1e20]) | st.none()
+)
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=2) | st.dictionaries(
+    st.sampled_from(["a", "t"]), inner, max_size=2), max_leaves=4)
+RECORDS = st.fixed_dictionaries({}, optional={
+    "a": SCALARS, "t": SCALARS, "x": VALUES,
+    "n": st.fixed_dictionaries({}, optional={"a": SCALARS, "t": SCALARS}) | VALUES,
+})
+LINES = st.lists(RECORDS.map(json.dumps) | st.sampled_from(["", "  ", "{broken", "[1]", "7", "null", '"s"']),
+                 max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PATHS, PATHS, PATHS, st.dictionaries(st.sampled_from(["agent", "tick", "text"]), SCALARS), LINES)
+def test_ingest_matches_row_by_row_oracle(agent, tick, text, defaults, lines):
+    ingest_mapping = IngestMapping(agent=agent, tick=tick, text=text, defaults=defaults)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "foreign.jsonl"
+        path.write_bytes("\n".join(lines).encode() + b"\n\xff\n")
+        result = ingest_external(path, ingest_mapping)
+        rows, warnings = oracle_ingest(path, ingest_mapping)
+    assert result.rows == rows
+    assert result.warnings == warnings
+
+
+# --- output files -------------------------------------------------------------
+
+def test_write_files_holds_one_file_open_at_a_time(tmp_path):
+    # Every temporary used to be open at once, so a metrics run with more
+    # heat-map windows than the open-file limit failed with "Too many open
+    # files". The soft limit is lowered in the child process only.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import resource, sys\n"
+        "from intentsim.trace import write_files\n"
+        "soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))\n"
+        "write_files(sys.argv[1], {f'f{i}.csv': f'{i}\\n' for i in range(300)}, r'f\\d+\\.csv')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"f{i}.csv" for i in range(300))
+    assert (tmp_path / "f299.csv").read_text() == "299\n"
+
+
+def test_write_files_lists_the_directory_a_fixed_number_of_times(tmp_path, monkeypatch):
+    # Each file's stale-temporary clean-up used to list the whole directory,
+    # so a rerun into a directory of n files took n listings of n entries.
+    listings = []
+    original = Path.iterdir
+
+    def counted(self):
+        listings.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Path, "iterdir", counted)
+    counts = []
+    for n in (1, 40, 40):
+        listings.clear()
+        write_files(tmp_path, {f"f{i}.csv": "x\n" for i in range(n)}, r"f\d+\.csv")
+        counts.append(len(listings))
+    assert counts[0] == counts[1] == counts[2] <= 2
+    assert sorted(p.name for p in original(tmp_path)) == sorted(f"f{i}.csv" for i in range(40))
