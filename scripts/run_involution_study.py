@@ -66,7 +66,7 @@ def main() -> int:
         print(f"  cluster {cluster_id}: {label[:100]}")
 
     print("\nday  imitate-index  fixed-index")
-    for day in range(config.n_days):
+    for day in series["imitate"].days:
         print(
             f"{day:>3}  {series['imitate'].index[day]:>13.2f}  "
             f"{series['fixed'].index[day]:>11.2f}"

@@ -10,10 +10,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import AuditError
-from .trace import FIELD_TYPES, field_error, is_point, start_config
+from .trace import FIELD_TYPES, field_error, is_int_key, is_point, start_config
 
 # Each later order event and the state it requires.
 _BEFORE = {"assigned": "created", "picked_up": "assigned", "delivered": "picked_up"}
+
+
+def _is_rider_id(key: str) -> bool:
+    return is_int_key(key) and not key.startswith("-")
 
 
 @dataclass
@@ -55,7 +59,7 @@ def audit_trace(events) -> AuditReport:
     sim_end_payload: dict | None = None
     rider_start = start.payload.get("rider_start", {})
     if not isinstance(rider_start, dict) or not all(
-        rider_id.isdecimal() and is_point(point) for rider_id, point in rider_start.items()
+        _is_rider_id(rider_id) and is_point(point) for rider_id, point in rider_start.items()
     ):
         raise AuditError("sim_start rider_start does not map rider ids to [x, y] points")
     for rider_id, point in rider_start.items():
@@ -149,7 +153,7 @@ def audit_trace(events) -> AuditReport:
                 f"trace contains {report.orders_created}"
             )
         summaries = sim_end_payload.get("riders")
-        if not isinstance(summaries, dict) or not all(map(str.isdecimal, summaries)):
+        if not isinstance(summaries, dict) or not all(map(_is_rider_id, summaries)):
             raise AuditError("sim_end riders does not map rider ids to summaries")
         for rider_id, summary in summaries.items():
             agent = int(rider_id)

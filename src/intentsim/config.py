@@ -87,10 +87,6 @@ class SimConfig:
         if lo < 0 or hi < lo:
             raise ConfigError("payment_range", "need 0 <= min <= max")
 
-    @property
-    def n_days(self) -> int:
-        return self.total_steps // self.steps_per_day
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["peak_ticks_per_day"] = list(self.peak_ticks_per_day)

@@ -1,15 +1,14 @@
 """Temporal emergence diagram over windowed intention clusters.
 
-The repository's records are partitioned into fixed-width tick windows;
-only the windows that hold an intention exist, so memory follows the
-intentions, not the span. A cluster is *emergent* in the first window where
-it appears (the baseline of already seen clusters grows as windows are
-consumed, so each cluster has exactly one birth). The origin of an
-emergent cluster is the agent with the globally earliest repository tick in
-it; any other agent contributing to the same cluster in the emergence
-window or the one after it, strictly after the origin tick, is recorded as
-influenced. The influence map keys each influenced agent to the set of
-clusters that reached it.
+Records fall into fixed-width tick windows. A cluster is *emergent* in the
+window of its first record, whose agent and tick are its origin. Any other
+agent whose first record of the cluster in that window or the next comes
+strictly after the origin tick is influenced, once, at the earlier window.
+The influence map keys each influenced agent to the clusters that reached it.
+
+:func:`build_diagram` relies on record-id order being canonical (tick, agent)
+order, and reads the repository in one pass. The diagram stores each birth,
+origin and point once; its node lists follow from them.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .clustering import Clustering
 from .mining import IntentionRepository
+from .trace import is_int_key
 
 DIAGRAM_SCHEMA = 1
 DEFAULT_WINDOW_TICKS = 1200
@@ -28,42 +27,6 @@ def check_positive(name: str, value: int) -> None:
     """Refuse a count, such as a window width or a block size, below 1."""
     if value <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    window_ticks: int = DEFAULT_WINDOW_TICKS
-    n_windows: int = 1
-
-    def __post_init__(self) -> None:
-        check_positive("window_ticks", self.window_ticks)
-        if self.n_windows < 0:
-            raise ValueError("n_windows must be >= 0")
-
-    @classmethod
-    def for_span(cls, total_ticks: int, window_ticks: int = DEFAULT_WINDOW_TICKS) -> "WindowSpec":
-        if total_ticks <= 0:
-            return cls(window_ticks=window_ticks, n_windows=0)
-        n = (total_ticks + window_ticks - 1) // window_ticks
-        return cls(window_ticks=window_ticks, n_windows=n)
-
-
-# Window -> cluster id -> {agent id -> first tick of that agent in the window},
-# for each window that holds an intention.
-WindowedClusters = dict[int, dict[int, dict[int, int]]]
-
-
-def window_partition(
-    repo: IntentionRepository, clustering: Clustering, spec: WindowSpec
-) -> WindowedClusters:
-    """Group the repository's records by (window, cluster, agent) first occurrence."""
-    windows: WindowedClusters = {}
-    for record, cluster in zip(repo.records, clustering.assignments.tolist()):
-        agents = windows.setdefault(record.tick // spec.window_ticks, {}).setdefault(cluster, {})
-        previous = agents.get(record.agent_id)
-        if previous is None or record.tick < previous:
-            agents[record.agent_id] = record.tick
-    return windows
 
 
 @dataclass(frozen=True)
@@ -79,11 +42,21 @@ class EmergenceDiagram:
     window_ticks: int
     n_windows: int
     cluster_labels: dict[int, str] = field(default_factory=dict)
-    cluster_nodes: list[tuple[int, int]] = field(default_factory=list)  # (window, cluster)
-    agent_nodes: list[tuple[int, int]] = field(default_factory=list)  # (window, agent)
     emergence_windows: dict[int, int] = field(default_factory=dict)  # cluster -> window
     origins: dict[int, tuple[int, int]] = field(default_factory=dict)  # cluster -> (agent, tick)
     points: list[EmergencePoint] = field(default_factory=list)
+
+    @property
+    def cluster_nodes(self) -> list[tuple[int, int]]:
+        """The (window, cluster) of each birth."""
+        return sorted((w, cluster) for cluster, w in self.emergence_windows.items())
+
+    @property
+    def agent_nodes(self) -> list[tuple[int, int]]:
+        """The (window, agent) of each origin in its birth window and of each
+        influenced agent in its point's window."""
+        nodes = {(self.emergence_windows[c], agent) for c, (agent, _) in self.origins.items()}
+        return sorted(nodes | {(p.window, p.influenced_agent) for p in self.points})
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,24 +96,36 @@ class EmergenceDiagram:
                 fields[name] = parse(data.get(name, {}))  # an absent list or map is empty
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"diagram field {name!r} is missing or malformed: {exc!r}") from None
-        WindowSpec(fields["window_ticks"], fields["n_windows"])  # refuses a width < 1, a count < 0
+        stored_nodes = {name: fields.pop(name) for name in ("cluster_nodes", "agent_nodes")}
+        check_positive("window_ticks", fields["window_ticks"])
         n_windows = fields["n_windows"]
-        for name, windows in (
-            ("cluster_nodes", [w for w, _ in fields["cluster_nodes"]]),
-            ("agent_nodes", [w for w, _ in fields["agent_nodes"]]),
-            ("emergence_windows", fields["emergence_windows"].values()),
-            ("points", [p.window for p in fields["points"]]),
-        ):
+        if n_windows < 0:
+            raise ValueError("n_windows must be >= 0")
+        births, origins, points = fields["emergence_windows"], fields["origins"], fields["points"]
+        for name, windows in (("emergence_windows", births.values()), ("points", [p.window for p in points])):
             outside = [w for w in windows if not 0 <= w < n_windows]
             if outside:
                 raise ValueError(
                     f"diagram field {name!r} names window {outside[0]}, but n_windows is {n_windows}"
                 )
-        agents = {agent for _, agent in fields["agent_nodes"]}
-        for p in fields["points"]:
-            if not {p.origin_agent, p.influenced_agent} <= agents:
-                raise ValueError(f"diagram field 'points' names an agent with no agent node: {p}")
-        return cls(**fields)
+        if births.keys() != origins.keys():
+            raise ValueError(
+                f"diagram fields 'origins' and 'emergence_windows' name different clusters: "
+                f"{sorted(origins)} and {sorted(births)}"
+            )
+        for p in points:
+            if p.cluster_id not in origins:
+                raise ValueError(f"diagram field 'points' names cluster {p.cluster_id}, which has no birth")
+            if p.origin_agent != origins[p.cluster_id][0]:
+                raise ValueError(
+                    f"diagram field 'points' names origin {p.origin_agent} for cluster {p.cluster_id}, "
+                    f"whose origin is agent {origins[p.cluster_id][0]}"
+                )
+        diagram = cls(**fields)
+        for name, stored in stored_nodes.items():
+            if stored != getattr(diagram, name):
+                raise ValueError(f"diagram field {name!r} is not the list its births, origins and points give")
+        return diagram
 
 
 def _int(value) -> int:
@@ -155,15 +140,22 @@ def _text(value) -> str:
     return value
 
 
-# Each field of a diagram document, read back into its dataclass field.
+def _key(key: str) -> int:
+    if not is_int_key(key):
+        raise ValueError(f"key {key!r} is not an integer as str(int) writes it")
+    return int(key)
+
+
+# Each field of a diagram document, read back into its dataclass field; the
+# node lists are read only to be checked against the ones the diagram derives.
 _FIELD_PARSERS = {
     "window_ticks": _int,
     "n_windows": _int,
-    "cluster_labels": lambda v: {int(k): _text(label) for k, label in v.items()},
+    "cluster_labels": lambda v: {_key(k): _text(label) for k, label in v.items()},
     "cluster_nodes": lambda v: [(_int(w), _int(c)) for w, c in v],
     "agent_nodes": lambda v: [(_int(w), _int(a)) for w, a in v],
-    "emergence_windows": lambda v: {int(k): _int(w) for k, w in v.items()},
-    "origins": lambda v: {int(k): (_int(o["agent"]), _int(o["tick"])) for k, o in v.items()},
+    "emergence_windows": lambda v: {_key(k): _int(w) for k, w in v.items()},
+    "origins": lambda v: {_key(k): (_int(o["agent"]), _int(o["tick"])) for k, o in v.items()},
     "points": lambda v: [
         EmergencePoint(_int(p["cluster"]), _int(p["origin"]), _int(p["influenced"]), _int(p["window"]))
         for p in v
@@ -176,44 +168,38 @@ InfluenceMap = dict[int, set[int]]
 
 def build_diagram(
     repo: IntentionRepository,
-    clustering: Clustering,
-    spec: WindowSpec,
-    cluster_labels: dict[int, str] | None = None,
+    clusters: list[int],
+    window_ticks: int,
+    n_windows: int,
+    cluster_labels: dict[int, str],
 ) -> tuple[EmergenceDiagram, InfluenceMap, list[EmergencePoint]]:
-    """Walk the windows in order, birth new clusters, and record influence
-    points. The diagram spans the spec's windows, and past them up to the
-    last window that holds an intention.
-
-    Windows follow ticks, so the earliest (tick, agent) of a cluster in its
-    birth window is its earliest anywhere: that record is the origin.
-    """
-    windows = window_partition(repo, clustering, spec)
+    """Walk the records once in record-id order; ``clusters[i]`` is the
+    cluster of ``repo.records[i]``. The diagram spans ``n_windows`` windows,
+    and past them up to the last window that holds an intention."""
+    births: dict[int, int] = {}
+    origins: dict[int, tuple[int, int]] = {}
+    points: list[EmergencePoint] = []
+    seen: set[tuple[int, int, int]] = set()  # the (window, cluster, agent) of each first record
+    w = -1
+    for record, cluster in zip(repo.records, clusters):
+        agent, tick = record.agent_id, record.tick
+        w = tick // window_ticks
+        if (w, cluster, agent) in seen:
+            continue
+        seen.add((w, cluster, agent))
+        if cluster not in births:
+            births[cluster] = w
+            origins[cluster] = (agent, tick)
+            continue
+        origin_agent, origin_tick = origins[cluster]
+        if w <= births[cluster] + 1 and agent != origin_agent and tick > origin_tick:
+            points.append(EmergencePoint(cluster, origin_agent, agent, w))
+            seen.add((w + 1, cluster, agent))  # an agent is influenced once, at its earlier window
+    points.sort(key=lambda p: (births[p.cluster_id], p.cluster_id, p.window, p.influenced_agent))
     diagram = EmergenceDiagram(
-        window_ticks=spec.window_ticks,
-        n_windows=max(spec.n_windows, max(windows, default=-1) + 1),
-        cluster_labels=dict(cluster_labels or {}),
+        window_ticks, max(n_windows, w + 1), dict(cluster_labels), births, origins, points
     )
-    births = diagram.emergence_windows
-    agent_nodes: set[tuple[int, int]] = set()
-    for w, window in sorted(windows.items()):
-        for cluster_id in sorted(window.keys() - births.keys()):
-            origin_tick, origin_agent = min((tick, agent) for agent, tick in window[cluster_id].items())
-            diagram.cluster_nodes.append((w, cluster_id))
-            births[cluster_id] = w
-            diagram.origins[cluster_id] = (origin_agent, origin_tick)
-            agent_nodes.add((w, origin_agent))
-            # Every later agent in the birth window or the next one, each
-            # counted once, at its earlier window.
-            reached: dict[int, int] = {}
-            for later in (w, w + 1):
-                for agent, tick in windows.get(later, {}).get(cluster_id, {}).items():
-                    if agent != origin_agent and tick > origin_tick:
-                        reached.setdefault(agent, later)
-            for agent, agent_window in sorted(reached.items(), key=lambda kv: (kv[1], kv[0])):
-                diagram.points.append(EmergencePoint(cluster_id, origin_agent, agent, agent_window))
-                agent_nodes.add((agent_window, agent))
-    diagram.agent_nodes = sorted(agent_nodes)
-    return diagram, influence_from_points(diagram.points), diagram.points
+    return diagram, influence_from_points(points), points
 
 
 def influence_from_points(points: list[EmergencePoint]) -> InfluenceMap:
@@ -241,7 +227,7 @@ def render_dot(diagram: EmergenceDiagram) -> str:
     for window, agent in diagram.agent_nodes:
         lines.append(f'  "agent{agent}_w{window}" [shape=ellipse, label="agent {agent}"];')
     for p in diagram.points:
-        origin_window = diagram.emergence_windows.get(p.cluster_id, p.window)
+        origin_window = diagram.emergence_windows[p.cluster_id]
         lines.append(
             f'  "agent{p.origin_agent}_w{origin_window}" -> "agent{p.influenced_agent}_w{p.window}"'
             f' [label="c{p.cluster_id}@w{p.window}"];'
@@ -256,7 +242,8 @@ def render_json(diagram: EmergenceDiagram) -> str:
 
 def render_svg(diagram: EmergenceDiagram) -> str:
     """Minimal timeline: windows as columns, agents as rows, arrows for influence."""
-    agents = sorted({a for _, a in diagram.agent_nodes})
+    agent_nodes = diagram.agent_nodes
+    agents = sorted({a for _, a in agent_nodes})
     col_w, row_h, margin = 160, 40, 60
     width = margin * 2 + max(1, diagram.n_windows) * col_w
     height = margin * 2 + max(1, len(agents)) * row_h
@@ -273,23 +260,20 @@ def render_svg(diagram: EmergenceDiagram) -> str:
         '  <style>text { font-family: sans-serif; font-size: 12px; }</style>',
     ]
     # Label only the windows that hold a node: n_windows alone may be huge.
-    for w in sorted({w for w, _ in diagram.cluster_nodes} | {w for w, _ in diagram.agent_nodes}):
+    for w in sorted({w for w, _ in agent_nodes}):
         parts.append(f'  <text x="{x_of(w) - 30}" y="{margin - 20}">window {w}</text>')
     for agent in agents:
         parts.append(f'  <text x="10" y="{y_of(agent) + 4}">agent {agent}</text>')
     for window, cluster in diagram.cluster_nodes:
         label = diagram.cluster_labels.get(cluster, f"cluster {cluster}")
-        origin_agent, _ = diagram.origins.get(cluster, (None, None))
-        if origin_agent is None or origin_agent not in row_of:
-            continue
-        x, y = x_of(window), y_of(origin_agent)
+        x, y = x_of(window), y_of(diagram.origins[cluster][0])
         parts.append(
             f'  <rect x="{x - 55}" y="{y - 14}" width="110" height="24" fill="none" stroke="black"/>'
         )
         short = label if len(label) <= 18 else label[:17] + "…"
         parts.append(f'  <text x="{x - 50}" y="{y + 2}">{_xml_escape(short)}</text>')
     for p in diagram.points:
-        origin_window = diagram.emergence_windows.get(p.cluster_id, p.window)
+        origin_window = diagram.emergence_windows[p.cluster_id]
         x1, y1 = x_of(origin_window), y_of(p.origin_agent)
         x2, y2 = x_of(p.window), y_of(p.influenced_agent)
         parts.append(

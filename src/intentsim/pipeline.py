@@ -20,14 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import Clustering, distinct_rows, kmeans_cluster, label_cluster, scan_k
-from .diagram import (
-    DEFAULT_WINDOW_TICKS,
-    EmergenceDiagram,
-    WindowSpec,
-    build_diagram,
-    check_positive,
-    render_diagram,
-)
+from .diagram import DEFAULT_WINDOW_TICKS, EmergenceDiagram, build_diagram, check_positive, render_diagram
 from .embedding import Endpoint, HashingEmbedder, RemoteEmbedder
 from .errors import TraceOrderError
 from .metrics import csv_text
@@ -113,9 +106,10 @@ def analyze_records(
 
     if total_ticks is None:
         total_ticks = max((r.tick for r in records), default=-1) + 1
-    spec = WindowSpec.for_span(total_ticks, options.window_ticks)
+    n_windows = -(-total_ticks // options.window_ticks)  # the windows that cover the span
 
     clustering: Clustering | None = None
+    clusters: list[int] = []  # the cluster of each repository row
     labels: dict[int, str] = {}
     chosen_k = options.k
     if len(repo):
@@ -135,6 +129,7 @@ def analyze_records(
             )
             chosen_k = distinct
         clustering = kmeans_cluster(vectors, chosen_k, options.seed)
+        clusters = clustering.assignments.tolist()
         for cluster_id in range(clustering.k):
             members = np.flatnonzero(clustering.assignments == cluster_id)
             if not members.size:
@@ -148,11 +143,7 @@ def analyze_records(
                     warnings.append(f"label summarizer failed ({exc}); using medoid")
             labels[cluster_id] = label_cluster(texts, vectors[members], clustering.centroids[cluster_id])
 
-    if clustering is not None:
-        diagram, _influence, _points = build_diagram(repo, clustering, spec, cluster_labels=labels)
-    else:
-        diagram = EmergenceDiagram(window_ticks=spec.window_ticks, n_windows=spec.n_windows)
-
+    diagram, _influence, _points = build_diagram(repo, clusters, options.window_ticks, n_windows, labels)
     return AnalysisResult(
         repository=repo,
         clustering=clustering,

@@ -92,6 +92,12 @@ def is_point(value) -> bool:
     return type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int
 
 
+def is_int_key(key: str) -> bool:
+    """Whether a JSON object key is an integer as ``str(int)`` writes it; with
+    any other spelling ("01", " 2", "1_0", "٣") two keys could name one id."""
+    return re.fullmatch("0|-?[1-9][0-9]*", key) is not None
+
+
 def field_error(fields: dict, data: dict) -> str | None:
     """What breaks one :data:`FIELD_TYPES` entry in ``data``, or None."""
     for key, expected in fields.items():
@@ -629,7 +635,8 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
     agent identifiers get stable integer ids in order of first appearance
     (after sorting by tick). Bad records never abort the run: they are
     skipped, counted, and reported. A tick must be a non-negative integer, a
-    float with an integral value or a string of one; a bool is none of them.
+    float with an integral value or a string in the JSON integer grammar; a
+    bool is none of them.
     """
     rows: list[tuple] = []  # (tick, line, agent, text); the line numbers are unique
     warnings: list[str] = []
@@ -661,6 +668,8 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
                 try:
                     if isinstance(tick, bool) or (isinstance(tick, float) and not tick.is_integer()):
                         raise ValueError  # inf and NaN are not integral either
+                    if isinstance(tick, str) and not re.fullmatch(_INT_RE, tick):
+                        raise ValueError  # int() reads " 12", "+3", "1_000" and "１２" too
                     tick = int(tick)
                 except (TypeError, ValueError):
                     warnings.append(f"line {line_no}: tick {tick!r} is not an integer")

@@ -21,12 +21,7 @@ from intentsim.backends.types import ThoughtPair
 from intentsim.cli import main as cli_main
 from intentsim.clustering import kmeans_cluster
 from intentsim.config import SimConfig, config_digest
-from intentsim.diagram import (
-    EmergencePoint,
-    WindowSpec,
-    build_diagram,
-    influence_from_points,
-)
+from intentsim.diagram import EmergencePoint, build_diagram, influence_from_points
 from intentsim.embedding import HashingEmbedder, cosine_similarity
 from intentsim.engine import run_simulation
 from intentsim.errors import TraceFormatError
@@ -204,8 +199,7 @@ def test_criterion_6_diagram_oracle():
                                  for agent, tick in ((1, 10), (2, 200), (3, 1300))])
     repo = IntentionRepository(records, embedder.embed(["dense areas"] * 3))
     clustering = kmeans_cluster(repo.vectors, 1, seed=0)
-    spec = WindowSpec(window_ticks=1200, n_windows=2)
-    diagram, influence, points = build_diagram(repo, clustering, spec)
+    diagram, influence, points = build_diagram(repo, clustering.assignments.tolist(), 1200, 2, {})
     assert points == [
         EmergencePoint(cluster_id=0, origin_agent=1, influenced_agent=2, window=0),
         EmergencePoint(cluster_id=0, origin_agent=1, influenced_agent=3, window=1),

@@ -246,8 +246,11 @@ def test_malformed_rider_summary_names_rider(clean_trace, tmp_path, edit, messag
     [
         (lambda starts: starts.update({"0": [12.5]}), "rider_start does not map"),
         (lambda starts: starts.update({"x": starts.pop("0")}), "rider_start does not map"),
+        # str.isdecimal let "01" overwrite rider 1's start, and "٣" stand for rider 3.
+        (lambda starts: starts.update({"01": [0, 0]}), "rider_start does not map"),
+        (lambda starts: starts.update({"\u0663": starts.pop("3")}), "rider_start does not map"),
     ],
-    ids=["one_element_point", "named_rider"],
+    ids=["one_element_point", "named_rider", "zero_padded_rider", "arabic_indic_rider"],
 )
 def test_malformed_rider_start_rejected(clean_trace, tmp_path, edit, message):
     def mutate(data):
@@ -257,6 +260,19 @@ def test_malformed_rider_start_rejected(clean_trace, tmp_path, edit, message):
         return False
 
     with pytest.raises(AuditError, match=message):
+        audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)
+
+
+@pytest.mark.parametrize("key", ["02", "\u0662", "-2"])
+def test_sim_end_rider_id_spelled_otherwise_rejected(clean_trace, tmp_path, key):
+    def mutate(data):
+        if data["kind"] == "sim_end":
+            riders = data["payload"]["riders"]
+            riders[key] = riders.pop("2")
+            return True
+        return False
+
+    with pytest.raises(AuditError, match="sim_end riders does not map"):
         audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import test_golden
 from intentsim.cli import main
 
 
@@ -172,6 +173,23 @@ def test_diagram_rerender_round_trip(runner, tmp_path):
     assert json.loads(json_out.read_text()) == json.loads(
         (tmp_path / "an" / "diagram.json").read_text()
     )
+
+
+@pytest.mark.parametrize(
+    "write_golden_bundle",
+    [test_golden.test_external_bundle_bytes, test_golden.test_simulated_bundle_bytes],
+    ids=["external", "simulated"],
+)
+def test_golden_diagram_rerenders_byte_for_byte(runner, tmp_path, write_golden_bundle):
+    write_golden_bundle(tmp_path)  # the pinned bundle, under tmp_path / "analysis"
+    bundle = tmp_path / "analysis"
+    for fmt in ("dot", "json"):
+        out = tmp_path / f"rerendered.{fmt}"
+        result = runner.invoke(
+            main, ["diagram", "--json", str(bundle / "diagram.json"), "--format", fmt, "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (bundle / f"diagram.{fmt}").read_bytes()
 
 
 def test_analyze_external_election(runner, tmp_path):
@@ -717,6 +735,25 @@ def test_analyze_refuses_unread_flags(runner, tmp_path, flags, refused):
     assert not out.exists()
 
 
+# A well-formed document: cluster 0 born in window 0 at agent 1, tick 5,
+# reaches agent 2 in window 1.
+ONE_POINT_DIAGRAM = {
+    "diagram_schema": 1, "window_ticks": 10, "n_windows": 2, "cluster_labels": {"0": "go"},
+    "cluster_nodes": [[0, 0]], "agent_nodes": [[0, 1], [1, 2]], "emergence_windows": {"0": 0},
+    "origins": {"0": {"agent": 1, "tick": 5}},
+    "points": [{"cluster": 0, "origin": 1, "influenced": 2, "window": 1}],
+}
+
+
+def test_well_formed_diagram_document_renders(runner, tmp_path):
+    source = tmp_path / "d.json"
+    source.write_text(json.dumps(ONE_POINT_DIAGRAM))
+    out = tmp_path / "d.dot"
+    result = runner.invoke(main, ["diagram", "--json", str(source), "--format", "dot", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert '"agent1_w0" -> "agent2_w1" [label="c0@w1"];' in out.read_text()
+
+
 @pytest.mark.parametrize(
     "text, named, fmt",
     [
@@ -733,14 +770,15 @@ def test_analyze_refuses_unread_flags(runner, tmp_path, flags, refused):
          "window_ticks must be > 0, got 0", "dot"),
         (json.dumps({"diagram_schema": 1, "window_ticks": 10, "n_windows": 2,
                      "points": [{"cluster": 0, "origin": 1, "influenced": 2, "window": 1}]}),
-         "'points' names an agent with no agent node", "svg"),
-        # A window outside 0..n_windows - 1 used to be drawn off the canvas.
+         "'points' names cluster 0, which has no birth", "svg"),
+        # A window outside 0..n_windows - 1 used to be drawn off the canvas;
+        # a node list must be the one the births, origins and points give.
         (json.dumps({"diagram_schema": 1, "window_ticks": 10, "n_windows": 1,
                      "cluster_nodes": [[7, 0]]}),
-         "'cluster_nodes' names window 7, but n_windows is 1", "svg"),
+         "'cluster_nodes' is not the list its births, origins and points give", "svg"),
         (json.dumps({"diagram_schema": 1, "window_ticks": 10, "n_windows": 2,
                      "agent_nodes": [[0, 1], [-1, 1]]}),
-         "'agent_nodes' names window -1, but n_windows is 2", "dot"),
+         "'agent_nodes' is not the list its births, origins and points give", "dot"),
         (json.dumps({"diagram_schema": 1, "window_ticks": 10, "n_windows": 2,
                      "emergence_windows": {"0": 2}}),
          "'emergence_windows' names window 2, but n_windows is 2", "svg"),
@@ -748,10 +786,28 @@ def test_analyze_refuses_unread_flags(runner, tmp_path, flags, refused):
                      "agent_nodes": [[0, 1], [1, 2]],
                      "points": [{"cluster": 0, "origin": 1, "influenced": 2, "window": 5}]}),
          "'points' names window 5, but n_windows is 2", "svg"),
+        (json.dumps({**ONE_POINT_DIAGRAM, "origins": {}}),
+         "'origins' and 'emergence_windows' name different clusters", "dot"),
+        (json.dumps({**ONE_POINT_DIAGRAM, "points": [
+            {"cluster": 0, "origin": 3, "influenced": 2, "window": 1}]}),
+         "'points' names origin 3 for cluster 0, whose origin is agent 1", "svg"),
+        (json.dumps({**ONE_POINT_DIAGRAM, "agent_nodes": [[0, 1], [1, 2], [1, 3]]}),
+         "'agent_nodes' is not the list its births, origins and points give", "dot"),
+        (json.dumps({**ONE_POINT_DIAGRAM, "cluster_nodes": []}),
+         "'cluster_nodes' is not the list its births, origins and points give", "svg"),
+        # int() read "01" as 1, so the second label silently replaced the first.
+        (json.dumps({**ONE_POINT_DIAGRAM, "cluster_labels": {"0": "a", "00": "b"}}),
+         "'cluster_labels' is missing or malformed", "dot"),
+        (json.dumps({**ONE_POINT_DIAGRAM, "emergence_windows": {" 0": 0}}),
+         "'emergence_windows' is missing or malformed", "dot"),
+        (json.dumps({**ONE_POINT_DIAGRAM, "origins": {"\u0660": {"agent": 1, "tick": 5}}}),
+         "'origins' is missing or malformed", "svg"),
     ],
     ids=["no_window_ticks", "point_without_origin", "top_level_list", "origin_as_list",
          "deep_nesting", "negative_n_windows", "zero_window_ticks", "point_without_agent_node",
-         "cluster_node_window", "agent_node_window", "emergence_window", "point_window"],
+         "cluster_node_window", "agent_node_window", "emergence_window", "point_window",
+         "births_without_origins", "point_origin_not_the_clusters", "extra_agent_node",
+         "missing_cluster_node", "duplicate_label_key", "spaced_birth_key", "arabic_indic_origin_key"],
 )
 def test_malformed_diagram_document_exits_4(runner, tmp_path, text, named, fmt):
     # Each of these used to end in a traceback with exit 1, or to draw

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -325,6 +326,12 @@ def test_ingest_skips_undecodable_lines(tmp_path):
     ("true", "tick True is not an integer"),
     ("false", "tick False is not an integer"),
     ("2.7", "tick 2.7 is not an integer"),
+    # int() used to read these strings as ticks 1000, 12, 12 and 3.
+    ('"1_000"', "tick '1_000' is not an integer"),
+    ('"\uff11\uff12"', "tick '\uff11\uff12' is not an integer"),
+    ('" 12"', "tick ' 12' is not an integer"),
+    ('"+3"', "tick '+3' is not an integer"),
+    ('"-4"', "tick -4 is negative"),
 ])
 def test_ingest_skips_unusable_ticks(tmp_path, step, warning):
     path = tmp_path / "foreign.jsonl"
@@ -421,7 +428,8 @@ def oracle_lookup(record, parts):
 
 def oracle_ingest(path, mapping):
     """The row-by-row ingest that ingest_external replaced, with the tick
-    rule for bools and fractional floats applied: the oracle."""
+    rule for bools, fractional floats and strings outside the JSON integer
+    grammar applied: the oracle."""
     rows, warnings = [], []
     paths = [(target, getattr(mapping, target).split(".")) for target in ("agent", "tick", "text")]
     with open(path, "rb") as fh:
@@ -454,6 +462,8 @@ def oracle_ingest(path, mapping):
             try:
                 if isinstance(raw_tick, bool) or (isinstance(raw_tick, float) and not raw_tick.is_integer()):
                     raise ValueError
+                if isinstance(raw_tick, str) and not re.fullmatch(r"-?(0|[1-9][0-9]*)", raw_tick):
+                    raise ValueError
                 tick = int(raw_tick)
             except (TypeError, ValueError, OverflowError):
                 warnings.append(f"line {line_no}: tick {raw_tick!r} is not an integer")
@@ -476,7 +486,7 @@ def oracle_ingest(path, mapping):
 # Few names and ticks, so that lookups hit and ticks tie; "n" holds nested keys.
 PATHS = st.sampled_from(["a", "t", "x", "n.a", "n.t"])
 SCALARS = (
-    st.integers(-2, 6) | st.sampled_from(["7", "x", "-2", " 3 ", "Tom"]) | st.booleans()
+    st.integers(-2, 6) | st.sampled_from(["7", "x", "-2", " 3 ", "Tom", "1_0", "+3", "07"]) | st.booleans()
     | st.sampled_from([0.0, 3.0, 2.7, -1.0, -0.5, float("inf"), float("nan"), 1e20]) | st.none()
 )
 VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=2) | st.dictionaries(
