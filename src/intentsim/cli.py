@@ -283,7 +283,7 @@ def diagram(analysis_dir, json_path, fmt, out_path):
     if (analysis_dir is None) == (json_path is None):
         raise click.UsageError("provide exactly one of --analysis or --json")
     source = Path(json_path) if json_path else Path(analysis_dir) / "diagram.json"
-    doc = EmergenceDiagram.from_json_dict(decode_json(source.read_text(encoding="utf-8")))
+    doc = EmergenceDiagram.from_json_dict(decode_json(source.read_text(encoding="utf-8"), unique_keys=True))
     with open_output(out_path) as fh:
         fh.write(render_diagram(doc, fmt))
     click.echo(f"rendered {fmt} diagram -> {out_path}")

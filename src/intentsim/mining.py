@@ -9,13 +9,15 @@ marks the missing ones. A thought is a newly emergent intention when
 nothing similar is in its agent's own recent memory, the agent's previous
 present thoughts whatever their verdicts. So :func:`mine_records` takes the
 present records agent by agent, not in canonical order, and embeds and
-judges them in fixed blocks of :data:`BLOCK_ROWS`, one masked matrix product
-per block (:meth:`SimilarityDetector.detect`); no agent keeps a memory of
-its own. With a chat model, the block pass only gathers the candidates (the
-thoughts with a non-zero embedding), and the model then judges each in
-canonical order. The repository is one table: the emergent records in
-record-id order and one embedding matrix, row for row, which later stages
-cluster and window.
+judges them in fixed blocks of :data:`BLOCK_ROWS`, one matrix product per
+block (:meth:`SimilarityDetector.detect`) over the embedding columns that
+are non-zero somewhere in the block's window, masked from each thought's
+memory start; a near tie is decided pair by pair over the full rows. No
+agent keeps a memory of its own. With a chat model, the block pass only
+gathers the candidates (the thoughts with a non-zero embedding), and the
+model then judges each in canonical order. The repository is one table:
+the emergent records in record-id order and one embedding matrix, row for
+row, which later stages cluster and window.
 """
 
 from __future__ import annotations
@@ -129,21 +131,26 @@ class SimilarityDetector:
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must be in (0, 1]")
 
-    def detect(self, rows: np.ndarray, agents: np.ndarray, first: int, capacity: int) -> np.ndarray:
+    def detect(self, rows: np.ndarray, starts: np.ndarray, first: int) -> np.ndarray:
         """Which of ``rows[first:]`` are emergent, as a bool per row.
 
-        ``rows`` are consecutive present thoughts in agent-major order and
-        ``agents`` their agents. A thought's memory is the up to ``capacity``
-        rows just before it of its own agent, less the zero rows. A zero
-        thought is never emergent, and one with an empty memory always is.
+        ``rows`` are consecutive present thoughts in agent-major order, and
+        the memory of ``rows[first + i]`` is ``rows[starts[i]:first + i]``
+        less the zero rows. A zero thought is never emergent, and one with an
+        empty memory always is. The norms and the cosine product run over
+        the window's live columns only, those non-zero in some row: a column
+        that is zero in every row adds only exact zeros. A best cosine within
+        1e-9 of theta is decided pair by pair over the full rows.
         """
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        columns = (rows != 0).any(axis=0)
+        dense = rows[:, columns]
+        norms = np.sqrt(np.einsum("ij,ij->i", dense, dense))
         live = norms > 0.0
-        gap = np.arange(first, len(rows))[:, None] - np.arange(len(rows))
-        memory = (gap > 0) & (gap <= capacity) & (agents[first:, None] == agents) & live
+        positions = np.arange(len(rows))
+        memory = (positions >= starts[:, None]) & (positions < positions[first:, None]) & live
         safe = np.where(live, norms, 1.0)
-        cosines = (rows[first:] @ rows.T) / (safe[first:, None] * safe)
-        best = np.where(memory, cosines, -np.inf).max(axis=1)
+        cosines = (dense[first:] @ dense.T) / (safe[first:, None] * safe)
+        best = np.max(cosines, axis=1, where=memory, initial=-np.inf)
         emergent = best < self.theta
         for i in np.flatnonzero(live[first:] & (np.abs(best - self.theta) <= 1e-9)):
             # The matrix product may round differently from one dot per
@@ -232,7 +239,7 @@ def mine_records(
         reach = int(lows[start])  # the memory reaching back before this block
         rows = vectors if reach == start else np.vstack([rows[reach - low:], vectors])
         low = reach
-        verdicts = detector.detect(rows, agents[low:start + len(block)], start - low, memory_capacity)
+        verdicts = detector.detect(rows, lows[start:start + len(block)] - low, start - low)
         keep = np.flatnonzero((verdicts | (llm is not None)) & vectors.any(axis=1))
         kept += (start + keep).tolist()
         similar += verdicts[keep].tolist()

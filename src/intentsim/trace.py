@@ -13,9 +13,11 @@ All lines are canonical JSON (sorted keys, no spaces), which makes a run's
 trace byte-reproducible and lets tests compare whole files.
 
 Every JSON text read from outside the program (a trace, a foreign log, a
-mapping, a diagram, a model's reply) goes through :func:`decode_json`, and
-every file the package writes is opened by :func:`open_output`; a command
-that writes a set of files builds them all first, then :func:`write_files`.
+mapping, a diagram, a model's reply) goes through :func:`decode_json`; a
+trace line, a mapping and a diagram document refuse an object that repeats
+a key. Every file the package writes is opened by :func:`open_output`; a
+command that writes a set of files builds them all first, then
+:func:`write_files`.
 Both write under temporary names beside the targets and rename them only
 once everything is written, so a failure leaves the previous files (or
 none) in place; an output path that cannot be written is an
@@ -34,6 +36,7 @@ import math
 import os
 import re
 import secrets
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -115,16 +118,33 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_
 _DECODER = json.JSONDecoder()
 
 
-def decode_json(text: str, prefix: bool = False):
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _value in pairs).items() if n > 1)
+        raise ValueError(f"a JSON object repeats the key {repeated!r}")
+    return obj
+
+
+_UNIQUE_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def decode_json(text: str, prefix: bool = False, unique_keys: bool = False):
     """The JSON value of ``text``, as ``json.loads`` gives it; or, with
     ``prefix``, the value ``text`` starts with and the length of its JSON.
     Text that is not JSON, an integer past Python's int-string limit and
-    nesting too deep for the decoder each raise a ``ValueError``."""
+    nesting too deep for the decoder each raise a ``ValueError``; so does,
+    with ``unique_keys``, an object that spells a key twice (otherwise the
+    last copy wins). The check is a Python call per object, which adds about
+    a quarter to the decoding of a foreign log's one-object rows, so
+    :func:`ingest_external` does not ask for it."""
     try:
         if prefix:
             return _DECODER.raw_decode(text)
         # Only json.loads names a leading BOM in its error.
-        return json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
+        if text.startswith("\ufeff"):
+            return json.loads(text)
+        return (_UNIQUE_DECODER if unique_keys else _DECODER).decode(text)
     except RecursionError as exc:
         raise ValueError(f"{exc} (nesting too deep)") from None
 
@@ -456,7 +476,7 @@ def _decode(raw: bytes, line_no: int) -> str:
 
 def _parse_header(line: str) -> TraceHeader:
     try:
-        data = decode_json(line)
+        data = decode_json(line, unique_keys=True)
     except ValueError as exc:
         raise TraceHeaderError(f"unreadable header: {exc}") from exc
     if not isinstance(data, dict) or "schema_version" not in data:
@@ -522,7 +542,7 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
                 if not line:
                     raise TraceFormatError(line_no, "blank line inside trace")
                 try:
-                    data = decode_json(line)
+                    data = decode_json(line, unique_keys=True)
                 except ValueError as exc:
                     raise TraceFormatError(line_no, f"malformed event: {getattr(exc, 'msg', exc)}") from exc
                 if type(data) is not dict:
@@ -606,7 +626,7 @@ class IngestMapping:
 
     @classmethod
     def load(cls, path: str | Path) -> "IngestMapping":
-        return cls.from_dict(decode_json(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(decode_json(Path(path).read_text(encoding="utf-8"), unique_keys=True))
 
 
 def _lookup_path(record: dict, parts: list[str]):

@@ -169,7 +169,7 @@ def test_criterion_4_kmeans_oracle():
 def emergent_after(theta, remembered, vec):
     """Whether ``vec`` is emergent for an agent that remembers ``remembered``."""
     rows = np.vstack([*remembered, vec])
-    verdicts = SimilarityDetector(theta).detect(rows, np.zeros(len(rows)), len(remembered), 50)
+    verdicts = SimilarityDetector(theta).detect(rows, np.zeros(1, dtype=int), len(remembered))
     return bool(verdicts[0])
 
 

@@ -680,6 +680,45 @@ def test_bad_mapping_exits_4(runner, tmp_path, mapping, named):
     assert not out.exists()
 
 
+def test_mapping_with_repeated_key_exits_4(runner, tmp_path):
+    # The last "text" used to win silently, reading the records' "step".
+    log = tmp_path / "foreign.jsonl"
+    log.write_text('{"speaker": 1, "step": 5, "utterance": "vote for rain"}\n')
+    mapping_path = tmp_path / "mapping.json"
+    mapping_path.write_text('{"agent": "speaker", "tick": "step", "text": "utterance", "text": "step"}')
+    out = tmp_path / "ext"
+    result = runner.invoke(
+        main, ["analyze", "--external", str(log), "--mapping", str(mapping_path), "--out", str(out)]
+    )
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "a JSON object repeats the key 'text'" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, field", [("sim_start", "rider_start"), ("sim_end", "riders")])
+def test_repeated_rider_key_exits_5(runner, tmp_path, kind, field):
+    # A rider map that names one rider twice used to keep the last entry.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    lines = trace.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if f'"kind":"{kind}"' in line)
+    rider, entry = next(iter(json.loads(lines[index])["payload"][field].items()))
+    marker = f'"{field}":{{'
+    assert marker in lines[index]
+    lines[index] = lines[index].replace(marker, f'{marker}"{rider}":{json.dumps(entry)},', 1)
+    trace.write_text("\n".join(lines) + "\n")
+    for command in ("metrics", "analyze"):
+        result = runner.invoke(
+            main, [command, "--trace", str(trace), "--out", str(tmp_path / command),
+                   "--window-ticks", "120"]
+        )
+        assert result.exit_code == 5, (command, result.output)
+        assert f"line {index + 1}: malformed event: a JSON object repeats the key '{rider}'" in result.output
+        assert not (tmp_path / command).exists()
+
+
 UNREACHABLE = "http://127.0.0.1:1/v1"  # never contacted: the flags are refused first
 
 
@@ -802,12 +841,16 @@ def test_well_formed_diagram_document_renders(runner, tmp_path):
          "'emergence_windows' is missing or malformed", "dot"),
         (json.dumps({**ONE_POINT_DIAGRAM, "origins": {"\u0660": {"agent": 1, "tick": 5}}}),
          "'origins' is missing or malformed", "svg"),
+        # The decoder kept the last copy of a key, so this rendered label "b".
+        (json.dumps(ONE_POINT_DIAGRAM).replace('"cluster_labels": {', '"cluster_labels": {"0": "a", '),
+         "a JSON object repeats the key '0'", "dot"),
     ],
     ids=["no_window_ticks", "point_without_origin", "top_level_list", "origin_as_list",
          "deep_nesting", "negative_n_windows", "zero_window_ticks", "point_without_agent_node",
          "cluster_node_window", "agent_node_window", "emergence_window", "point_window",
          "births_without_origins", "point_origin_not_the_clusters", "extra_agent_node",
-         "missing_cluster_node", "duplicate_label_key", "spaced_birth_key", "arabic_indic_origin_key"],
+         "missing_cluster_node", "duplicate_label_key", "spaced_birth_key", "arabic_indic_origin_key",
+         "repeated_label_key"],
 )
 def test_malformed_diagram_document_exits_4(runner, tmp_path, text, named, fmt):
     # Each of these used to end in a traceback with exit 1, or to draw

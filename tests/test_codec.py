@@ -4,7 +4,8 @@ The writer formats the payloads of every ``SHAPES`` entry from a template
 and the reader parses the lines of every entry with a regex. Both must
 agree with the general JSON path on every input: the writer byte for byte
 with ``json.dumps``, the reader event for event, value type for value
-type, and error for error, with ``json.loads`` and ``FIELD_TYPES``.
+type, and error for error, with ``json.loads`` and ``FIELD_TYPES`` (less
+an object that repeats a key, which the reader refuses).
 """
 
 import enum
@@ -212,10 +213,18 @@ def shape_lines(draw):
                   spaced and pairs is outer)
 
 
+def refuse_repeats(pairs):
+    keys = [key for key, _value in pairs]
+    repeated = next((key for key in keys if keys.count(key) > 1), None)
+    if repeated is not None:
+        raise ValueError(f"a JSON object repeats the key {repeated!r}")
+    return dict(pairs)
+
+
 def oracle(line):
     """The event json.loads and FIELD_TYPES make of ``line``, read on line 3."""
     try:
-        data = json.loads(line)
+        data = json.loads(line, object_pairs_hook=refuse_repeats)
     except ValueError as exc:
         raise TraceFormatError(3, f"malformed event: {getattr(exc, 'msg', exc)}") from exc
     if type(data) is not dict:

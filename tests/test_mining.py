@@ -445,6 +445,75 @@ def test_block_boundaries_match_pairwise_oracle(capacity, agents):
     check_against_oracle(thoughts, capacity, THETAS)
 
 
+def dense_detect(theta, rows, agents, first, capacity):
+    """The kernel before detect multiplied only the live columns, kept as its
+    oracle: the norms and the product over every column, and the memory mask
+    from each row's agent and the capacity."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    live = norms > 0.0
+    gap = np.arange(first, len(rows))[:, None] - np.arange(len(rows))
+    memory = (gap > 0) & (gap <= capacity) & (agents[first:, None] == agents) & live
+    safe = np.where(live, norms, 1.0)
+    cosines = (rows[first:] @ rows.T) / (safe[first:, None] * safe)
+    best = np.where(memory, cosines, -np.inf).max(axis=1)
+    emergent = best < theta
+    for i in np.flatnonzero(live[first:] & (np.abs(best - theta) <= 1e-9)):
+        query = rows[first + i]
+        near = max(cosine_similarity(query, rows[j]) for j in np.flatnonzero(memory[i]))
+        emergent[i] = near < theta
+    return emergent & live[first:]
+
+
+# Per column: zero in every row (some zeros signed), non-zero in every row,
+# or either; small integers tie exactly at the THETAS.
+COLUMN_ENTRIES = {
+    "dead": st.sampled_from((0.0, -0.0)),
+    "dense": st.sampled_from((-2.0, -1.0, 1.0, 2.0)),
+    "sparse": st.sampled_from((-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 2.0)),
+}
+
+
+@st.composite
+def windows(draw):
+    """A detect window: rows in agent-major order, their agents and the
+    index of the first judged row."""
+    n = draw(st.integers(1, 2 * BLOCK_ROWS))
+    if draw(st.booleans()):  # hashing rows: most of the 384 columns dead
+        rows = np.array([draw(word_vectors) for _ in range(n)])
+    else:
+        kinds = draw(st.lists(st.sampled_from(tuple(COLUMN_ENTRIES)), min_size=1, max_size=8))
+        rows = np.array([[draw(COLUMN_ENTRIES[kind]) for kind in kinds] for _ in range(n)])
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        rows[i] = -0.0  # a zero row, signed
+    agents = np.array(sorted(draw(st.lists(st.integers(0, draw(st.sampled_from((0, 1, 2, 500)))),
+                                           min_size=n, max_size=n))))
+    return rows, agents, draw(st.integers(0, n - 1))
+
+
+# The window of test_near_tie_decided_by_pairwise_formula: over the live
+# columns alone, the pairwise formula rounds its best cosine differently.
+NEAR_TIE_ROWS = EMBEDDER.embed([
+    "order mayor", "shift market gamma rider delta mayor shift order beta market", "market station mayor",
+    "rider shift rain vote market alpha gamma beta beta station river rider",
+])
+
+
+@given(window=windows(), capacity=st.sampled_from((0, 1, BLOCK_ROWS, 3 * BLOCK_ROWS, 10**30)))
+@example(window=(NEAR_TIE_ROWS, np.zeros(4, dtype=int), 3), capacity=BLOCK_ROWS)
+def test_detect_matches_dense_kernel(window, capacity):
+    # Dropping the columns that are zero in every row changes a cosine by a
+    # few ulps at most, and the near-tie rule reads the full rows, so every
+    # verdict is the dense kernel's; thetas include the window's own cosines.
+    rows, agents, first = window
+    positions = np.arange(len(rows))
+    starts = np.maximum(np.searchsorted(agents, agents), positions - min(capacity, len(rows)))[first:]
+    cosines = [cosine_similarity(rows[i], rows[j]) for i in range(first, min(first + 3, len(rows)))
+               for j in range(starts[i - first], i) if rows[i].any() and rows[j].any()]
+    for theta in (*THETAS, *(c for c in cosines if 0.0 < c <= 1.0)):
+        assert np.array_equal(SimilarityDetector(theta).detect(rows, starts, first),
+                              dense_detect(theta, rows, agents, first, capacity)), theta
+
+
 def ask_every_thought(thoughts, replies, capacity, theta):
     """The ask-everything rule, the oracle of the question round: every present
     thought is asked about in canonical order, its memory its agent's last

@@ -224,6 +224,21 @@ def test_version_mismatch(tmp_path):
         load_trace(path)
 
 
+def test_repeated_key_in_a_trace_line_is_refused(tmp_path):
+    # json.loads keeps the last copy of a repeated key; a trace reader refuses it.
+    path = tmp_path / "t.jsonl"
+    header = '{"config_digest":"x","schema_version":1,"seed":0}'
+    path.write_text(header.replace('"seed":0', '"seed":0,"seed":1') + "\n")
+    with pytest.raises(TraceHeaderError, match="a JSON object repeats the key 'seed'"):
+        load_trace(path)
+    start = json.dumps({"seq": 0, "tick": 0, "kind": "sim_start", "payload": {}})
+    thought = '{"kind":"thought","payload":{"agent":1,"text":"a","text":"b"},"seq":1,"tick":0}'
+    path.write_text("\n".join([header, start, thought]) + "\n")
+    with pytest.raises(TraceFormatError, match="malformed event: a JSON object repeats the key 'text'") as err:
+        load_trace(path)
+    assert err.value.line_no == 3
+
+
 def test_seq_gap_detected_on_read(tmp_path):
     path = tmp_path / "t.jsonl"
     lines = [
