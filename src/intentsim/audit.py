@@ -1,12 +1,12 @@
 """Trace auditor: replays a full event stream and checks every simulation
 invariant — the order lifecycle, movement speed and grid bounds, the hold
 cap, and the earnings / labor-cost / distance accounting identities against
-the final summary — with one ledger per rider and one entry per order."""
+the final summary — with one ledger per rider of the run and one entry per
+order."""
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import AuditError
@@ -41,6 +41,23 @@ class _Rider:
     distance: int = 0
 
 
+def _rider(riders: dict[int, _Rider], agent: int) -> _Rider:
+    rider = riders.get(agent)
+    if rider is None:
+        raise AuditError(f"rider {agent} is not one of the run's {len(riders)} riders")
+    return rider
+
+
+def _same_riders(where: str, keys, riders: dict[int, _Rider]) -> None:
+    """Refuse a map whose rider-id keys do not name exactly the run's riders."""
+    named = [int(key) for key in keys]
+    for agent in named:
+        if agent not in riders:
+            raise AuditError(f"{where} names rider {agent}, which the run does not have")
+    if len(named) < len(riders):  # the keys are distinct ids, each of the run
+        raise AuditError(f"{where} lacks rider {min(set(riders).difference(named))}")
+
+
 def audit_trace(events) -> AuditReport:
     """Validate a trace's events (any iterable, starting with a ``sim_start``
     that carries the config) in the order a trace reader yields them, whose
@@ -52,7 +69,7 @@ def audit_trace(events) -> AuditReport:
     if config is None:
         raise AuditError("trace does not start with a sim_start event carrying the config")
     report = AuditReport(events=1)
-    riders: defaultdict[int, _Rider] = defaultdict(_Rider)
+    riders = {agent: _Rider() for agent in range(config["n_riders"])}
     # An order enters only on "created", which is counted, so the states of
     # ``orders`` always add up to ``orders_created``: conservation by construction.
     orders: dict[int, list] = {}  # id -> [state, payment]
@@ -62,6 +79,7 @@ def audit_trace(events) -> AuditReport:
         _is_rider_id(rider_id) and is_point(point) for rider_id, point in rider_start.items()
     ):
         raise AuditError("sim_start rider_start does not map rider ids to [x, y] points")
+    _same_riders("sim_start rider_start", rider_start, riders)
     for rider_id, point in rider_start.items():
         riders[int(rider_id)].position = (point[0], point[1])
     grid = config["grid_size"]
@@ -93,7 +111,7 @@ def audit_trace(events) -> AuditReport:
                 raise AuditError(f"order {oid} illegal transition {previous!r} -> {what!r}")
             order[0] = what
             agent = payload["agent"]
-            rider = riders[agent]
+            rider = _rider(riders, agent)
             if what == "assigned":
                 rider.held += 1
                 if rider.held > config["order_cap"]:
@@ -107,7 +125,7 @@ def audit_trace(events) -> AuditReport:
                 report.orders_delivered += 1
         elif kind == "position":
             agent = payload["agent"]
-            rider = riders[agent]
+            rider = _rider(riders, agent)
             x, y = payload["x"], payload["y"]
             report.position_events += 1
             if not (0 <= x < grid and 0 <= y < grid):
@@ -129,7 +147,7 @@ def audit_trace(events) -> AuditReport:
             rider.ticks += 1
         elif kind == "cost_accrual":
             agent = payload["agent"]
-            rider = riders[agent]
+            rider = _rider(riders, agent)
             rider.accrued += payload["amount"]
             worked = rider.ticks - rider.accrued_ticks
             if payload["ticks"] != worked:
@@ -155,6 +173,7 @@ def audit_trace(events) -> AuditReport:
         summaries = sim_end_payload.get("riders")
         if not isinstance(summaries, dict) or not all(map(_is_rider_id, summaries)):
             raise AuditError("sim_end riders does not map rider ids to summaries")
+        _same_riders("sim_end riders", summaries, riders)
         for rider_id, summary in summaries.items():
             agent = int(rider_id)
             rider = riders[agent]

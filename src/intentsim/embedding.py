@@ -1,12 +1,13 @@
 """Text embeddings and cosine similarity.
 
 Two embedders share one interface, ``embed(texts)``, which returns one row
-per text: a remote HTTP service (the production path) and a seeded hashing
-embedder that keeps every test hermetic. The hashing scheme: lowercase with
-``str.lower()``, take each maximal run of ASCII ``a-z0-9`` as a token (any
-other character separates tokens, non-ASCII letters and digits too: ``"café"``
-gives ``caf``), hash each token into one of ``dim`` buckets with a seed-keyed
-hash (the first 8 bytes of ``sha256(b"SEED|" + token)``, big-endian, modulo
+per text: a remote HTTP service (the production path), posted one request
+per call, so mining's block is the batch; and a seeded hashing embedder that
+keeps every test hermetic. The hashing scheme: lowercase with ``str.lower()``,
+take each maximal run of ASCII ``a-z0-9`` as a token (any other character
+separates tokens, non-ASCII letters and digits too: ``"café"`` gives
+``caf``), hash each token into one of ``dim`` buckets with a seed-keyed hash
+(the first 8 bytes of ``sha256(b"SEED|" + token)``, big-endian, modulo
 ``dim``; each embedder hashes a token only the first time it sees it), weight
 by term frequency, L2-normalize. Empty text embeds to the zero vector, which
 mining never takes for an intention.
@@ -105,49 +106,48 @@ class HashingEmbedder:
         return counts / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
-def _unit_vector(payload) -> np.ndarray:
-    """The one embedding of a reply, normalized. A ValueError, which the
-    transport retries, marks one that is not a non-empty flat list of finite
-    numbers (a bool is not a number here)."""
+def _reply_rows(payload, count: int) -> list[np.ndarray]:
+    """The ``count`` embeddings of a reply, in order. A ValueError, which the
+    transport retries, marks a reply with a row that is not a non-empty flat
+    list of finite numbers (a bool is not a number here)."""
     rows = [entry["embedding"] for entry in payload["data"]]
-    if len(rows) != 1:
-        raise EmbeddingError(f"embedding service returned {len(rows)} vectors for 1 inputs")
-    row = rows[0]
-    if type(row) is not list or not row or any(type(value) not in (int, float) for value in row):
+    if len(rows) != count:
+        raise EmbeddingError(f"embedding service returned {len(rows)} vectors for {count} inputs")
+    if any(type(row) is not list or not row or any(type(value) not in (int, float) for value in row)
+           for row in rows):
         raise ValueError("embedding is not a non-empty list of numbers")
     try:
-        vec = np.array(row, dtype=float)
+        vecs = [np.array(row, dtype=float) for row in rows]
     except OverflowError:  # an integer beyond the float range
         raise ValueError("embedding holds a number beyond the float range") from None
-    if not np.isfinite(vec).all():  # decode_json reads NaN, Infinity and 1e400
+    if not all(np.isfinite(vec).all() for vec in vecs):  # decode_json reads NaN, Infinity and 1e400
         raise ValueError("embedding holds a number that is not finite")
-    return l2_normalize(vec)
+    return vecs
 
 
 @dataclass
 class RemoteEmbedder:
     """Client for an HTTP embedding service.
 
-    Wire format: POST {"model": ..., "input": [text]} and read
-    {"data": [{"embedding": [...]}]} back, exactly one entry. Every vector
-    must have the length of the first.
+    Wire format: POST {"model": ..., "input": [text, ...]} and read
+    {"data": [{"embedding": [...]}, ...]} back, one entry per input, in
+    order. A malformed row makes the whole request retry. Every row of a run
+    must have the length of its first.
     """
 
     endpoint: Endpoint
     _dim: int | None = field(default=None, init=False, repr=False)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """One row per text, one request per text, in the order given."""
-        rows = []
-        for text in texts:
-            body = {"model": self.endpoint.model_id, "input": [text]}
-            vec = post_json(self.endpoint, body, _unit_vector, EmbeddingError, "embedding")
-            if self._dim is None:
-                self._dim = len(vec)
-            elif len(vec) != self._dim:
+        """One row per text, in the order given, from one request."""
+        body = {"model": self.endpoint.model_id, "input": list(texts)}
+        vecs = post_json(self.endpoint, body, lambda reply: _reply_rows(reply, len(texts)),
+                         EmbeddingError, "embedding")
+        for vec in vecs:
+            self._dim = self._dim or len(vec)
+            if len(vec) != self._dim:
                 raise EmbeddingError(
                     f"embedding service returned a vector of length {len(vec)}, "
                     f"but its first had length {self._dim}"
                 )
-            rows.append(vec)
-        return np.array(rows)
+        return np.array([l2_normalize(vec) for vec in vecs])

@@ -10,7 +10,6 @@ backend); traces from two identical runs match byte for byte.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass
 
@@ -135,7 +134,13 @@ class SimulationSession:
             self.memories[rider_id].append(combine_pair(pair))
 
 
-def _base_context(session: SimulationSession, rider, stats: DayStats) -> DecisionContext:
+def _base_context(
+    session: SimulationSession,
+    rider,
+    stats: DayStats,
+    capacity_left: int = 0,
+    offered: tuple[OfferedOrder, ...] = (),
+) -> DecisionContext:
     world = session.world
     return DecisionContext(
         rider_id=rider.id,
@@ -149,6 +154,8 @@ def _base_context(session: SimulationSession, rider, stats: DayStats) -> Decisio
         leader_id=stats.leader_id,
         leader_shift=stats.leader_shift,
         current_tick=world.tick,
+        capacity_left=capacity_left,
+        offered=offered,
         memory=tuple(session.memories[rider.id]),
     )
 
@@ -204,11 +211,7 @@ def _selection_phase(session: SimulationSession, working: list[RiderState]) -> N
         if len(rider.held_orders) >= cap:
             continue
         offers = _offer_for(world, rider)
-        ctx = dataclasses.replace(
-            _base_context(session, rider, session.stats),
-            capacity_left=cap - len(rider.held_orders),
-            offered=tuple(offers),
-        )
+        ctx = _base_context(session, rider, session.stats, cap - len(rider.held_orders), tuple(offers))
         try:
             selection, pair = session.backend.select_orders(ctx)
         except (BackendError, DecisionParseError) as exc:

@@ -1,8 +1,9 @@
 """Dual-perspective thought records, emergence detection, and the group
 intention repository.
 
-A thought record pairs an agent's instinct-driven and calculation-driven
-texts for one decision. Both record builders, over trace events and over
+A thought record holds one text for one decision of an agent: its
+instinct-driven and calculation-driven thoughts folded together by
+:func:`combine_pair`, once. Both record builders, over trace events and over
 ingested foreign rows, hand their thoughts to one numbering function: it
 puts them in canonical (tick, agent, arrival) order, assigns the ids and
 marks the missing ones. A thought is a newly emergent intention when
@@ -57,34 +58,21 @@ class ThoughtRecord:
     record_id: int
     agent_id: int
     tick: int
-    pair: ThoughtPair
+    text: str  # the combine_pair text that is embedded, stored and shown
     missing: bool = False
-
-    @property
-    def combined_text(self) -> str:
-        return combine_pair(self.pair)
-
-
-_NO_PAIR = ThoughtPair(bounded="", rational="")
 
 
 def _numbered(items: list[tuple]) -> list[ThoughtRecord]:
-    """Records from ``(tick, agent, arrival, pair-or-None)`` tuples.
+    """Records from ``(tick, agent, arrival, text)`` tuples.
 
     Ids follow canonical (tick, agent, arrival) order — the order mining
-    processes records in — so repository ids always increase. A ``None``
-    pair or an empty rational text makes the record missing.
+    processes records in — so repository ids always increase. An empty text,
+    which :func:`combine_pair` never returns, makes the record missing.
     """
-    items.sort()  # the arrivals are unique, so no comparison reaches a pair
+    items.sort()
     return [
-        ThoughtRecord(
-            record_id=record_id,
-            agent_id=agent,
-            tick=tick,
-            pair=_NO_PAIR if pair is None else pair,
-            missing=pair is None or not pair.rational,
-        )
-        for record_id, (tick, agent, _arrival, pair) in enumerate(items)
+        ThoughtRecord(record_id, agent, tick, text, not text)
+        for record_id, (tick, agent, _arrival, text) in enumerate(items)
     ]
 
 
@@ -116,7 +104,7 @@ class IntentionRepository:
             cells = zeros.copy()
             for i, text in zip(nonzero.tolist(), map(floats.__getitem__, inverse.tolist())):
                 cells[i] = text
-            lines.append(f'{{"agent_id":{r.agent_id},"combined_text":{json.dumps(r.combined_text)},'
+            lines.append(f'{{"agent_id":{r.agent_id},"combined_text":{json.dumps(r.text)},'
                          f'"embedding":[{",".join(cells)}],"record_id":{r.record_id},"tick":{r.tick}}}\n')
         return "".join(lines)
 
@@ -177,8 +165,8 @@ class LlmEmergenceDetector:
     def judge(self, thought: ThoughtRecord, memory: list[ThoughtRecord], similar: bool) -> bool:
         """The model's verdict on ``thought``, whose memory is ``memory``; the
         similarity verdict ``similar`` where the reply cannot be used."""
-        memory_lines = "\n".join(f"- {r.combined_text}" for r in memory) or "(no memory yet)"
-        prompt = self.template.format(thought=thought.combined_text, memory=memory_lines)
+        memory_lines = "\n".join(f"- {r.text}" for r in memory) or "(no memory yet)"
+        prompt = self.template.format(thought=thought.text, memory=memory_lines)
         try:
             verdict, reason = _parse_yes_no(self.ask(prompt)), "reply contained neither yes nor no"
         except Exception as exc:
@@ -235,7 +223,7 @@ def mine_records(
     for start in range(0, len(present), BLOCK_ROWS):
         block = present[start:start + BLOCK_ROWS]
         # A tuple, so that it can be hashed: bench/tracing.py counts the distinct ones.
-        vectors = embedder.embed(tuple(r.combined_text for r in block))
+        vectors = embedder.embed(tuple(r.text for r in block))
         reach = int(lows[start])  # the memory reaching back before this block
         rows = vectors if reach == start else np.vstack([rows[reach - low:], vectors])
         low = reach
@@ -265,16 +253,19 @@ def records_from_trace(events, inspector: bool = True) -> list[ThoughtRecord]:
         kind = payload.get("decision", "external")
         if kind not in DECISION_KINDS:
             raise TraceFormatError(event_line(event.seq), f"unknown decision kind {kind!r}")
-        pair = None if payload["missing"] else ThoughtPair(
-            bounded=payload["bounded"] if inspector else "", rational=payload["rational"]
+        # A thought with an empty rational text is missing too.
+        text = "" if payload["missing"] or not payload["rational"] else combine_pair(
+            ThoughtPair(bounded=payload["bounded"] if inspector else "", rational=payload["rational"])
         )
-        items.append((event.tick, payload["agent"], arrival, pair))
+        items.append((event.tick, payload["agent"], arrival, text))
     return _numbered(items)
 
 
 def records_from_rows(rows: list[dict]) -> list[ThoughtRecord]:
-    """Thought records from ingested foreign rows (both slots share the text)."""
-    return _numbered([
-        (row["tick"], row["agent_id"], arrival, ThoughtPair(row["text"], row["text"]))
-        for arrival, row in enumerate(rows)
-    ])
+    """Thought records from ingested foreign rows (both slots share the text;
+    an empty one is missing)."""
+    items = []
+    for arrival, row in enumerate(rows):
+        text = row["text"]
+        items.append((row["tick"], row["agent_id"], arrival, text and combine_pair(ThoughtPair(text, text))))
+    return _numbered(items)

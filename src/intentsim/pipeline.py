@@ -134,7 +134,7 @@ def analyze_records(
             members = np.flatnonzero(clustering.assignments == cluster_id)
             if not members.size:
                 continue
-            texts = [repo.records[i].combined_text for i in members]
+            texts = [repo.records[i].text for i in members]
             if options.label_summarizer is not None:
                 try:
                     labels[cluster_id] = str(options.label_summarizer(texts))
@@ -179,7 +179,7 @@ def write_analysis_outputs(
         writer.emit(
             "intention",
             record.tick,
-            {"agent": record.agent_id, "record_id": record.record_id, "text": record.combined_text},
+            {"agent": record.agent_id, "record_id": record.record_id, "text": record.text},
         )
     for message in result.warnings:
         writer.emit("warning", last_tick, {"message": message})

@@ -17,7 +17,6 @@ from click.testing import CliRunner
 
 from intentsim.audit import audit_trace
 from intentsim.backends.scripted import ScriptedBackend, ScriptedPolicy
-from intentsim.backends.types import ThoughtPair
 from intentsim.cli import main as cli_main
 from intentsim.clustering import kmeans_cluster
 from intentsim.config import SimConfig, config_digest
@@ -175,8 +174,8 @@ def emergent_after(theta, remembered, vec):
 
 def test_criterion_5_emergence_detection():
     embedder = HashingEmbedder(dim=384, seed=0)
-    record = ThoughtRecord(0, 1, 0, ThoughtPair("save time", "save time"))
-    vec = embedder.embed([record.combined_text])[0]
+    record = ThoughtRecord(0, 1, 0, "bounded: save time | rational: save time")
+    vec = embedder.embed([record.text])[0]
     for theta in (0.05, 0.25, 0.5, 0.75, 1.0):
         assert emergent_after(theta, [vec], vec) is False
 

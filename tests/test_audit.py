@@ -285,3 +285,39 @@ def test_sim_end_without_rider_summaries_rejected(clean_trace, tmp_path):
 
     with pytest.raises(AuditError, match="sim_end riders does not map"):
         audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)
+
+
+def test_position_of_a_rider_the_run_lacks_rejected(clean_trace, tmp_path):
+    # Inserted right after sim_start, it used to pass: the ledger made a rider 99.
+    lines = clean_trace.read_text().splitlines()
+    events = [json.loads(line) for line in lines[1:]]
+    events.insert(1, {"seq": 0, "tick": 0, "kind": "position",
+                      "payload": {"agent": 99, "x": 0, "y": 0, "held": 0}})
+    for seq, event in enumerate(events, start=events[0]["seq"]):
+        event["seq"] = seq
+    path = tmp_path / "inserted.jsonl"
+    path.write_text("\n".join([lines[0], *(json.dumps(e, separators=(",", ":")) for e in events)]) + "\n")
+    with pytest.raises(AuditError, match="rider 99 is not one of the run's 6 riders"):
+        audit_trace(load_trace(path).events)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (first("order_event", lambda p: p.update(agent=-1), "assigned"), "rider -1 is not one"),
+        (first("order_event", lambda p: p.update(agent=6), "picked_up"), "rider 6 is not one"),
+        (first("cost_accrual", lambda p: p.update(agent=6)), "rider 6 is not one"),
+        (first("sim_start", lambda p: p["rider_start"].pop("2")), "sim_start rider_start lacks rider 2"),
+        (first("sim_start", lambda p: p["rider_start"].update({"6": [0, 0]})),
+         "sim_start rider_start names rider 6, which the run does not have"),
+        (first("sim_end", lambda p: p["riders"].pop("2")), "sim_end riders lacks rider 2"),
+        (first("sim_end", lambda p: p["riders"].update({"6": {
+            "earnings": 0.0, "labor_cost": 0.0, "orders_completed": 0, "distance_ridden": 0}})),
+         "sim_end riders names rider 6, which the run does not have"),
+    ],
+    ids=["assigned_negative", "picked_up", "cost_accrual", "rider_start_lacks", "rider_start_extra",
+         "sim_end_lacks", "sim_end_extra"],
+)
+def test_rider_the_run_lacks_rejected(clean_trace, tmp_path, mutate, message):
+    with pytest.raises(AuditError, match=message):
+        audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)

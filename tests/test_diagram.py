@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from intentsim.backends.types import ThoughtPair
 from hypothesis import given, strategies as st
 
 from intentsim.diagram import (
@@ -20,7 +19,7 @@ from intentsim.pipeline import AnalysisOptions, analyze_records
 
 def repo_from(entries):
     """entries: (agent_id, tick, text) triples, already ordered by record id."""
-    records = [ThoughtRecord(record_id, agent, tick, ThoughtPair(text, text))
+    records = [ThoughtRecord(record_id, agent, tick, text)
                for record_id, (agent, tick, text) in enumerate(entries)]
     return IntentionRepository(records, HashingEmbedder(dim=32, seed=0).embed([t for _, _, t in entries]))
 

@@ -24,7 +24,9 @@ class StubHandler(BaseHTTPRequestHandler):
     """Chat/embedding stub; replies come from the server's scripted queue,
     or from the queue for the request's path when ``script`` is a dict.
 
-    A ``{"stall": seconds}`` reply sleeps before answering, and a
+    An ``{"embedding": rows}`` reply sends those rows, and a ``{"vectors":
+    {text: row}}`` reply answers each input of the request with its row. A
+    ``{"stall": seconds}`` reply sleeps before answering, and a
     ``{"short_body": True}`` reply announces 100 bytes and sends 6.
     """
 
@@ -52,6 +54,9 @@ class StubHandler(BaseHTTPRequestHandler):
             body = json.dumps(
                 {"data": [{"embedding": vec} for vec in reply["embedding"]]}
             ).encode()
+        elif "vectors" in reply:
+            rows = [reply["vectors"][text] for text in request["input"]]
+            body = json.dumps({"data": [{"embedding": vec} for vec in rows]}).encode()
         else:
             body = reply.get("body", b"")
         try:
@@ -276,11 +281,14 @@ def test_local_stages_never_import_the_http_modules():
 
 
 def test_vector_count_mismatch_is_not_retried(stub_server):
-    stub_server.script = [{"embedding": [[1.0, 0.0], [0.0, 1.0]]}] * 3
     embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
-    with pytest.raises(EmbeddingError, match="returned 2 vectors for 1 inputs"):
-        embedder.embed(["a"])
-    assert len(stub_server.requests) == 1
+    # Two rows for one text, then one row for two texts.
+    for texts, rows in [(["a"], [[1.0, 0.0], [0.0, 1.0]]), (["a", "b"], [[1.0, 0.0]])]:
+        stub_server.requests.clear()
+        stub_server.script = [{"embedding": rows}] * 3
+        with pytest.raises(EmbeddingError, match=f"returned {len(rows)} vectors for {len(texts)} inputs"):
+            embedder.embed(texts)
+        assert len(stub_server.requests) == 1
 
 
 def simulate_until_fallback(server, tmp_path, *failures):
@@ -356,14 +364,11 @@ def test_single_perspective_mode_skips_bounded_call(stub_server):
 
 
 def test_remote_embedder_normalizes(stub_server):
-    stub_server.script = [{"embedding": [[3.0, 4.0]]}, {"embedding": [[0.0, 2.0]]}]
+    stub_server.script = [{"embedding": [[3.0, 4.0], [0.0, 2.0]]}]
     embedder = RemoteEmbedder(endpoint_for(stub_server, "/embed", "e"))
-    # One request per text, in the order given.
+    # One request per call, its rows in the order given.
     assert np.allclose(embedder.embed(["a", "b"]), [[0.6, 0.8], [0.0, 1.0]])
-    assert [request for _, request in stub_server.requests] == [
-        {"model": "e", "input": ["a"]},
-        {"model": "e", "input": ["b"]},
-    ]
+    assert [request for _, request in stub_server.requests] == [{"model": "e", "input": ["a", "b"]}]
 
 
 def test_remote_embedder_failure_raises(stub_server):
@@ -429,11 +434,16 @@ def analyze_external_with_embedder(server, tmp_path):
 
 @MALFORMED_EMBEDDINGS
 def test_analyze_exits_1_on_malformed_embedding(stub_server, tmp_path, vector):
-    stub_server.script = [{"embedding": [vector]}] * 3
+    # The two thoughts are one block, so one reply holds both rows, and the
+    # one malformed row makes the whole block retry.
+    stub_server.script = [{"embedding": [[1.0, 0.0], vector]}] * 3
     result = analyze_external_with_embedder(stub_server, tmp_path)
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert "embedding endpoint failed after retries: embedding" in result.output
+    body = {"model": "stub-embed", "input": ["bounded: ride to the market | rational: ride to the market",
+                                             "bounded: wait at the station | rational: wait at the station"]}
+    assert stub_server.requests == [("/embed", body)] * transport.ATTEMPTS
 
 
 def test_analyze_exits_1_on_nested_embedding_reply(stub_server, tmp_path):
@@ -448,11 +458,37 @@ def test_analyze_exits_1_on_nested_embedding_reply(stub_server, tmp_path):
 
 
 def test_analyze_exits_1_on_embedding_length_change(stub_server, tmp_path):
-    stub_server.script = [{"embedding": [[1.0, 0.0]]}, {"embedding": [[1.0, 0.0, 0.0]]}]
+    stub_server.script = [{"embedding": [[1.0, 0.0], [1.0, 0.0, 0.0]]}] * 3
     result = analyze_external_with_embedder(stub_server, tmp_path)
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert "length 3, but its first had length 2" in result.output
+    assert len(stub_server.requests) == 1  # not retried
+
+
+def test_analyze_posts_one_embedding_request_per_block(stub_server, tmp_path):
+    # 130 thoughts of two agents, taken agent by agent: blocks of 64, 64 and 2.
+    from click.testing import CliRunner
+
+    from intentsim.cli import main as cli_main
+    from intentsim.mining import BLOCK_ROWS
+
+    log = tmp_path / "foreign.jsonl"
+    log.write_text("".join(json.dumps({"a": i % 2, "t": i, "x": f"plan {i}"}) + "\n" for i in range(130)))
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps({"agent": "a", "tick": "t", "text": "x"}))
+    texts = [f"bounded: plan {i} | rational: plan {i}" for i in [*range(0, 130, 2), *range(1, 130, 2)]]
+    stub_server.script = [{"vectors": {text: [1.0, float(i)] for i, text in enumerate(texts)}}] * 3
+    host, port = stub_server.server_address
+    result = CliRunner().invoke(cli_main, [
+        "analyze", "--external", str(log), "--mapping", str(mapping),
+        "--out", str(tmp_path / "out"), "--k", "1",
+        "--embed-url", f"http://{host}:{port}/embed", "--embed-model", "stub-embed",
+    ])
+    assert result.exit_code == 0, (result.output, result.exception)
+    inputs = [body["input"] for _, body in stub_server.requests]
+    assert [len(batch) for batch in inputs] == [BLOCK_ROWS, BLOCK_ROWS, 2]
+    assert [text for batch in inputs for text in batch] == texts
 
 
 def test_simulation_with_llm_backend_logs_exchanges(stub_server, tmp_path):
@@ -533,7 +569,8 @@ def test_zero_embedding_is_never_an_intention(stub_server, tmp_path):
     mapping = tmp_path / "map.json"
     mapping.write_text(json.dumps({"agent": "speaker", "tick": "step", "text": "utterance"}))
     stub_server.script = {
-        "/embed": [{"embedding": [v]} for v in ([1.0, 0.0], [0.0, 0.0], [0.0, 1.0])],
+        "/embed": [{"vectors": {f"bounded: {t} | rational: {t}": v
+                                for t, v in zip(texts, ([1.0, 0.0], [0.0, 0.0], [0.0, 1.0]))}}],
         "/v1/chat/completions": [{"chat": "yes"}] * 2,
     }
     host, port = stub_server.server_address
@@ -572,7 +609,8 @@ def test_opposite_remote_embeddings_share_one_label(stub_server, tmp_path):
     ))
     mapping = tmp_path / "map.json"
     mapping.write_text(json.dumps({"agent": "speaker", "tick": "step", "text": "utterance"}))
-    stub_server.script = [{"embedding": [[1.0, 0.0]]}, {"embedding": [[-1.0, 0.0]]}]
+    stub_server.script = [{"vectors": {"bounded: go east | rational: go east": [1.0, 0.0],
+                                       "bounded: go west | rational: go west": [-1.0, 0.0]}}]
     host, port = stub_server.server_address
     out = tmp_path / "out"
     result = CliRunner().invoke(cli_main, [
@@ -667,8 +705,8 @@ def test_llm_trace_bytes_pinned(stub_server, tmp_path):
 
 
 def test_llm_analysis_bundle_bytes_pinned(stub_server, tmp_path):
-    # Six thoughts by two agents: a remote embedding per thought (the third
-    # embedded after one failed attempt), an LLM novelty verdict per thought (yes, no,
+    # Six thoughts by two agents: one remote embedding request for all six
+    # (answered after one failed attempt), an LLM novelty verdict per thought (yes, no,
     # neither, a transport failure), and an LLM label per cluster (one fails).
     import hashlib
 
@@ -685,11 +723,10 @@ def test_llm_analysis_bundle_bytes_pinned(stub_server, tmp_path):
     mapping.write_text(json.dumps({"agent": "speaker", "tick": "step", "text": "utterance"}))
     vectors = [[3.0, 4.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0],
                [0.0, 0.0, 2.0], [1.0, 0.1, 0.0], [0.5, 0.5, 0.5]]
-    # Embeddings go agent by agent (texts 0, 2, 4, then 1, 3, 5); the third
-    # request fails once and text 4 is asked again.
+    # Embeddings go agent by agent (texts 0, 2, 4, then 1, 3, 5) in one block;
+    # its first attempt fails.
     stub_server.script = {
-        "/embed": [{"embedding": [vectors[i]]} for i in (0, 2)] + [BOOM]
-        + [{"embedding": [vectors[i]]} for i in (4, 1, 3, 5)],
+        "/embed": [BOOM, {"embedding": [vectors[i] for i in (0, 2, 4, 1, 3, 5)]}],
         "/v1/chat/completions": [
             {"chat": "yes"}, {"chat": "Yes, new."}, {"chat": "no"}, {"chat": "unsure"},
             BOOM, BOOM, BOOM, {"chat": "yes"},
@@ -708,9 +745,9 @@ def test_llm_analysis_bundle_bytes_pinned(stub_server, tmp_path):
     assert result.exit_code == 0, (result.output, result.exception)
     assert not any(stub_server.script.values())
     combined = [f"bounded: {text} | rational: {text}" for text in texts]
-    embedded = [combined.index(body["input"][0]) for path, body in stub_server.requests
+    embedded = [[combined.index(text) for text in body["input"]] for path, body in stub_server.requests
                 if path == "/embed"]
-    assert embedded == [0, 2, 4, 4, 1, 3, 5]
+    assert embedded == [[0, 2, 4, 1, 3, 5]] * 2
     prompts = [body["messages"][0]["content"] for path, body in stub_server.requests
                if path == "/v1/chat/completions"]
     asked = [prompt.split("\n")[1] for prompt in prompts if prompt.startswith("An agent")]

@@ -29,7 +29,7 @@ from intentsim.trace import TraceEvent
 
 
 def make_record(record_id=0, agent=1, tick=0, bounded="save time", rational="maximize pay"):
-    return ThoughtRecord(record_id, agent, tick, ThoughtPair(bounded=bounded, rational=rational))
+    return ThoughtRecord(record_id, agent, tick, combine_pair(ThoughtPair(bounded=bounded, rational=rational)))
 
 
 def thought_event(seq, tick, **payload):
@@ -64,7 +64,7 @@ def mine_thoughts(thoughts, theta=DEFAULT_THETA, capacity=DEFAULT_MEMORY_CAPACIT
     # Each present thought is embedded once, in blocks of at most BLOCK_ROWS.
     assert all(len(block) <= BLOCK_ROWS for block in embedder.blocks)
     assert sorted(t for block in embedder.blocks for t in block) == sorted(embedder.table)
-    found = [int(record.combined_text.split()[1][1:]) for record in repo.records]
+    found = [int(record.text.split()[1][1:]) for record in repo.records]
     assert len(repo.vectors) == len(found)
     for index, row in zip(found, repo.vectors):
         assert np.array_equal(row, thoughts[index][2])  # the embedder's row, bit for bit
@@ -123,7 +123,7 @@ def test_distinct_record_ids_same_agent_tick():
         thought_event(2, 9, agent=1, decision="order_selection", rational="take it"),
     ])
     assert a.record_id != b.record_id
-    assert (a.pair.rational, b.pair.rational) == ("rest", "take it")
+    assert (a.text, b.text) == ("rational: rest", "rational: take it")
 
 
 def test_records_numbered_in_tick_agent_arrival_order():
@@ -133,18 +133,19 @@ def test_records_numbered_in_tick_agent_arrival_order():
         {"agent_id": 3, "tick": 0, "text": "a"},
         {"agent_id": 1, "tick": 5, "text": "b2"},
     ])
-    assert [(r.record_id, r.pair.rational) for r in records] == [
-        (0, "a"), (1, "b"), (2, "b2"), (3, "c")]
+    assert [(r.record_id, r.text) for r in records] == [
+        (0, "bounded: a | rational: a"), (1, "bounded: b | rational: b"),
+        (2, "bounded: b2 | rational: b2"), (3, "bounded: c | rational: c")]
 
 
 def test_identical_text_in_memory_never_emergent():
-    vec = HashingEmbedder(dim=64).embed([make_record().combined_text])[0]
+    vec = HashingEmbedder(dim=64).embed([make_record().text])[0]
     for theta in (0.1, 0.5, 0.9, 1.0):
         assert mine_thoughts([(1, 0, vec), (1, 1, vec)], theta) == [0]
 
 
 def test_empty_memory_always_emergent():
-    vec = HashingEmbedder(dim=64).embed([make_record().combined_text])[0]
+    vec = HashingEmbedder(dim=64).embed([make_record().text])[0]
     assert mine_thoughts([(1, 0, vec)], theta=0.0001) == [0]
     # Capacity 0 remembers nothing, and other agents' thoughts are no memory.
     assert mine_thoughts([(1, 0, vec), (1, 1, vec)], theta=0.0001, capacity=0) == [0, 1]
@@ -184,7 +185,7 @@ def test_mine_records_appends_emergent_and_remembers_all():
     repo = mine_records(records, SimilarityDetector(), emb, llm=scripted_llm(["no", "yes", "no"], prompts))
     # Not emergent: nothing appended, still remembered; emergent: appended.
     assert repo.records == [records[1]]
-    text = records[0].combined_text
+    text = records[0].text
     assert prompts == [f"{text}\n(no memory yet)", f"{text}\n- {text}", f"{text}\n- {text}\n- {text}"]
 
 
@@ -215,19 +216,19 @@ def test_repository_rows_embed_their_records_across_blocks():
     assert {record.agent_id for record in repo.records} == {0, 1, 2}
     assert repo.vectors.shape == (len(ids), 64)
     for record, row in zip(repo.records, repo.vectors):
-        assert np.array_equal(row, emb.embed([record.combined_text])[0])
+        assert np.array_equal(row, emb.embed([record.text])[0])
 
 
 def test_repository_jsonl_round_trip():
     emb = HashingEmbedder(dim=16)
     records = [make_record(i, agent=i, tick=i * 10, rational=f"thought {i}") for i in range(3)]
-    repo = IntentionRepository(records, emb.embed([r.combined_text for r in records]))
+    repo = IntentionRepository(records, emb.embed([r.text for r in records]))
     text = repo.to_jsonl()
     assert text.endswith("\n")
     loaded = [json.loads(line) for line in text.splitlines()]
     assert len(loaded) == 3
     for a, row, b in zip(repo.records, repo.vectors, loaded):
-        assert (a.record_id, a.agent_id, a.tick, a.combined_text) == (
+        assert (a.record_id, a.agent_id, a.tick, a.text) == (
             b["record_id"],
             b["agent_id"],
             b["tick"],
@@ -240,7 +241,7 @@ def reference_jsonl(repo: IntentionRepository) -> str:
     """The one ``json.dumps`` per line that to_jsonl replaced: the oracle."""
     return "".join(
         json.dumps({"record_id": r.record_id, "agent_id": r.agent_id, "tick": r.tick,
-                    "combined_text": r.combined_text, "embedding": row.tolist()},
+                    "combined_text": r.text, "embedding": row.tolist()},
                    sort_keys=True, separators=(",", ":")) + "\n"
         for r, row in zip(repo.records, repo.vectors)
     )
@@ -290,14 +291,14 @@ def test_mining_deterministic():
     def run():
         emb = HashingEmbedder(dim=64, seed=0)
         repo = mine_records(records_from_rows(rows), detector, emb)
-        return [(r.record_id, r.agent_id, r.combined_text) for r in repo.records], repo.vectors.tolist()
+        return [(r.record_id, r.agent_id, r.text) for r in repo.records], repo.vectors.tolist()
 
     assert run() == run()
 
 
 def test_external_rows_fill_both_slots():
     records = records_from_rows([{"agent_id": 4, "tick": 7, "text": "vote for rain"}])
-    assert records[0].pair.bounded == records[0].pair.rational == "vote for rain"
+    assert records[0].text == "bounded: vote for rain | rational: vote for rain"
 
 
 def test_theta_bounds_validated():

@@ -95,8 +95,8 @@ def test_no_inspector_drops_imitation_cluster(tmp_path):
     )
     assert len(result.repository) == 4
     for record in result.repository.records:
-        assert "imitate" not in record.combined_text
-        assert not record.combined_text.startswith("bounded:")
+        assert "imitate" not in record.text
+        assert not record.text.startswith("bounded:")
     assert all("imitate" not in label for label in result.diagram.cluster_labels.values())
 
 
@@ -237,7 +237,7 @@ def test_pipeline_deterministic_repository(tmp_path):
 
     def repo_digest():
         result = analyze_trace_events(events, AnalysisOptions(k=3, window_ticks=120, theta=0.8))
-        return ([(r.record_id, r.agent_id, r.tick, r.combined_text)
+        return ([(r.record_id, r.agent_id, r.tick, r.text)
                  for r in result.repository.records], result.repository.vectors.tolist())
 
     assert repo_digest() == repo_digest()
@@ -288,7 +288,7 @@ def test_external_records_run_through_detection(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     mapping = IngestMapping(agent="speaker", tick="step", text="utterance")
     result, _ = analyze_external(path, mapping, AnalysisOptions(k=2, theta=0.8, window_ticks=10))
-    texts = [r.combined_text for r in result.repository.records]
+    texts = [r.text for r in result.repository.records]
     assert len(texts) == 2
     assert "same thought" in texts[0]
     assert "unrelated plan" in texts[1]
