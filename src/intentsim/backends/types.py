@@ -1,4 +1,4 @@
-"""Shared decision and thought types used by every backend."""
+"""Shared decision and thought types: backends return them, analysis reads the records."""
 
 from __future__ import annotations
 
@@ -56,3 +56,38 @@ class ThoughtPair:
 
     bounded: str
     rational: str
+
+
+def combine_pair(bounded: str, rational: str) -> str:
+    """Fold both perspectives into one analyzable text.
+
+    Labels keep the two perspectives distinguishable after concatenation;
+    when the bounded slot is empty (single-perspective sources, inspector
+    disabled) only the rational side is kept.
+    """
+    if bounded:
+        return f"bounded: {bounded} | rational: {rational}"
+    return f"rational: {rational}"
+
+
+@dataclass(slots=True)
+class ThoughtRecord:
+    record_id: int
+    agent_id: int
+    tick: int
+    text: str  # the combine_pair text that is embedded, stored and shown
+    missing: bool = False
+
+
+def numbered_records(items: list[tuple]) -> list[ThoughtRecord]:
+    """Records from ``(tick, agent, arrival, text)`` tuples, which it sorts.
+
+    Ids follow canonical (tick, agent, arrival) order — the order mining
+    processes records in — so repository ids always increase. An empty text,
+    which :func:`combine_pair` never returns, makes the record missing.
+    """
+    items.sort()
+    return [
+        ThoughtRecord(record_id, agent, tick, text, not text)
+        for record_id, (tick, agent, _arrival, text) in enumerate(items)
+    ]

@@ -13,10 +13,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .backends.types import DecisionContext, OfferedOrder, ThoughtPair
+from .backends.types import DecisionContext, OfferedOrder, ThoughtPair, combine_pair
 from .config import SimConfig, config_digest
 from .errors import BackendError, DecisionParseError
-from .mining import combine_pair
 from .trace import TraceWriter, open_output
 from .world import (
     ASSIGNED,
@@ -131,7 +130,7 @@ class SimulationSession:
             },
         )
         if not missing:
-            self.memories[rider_id].append(combine_pair(pair))
+            self.memories[rider_id].append(combine_pair(pair.bounded, pair.rational))
 
 
 def _base_context(

@@ -3,8 +3,9 @@ intention repository.
 
 A thought record holds one text for one decision of an agent: its
 instinct-driven and calculation-driven thoughts folded together by
-:func:`combine_pair`, once. Both record builders, over trace events and over
-ingested foreign rows, hand their thoughts to one numbering function: it
+:func:`combine_pair`, once. Both record builders, over trace events here
+and over a foreign log in :func:`~intentsim.trace.ingest_external`, number
+their thoughts by :func:`~intentsim.backends.types.numbered_records`: it
 puts them in canonical (tick, agent, arrival) order, assigns the ids and
 marks the missing ones. A thought is a newly emergent intention when
 nothing similar is in its agent's own recent memory, the agent's previous
@@ -30,7 +31,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .backends.types import ThoughtPair
+from .backends.types import ThoughtRecord, combine_pair, numbered_records
 from .embedding import cosine_similarity
 from .errors import TraceFormatError
 from .trace import event_line
@@ -39,41 +40,6 @@ DECISION_KINDS = ("work_hours", "order_selection", "external")
 DEFAULT_THETA = 0.8
 DEFAULT_MEMORY_CAPACITY = 50
 BLOCK_ROWS = 64  # present thoughts embedded and judged per matrix product
-
-
-def combine_pair(pair: ThoughtPair) -> str:
-    """Fold both perspectives into one analyzable text.
-
-    Labels keep the two perspectives distinguishable after concatenation;
-    when the bounded slot is empty (single-perspective sources, inspector
-    disabled) only the rational side is kept.
-    """
-    if pair.bounded:
-        return f"bounded: {pair.bounded} | rational: {pair.rational}"
-    return f"rational: {pair.rational}"
-
-
-@dataclass(slots=True)
-class ThoughtRecord:
-    record_id: int
-    agent_id: int
-    tick: int
-    text: str  # the combine_pair text that is embedded, stored and shown
-    missing: bool = False
-
-
-def _numbered(items: list[tuple]) -> list[ThoughtRecord]:
-    """Records from ``(tick, agent, arrival, text)`` tuples.
-
-    Ids follow canonical (tick, agent, arrival) order — the order mining
-    processes records in — so repository ids always increase. An empty text,
-    which :func:`combine_pair` never returns, makes the record missing.
-    """
-    items.sort()
-    return [
-        ThoughtRecord(record_id, agent, tick, text, not text)
-        for record_id, (tick, agent, _arrival, text) in enumerate(items)
-    ]
 
 
 @dataclass
@@ -255,17 +221,7 @@ def records_from_trace(events, inspector: bool = True) -> list[ThoughtRecord]:
             raise TraceFormatError(event_line(event.seq), f"unknown decision kind {kind!r}")
         # A thought with an empty rational text is missing too.
         text = "" if payload["missing"] or not payload["rational"] else combine_pair(
-            ThoughtPair(bounded=payload["bounded"] if inspector else "", rational=payload["rational"])
+            payload["bounded"] if inspector else "", payload["rational"]
         )
         items.append((event.tick, payload["agent"], arrival, text))
-    return _numbered(items)
-
-
-def records_from_rows(rows: list[dict]) -> list[ThoughtRecord]:
-    """Thought records from ingested foreign rows (both slots share the text;
-    an empty one is missing)."""
-    items = []
-    for arrival, row in enumerate(rows):
-        text = row["text"]
-        items.append((row["tick"], row["agent_id"], arrival, text and combine_pair(ThoughtPair(text, text))))
-    return _numbered(items)
+    return numbered_records(items)

@@ -32,7 +32,6 @@ from .mining import (
     SimilarityDetector,
     ThoughtRecord,
     mine_records,
-    records_from_rows,
     records_from_trace,
 )
 from .trace import TraceWriter, ingest_external, start_config, write_files
@@ -223,7 +222,6 @@ def analyze_trace_events(events, options: AnalysisOptions) -> AnalysisResult:
 def analyze_external(path, mapping, options: AnalysisOptions):
     """Ingest a foreign log and run the same pipeline over it."""
     ingest = ingest_external(path, mapping)
-    records = records_from_rows(ingest.rows)
-    result = analyze_records(records, options)
+    result = analyze_records(ingest.rows, options)
     result.warnings.extend(ingest.warnings)
     return result, ingest

@@ -39,9 +39,11 @@ import secrets
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
+from .backends.types import ThoughtRecord, combine_pair, numbered_records
 from .errors import (
     OutputError,
     TraceFormatError,
@@ -135,16 +137,25 @@ def decode_json(text: str, prefix: bool = False, unique_keys: bool = False):
     Text that is not JSON, an integer past Python's int-string limit and
     nesting too deep for the decoder each raise a ``ValueError``; so does,
     with ``unique_keys``, an object that spells a key twice (otherwise the
-    last copy wins). The check is a Python call per object, which adds about
-    a quarter to the decoding of a foreign log's one-object rows, so
-    :func:`ingest_external` does not ask for it."""
+    last copy wins). The check is a Python call per object, which took the
+    10,000 one-object rows of a foreign log from 10 to 14 ms, so
+    :func:`ingest_external` does not ask for it. A text that is one value with
+    at most JSON whitespace after it is read by the scanner alone; any other
+    goes the decoder's whole way, which names a failure as ``json.loads`` does."""
+    decoder = _UNIQUE_DECODER if unique_keys else _DECODER
     try:
         if prefix:
             return _DECODER.raw_decode(text)
+        try:
+            value, end = decoder.scan_once(text, 0)
+            if not text[end:].strip(" \t\n\r"):
+                return value
+        except (StopIteration, ValueError, RecursionError):
+            pass
         # Only json.loads names a leading BOM in its error.
         if text.startswith("\ufeff"):
             return json.loads(text)
-        return (_UNIQUE_DECODER if unique_keys else _DECODER).decode(text)
+        return decoder.decode(text)
     except RecursionError as exc:
         raise ValueError(f"{exc} (nesting too deep)") from None
 
@@ -640,7 +651,7 @@ def _lookup_path(record: dict, parts: list[str]):
 
 @dataclass
 class IngestResult:
-    rows: list[dict]
+    rows: list[ThoughtRecord]  # in record-id order
     warnings: list[str]  # one per skipped record
 
     @property
@@ -649,16 +660,18 @@ class IngestResult:
 
 
 def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
-    """Map a foreign JSONL log onto (agent_id, tick, text) rows.
+    """Map a foreign JSONL log onto numbered thought records.
 
-    Single-perspective sources fill both thought slots downstream. Non-integer
-    agent identifiers get stable integer ids in order of first appearance
-    (after sorting by tick). Bad records never abort the run: they are
-    skipped, counted, and reported. A tick must be a non-negative integer, a
-    float with an integral value or a string in the JSON integer grammar; a
-    bool is none of them.
+    A text fills both thought slots, folded once; an empty one is missing.
+    With all-integer agent identifiers one sort numbers the records by
+    (tick, agent, line); other identifiers get ids by first appearance in
+    (tick, line) order, keyed by their canonical JSON (``1`` and ``"1"`` are
+    two agents), and a second sort numbers by (tick, id, line). Bad records
+    never abort the run: they are skipped, counted, and reported. A tick
+    must be a non-negative integer, a float with an integral value or a
+    string in the JSON integer grammar; a bool is none of them.
     """
-    rows: list[tuple] = []  # (tick, line, agent, text); the line numbers are unique
+    items: list[tuple] = []  # (tick, agent, line, text); the line numbers are unique
     warnings: list[str] = []
     paths = [(target, getattr(mapping, target).split(".")) for target in ("agent", "tick", "text")]
     with Path(path).open("rb") as fh:
@@ -697,14 +710,11 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
                 if tick < 0:  # tick windows and the analysis log start at tick 0
                     warnings.append(f"line {line_no}: tick {tick} is negative")
                     continue
-                rows.append((tick, line_no, agent, str(text)))
-    rows.sort()
-    all_int_ids = all(isinstance(agent, int) and not isinstance(agent, bool) for _, _, agent, _ in rows)
-    agent_ids: dict[str, int] = {}
-    # Mixed or named identifiers: stable ids by first appearance.
-    out = [
-        {"agent_id": agent if all_int_ids else agent_ids.setdefault(str(agent), len(agent_ids)),
-         "tick": tick, "text": text}
-        for tick, _, agent, text in rows
-    ]
-    return IngestResult(rows=out, warnings=warnings)
+                text = str(text)
+                items.append((tick, agent, line_no, text and combine_pair(text, text)))
+    if not all(type(item[1]) is int for item in items):  # a bool is not an integer id
+        items.sort(key=itemgetter(0, 2))
+        ids: dict[str, int] = {}
+        items = [(tick, ids.setdefault(canonical_json(agent), len(ids)), line_no, text)
+                 for tick, agent, line_no, text in items]
+    return IngestResult(rows=numbered_records(items), warnings=warnings)

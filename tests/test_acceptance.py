@@ -29,7 +29,6 @@ from intentsim.mining import (
     IntentionRepository,
     SimilarityDetector,
     ThoughtRecord,
-    records_from_rows,
 )
 from intentsim.pipeline import AnalysisOptions, analyze_external, analyze_records
 from intentsim.trace import (
@@ -39,6 +38,8 @@ from intentsim.trace import (
     load_trace,
     write_trace,
 )
+
+from foreign_rows import records_of
 
 RUNTIME_BUDGET_S = 60.0
 ANALYSIS_BUDGET_S = 30.0
@@ -194,7 +195,7 @@ def test_criterion_5_emergence_detection():
 
 def test_criterion_6_diagram_oracle():
     embedder = HashingEmbedder(dim=32, seed=0)
-    records = records_from_rows([{"agent_id": agent, "tick": tick, "text": "dense areas"}
+    records = records_of([{"agent_id": agent, "tick": tick, "text": "dense areas"}
                                  for agent, tick in ((1, 10), (2, 200), (3, 1300))])
     repo = IntentionRepository(records, embedder.embed(["dense areas"] * 3))
     clustering = kmeans_cluster(repo.vectors, 1, seed=0)
@@ -338,11 +339,9 @@ def test_criterion_10_external_ingestion(tmp_path):
         f"agent {i % 40} plans route {i % 17} around the {('market', 'river', 'station')[i % 3]} at step {i}"
         for i in range(10_000)
     ]
-    from intentsim.mining import records_from_rows
-
     rows = [{"agent_id": i % 40, "tick": i, "text": text} for i, text in enumerate(rng_texts)]
     started = time.monotonic()
-    bulk = analyze_records(records_from_rows(rows),
+    bulk = analyze_records(records_of(rows),
                            AnalysisOptions(k=5, theta=0.8, window_ticks=2500, seed=1))
     elapsed = time.monotonic() - started
     assert elapsed < ANALYSIS_BUDGET_S, f"analysis took {elapsed:.1f}s"

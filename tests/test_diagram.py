@@ -13,8 +13,10 @@ from intentsim.diagram import (
     render_diagram,
 )
 from intentsim.embedding import HashingEmbedder
-from intentsim.mining import IntentionRepository, ThoughtRecord, records_from_rows
+from intentsim.mining import IntentionRepository, ThoughtRecord
 from intentsim.pipeline import AnalysisOptions, analyze_records
+
+from foreign_rows import records_of
 
 
 def repo_from(entries):
@@ -104,7 +106,7 @@ def origins_of_shuffled_rows(agent_ticks):
     origins = set()
     for seed in range(4):
         random.Random(seed).shuffle(rows)
-        result = analyze_records(records_from_rows(rows), AnalysisOptions(k=1))
+        result = analyze_records(records_of(rows), AnalysisOptions(k=1))
         assert result.diagram.emergence_windows == {0: 0}
         origins.add(result.diagram.origins[0])
     return origins

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from intentsim.backends.types import ThoughtPair
 from intentsim.embedding import HashingEmbedder, cosine_similarity
 from intentsim.mining import (
     BLOCK_ROWS,
@@ -20,16 +19,17 @@ from intentsim.mining import (
     ThoughtRecord,
     combine_pair,
     mine_records,
-    records_from_rows,
     records_from_trace,
 )
 from intentsim.clustering import MAX_ITER
 from intentsim.pipeline import AnalysisOptions, analyze_records
 from intentsim.trace import TraceEvent
 
+from foreign_rows import records_of
+
 
 def make_record(record_id=0, agent=1, tick=0, bounded="save time", rational="maximize pay"):
-    return ThoughtRecord(record_id, agent, tick, combine_pair(ThoughtPair(bounded=bounded, rational=rational)))
+    return ThoughtRecord(record_id, agent, tick, combine_pair(bounded, rational))
 
 
 def thought_event(seq, tick, **payload):
@@ -52,12 +52,12 @@ def mine_thoughts(thoughts, theta=DEFAULT_THETA, capacity=DEFAULT_MEMORY_CAPACIT
     """The indexes of the emergent ``(agent, tick, vector)`` thoughts, in
     record-id order; a ``None`` vector makes the thought missing. Thought i's
     combined text is ``bounded: ti | rational: ti``."""
-    records = records_from_rows([
+    records = records_of([
         {"agent_id": agent, "tick": tick, "text": "" if vec is None else f"t{i}"}
         for i, (agent, tick, vec) in enumerate(thoughts)
     ])
     embedder = TableEmbedder({
-        combine_pair(ThoughtPair(f"t{i}", f"t{i}")): vec
+        combine_pair(f"t{i}", f"t{i}"): vec
         for i, (_agent, _tick, vec) in enumerate(thoughts) if vec is not None
     })
     repo = mine_records(records, SimilarityDetector(theta), embedder, capacity, llm)
@@ -72,13 +72,11 @@ def mine_thoughts(thoughts, theta=DEFAULT_THETA, capacity=DEFAULT_MEMORY_CAPACIT
 
 
 def test_combined_text_template():
-    pair = ThoughtPair(bounded="save time", rational="maximize pay")
-    assert combine_pair(pair) == "bounded: save time | rational: maximize pay"
+    assert combine_pair("save time", "maximize pay") == "bounded: save time | rational: maximize pay"
 
 
 def test_combined_text_single_perspective():
-    pair = ThoughtPair(bounded="", rational="maximize pay")
-    assert combine_pair(pair) == "rational: maximize pay"
+    assert combine_pair("", "maximize pay") == "rational: maximize pay"
 
 
 def test_missing_pair_flagged_and_excluded():
@@ -99,20 +97,20 @@ def test_duplicate_intentions_clamp_k_to_distinct():
     rows = [{"agent_id": agent, "tick": 0, "text": "vote for the river"} for agent in range(3)]
     rows.append({"agent_id": 3, "tick": 0, "text": "build a market"})
     for scan in (False, True):
-        result = analyze_records(records_from_rows(rows), AnalysisOptions(k=5, scan_k=scan))
+        result = analyze_records(records_of(rows), AnalysisOptions(k=5, scan_k=scan))
         assert len(result.repository) == 4
         assert result.clustering.k == 2
         assert result.warnings == (["k scan selected k=2"] if scan else
                                    ["k=5 exceeds 2 clusterable intentions; using k=2"])
         assert result.clustering.repaired_iterations == []
         assert result.clustering.iterations_run < MAX_ITER
-    same = analyze_records(records_from_rows(rows[:3]), AnalysisOptions(k=5, scan_k=True))
+    same = analyze_records(records_of(rows[:3]), AnalysisOptions(k=5, scan_k=True))
     assert "k scan skipped: fewer than 2 distinct intentions" in same.warnings
     assert same.clustering.k == 1
 
 
 def test_empty_rational_text_is_missing():
-    records = records_from_rows([{"agent_id": 1, "tick": 0, "text": ""},
+    records = records_of([{"agent_id": 1, "tick": 0, "text": ""},
                                  {"agent_id": 1, "tick": 1, "text": "vote"}])
     assert [r.missing for r in records] == [True, False]
 
@@ -127,7 +125,7 @@ def test_distinct_record_ids_same_agent_tick():
 
 
 def test_records_numbered_in_tick_agent_arrival_order():
-    records = records_from_rows([
+    records = records_of([
         {"agent_id": 2, "tick": 5, "text": "c"},
         {"agent_id": 1, "tick": 5, "text": "b"},
         {"agent_id": 3, "tick": 0, "text": "a"},
@@ -180,7 +178,7 @@ def scripted_llm(replies, prompts, **kwargs):
 
 def test_mine_records_appends_emergent_and_remembers_all():
     emb = HashingEmbedder(dim=32)
-    records = records_from_rows([{"agent_id": 1, "tick": t, "text": "save time"} for t in range(3)])
+    records = records_of([{"agent_id": 1, "tick": t, "text": "save time"} for t in range(3)])
     prompts = []
     repo = mine_records(records, SimilarityDetector(), emb, llm=scripted_llm(["no", "yes", "no"], prompts))
     # Not emergent: nothing appended, still remembered; emergent: appended.
@@ -191,7 +189,7 @@ def test_mine_records_appends_emergent_and_remembers_all():
 
 def test_memory_fifo_eviction_at_capacity():
     # The 52nd thought's memory is the 50 before it: t1 to t50.
-    records = records_from_rows([{"agent_id": 1, "tick": t, "text": f"t{t}"} for t in range(52)])
+    records = records_of([{"agent_id": 1, "tick": t, "text": f"t{t}"} for t in range(52)])
     prompts = []
     llm = scripted_llm(["yes"] * 52, prompts)
     mine_records(records, SimilarityDetector(), HashingEmbedder(dim=32), 50, llm)
@@ -208,7 +206,7 @@ def test_repository_rows_embed_their_records_across_blocks():
     # agent by agent over several blocks, the repository is in record-id order.
     rows = [{"agent_id": t % 3, "tick": t, "text": f"plan {t} {'river' if t % 2 else 'market'}"}
             for t in range(3 * BLOCK_ROWS)]
-    records = records_from_rows(rows)
+    records = records_of(rows)
     emb = HashingEmbedder(dim=64, seed=0)
     repo = mine_records(records, SimilarityDetector(theta=0.99), emb)
     ids = [record.record_id for record in repo.records]
@@ -290,14 +288,14 @@ def test_mining_deterministic():
 
     def run():
         emb = HashingEmbedder(dim=64, seed=0)
-        repo = mine_records(records_from_rows(rows), detector, emb)
+        repo = mine_records(records_of(rows), detector, emb)
         return [(r.record_id, r.agent_id, r.text) for r in repo.records], repo.vectors.tolist()
 
     assert run() == run()
 
 
 def test_external_rows_fill_both_slots():
-    records = records_from_rows([{"agent_id": 4, "tick": 7, "text": "vote for rain"}])
+    records = records_of([{"agent_id": 4, "tick": 7, "text": "vote for rain"}])
     assert records[0].text == "bounded: vote for rain | rational: vote for rain"
 
 
@@ -310,7 +308,7 @@ def test_theta_bounds_validated():
 
 def test_llm_detector_parses_verdicts():
     # The similarity detector would keep only the first of two equal thoughts.
-    records = records_from_rows([{"agent_id": 1, "tick": t, "text": "save time"} for t in range(2)])
+    records = records_of([{"agent_id": 1, "tick": t, "text": "save time"} for t in range(2)])
     emb = HashingEmbedder(dim=32)
     yes = scripted_llm(["Yes, clearly new."] * 2, [])
     assert len(mine_records(records, SimilarityDetector(), emb, llm=yes)) == 2
@@ -319,7 +317,7 @@ def test_llm_detector_parses_verdicts():
 
 
 def test_llm_detector_falls_back_to_similarity():
-    records = records_from_rows([{"agent_id": 1, "tick": t, "text": "save time"} for t in range(2)])
+    records = records_of([{"agent_id": 1, "tick": t, "text": "save time"} for t in range(2)])
     emb = HashingEmbedder(dim=32)
     fallbacks: list[str] = []
     garbled = scripted_llm(["hmm unclear", "no"], [], on_fallback=fallbacks.append)
@@ -344,7 +342,7 @@ def test_llm_fallback_warnings_keep_canonical_order():
         thought = prompt.split("\n")[1]
         raise RuntimeError(f"no answer for {thought}")
 
-    result = analyze_records(records_from_rows(rows), AnalysisOptions(detector_ask=ask))
+    result = analyze_records(records_of(rows), AnalysisOptions(detector_ask=ask))
     text = "bounded: plan {0} | rational: plan {0}".format
     fallbacks = [w for w in result.warnings if w.startswith("llm detector")]
     assert fallbacks == [f"llm detector fell back to similarity: no answer for {text(t)}" for t in range(6)]

@@ -6,13 +6,16 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from intentsim import trace
 from intentsim.audit import audit_trace
 from intentsim.backends.scripted import ScriptedBackend, ScriptedPolicy
+from intentsim.backends.types import ThoughtRecord
 from intentsim.config import SimConfig
 from intentsim.engine import run_simulation
 from intentsim.errors import (
@@ -291,6 +294,11 @@ def mapping():
     return IngestMapping(agent="speaker", tick="step", text="utterance")
 
 
+def folded(text):
+    """A foreign text as its record holds it: in both thought slots."""
+    return f"bounded: {text} | rational: {text}"
+
+
 def test_ingest_one_to_one(tmp_path):
     path = tmp_path / "foreign.jsonl"
     rows = [{"speaker": i % 3, "step": i, "utterance": f"statement {i}"} for i in range(10)]
@@ -298,7 +306,8 @@ def test_ingest_one_to_one(tmp_path):
     result = ingest_external(path, mapping())
     assert len(result.rows) == 10
     assert result.skipped == 0
-    assert [r["tick"] for r in result.rows] == list(range(10))
+    assert [r.tick for r in result.rows] == list(range(10))
+    assert [r.record_id for r in result.rows] == list(range(10))
 
 
 def test_ingest_skips_missing_fields_with_count(tmp_path):
@@ -328,7 +337,7 @@ def test_ingest_skips_undecodable_lines(tmp_path):
         json.dumps({"speaker": 2, "step": 2, "utterance": "ok too \u00e9"}).encode(),
     ]) + b"\n")
     result = ingest_external(path, mapping())
-    assert [r["text"] for r in result.rows] == ["ok", "ok too \u00e9"]
+    assert [r.text for r in result.rows] == [folded("ok"), folded("ok too \u00e9")]
     assert result.skipped == 3
     assert result.warnings == [
         "line 2: malformed record", "line 3: malformed record", "line 4: malformed record"]
@@ -353,7 +362,7 @@ def test_ingest_skips_unusable_ticks(tmp_path, step, warning):
     path.write_text(f'{{"speaker": 1, "step": {step}, "utterance": "bad"}}\n'
                     '{"speaker": 2, "step": 3, "utterance": "ok"}\n')
     result = ingest_external(path, mapping())
-    assert [r["text"] for r in result.rows] == ["ok"]
+    assert [r.text for r in result.rows] == [folded("ok")]
     assert result.skipped == 1
     assert result.warnings == [f"line 1: {warning}"]
 
@@ -364,8 +373,8 @@ def test_ingest_accepts_integral_float_and_numeric_string_ticks(tmp_path):
                     '{"speaker": 2, "step": "12", "utterance": "string"}\n')
     result = ingest_external(path, mapping())
     assert result.skipped == 0
-    assert [(r["tick"], r["text"]) for r in result.rows] == [(3, "float"), (12, "string")]
-    assert all(type(r["tick"]) is int for r in result.rows)
+    assert [(r.tick, r.text) for r in result.rows] == [(3, folded("float")), (12, folded("string"))]
+    assert all(type(r.tick) is int for r in result.rows)
 
 
 def test_ingest_defaults_fill_absent_fields(tmp_path):
@@ -374,7 +383,7 @@ def test_ingest_defaults_fill_absent_fields(tmp_path):
     m = IngestMapping(agent="speaker", tick="step", text="utterance", defaults={"tick": 0})
     result = ingest_external(path, m)
     assert result.skipped == 0
-    assert result.rows[0]["tick"] == 0
+    assert result.rows[0].tick == 0
 
 
 def test_ingest_sorts_by_tick(tmp_path):
@@ -385,7 +394,7 @@ def test_ingest_sorts_by_tick(tmp_path):
     ]
     write_jsonl(path, rows)
     result = ingest_external(path, mapping())
-    assert [r["tick"] for r in result.rows] == [10, 30]
+    assert [r.tick for r in result.rows] == [10, 30]
 
 
 def test_ingest_nested_paths_and_names(tmp_path):
@@ -399,7 +408,7 @@ def test_ingest_nested_paths_and_names(tmp_path):
     m = IngestMapping(agent="who.name", tick="step", text="say.text")
     result = ingest_external(path, m)
     # Named agents get ids in order of first appearance.
-    assert [(r["agent_id"], r["text"]) for r in result.rows] == [(0, "hello"), (1, "hi"), (0, "bye")]
+    assert [(r.agent_id, r.text) for r in result.rows] == [(0, folded("hello")), (1, folded("hi")), (0, folded("bye"))]
 
 
 def test_ingest_tolerates_malformed_lines(tmp_path):
@@ -425,6 +434,81 @@ def test_decode_json_matches_json_loads(text):
         assert str(caught.value) == str(exc)
     else:
         assert repr(decode_json(text)) == repr(expected)
+
+
+def oracle_unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _value in pairs).items() if n > 1)
+        raise ValueError(f"a JSON object repeats the key {repeated!r}")
+    return obj
+
+
+ORACLE_DECODERS = {False: json.JSONDecoder(), True: json.JSONDecoder(object_pairs_hook=oracle_unique_keys)}
+
+
+def oracle_decode_json(text, unique_keys=False):
+    """decode_json as it was before it tried the scanner alone: the oracle."""
+    try:
+        if text.startswith("\ufeff"):
+            return json.loads(text)
+        return ORACLE_DECODERS[unique_keys].decode(text)
+    except RecursionError as exc:
+        raise ValueError(f"{exc} (nesting too deep)") from None
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["a", "b", "\u00e9"]), inner, max_size=3),
+    max_leaves=8,
+)
+JSON_BODIES = (
+    st.builds(lambda value, indent: json.dumps(value, indent=indent), JSON_VALUES, st.sampled_from([None, 1]))
+    | st.sampled_from([
+        '{"a": 1, "a": 2}', '[{"k": [], "k": {}}]', '{"x": {"y": 1, "y": 1}}', '{"a": 1, "b": {"a": 2}}',
+        "[" * 100_000, "[" * 3_000 + "]" * 3_000, '{"a":' * 3_000, "1" * 4_301, "-" + "9" * 4_301,
+        "NaN", "-Infinity", "[Infinity, NaN]", "nan", "", "tru", '"\\ud800"', '"\\u12"',
+    ])
+)
+# JSON whitespace, other Unicode whitespace, a BOM and trailing garbage.
+EDGES = st.sampled_from(["", " ", "\n", " \t\r\n", "\ufeff", "\ufeff ", "\x0b", "\u00a0", "\u2028"])
+TAILS = EDGES | st.sampled_from([" x", " 2", "1", "}", "]", ",", "\n{}", " []", '"'])
+
+
+@given(st.just("") | EDGES, JSON_BODIES, st.none() | st.integers(0, 40), TAILS, st.booleans())
+@example("", '{"a": 1}', None, " x", False)  # {} x
+@example("", "1", None, " 2", True)
+@example("", "[]", None, "\u00a0", False)  # Unicode whitespace is not JSON whitespace
+@example("", '"s"', None, "\x0b", True)
+@example(" ", "{}", None, "\n", False)
+def test_decode_json_matches_its_oracle(head, body, cut, tail, unique_keys):
+    text = head + (body if cut is None else body[:cut]) + tail
+    try:
+        expected = oracle_decode_json(text, unique_keys)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            decode_json(text, unique_keys=unique_keys)
+        assert str(caught.value) == str(exc)
+    else:
+        assert repr(decode_json(text, unique_keys=unique_keys)) == repr(expected)
+
+
+@pytest.mark.parametrize("unique_keys", [False, True])
+def test_decode_json_decodes_a_text_with_trailing_whitespace_once(monkeypatch, unique_keys):
+    # A model's reply body ends in "\n": the scanner's value spans the text
+    # but for JSON whitespace, so the text is not decoded a second time.
+    calls = []
+
+    def hook(pairs):
+        calls.append(pairs)
+        return dict(pairs)
+
+    monkeypatch.setattr(trace, "_UNIQUE_DECODER" if unique_keys else "_DECODER",
+                        json.JSONDecoder(object_pairs_hook=hook))
+    assert decode_json('{"a": {"b": 1}, "c": [{}]}\n', unique_keys=unique_keys) == {"a": {"b": 1}, "c": [{}]}
+    assert len(calls) == 3
+    assert decode_json('{"a": 1} \r\n\t', unique_keys=unique_keys) == {"a": 1}
+    assert len(calls) == 4
 
 
 def test_mapping_requires_all_targets():
@@ -493,9 +577,24 @@ def oracle_ingest(path, mapping):
     out = []
     for row in rows:
         raw = row["agent_raw"]
-        agent_id = raw if all_int_ids else agent_ids.setdefault(str(raw), len(agent_ids))
+        agent_id = raw if all_int_ids else agent_ids.setdefault(canonical_text(raw), len(agent_ids))
         out.append({"agent_id": agent_id, "tick": row["tick"], "text": row["text"]})
-    return out, warnings
+    return oracle_records_from_rows(out), warnings
+
+
+def canonical_text(value):
+    """One spelling per JSON value: 1 and "1" differ, key order does not."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def oracle_records_from_rows(rows):
+    """Thought records from ingested row dicts, as they were numbered before
+    ingest_external built the records itself: sorted by (tick, agent_id,
+    arrival), both slots filled with the text, an empty text missing."""
+    items = sorted((row["tick"], row["agent_id"], arrival, row["text"] and folded(row["text"]))
+                   for arrival, row in enumerate(rows))
+    return [ThoughtRecord(record_id, agent, tick, text, not text)
+            for record_id, (tick, agent, _arrival, text) in enumerate(items)]
 
 
 # Few names and ticks, so that lookups hit and ticks tie; "n" holds nested keys.
@@ -525,6 +624,35 @@ def test_ingest_matches_row_by_row_oracle(agent, tick, text, defaults, lines):
         rows, warnings = oracle_ingest(path, ingest_mapping)
     assert result.rows == rows
     assert result.warnings == warnings
+
+
+def test_ingest_ties_across_agents_in_reversed_line_order(tmp_path):
+    # Several agents share each tick. Integer agents come in descending line
+    # order; named ones in the reverse at tick 2 of their order at tick 5, so
+    # first appearance by line differs from first appearance by (tick, line).
+    # One text is empty and so missing.
+    path = tmp_path / "foreign.jsonl"
+    for agents in ([9, 4, 4, 0, -3], ["zoe", "al", "bo", "al", "cy"]):
+        lines = [{"speaker": agent, "step": tick, "utterance": "" if (i, tick) == (1, 2) else f"s{i} t{tick}"}
+                 for tick, order in ((5, agents), (2, agents[::-1])) for i, agent in enumerate(order)]
+        write_jsonl(path, lines)
+        result = ingest_external(path, mapping())
+        rows, warnings = oracle_ingest(path, mapping())
+        assert result.rows == rows and result.warnings == warnings == []
+        assert [r.record_id for r in result.rows] == list(range(10))
+        assert [r.missing for r in result.rows].count(True) == 1
+    # Named agents: cy, al, bo and zoe in order of appearance at tick 2.
+    assert [(r.agent_id, r.tick, r.text) for r in result.rows][:2] == [(0, 2, folded("s0 t2")), (1, 2, "")]
+
+
+def test_ingest_keeps_distinct_json_ids_apart(tmp_path):
+    # Keyed by str(), 1 and "1" were one agent, and so were true and "True".
+    path = tmp_path / "foreign.jsonl"
+    speakers = ['1', '"1"', '"bob"', 'true', '"True"', '{"b": 1, "a": 2}', '{"a": 2, "b": 1}']
+    path.write_text("".join(f'{{"speaker": {speaker}, "step": 0, "utterance": "s{i}"}}\n'
+                            for i, speaker in enumerate(speakers)))
+    result = ingest_external(path, mapping())
+    assert [r.agent_id for r in result.rows] == [0, 1, 2, 3, 4, 5, 5]
 
 
 # --- output files -------------------------------------------------------------
