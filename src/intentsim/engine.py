@@ -5,7 +5,9 @@ rankings in context), order generation, order selection for at-work riders
 below the hold cap, movement toward the earliest-held order's objective
 with pickup/delivery state flips, and wage accrual. Every per-rider phase
 iterates in ascending rider id so a run is a pure function of (config,
-backend); traces from two identical runs match byte for byte.
+backend); traces from two identical runs match byte for byte. A day's
+working riders are found once a day; fixed-shape events go to the writer
+as values.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .world import (
     manhattan,
     move_toward,
     nearest_pending,
-    shift_active,
     world_digest,
 )
 
@@ -52,6 +53,27 @@ def _rank(values: dict[int, float]) -> dict[int, int]:
     # Rank 1 is the highest value; ties resolve to the lower rider id.
     ordered = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
     return {rider_id: idx + 1 for idx, (rider_id, _) in enumerate(ordered)}
+
+
+def working_by_tick(riders: list[RiderState], steps_per_day: int) -> list[list[RiderState]]:
+    """The riders at work on each tick t of the day, in the order of
+    ``riders``: those for which :func:`~intentsim.world.shift_active` holds,
+    whose hour t * 24 / steps_per_day is in [start, end), or outside [end,
+    start) when the shift wraps past midnight; none when start == end."""
+    working: list[list[RiderState]] = [[] for _ in range(steps_per_day)]
+    for rider in riders:
+        start, end = rider.shift_start, rider.shift_end
+        # The first tick t with t * 24 >= hour * steps_per_day, for each end.
+        first, stop = -(-start * steps_per_day // 24), -(-end * steps_per_day // 24)
+        if start < end:
+            ticks = range(first, stop)
+        elif start > end:
+            ticks = [*range(stop), *range(first, steps_per_day)]
+        else:
+            continue
+        for tick in ticks:
+            working[tick].append(rider)
+    return working
 
 
 def _roll_over_day(world: WorldState) -> DayStats:
@@ -98,6 +120,7 @@ class SimulationSession:
         self.writer = writer
         self.inspector = inspector
         self.stats: DayStats | None = None
+        self.working: list[list[RiderState]] = [[]] * world.config.steps_per_day  # by tick of day
         self.memories: dict[int, deque[str]] = {
             r.id: deque(maxlen=MEMORY_WINDOW) for r in world.riders
         }
@@ -173,15 +196,8 @@ def _work_hours_phase(session: SimulationSession) -> None:
             rider.shift_start = decision.go_to_work_hour
             rider.shift_end = decision.get_off_work_hour
             session.record_thought(rider.id, "work_hours", pair)
-        session.emit(
-            "decision",
-            {
-                "agent": rider.id,
-                "decision": "work_hours",
-                "start": rider.shift_start,
-                "end": rider.shift_end,
-            },
-        )
+        session.writer.work_hours(world.tick, agent=rider.id, start=rider.shift_start,
+                                  end=rider.shift_end)
 
 
 def _offer_for(world: WorldState, rider) -> list[OfferedOrder]:
@@ -234,12 +250,13 @@ def _selection_phase(session: SimulationSession, working: list[RiderState]) -> N
             },
         )
         for oid in accepted:
-            session.emit("order_event", {"event": "assigned", "order": oid, "agent": rider.id})
+            session.writer.assigned(world.tick, rider.id, oid)
 
 
 def _movement_phase(session: SimulationSession, working: list[RiderState]) -> None:
     world = session.world
     config = world.config
+    writer, tick = session.writer, world.tick
     for rider in working:
         if rider.held_orders:
             order = world.order_book[rider.held_orders[0]]
@@ -251,34 +268,16 @@ def _movement_phase(session: SimulationSession, working: list[RiderState]) -> No
                 rider.position = new_pos
             if order.state == ASSIGNED and rider.position == order.pickup:
                 order.state = PICKED_UP
-                session.emit(
-                    "order_event",
-                    {"event": "picked_up", "order": order.id, "agent": rider.id},
-                )
+                writer.picked_up(tick, rider.id, order.id)
             elif order.state == PICKED_UP and rider.position == order.dropoff:
                 order.state = DELIVERED
-                order.delivered_tick = world.tick
+                order.delivered_tick = tick
                 rider.earnings += order.payment
                 rider.orders_completed += 1
                 rider.held_orders.pop(0)
-                session.emit(
-                    "order_event",
-                    {
-                        "event": "delivered",
-                        "order": order.id,
-                        "agent": rider.id,
-                        "payment": order.payment,
-                    },
-                )
-        session.emit(
-            "position",
-            {
-                "agent": rider.id,
-                "x": rider.position.x,
-                "y": rider.position.y,
-                "held": len(rider.held_orders),
-            },
-        )
+                writer.delivered(tick, rider.id, order.id, order.payment)
+        position = rider.position
+        writer.position(tick, rider.id, len(rider.held_orders), position.x, position.y)
 
 
 def _accrual_phase(session: SimulationSession, working: list[RiderState]) -> None:
@@ -290,14 +289,8 @@ def _accrual_phase(session: SimulationSession, working: list[RiderState]) -> Non
     if world.tick % config.steps_per_day == config.steps_per_day - 1:
         for rider in world.riders:
             if rider.ticks_worked_today:
-                session.emit(
-                    "cost_accrual",
-                    {
-                        "agent": rider.id,
-                        "amount": config.wage_rate * rider.ticks_worked_today,
-                        "ticks": rider.ticks_worked_today,
-                    },
-                )
+                ticks = rider.ticks_worked_today
+                session.writer.cost_accrual(world.tick, rider.id, config.wage_rate * ticks, ticks)
             rider.ticks_worked_today = 0
 
 
@@ -311,22 +304,13 @@ def step_world(world: WorldState, session: SimulationSession) -> WorldState:
     if tick_of_day == 0 and world.riders:
         session.stats = _roll_over_day(world)
         _work_hours_phase(session)
-    working = [
-        r for r in world.riders
-        if shift_active(r.shift_start, r.shift_end, tick_of_day, config.steps_per_day)
-    ]
+        session.working = working_by_tick(world.riders, config.steps_per_day)
+    working = session.working[tick_of_day]
     created = generate_orders(world)
     for order in created:
-        session.emit(
-            "order_event",
-            {
-                "event": "created",
-                "order": order.id,
-                "pickup": [order.pickup.x, order.pickup.y],
-                "dropoff": [order.dropoff.x, order.dropoff.y],
-                "payment": order.payment,
-            },
-        )
+        pickup, dropoff = order.pickup, order.dropoff
+        session.writer.created(world.tick, [dropoff.x, dropoff.y], order.id, order.payment,
+                               [pickup.x, pickup.y])
     _selection_phase(session, working)
     _movement_phase(session, working)
     _accrual_phase(session, working)

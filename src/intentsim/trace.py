@@ -24,9 +24,11 @@ none) in place; an output path that cannot be written is an
 :class:`~intentsim.errors.OutputError`. A write also deletes the
 temporaries of its targets that a process no longer running left behind.
 
-A reader shares one payload dict between a rider's identical fixed-shape
-lines (:data:`SHAPES`) and one int between the events of a tick, so the
-payloads of read events must not be mutated.
+A fixed-shape event (:data:`SHAPES`) is written from its values and read
+by one regex, both checking the order rules inline. A reader shares one
+payload dict between a rider's identical fixed-shape lines and one int
+between the events of a tick, so the payloads of read events must not be
+mutated.
 """
 
 from __future__ import annotations
@@ -284,9 +286,9 @@ class TraceEvent(NamedTuple):
 # order, each with the type of its value or, for a string, its one value. A
 # FLOAT is finite; JSON writes it with a fraction or an exponent
 # (``float.__repr__``), and an integer literal in its place is decoded as
-# an integer. The writer formats a payload that fits an entry exactly from
-# the entry's template, and the reader parses a line that matches the
-# entry's regex without decoding JSON; both come from here.
+# an integer. Each entry's writer formats a line from the entry's template,
+# and the reader parses a line that matches the entry's regex without
+# decoding JSON; both come from here. The first field is a value.
 FLOAT = (float,)
 SHAPES = (
     ("position", {"agent": INT, "held": INT, "x": INT, "y": INT}),
@@ -301,108 +303,91 @@ SHAPES = (
 
 _INT_RE = "(-?(?:0|[1-9][0-9]*))"  # the JSON integer grammar
 # For each value type: its placeholder in the template, its regex (text that
-# decode_json reads as the same value), and in Python the reader's conversion
-# of the matched text, the writer's check of a value and its template values.
+# decode_json reads as the same value) split after its first group, and in
+# Python the reader's conversion, the writer's check and its template values.
 _SLOTS = {
-    INT: ("%d", _INT_RE, "int({0})", "type({0}) is int", "{0}"),
-    FLOAT: ("%r", "(-?(?:0|[1-9][0-9]*)(?:\\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))",
+    INT: ("%d", (_INT_RE, ""), "int({0})", "type({0}) is int", "{0}"),
+    FLOAT: ("%r", ("(-?(?:0|[1-9][0-9]*)(?:\\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))", ""),
             "float({0})", "type({0}) is float and isfinite({0})", "{0}"),
-    POINT: ("[%d,%d]", f"\\[{_INT_RE},{_INT_RE}\\]", "[int({0}x), int({0}y)]", "is_point({0})",
-            "*{0}"),
+    POINT: ("[%d,%d]", (f"\\[{_INT_RE}", f",{_INT_RE}\\]"), "[int({0}x), int({0}y)]",
+            "is_point({0})", "*{0}"),
 }
-
-
-def _compile_shape(kind: str, fields: dict):
-    """The regex of one SHAPES entry's line, its number of groups, a reader
-    that makes the event from the groups, and a writer that gives the line
-    of a payload, or None when the payload does not fit the entry exactly.
-
-    The reader shares values as :func:`iter_trace` asks. It takes a dict
-    local to the stream, from the first group's text to the last payload
-    read with that text and the text of its other groups, and reuses that
-    payload when the other groups are equal; and it reuses the int of the
-    last event's tick when the tick is equal.
-
-    The reader and writer are built as Python source, as ``namedtuple``
-    builds its methods: a loop over the slots on every line would cost about
-    what skipping ``json`` saves.
-    """
-    head = f'{{"kind":{canonical_json(kind)},"payload":{{'
-    template, pattern = [head], [re.escape(head)]
-    params, values, checks, args = [], [], [], []
-    for i, (key, slot) in enumerate(fields.items()):
-        name, text = f"v{i}", ("," if i else "") + canonical_json(key) + ":"
-        if type(slot) is str:
-            template.append(text + canonical_json(slot))
-            pattern.append(re.escape(text + canonical_json(slot)))
-            values.append(f"{key!r}: {slot!r}")
-            checks.append(f"type({name}) is str and {name} == {slot!r}")
-            continue
-        fmt, group, read, check, arg = _SLOTS[slot]
-        template += [text, fmt]
-        pattern += [re.escape(text), group]
-        params += [name + "x", name + "y"] if slot is POINT else [name]
-        values.append(f"{key!r}: {read.format(name)}")
-        checks.append(check.format(name))
-        args.append(arg.format(name))
-    tail = '},"seq":%d,"tick":%d}'
-    template.append(tail + "\n")
-    pattern.append(re.escape(tail).replace("%d", _INT_RE))
-    rest = f"({', '.join(params[1:])},)"
-    source = (
-        f"def read(shared, last_tick, {', '.join(params)}, seq, tick):\n"
-        f"    last = shared.get({params[0]})\n"
-        f"    if last is None or last[0] != {rest}:\n"
-        # The payload first, so values are read in line order and the first
-        # over-long integer fails as it does in decode_json.
-        f"        last = shared[{params[0]}] = {rest}, {{{', '.join(values)}}}\n"
-        f"    seq = int(seq)\n"
-        f"    tick = int(tick)\n"
-        f"    return new(TraceEvent, (seq, last_tick if tick == last_tick else tick, {kind!r}, last[1]))\n"
-        f"def write(payload, seq, tick):\n"
-        f"    {', '.join(f'v{i}' for i in range(len(fields)))}, = "
-        f"{', '.join(f'payload.get({key!r})' for key in fields)},\n"
-        f"    if len(payload) == {len(fields)} and {' and '.join(checks)}:\n"
-        f"        return {''.join(template)!r} % ({', '.join(args)}, seq, tick)\n"
-    )
-    # tuple.__new__ makes the event as TraceEvent's own __new__ does, a call sooner.
-    scope = {"TraceEvent": TraceEvent, "new": tuple.__new__, "is_point": is_point,
-             "isfinite": math.isfinite}
-    exec(source, scope)
-    return "".join(pattern), len(params) + 2, scope["read"], scope["write"]
-
-
-def _compile_shapes():
-    """Each kind's writers, and one regex with every entry's line as an
-    alternative, matched against a line's bytes before they are decoded.
-    The tick is the last group of each alternative, so a match's
-    ``lastindex`` picks the reader, which takes that alternative's groups."""
-    writers: dict[str, list] = {}
-    readers: dict[int, tuple] = {}
-    patterns = []
-    for kind, fields in SHAPES:
-        pattern, groups, read, write = _compile_shape(kind, fields)
-        writers.setdefault(kind, []).append(write)
-        first = 1 + max(readers, default=0)
-        readers[first + groups - 1] = (read, tuple(range(first, first + groups)))
-        patterns.append(pattern)
-    return writers, readers, re.compile(f"(?:{'|'.join(patterns)})\n?".encode())
-
-
-_WRITERS, _READERS, _SHAPE_RE = _compile_shapes()
 # Any other event line, with its keys in sorted order.
 _EVENT_LINE = '{"kind":%s,"payload":%s,"seq":%d,"tick":%d}\n'
 
 
-def _line(seq, tick, kind: str, payload) -> str:
-    """The line ``canonical_json`` gives for this event, newline included;
-    ``seq`` and ``tick`` are ints (:class:`OrderGuard` refuses others)."""
-    if type(payload) is dict:
-        for write in _WRITERS.get(kind, ()):
-            line = write(payload, seq, tick)
-            if line is not None:
-                return line
-    return _EVENT_LINE % (canonical_json(kind), canonical_json(payload), seq, tick)
+def _compile_shape(kind: str, fields: dict, first: int):
+    """The regex of one SHAPES entry's line, with groups numbered from
+    ``first``; the numbers of its groups of the memo key (the first value's
+    first part), the span (the payload text after it), seq and tick; a
+    builder of its payload from the key and the match; and the name (its
+    string value, else its kind) and source-built function of its writer,
+    ``write(writer, tick, *values)``. The writer takes the values in key
+    order or by name, advances the guard and calls its check only when a
+    rule could break, and sends a value that does not fit its slot through
+    ``canonical_json``. Source is built as ``namedtuple`` builds methods: a
+    loop over the slots on every line would cost what skipping json saves.
+    """
+    head = f'{{"kind":{canonical_json(kind)},"payload":{{'
+    template, pattern = [head], [re.escape(head)]
+    params, groups, reads, writes, checks, args = [], [], [], [], [], []
+    for i, (key, slot) in enumerate(fields.items()):
+        text = ("," if i else "") + canonical_json(key) + ":"
+        if type(slot) is str:
+            template.append(text + canonical_json(slot))
+            pattern.append(re.escape(text + canonical_json(slot)))
+            reads.append(f"{key!r}: {slot!r}")
+            writes.append(reads[-1])
+            continue
+        fmt, (group, rest), read, check, arg = _SLOTS[slot]
+        template += [text, fmt]
+        pattern += [re.escape(text), group, "" if params else "(", rest]
+        groups += [key + "x", key + "y"] if slot is POINT else [key]
+        params.append(key)
+        reads.append(f"{key!r}: {read.format(key)}")
+        writes.append(f"{key!r}: {key}")
+        checks.append(check.format(key))
+        args.append(arg.format(key))
+    tail = '},"seq":%d,"tick":%d}'
+    template.append(tail + "\n")
+    pattern += [")", re.escape(tail).replace("%d", _INT_RE)]
+    name = next((slot for slot in fields.values() if type(slot) is str), kind)
+    source = (
+        f"def build({groups[0]}, match):\n"
+        f"    {', '.join(groups[1:])} = match.group"
+        f"({', '.join(str(first + i) for i in range(2, len(groups) + 1))})\n"
+        f"    return {{{', '.join(reads)}}}\n"
+        f"def {name}(writer, tick, {', '.join(params)}):\n"
+        f"    guard = writer._guard\n"
+        f"    seq = guard.last_seq + 1\n"
+        f"    if guard.started and not guard.ended and type(tick) is int and tick >= guard.last_tick:\n"
+        f"        guard.last_seq, guard.last_tick = seq, tick\n"
+        f"    else:\n"
+        f"        guard.check(seq, tick, {kind!r})\n"
+        f"    writer._fh.write({''.join(template)!r} % ({', '.join(args)}, seq, tick)\n"
+        f"        if {' and '.join(checks)} else _EVENT_LINE % "
+        f"({canonical_json(kind)!r}, canonical_json({{{', '.join(writes)}}}), seq, tick))\n"
+    )
+    scope = {"is_point": is_point, "isfinite": math.isfinite, "canonical_json": canonical_json,
+             "_EVENT_LINE": _EVENT_LINE}
+    exec(source, scope)
+    seq = first + len(groups) + 1
+    return "".join(pattern), (first, first + 1, seq, seq + 1), scope["build"], name, scope[name]
+
+
+def _compile_shapes(writer_class):
+    """Give ``writer_class`` each entry's writer as a method, and return the
+    entries' readers and one regex with every entry's line as an
+    alternative, matched against a line's bytes before they are decoded.
+    The tick is the last group of each alternative, so a match's
+    ``lastindex`` picks the entry's kind, groups and builder."""
+    readers, patterns = {}, []
+    for kind, fields in SHAPES:
+        pattern, groups, build, name, write = _compile_shape(kind, fields, 1 + max(readers, default=0))
+        setattr(writer_class, name, write)
+        readers[groups[-1]] = (kind, groups, build)
+        patterns.append(pattern)
+    return readers, re.compile(f"(?:{'|'.join(patterns)})\n?".encode())
 
 
 def event_line(seq: int) -> int:
@@ -457,7 +442,9 @@ class OrderGuard:
 
 class TraceWriter:
     """Single-writer append stream with ordering enforcement, over a text
-    stream that its caller opened and closes."""
+    stream that its caller opened and closes. Each SHAPES entry adds a
+    method that writes its next event from the tick and its values, such as
+    ``position(tick, agent, held, x, y)`` (see :func:`_compile_shape`)."""
 
     def __init__(self, stream, config_digest: str, seed: int, created: str | None = None):
         self.header = TraceHeader(SCHEMA_VERSION, config_digest, seed, created)
@@ -468,14 +455,17 @@ class TraceWriter:
     def append_event(self, event: TraceEvent) -> None:
         """Write an event that carries its own seq; it must be the next one."""
         seq, tick, kind, payload = event
-        self._guard.check(seq, tick, kind)
-        self._fh.write(_line(seq, tick, kind, payload))
+        self._guard.check(seq, tick, kind)  # so seq and tick are ints
+        self._fh.write(_EVENT_LINE % (canonical_json(kind), canonical_json(payload), seq, tick))
         if kind == "sim_end":
             self._fh.flush()
 
     def emit(self, kind: str, tick: int, payload: dict) -> None:
         """Write the next event."""
         self.append_event((self._guard.last_seq + 1, tick, kind, payload))
+
+
+_READERS, _SHAPE_RE = _compile_shapes(TraceWriter)
 
 
 def _decode(raw: bytes, line_no: int) -> str:
@@ -533,21 +523,43 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
         header = _parse_header(_decode(first, 1))
         yield header
         guard = OrderGuard()
-        # Per SHAPES entry, the payloads the entry's reader shares; and the
-        # int of the last tick, which every event of that tick shares.
-        shared = {entry: {} for entry in _READERS}
-        last_tick = None
+        # Per SHAPES entry, from the text of a line's first value to the
+        # text after it and the payload of the last such line; and the text
+        # of the last event's tick when it was a SHAPES line's.
+        memos = {entry: {} for entry in _READERS}
+        tick_text = None
+        new = tuple.__new__  # makes an event as TraceEvent's own __new__ does, a call sooner
         for line_no, raw in enumerate(fh, start=2):
             # A line in the form of a SHAPES entry is read without decode_json
             # (and is ASCII); it holds the types FIELD_TYPES asks by construction.
             match = _SHAPE_RE.fullmatch(raw)
             if match:
                 entry = match.lastindex
-                read, groups = _READERS[entry]
+                kind, groups, build = _READERS[entry]
+                key, span, seq, text = match.group(*groups)
+                memo = memos[entry]
+                last = memo.get(key)
                 try:
-                    event = read(shared[entry], last_tick, *match.group(*groups))
+                    # The payload first, so values are read in line order and
+                    # the first over-long integer fails as it does in decode_json.
+                    if last is None or last[0] != span:
+                        last = memo[key] = span, build(key, match)
+                    seq = int(seq)
+                    if text == tick_text:
+                        tick = guard.last_tick
+                    else:
+                        tick = int(text)
+                        if tick == guard.last_tick:  # after a JSON line's tick, or "-0"
+                            tick = guard.last_tick
+                        tick_text = text
                 except ValueError as exc:  # an over-long int
                     raise TraceFormatError(line_no, f"malformed event: {exc}") from exc
+                event = new(TraceEvent, (seq, tick, kind, last[1]))
+                if (guard.started and not guard.ended and seq == guard.last_seq + 1
+                        and tick >= guard.last_tick):
+                    guard.last_seq, guard.last_tick = seq, tick
+                    yield event
+                    continue
             else:
                 line = _decode(raw, line_no).strip()
                 if not line:
@@ -562,15 +574,15 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
                 if problem is not None:
                     raise TraceFormatError(line_no, f"event {problem}")
                 tick = data["tick"]
-                event = TraceEvent(data["seq"], last_tick if tick == last_tick else tick,
+                event = TraceEvent(data["seq"], guard.last_tick if tick == guard.last_tick else tick,
                                    data["kind"], data["payload"])
+                tick_text = None
             try:
                 guard.check(event.seq, event.tick, event.kind)
             except TraceOrderError as exc:
                 raise TraceOrderError(f"line {line_no}: {exc}") from None
             if not match:
                 _check_payload(event, line_no, header.config_digest)
-            last_tick = event.tick
             yield event
         if not guard.started:
             raise TraceOrderError("trace contains no events")
@@ -662,7 +674,8 @@ class IngestResult:
 def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
     """Map a foreign JSONL log onto numbered thought records.
 
-    A text fills both thought slots, folded once; an empty one is missing.
+    A text fills both thought slots, folded once; an empty one is missing,
+    and any other JSON value is embedded as its ``canonical_json``.
     With all-integer agent identifiers one sort numbers the records by
     (tick, agent, line); other identifiers get ids by first appearance in
     (tick, line) order, keyed by their canonical JSON (``1`` and ``"1"`` are
@@ -677,12 +690,10 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
     with Path(path).open("rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                record = decode_json(line)
+                record = decode_json(raw.decode("utf-8"))
             except ValueError:  # invalid UTF-8 is a ValueError too
-                warnings.append(f"line {line_no}: malformed record")
+                if raw.strip(b" \t\n\r"):  # a line of JSON's whitespace only is skipped
+                    warnings.append(f"line {line_no}: malformed record")
                 continue
             if not isinstance(record, dict):
                 warnings.append(f"line {line_no}: record is not an object")
@@ -710,7 +721,7 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
                 if tick < 0:  # tick windows and the analysis log start at tick 0
                     warnings.append(f"line {line_no}: tick {tick} is negative")
                     continue
-                text = str(text)
+                text = text if type(text) is str else canonical_json(text)
                 items.append((tick, agent, line_no, text and combine_pair(text, text)))
     if not all(type(item[1]) is int for item in items):  # a bool is not an integer id
         items.sort(key=itemgetter(0, 2))

@@ -1,16 +1,20 @@
 """The trace codec's fast paths against plain ``json``.
 
-The writer formats the payloads of every ``SHAPES`` entry from a template
+The writer of every ``SHAPES`` entry formats its values from a template,
 and the reader parses the lines of every entry with a regex. Both must
 agree with the general JSON path on every input: the writer byte for byte
 with ``json.dumps``, the reader event for event, value type for value
 type, and error for error, with ``json.loads`` and ``FIELD_TYPES`` (less
-an object that repeats a key, which the reader refuses).
+an object that repeats a key, which the reader refuses). The reader must
+also share payloads and ticks, and refuse a trace, exactly as the reader
+kept in ``reader_oracle`` does.
 """
 
 import enum
+import io
 import itertools
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -34,6 +38,8 @@ from intentsim.trace import (
     load_trace,
     open_output,
 )
+
+from reader_oracle import iter_trace as oracle_iter_trace
 
 
 class Level(enum.IntEnum):
@@ -147,6 +153,85 @@ def test_writer_refuses_non_integer_seq_or_tick(tmp_path, bad):
             writer.emit("warning", bad, {})
         writer.emit("sim_end", 1, {})
     assert [event.seq for event in list(iter_trace(path))[1:]] == [0, 1]
+
+
+def writer_name(kind, fields):
+    """The name of a SHAPES entry's writer: its string value, else its kind."""
+    return next((slot for slot in fields.values() if type(slot) is str), kind)
+
+
+@st.composite
+def shape_values(draw):
+    """A SHAPES entry and values for its writer that fit each slot, or with
+    one near miss that the writer must hand to the encoder."""
+    kind, fields = draw(st.sampled_from(SHAPES))
+    values = {key: draw(FITS[slot]) for key, slot in fields.items() if type(slot) is not str}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(values)))
+        values[key] = draw(MISFITS[fields[key]])
+    return kind, fields, values
+
+
+@settings(max_examples=1000, deadline=None)
+@given(entry=shape_values(),
+       ticks=st.lists(ints.filter(lambda tick: tick >= 0), min_size=2, max_size=2).map(sorted),
+       by_name=st.booleans())
+@example(entry=("position", SHAPES[0][1], {"agent": True, "held": 0, "x": 2, "y": 3}),
+         ticks=[0, 5], by_name=False)
+@example(entry=("order_event", SHAPES[3][1], {"agent": 1, "order": 2, "payment": float("nan")}),
+         ticks=[0, 1], by_name=True)
+@example(entry=("order_event", SHAPES[4][1], {"dropoff": [1, 2], "order": 3, "payment": 12,
+                                               "pickup": (4, 5)}), ticks=[0, 1], by_name=True)
+@example(entry=("cost_accrual", SHAPES[5][1], {"agent": Level.LOW, "amount": 1e16, "ticks": 3}),
+         ticks=[0, 0], by_name=False)
+def test_shape_writers_match_json_dumps(entry, ticks, by_name):
+    kind, fields, values = entry
+    stream = io.StringIO()
+    writer = TraceWriter(stream, "digest", 7)
+    writer.emit("sim_start", ticks[0], {})
+    write = getattr(writer, writer_name(kind, fields))
+    if by_name:
+        write(ticks[1], **values)
+    else:
+        write(ticks[1], *values.values())
+    payload = {key: slot if type(slot) is str else values[key] for key, slot in fields.items()}
+    assert stream.getvalue().split("\n")[2:] == [dumps(TraceEvent(1, ticks[1], kind, payload).to_dict()), ""]
+
+
+@pytest.mark.parametrize("kind, fields", SHAPES)
+def test_shape_writers_refuse_as_emit_does(kind, fields):
+    # Each rule a writer checks inline refuses with the guard's message, and
+    # a refused event writes nothing.
+    values = {key: 1.5 if slot is FLOAT else [1, 2] if slot is POINT else 1
+              for key, slot in fields.items() if type(slot) is not str}
+    payload = {key: slot if type(slot) is str else values[key] for key, slot in fields.items()}
+    steps = [("write", 0), ("start", None), ("write", 5), ("write", 4), ("write", True),
+             ("write", 5.0), ("write", 6), ("end", 6), ("write", 6)]
+    outcomes = []
+    for via_emit in (False, True):
+        stream = io.StringIO()
+        writer = TraceWriter(stream, "", 7)
+        outcome = []
+        for step, tick in steps:
+            try:
+                if step == "start":
+                    writer.emit("sim_start", 5, {})
+                elif step == "end":
+                    writer.emit("sim_end", tick, {})
+                elif via_emit:
+                    writer.emit(kind, tick, payload)
+                else:
+                    getattr(writer, writer_name(kind, fields))(tick, **values)
+                outcome.append(None)
+            except TraceOrderError as exc:
+                outcome.append(str(exc))
+        outcomes.append((outcome, stream.getvalue()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == ["first event must be sim_start", None, None,
+                              "tick 4 decreases (last was 5)",
+                              "seq 2 and tick True must both be integers",
+                              "seq 2 and tick 5.0 must both be integers", None, None,
+                              "event after sim_end"]
 
 
 # --- reader -------------------------------------------------------------------
@@ -353,3 +438,102 @@ def test_reader_shares_repeated_payloads_and_ticks(steps):
                 if key in last:
                     assert (event.payload is last[key]) == (event.payload == last[key])
                 last[key] = event.payload
+
+
+# --- the reader against the oracle ----------------------------------------------
+
+SMALL = st.integers(0, 2)
+# Non-SHAPES lines between the fixed-shape ones: a position with an extra
+# key and a delivery with an integer payment take the JSON path too.
+OTHER_PAYLOADS = st.sampled_from([
+    ("thought", {"agent": 0, "bounded": "", "rational": "r", "missing": False}),
+    ("warning", {"agent": 1, "message": "m"}),
+    ("position", {"agent": 0, "held": 0, "x": 1, "y": 1, "z": 0}),
+    ("order_event", {"agent": 2, "event": "delivered", "order": 1, "payment": 3}),
+])
+
+
+@st.composite
+def reader_traces(draw):
+    """The lines of a trace of riders that repeat, change and return to
+    their payloads, or the lines with one mutation."""
+    steps = []
+    for _ in range(draw(st.integers(0, 25))):
+        if draw(st.integers(0, 4)):
+            kind, fields = draw(st.sampled_from(SHAPES))
+            payload = {key: slot if type(slot) is str else draw(st.sampled_from([0.5, 1.5]))
+                       if slot is FLOAT else [draw(SMALL), draw(SMALL)] if slot is POINT
+                       else draw(SMALL) for key, slot in fields.items()}
+        else:
+            kind, payload = draw(OTHER_PAYLOADS)
+        steps.append((kind, payload, draw(st.integers(1, 4)), draw(st.integers(0, 1))))
+    # From 0, a tick can be spelled -0; from 1000, above the ints CPython
+    # caches, tick sharing shows in ``is``.
+    tick = draw(st.sampled_from([0, 1000]))
+    stream = io.StringIO()
+    writer = TraceWriter(stream, "", 7)
+    writer.emit("sim_start", tick, {})
+    for kind, payload, run, advance in steps:
+        for _ in range(run):
+            tick += advance
+            writer.emit(kind, tick, payload)
+    writer.emit("sim_end", tick, {})
+    lines = stream.getvalue().split("\n")[:-1]
+    mutation = draw(st.sampled_from([None, "seq", "tick", "tick", "-0", "before_start",
+                                     "after_end", "long", "delete"]))
+    i = draw(st.integers(1, len(lines) - 1))
+    if mutation == "seq":
+        shift = draw(st.sampled_from([-2, -1, 1, 2]))
+        lines[i] = re.sub(r'"seq":(\d+)', lambda m: f'"seq":{int(m[1]) + shift}', lines[i])
+    elif mutation == "tick":
+        lower = draw(st.booleans())  # the tick before it, or a negative one
+        lines[i] = re.sub(r'"tick":(\d+)', lambda m: f'"tick":{int(m[1]) - 1 if lower else -1}', lines[i])
+    elif mutation == "-0":
+        lines[i] = lines[i].replace('"tick":0}', '"tick":-0}')
+    elif mutation in ("before_start", "after_end"):
+        kind, fields = draw(st.sampled_from(SHAPES))
+        payload = {key: slot if type(slot) is str else 0.5 if slot is FLOAT else [0, 1]
+                   if slot is POINT else 1 for key, slot in fields.items()}
+        seq = 0 if mutation == "before_start" else len(lines) - 1
+        line = dumps(TraceEvent(seq, tick if seq else 0, kind, payload).to_dict())
+        lines.insert(1 if seq == 0 else len(lines), line)
+    elif mutation == "long":
+        numbers = list(re.finditer(r"(?<=[:\[,])\d+", lines[i]))
+        at = draw(st.sampled_from(numbers))
+        digits = draw(st.sampled_from(["9" * 5000, "1" * 4301]))
+        lines[i] = lines[i][:at.start()] + digits + lines[i][at.end():]
+    elif mutation == "delete":
+        del lines[i]
+    return lines
+
+
+def read_all(iterate, path):
+    """The events a reader yields, and the type and message of the error
+    that stops it, if any."""
+    events = []
+    try:
+        for item in itertools.islice(iterate(path), 1, None):
+            events.append(item)
+    except TraceError as exc:
+        return events, (type(exc), str(exc))
+    return events, None
+
+
+def shared(values):
+    """For each value, the index of the first value that is the same object."""
+    first = {}
+    return [first.setdefault(id(value), i) for i, value in enumerate(values)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=reader_traces())
+def test_reader_matches_the_oracle(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got, error = read_all(iter_trace, path)
+        expected, expected_error = read_all(oracle_iter_trace, path)
+    assert error == expected_error
+    assert [typed(list(event)) for event in got] == [typed(list(event)) for event in expected]
+    assert shared(e.payload for e in got) == shared(e.payload for e in expected)
+    assert shared(e.tick for e in got) == shared(e.tick for e in expected)

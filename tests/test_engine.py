@@ -1,13 +1,29 @@
 import filecmp
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from intentsim.audit import audit_trace
 from intentsim.backends.scripted import ScriptedBackend, ScriptedPolicy
 from intentsim.config import SimConfig
-from intentsim.engine import SimulationSession, replay_simulation, run_simulation, step_world
+from intentsim.engine import (
+    SimulationSession,
+    replay_simulation,
+    run_simulation,
+    step_world,
+    working_by_tick,
+)
 from intentsim.trace import load_trace
-from intentsim.world import ASSIGNED, PICKED_UP, Order, Position, init_world, world_digest
+from intentsim.world import (
+    ASSIGNED,
+    PICKED_UP,
+    Order,
+    Position,
+    RiderState,
+    init_world,
+    shift_active,
+    world_digest,
+)
 
 
 def small_config(**overrides):
@@ -18,10 +34,13 @@ def small_config(**overrides):
 
 
 class NullWriter:
-    """A trace writer that drops every event."""
+    """A trace writer that drops every event, whether emitted as a dict or
+    written from the values of a fixed shape."""
 
-    def emit(self, kind, tick, payload):
+    def drop(self, *args, **kwargs):
         pass
+
+    emit = position = assigned = picked_up = delivered = created = cost_accrual = work_hours = drop
 
 
 def fixed_backend(start=0, end=23):
@@ -220,3 +239,28 @@ def test_session_starts_at_a_day_boundary():
     session = SimulationSession(world, fixed_backend(), NullWriter())
     step_world(world, session)
     assert session.stats is not None and world.tick == 121
+
+
+@settings(deadline=None)
+@given(
+    steps_per_day=st.sampled_from([1, 2, 23, 24, 25, 120]) | st.integers(1, 400),
+    shifts=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=8),
+)
+@example(steps_per_day=1, shifts=[(0, 1), (23, 0), (5, 5), (1, 0), (0, 23)])
+@example(steps_per_day=120, shifts=[(22, 2), (8, 8), (9, 18), (23, 22), (0, 0)])
+def test_working_by_tick_matches_shift_active(steps_per_day, shifts):
+    # The day's working riders, derived once per day, are the riders the
+    # per-tick shift_active filter takes on each tick, in rider order.
+    riders = [RiderState(id=i, persona="p", position=Position(0, 0), shift_start=start,
+                         shift_end=end) for i, (start, end) in enumerate(shifts)]
+    expected = [[r.id for r in riders if shift_active(r.shift_start, r.shift_end, t, steps_per_day)]
+                for t in range(steps_per_day)]
+    assert [[r.id for r in working] for working in working_by_tick(riders, steps_per_day)] == expected
+
+
+def test_world_without_riders_works_no_one():
+    world = init_world(small_config(n_riders=0))
+    session = SimulationSession(world, fixed_backend(), NullWriter())
+    for _ in range(3):
+        step_world(world, session)
+    assert session.stats is None and world.tick == 3 and world.next_order_id > 0

@@ -421,6 +421,28 @@ def test_ingest_tolerates_malformed_lines(tmp_path):
     assert result.warnings == ["line 3: malformed record", "line 4: record is not an object"]
 
 
+def test_ingest_strips_only_json_whitespace(tmp_path):
+    # str.strip() also took U+00A0, U+2028 and \x0b off a row, which JSON
+    # does not allow; such a row is malformed, as decode_json finds it.
+    path = tmp_path / "foreign.jsonl"
+    row = '{"speaker": 1, "step": 0, "utterance": "ok"}'
+    path.write_text(f" \t{row}\r\n{row}\u00a0\n\u2028{row}\n\x0b\n\u00a0\n")
+    result = ingest_external(path, mapping())
+    assert [r.text for r in result.rows] == [folded("ok")]
+    assert result.warnings == [f"line {n}: malformed record" for n in (2, 3, 4, 5)]
+
+
+def test_ingest_embeds_a_non_string_text_as_its_json(tmp_path):
+    # str() wrote Python's spelling: {'b': [True, None]} and inf.
+    path = tmp_path / "foreign.jsonl"
+    texts = ['{"b": [true, null], "a": "\u00e9"}', "1e400", "-7", "2.50", "false", '"as is"']
+    path.write_text("".join(f'{{"speaker": 1, "step": {i}, "utterance": {text}}}\n'
+                            for i, text in enumerate(texts)))
+    result = ingest_external(path, mapping())
+    assert [r.text for r in result.rows] == [folded(text) for text in (
+        '{"a":"\u00e9","b":[true,null]}', "Infinity", "-7", "2.5", "false", "as is")]
+
+
 @pytest.mark.parametrize("text", [
     '{"a": [1, 2.5, null, "\\u00e9"]}', " 7 ", "NaN", "\ufeff{}", '{"a": 1} x', "", "[1,", "tru",
 ])
@@ -534,7 +556,7 @@ def oracle_ingest(path, mapping):
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8").strip(" \t\n\r")
                 if not line:
                     continue
                 record = json.loads(line)
@@ -570,7 +592,9 @@ def oracle_ingest(path, mapping):
             if tick < 0:
                 warnings.append(f"line {line_no}: tick {tick} is negative")
                 continue
-            rows.append({"agent_raw": values["agent"], "tick": tick, "text": str(values["text"]), "line": line_no})
+            text = values["text"]
+            rows.append({"agent_raw": values["agent"], "tick": tick, "line": line_no,
+                         "text": text if isinstance(text, str) else canonical_text(text)})
     rows.sort(key=lambda r: (r["tick"], r["line"]))
     all_int_ids = all(isinstance(r["agent_raw"], int) and not isinstance(r["agent_raw"], bool) for r in rows)
     agent_ids = {}
@@ -609,7 +633,10 @@ RECORDS = st.fixed_dictionaries({}, optional={
     "a": SCALARS, "t": SCALARS, "x": VALUES,
     "n": st.fixed_dictionaries({}, optional={"a": SCALARS, "t": SCALARS}) | VALUES,
 })
-LINES = st.lists(RECORDS.map(json.dumps) | st.sampled_from(["", "  ", "{broken", "[1]", "7", "null", '"s"']),
+# Padding that JSON allows, and Unicode whitespace that it does not.
+PADS = st.sampled_from(["", " ", "\t", "\r", "\u00a0", "\u2028", "\x0b", "\x1f", "\x85"])
+LINES = st.lists(st.tuples(PADS, RECORDS.map(json.dumps), PADS).map("".join)
+                 | st.sampled_from(["", "  ", "\u00a0", "{broken", "[1]", "7", "null", '"s"']),
                  max_size=12)
 
 
