@@ -53,6 +53,11 @@ def complete(endpoint: Endpoint, messages: list[dict]) -> str:
     return post_json(endpoint, request, _reply_text, BackendError, "chat", CHAT_BACKOFF_S)
 
 
+def ask(endpoint: Endpoint, prompt: str) -> str:
+    """The reply to ``prompt`` sent as one user message."""
+    return complete(endpoint, [{"role": "user", "content": prompt}])
+
+
 def _format_memory(memory: tuple[str, ...]) -> str:
     if not memory:
         return "(no notes yet)"

@@ -4,10 +4,8 @@ Commands: ``simulate`` (run the world, write a trace), ``analyze`` (mine a
 trace or a foreign log into repository / clusters / diagram), ``metrics``
 (CSV reports from a trace), ``diagram`` (re-render an existing analysis).
 
-Exit codes: 0 success; 1 unexpected error or an output path that cannot be
-written; 2 usage error (unknown flag or bad argument); 3 missing input
-file; 4 invalid configuration or schema; 5 trace format or ordering
-violation.
+An error exits with its code in :data:`EXIT_CODES`, printing one line and
+no traceback; the group's help epilog is built from that table.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 
-from .backends.llm import LlmBackend, complete, load_prompt
+from .backends.llm import LlmBackend
 from .backends.scripted import ScriptedBackend, ScriptedPolicy
 from .config import SimConfig, load_config
 from .diagram import DEFAULT_WINDOW_TICKS, EmergenceDiagram, render_diagram
@@ -40,17 +38,16 @@ from .pipeline import (
 from .trace import IngestMapping, decode_json, iter_trace, open_output
 from .transport import Endpoint
 
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_USAGE = 2
-EXIT_MISSING_FILE = 3
-EXIT_BAD_CONFIG = 4
-EXIT_BAD_TRACE = 5
-
-
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+# (code, meaning, the errors that exit with it), most specific first. Click
+# exits 2 itself; an OSError is an unreadable input, as outputs raise OutputError.
+EXIT_CODES = (
+    (0, "ok", ()),
+    (2, "usage", ()),
+    (3, "missing or unreadable input file", (OSError,)),
+    (4, "bad config/schema", (ConfigError, ClusteringError, ValueError)),
+    (5, "bad trace", (TraceError,)),
+    (1, "error", (IntentsimError,)),
+)
 
 
 def _refuse_unread(reason: str, *names: str) -> None:
@@ -70,25 +67,22 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except FileNotFoundError as exc:
-            _fail(EXIT_MISSING_FILE, f"missing file: {exc.filename or exc}")
-        except ConfigError as exc:
-            _fail(EXIT_BAD_CONFIG, str(exc))
-        except TraceError as exc:
-            _fail(EXIT_BAD_TRACE, str(exc))
-        except (ClusteringError, ValueError) as exc:
-            _fail(EXIT_BAD_CONFIG, str(exc))
-        except click.ClickException:
-            raise
-        except IntentsimError as exc:
-            _fail(EXIT_ERROR, str(exc))
+        except (IntentsimError, OSError, ValueError) as exc:
+            if isinstance(exc, FileNotFoundError):
+                message = f"missing file: {exc.filename or exc}"
+            elif isinstance(exc, OSError):
+                message = f"cannot read {exc.filename or 'an input'}: {exc.strerror or exc}"
+            else:
+                message = str(exc)
+            click.echo(f"error: {message}", err=True)
+            sys.exit(next(code for code, _meaning, classes in EXIT_CODES if isinstance(exc, classes)))
 
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
     return wrapper
 
 
-@click.group(epilog="Exit codes: 0 ok, 1 error, 2 usage, 3 missing file, 4 bad config/schema, 5 bad trace.")
+@click.group(epilog=f"Exit codes: {', '.join(f'{code} {meaning}' for code, meaning, _ in sorted(EXIT_CODES))}.")
 def main() -> None:
     """Delivery-world simulator and intention emergence analyzer."""
 
@@ -228,15 +222,8 @@ def analyze(
         if not llm_url or not llm_model:
             raise click.UsageError("--detector llm / --label-llm require --llm-url and --llm-model")
         endpoint = Endpoint(base_url=llm_url, model_id=llm_model)
-
-        def ask(prompt: str) -> str:
-            return complete(endpoint, [{"role": "user", "content": prompt}])
-
-        if detector == "llm":
-            options.detector_ask = ask
-        if label_llm:
-            template = load_prompt("cluster_label.txt").rstrip("\n")
-            options.label_summarizer = lambda texts: ask(template.format(intentions="\n- ".join(texts[:20])))
+        options.detector_llm = endpoint if detector == "llm" else None
+        options.label_llm = endpoint if label_llm else None
     if trace_path is not None:
         stream = iter_trace(trace_path)
         digest = next(stream).config_digest

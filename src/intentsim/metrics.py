@@ -59,6 +59,7 @@ def fold_events(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals
     totals = TraceTotals(config)
     spd = totals.config["steps_per_day"]
     grid = totals.config["grid_size"]
+    riders = totals.config["n_riders"]
     for event in stream:
         kind = event.kind
         payload = event.payload
@@ -66,18 +67,27 @@ def fold_events(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals
             x, y = payload["x"], payload["y"]
             if not (0 <= x < grid and 0 <= y < grid):
                 raise TraceFormatError(event_line(event.seq), f"position ({x}, {y}) is outside the grid")
+            if not 0 <= payload["agent"] < riders:
+                raise _unknown_rider(event, riders)
             key = (event.tick // spd, payload["agent"])
             totals.worked[key] += 1
             if payload["held"] > 0:
                 totals.holding[key] += 1
             totals.visits[event.tick // window_ticks][y, x] += 1
         elif kind == "order_event" and payload["event"] == "delivered":
+            if not 0 <= payload["agent"] < riders:
+                raise _unknown_rider(event, riders)
             day = event.tick // spd
             totals.delivered[day] += 1
             totals.orders[day, payload["agent"]] += 1
         elif kind == "cost_accrual":
             totals.cost[event.tick // spd] += payload["amount"]
     return totals
+
+
+def _unknown_rider(event, riders: int) -> TraceFormatError:
+    """A position or delivery of none of the run's riders, which one report would count."""
+    return TraceFormatError(event_line(event.seq), f"rider {event.payload['agent']} is not one of the run's {riders} riders")
 
 
 def csv_text(rows) -> str:

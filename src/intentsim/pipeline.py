@@ -9,6 +9,9 @@ Outputs written under the chosen directory:
 * ``diagram.dot``        the same diagram as graph-description text
 * ``analysis_events.jsonl``  intention/warning events in trace format
 * ``similarity.csv``     pairwise cosine matrix (only when asked for)
+
+:class:`AnalysisOptions` is plain data, a remote model an ``Endpoint``; the
+prompts a chat model is sent are built by :func:`analyze_records`.
 """
 
 from __future__ import annotations
@@ -47,15 +50,12 @@ class AnalysisOptions:
     window_ticks: int = DEFAULT_WINDOW_TICKS
     seed: int = 0
     embed_endpoint: Endpoint | None = None  # unset: the hashing embedder
-    # Optional callable(prompt) -> reply that judges novelty; unset: similarity.
-    detector_ask: object = None
+    detector_llm: Endpoint | None = None  # the chat model that judges novelty; unset: similarity
     inspector: bool = True
     analyzer: bool = True
     memory_capacity: int = DEFAULT_MEMORY_CAPACITY
     scan_k: bool = False
-    # Optional callable(list of member texts) -> short label; medoid text
-    # labeling is the default.
-    label_summarizer: object = None
+    label_llm: Endpoint | None = None  # the chat model that names each cluster; unset: its medoid text
 
     def __post_init__(self) -> None:
         check_positive("window_ticks", self.window_ticks)
@@ -91,11 +91,11 @@ def analyze_records(
     warnings: list[str] = []
     if options.analyzer and records:
         llm = None
-        if options.detector_ask is not None:
-            from .backends.llm import load_prompt
+        if options.detector_llm is not None:
+            from .backends.llm import ask, load_prompt
 
             template = load_prompt("emergence_check.txt")
-            llm = LlmEmergenceDetector(options.detector_ask, template, warnings.append)
+            llm = LlmEmergenceDetector(lambda prompt: ask(options.detector_llm, prompt), template, warnings.append)
         detector = SimilarityDetector(theta=options.theta)
         repo = mine_records(records, detector, make_embedder(options), options.memory_capacity, llm)
     else:
@@ -129,14 +129,18 @@ def analyze_records(
             chosen_k = distinct
         clustering = kmeans_cluster(vectors, chosen_k, options.seed)
         clusters = clustering.assignments.tolist()
+        if options.label_llm is not None:
+            from .backends.llm import ask, load_prompt
+
+            template = load_prompt("cluster_label.txt").rstrip("\n")
         for cluster_id in range(clustering.k):
             members = np.flatnonzero(clustering.assignments == cluster_id)
             if not members.size:
                 continue
             texts = [repo.records[i].text for i in members]
-            if options.label_summarizer is not None:
+            if options.label_llm is not None:
                 try:
-                    labels[cluster_id] = str(options.label_summarizer(texts))
+                    labels[cluster_id] = ask(options.label_llm, template.format(intentions="\n- ".join(texts[:20])))
                     continue
                 except Exception as exc:
                     warnings.append(f"label summarizer failed ({exc}); using medoid")

@@ -24,8 +24,9 @@ none) in place; an output path that cannot be written is an
 :class:`~intentsim.errors.OutputError`. A write also deletes the
 temporaries of its targets that a process no longer running left behind.
 
-A fixed-shape event (:data:`SHAPES`) is written from its values and read
-by one regex, both checking the order rules inline. A reader shares one
+A writer gives each event the next seq. A fixed-shape event (:data:`SHAPES`)
+is written from its values and read by one regex, both checking the order
+rules inline; any other is written from its payload dict. A reader shares one
 payload dict between a rider's identical fixed-shape lines and one int
 between the events of a tick, so the payloads of read events must not be
 mutated.
@@ -43,7 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .backends.types import ThoughtRecord, combine_pair, numbered_records
 from .errors import (
@@ -185,9 +186,9 @@ def write_files(out_dir: str | Path, texts: dict[str, str], owned: str) -> dict[
         for path, temp, text in zip(paths.values(), temps, texts.values()):
             with _open_temp(path, temp) as fh:
                 _output_step(path, fh.write, text)
-    for path in out.iterdir():
-        if path.name not in texts and re.fullmatch(owned, path.name) and path.is_file():
-            path.unlink()
+    for path in _output_step(out, lambda: list(out.iterdir())):
+        if path.name not in texts and re.fullmatch(owned, path.name) and _output_step(path, path.is_file):
+            _output_step(path, path.unlink)
     return paths
 
 
@@ -256,20 +257,11 @@ def _output_step(path: Path, action, *args, **kwargs):
         raise OutputError(path, exc) from None
 
 
-@dataclass(frozen=True)
-class TraceHeader:
+class TraceHeader(NamedTuple):
     schema_version: int
     config_digest: str
     seed: int
     created: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "created": self.created,
-        }
 
 
 class TraceEvent(NamedTuple):
@@ -277,9 +269,6 @@ class TraceEvent(NamedTuple):
     tick: int
     kind: str
     payload: dict
-
-    def to_dict(self) -> dict:
-        return {"seq": self.seq, "tick": self.tick, "kind": self.kind, "payload": self.payload}
 
 
 # The fixed-shape payloads: an event kind and its payload's keys in sorted
@@ -449,20 +438,16 @@ class TraceWriter:
     def __init__(self, stream, config_digest: str, seed: int, created: str | None = None):
         self.header = TraceHeader(SCHEMA_VERSION, config_digest, seed, created)
         self._fh = stream
-        self._fh.write(canonical_json(self.header.to_dict()) + "\n")
+        self._fh.write(canonical_json(self.header._asdict()) + "\n")
         self._guard = OrderGuard()
 
-    def append_event(self, event: TraceEvent) -> None:
-        """Write an event that carries its own seq; it must be the next one."""
-        seq, tick, kind, payload = event
-        self._guard.check(seq, tick, kind)  # so seq and tick are ints
+    def emit(self, kind: str, tick: int, payload: dict) -> None:
+        """Write the next event from its payload dict."""
+        seq = self._guard.last_seq + 1
+        self._guard.check(seq, tick, kind)  # so tick is an int
         self._fh.write(_EVENT_LINE % (canonical_json(kind), canonical_json(payload), seq, tick))
         if kind == "sim_end":
             self._fh.flush()
-
-    def emit(self, kind: str, tick: int, payload: dict) -> None:
-        """Write the next event."""
-        self.append_event((self._guard.last_seq + 1, tick, kind, payload))
 
 
 _READERS, _SHAPE_RE = _compile_shapes(TraceWriter)
@@ -601,18 +586,6 @@ def load_trace(path: str | Path) -> TraceLog:
     header = next(stream)
     events = list(stream)
     return TraceLog(header=header, events=events)  # type: ignore[arg-type]
-
-
-def write_trace(
-    path: str | Path,
-    header: TraceHeader,
-    events: Iterable[TraceEvent],
-) -> None:
-    """Serialize an already-validated event sequence (used for fixtures)."""
-    with open_output(path) as fh:
-        writer = TraceWriter(fh, header.config_digest, header.seed, header.created)
-        for event in events:
-            writer.append_event(event)
 
 
 # --- foreign log ingestion -------------------------------------------------

@@ -36,10 +36,10 @@ from intentsim.trace import (
     TraceEvent,
     TraceHeader,
     load_trace,
-    write_trace,
 )
 
 from foreign_rows import records_of
+from trace_files import write_trace
 
 RUNTIME_BUDGET_S = 60.0
 ANALYSIS_BUDGET_S = 30.0

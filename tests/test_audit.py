@@ -8,7 +8,9 @@ from intentsim.backends.scripted import ScriptedBackend
 from intentsim.config import SimConfig, config_digest
 from intentsim.engine import run_simulation
 from intentsim.errors import AuditError
-from intentsim.trace import TraceEvent, TraceHeader, load_trace, write_trace
+from intentsim.trace import TraceEvent, TraceHeader, load_trace
+
+from trace_files import write_trace
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 import test_golden
-from intentsim.cli import main
+from intentsim.audit import audit_trace
+from intentsim.cli import EXIT_CODES, main
+from intentsim.errors import AuditError
+from intentsim.trace import load_trace
 
 
 @pytest.fixture()
@@ -369,6 +372,35 @@ def test_out_of_grid_position_exits_5(runner, tmp_path, x):
     assert f"line {line_no}:" in result.output
 
 
+@pytest.mark.parametrize("agent", [7, -1])
+@pytest.mark.parametrize("event", ["position", "delivered"])
+def test_unknown_rider_exits_5(runner, tmp_path, event, agent):
+    # A position of a rider the run does not have used to pass: the heat map
+    # counted the visit while the hours tables dropped it. The auditor
+    # refuses the same trace.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120, n_riders=3)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    lines = trace.read_text().splitlines()
+    line_no = next(index + 1 for index, line in enumerate(lines)
+                   if json.loads(line).get("kind") in ("position", "order_event")
+                   and json.loads(line)["payload"].get("event", "position") == event)
+    edited = json.loads(lines[line_no - 1])
+    edited["payload"]["agent"] = agent
+    lines[line_no - 1] = json.dumps(edited)
+    trace.write_text("\n".join(lines) + "\n")
+    message = f"rider {agent} is not one of the run's 3 riders"
+    with pytest.raises(AuditError, match=re.escape(message)):
+        audit_trace(load_trace(trace).events)
+    result = runner.invoke(
+        main, ["metrics", "--trace", str(trace), "--out", str(tmp_path / "r"),
+               "--window-ticks", "120"]
+    )
+    assert result.exit_code == 5, result.output
+    assert result.output == f"error: line {line_no}: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
 def assert_embedded_config_refused(runner, tmp_path, edit, message):
     """Edit a simulated trace's embedded config, drop the header digest, and
     check that metrics and analyze both refuse the trace at its sim_start."""
@@ -560,6 +592,30 @@ def test_metrics_rerun_deletes_its_stale_heatmaps(runner, tmp_path):
         "effective_hours.csv", "heatmap_window0.csv", "hours_vs_orders.csv", "involution.csv"]
 
 
+def test_stale_file_that_cannot_be_deleted_exits_1(runner, tmp_path, monkeypatch):
+    # The stale heat maps were deleted outside the output error handling, so
+    # such an error read as an unreadable input (exit 3). A real permission
+    # failure cannot be made by a test running as root.
+    cfg = write_small_config(tmp_path / "sim.cfg")
+    trace, out = tmp_path / "t.jsonl", tmp_path / "r"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    metrics = ["metrics", "--trace", str(trace), "--out", str(out)]
+    assert runner.invoke(main, metrics + ["--window-ticks", "60"]).exit_code == 0
+    stale = out / "heatmap_window3.csv"
+    unlink = Path.unlink
+
+    def refuse(self, *args, **kwargs):
+        if self == stale:
+            raise PermissionError(13, "Permission denied", str(self))
+        return unlink(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", refuse)
+    result = runner.invoke(main, metrics)
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: cannot write {stale}: Permission denied\n"
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
 def test_analyze_rerun_deletes_its_stale_similarity_csv(runner, tmp_path):
     cfg = write_small_config(tmp_path / "sim.cfg")
     trace = tmp_path / "t.jsonl"
@@ -631,9 +687,18 @@ def test_killed_runs_temporaries_are_deleted(runner, tmp_path):
 def test_help_documents_exit_codes(runner):
     result = runner.invoke(main, ["--help"])
     assert result.exit_code == 0
-    assert "Exit codes" in result.output
+    assert ("Exit codes: 0 ok, 1 error, 2 usage, 3 missing or unreadable input file, "
+            "4 bad config/schema, 5 bad trace.") in " ".join(result.output.split())
     for command in ("simulate", "analyze", "metrics", "diagram"):
         assert command in result.output
+
+
+def test_readme_exit_code_table_is_the_cli_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\d+)` \| (.+?) \|$", section, flags=re.MULTILINE)
+    assert [(int(code), meaning) for code, meaning in rows] == [
+        (code, meaning) for code, meaning, _classes in sorted(EXIT_CODES)]
 
 
 @pytest.mark.parametrize("window_ticks", ["0", "-5"])

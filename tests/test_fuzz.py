@@ -4,21 +4,38 @@ one-byte mutations.
 Whatever byte changes, the reader either accepts the trace or raises a
 ``TraceError``, ``audit_trace`` passes or raises ``AuditError`` on what the
 reader accepts, and ``metrics`` and ``analyze`` exit 0 or 5: never a
-traceback and never another code.
+traceback and never another code. An input path that is a directory or
+is missing exits 3, and each error class exits with its documented code.
 """
 
 import copy
 import tempfile
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+from intentsim import errors
 from intentsim.audit import audit_trace
-from intentsim.cli import main
+from intentsim.cli import _guarded, main
 from intentsim.config import SimConfig, config_digest
-from intentsim.errors import AuditError, TraceError, TraceFormatError
+from intentsim.errors import (
+    AuditError,
+    BackendError,
+    ClusteringError,
+    ConfigError,
+    DecisionParseError,
+    EmbeddingError,
+    IntentsimError,
+    OutputError,
+    TraceError,
+    TraceFormatError,
+    TraceHeaderError,
+    TraceOrderError,
+    TraceVersionError,
+)
 from intentsim.trace import TraceEvent, TraceHeader, canonical_json, iter_trace, load_trace
 
 CONFIG = SimConfig(grid_size=10, total_steps=120, steps_per_day=120, n_riders=2, seed=4)
@@ -61,12 +78,12 @@ HEADER = TraceHeader(1, config_digest(CONFIG), CONFIG.seed)
 
 def trace_bytes(edit=None):
     """The trace of EVENTS; ``edit(lines)`` may change the event dicts first."""
-    lines = [TraceEvent(seq, tick, kind, payload).to_dict()
+    lines = [TraceEvent(seq, tick, kind, payload)._asdict()
              for seq, (kind, tick, payload) in enumerate(EVENTS)]
     if edit is not None:
         lines = copy.deepcopy(lines)
         edit(lines)
-    return "".join(canonical_json(line) + "\n" for line in [HEADER.to_dict()] + lines).encode("utf-8")
+    return "".join(canonical_json(line) + "\n" for line in [HEADER._asdict()] + lines).encode("utf-8")
 
 
 TRACE = trace_bytes()
@@ -143,3 +160,97 @@ def test_one_byte_mutation_exits_0_or_5(index, byte):
         for command in commands(path, Path(tmp)):
             result = CliRunner().invoke(main, command)
             assert result.exit_code in (0, 5), (command[0], result.output, result.exception)
+
+
+def input_commands(tmp):
+    """Each command with valid inputs, by the flag of each input path."""
+    (tmp / "t.jsonl").write_bytes(TRACE)
+    (tmp / "sim.cfg").write_text("grid_size = 10\n")
+    (tmp / "log.jsonl").write_text('{"who": 1, "at": 0, "said": "go"}\n')
+    (tmp / "map.json").write_text('{"agent": "who", "tick": "at", "text": "said"}')
+    analysis = CliRunner().invoke(main, ["analyze", "--trace", str(tmp / "t.jsonl"), "--out", str(tmp / "an")])
+    assert analysis.exit_code == 0, analysis.output
+    return {
+        ("simulate", "--config"): ["simulate", "--config", tmp / "sim.cfg", "--out", tmp / "o.jsonl"],
+        ("metrics", "--trace"): ["metrics", "--trace", tmp / "t.jsonl", "--out", tmp / "m"],
+        ("analyze", "--trace"): ["analyze", "--trace", tmp / "t.jsonl", "--out", tmp / "a"],
+        ("analyze", "--external"): ["analyze", "--external", tmp / "log.jsonl",
+                                    "--mapping", tmp / "map.json", "--out", tmp / "a"],
+        ("analyze", "--mapping"): ["analyze", "--external", tmp / "log.jsonl",
+                                   "--mapping", tmp / "map.json", "--out", tmp / "a"],
+        ("diagram", "--json"): ["diagram", "--json", tmp / "an" / "diagram.json",
+                                "--format", "dot", "--out", tmp / "d.dot"],
+        ("diagram", "--analysis"): ["diagram", "--analysis", tmp / "an",
+                                    "--format", "dot", "--out", tmp / "d.dot"],
+    }
+
+
+INPUTS = [("simulate", "--config"), ("metrics", "--trace"), ("analyze", "--trace"),
+          ("analyze", "--external"), ("analyze", "--mapping"), ("diagram", "--json"),
+          ("diagram", "--analysis")]
+
+
+@pytest.mark.parametrize("replacement", ["directory", "missing"])
+@pytest.mark.parametrize("command, flag", INPUTS)
+def test_unusable_input_path_exits_3(tmp_path, command, flag, replacement):
+    # A directory given as an input file used to end in a traceback and exit 1.
+    args = input_commands(tmp_path)[command, flag]
+    valid = CliRunner().invoke(main, [str(arg) for arg in args])
+    assert valid.exit_code == 0, valid.output
+    bad = tmp_path / replacement
+    if replacement == "directory":
+        bad.mkdir()
+    args[args.index(flag) + 1] = bad
+    result = CliRunner().invoke(main, [str(arg) for arg in args])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    if flag == "--analysis":  # a directory: the diagram document in it is missing
+        expected = f"error: missing file: {bad / 'diagram.json'}\n"
+    elif replacement == "directory":
+        expected = f"error: cannot read {bad}: Is a directory\n"
+    else:
+        expected = f"error: missing file: {bad}\n"
+    assert result.output == expected
+
+
+# Each error class of the package, and the outside errors a command can meet,
+# with the exit code README documents for it.
+DOCUMENTED_CODES = [
+    (IntentsimError("boom"), 1),
+    (ConfigError("seed", "must be an integer"), 4),
+    (DecisionParseError("no json object"), 1),
+    (BackendError("chat endpoint failed"), 1),
+    (EmbeddingError("zero vector"), 1),
+    (OutputError("out.csv", PermissionError(13, "Permission denied")), 1),
+    (ClusteringError("fewer points than clusters"), 4),
+    (TraceError("bad trace"), 5),
+    (TraceHeaderError("missing header"), 5),
+    (TraceVersionError("schema 2"), 5),
+    (TraceFormatError(3, "malformed event"), 5),
+    (TraceOrderError("duplicate sim_start"), 5),
+    (AuditError("rider 7 is not one of the run's 3 riders"), 1),
+    (FileNotFoundError(2, "No such file or directory", "in.jsonl"), 3),
+    (IsADirectoryError(21, "Is a directory", "in.jsonl"), 3),
+    (ValueError("k must be >= 1"), 4),
+]
+
+
+def test_every_error_class_has_a_documented_code():
+    defined = {value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert defined <= {type(exc) for exc, _code in DOCUMENTED_CODES}
+
+
+@pytest.mark.parametrize("exc, code", DOCUMENTED_CODES, ids=[type(exc).__name__ for exc, _ in DOCUMENTED_CODES])
+def test_error_exits_with_its_documented_code(exc, code):
+    @click.command()
+    @_guarded
+    def fail():
+        raise exc
+
+    result = CliRunner().invoke(fail, [])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    message = {FileNotFoundError: "missing file: in.jsonl",
+               IsADirectoryError: "cannot read in.jsonl: Is a directory"}.get(type(exc), str(exc))
+    assert result.output == f"error: {message}\n"

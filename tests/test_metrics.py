@@ -11,7 +11,9 @@ from intentsim.metrics import (
     position_heatmap,
     write_metrics_reports,
 )
-from intentsim.trace import TraceEvent, TraceHeader, load_trace, write_trace
+from intentsim.trace import TraceEvent, TraceHeader, load_trace
+
+from trace_files import write_trace
 
 
 def synthetic_trace(tmp_path, positions, config_overrides=None, extra_events=()):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from intentsim.backends import llm
 from intentsim.embedding import HashingEmbedder, cosine_similarity
 from intentsim.mining import (
     BLOCK_ROWS,
@@ -24,6 +25,7 @@ from intentsim.mining import (
 from intentsim.clustering import MAX_ITER
 from intentsim.pipeline import AnalysisOptions, analyze_records
 from intentsim.trace import TraceEvent
+from intentsim.transport import Endpoint
 
 from foreign_rows import records_of
 
@@ -330,19 +332,24 @@ def test_llm_detector_falls_back_to_similarity():
     assert fallbacks[1:] == ["llm detector fell back to similarity: endpoint down"] * 2
 
 
-def test_llm_fallback_warnings_keep_canonical_order():
+def test_llm_fallback_warnings_keep_canonical_order(monkeypatch):
     # Two agents whose thoughts alternate in time: the block pass takes agent
     # 0 first, but every question, and so every warning, goes in tick order.
     rows = [{"agent_id": (tick + 1) % 2, "tick": tick, "text": f"plan {tick}"} for tick in range(6)]
+    chat = Endpoint(base_url="http://127.0.0.1:9/chat", model_id="judge")
 
     prompts = []
 
-    def ask(prompt):
-        prompts.append(prompt)
-        thought = prompt.split("\n")[1]
+    def complete(endpoint, messages):
+        assert endpoint == chat
+        [message] = messages
+        assert message["role"] == "user"
+        prompts.append(message["content"])
+        thought = message["content"].split("\n")[1]
         raise RuntimeError(f"no answer for {thought}")
 
-    result = analyze_records(records_of(rows), AnalysisOptions(detector_ask=ask))
+    monkeypatch.setattr(llm, "complete", complete)
+    result = analyze_records(records_of(rows), AnalysisOptions(detector_llm=chat))
     text = "bounded: plan {0} | rational: plan {0}".format
     fallbacks = [w for w in result.warnings if w.startswith("llm detector")]
     assert fallbacks == [f"llm detector fell back to similarity: no answer for {text(t)}" for t in range(6)]

@@ -18,8 +18,9 @@ from intentsim.trace import (
     TraceEvent,
     TraceHeader,
     load_trace,
-    write_trace,
 )
+
+from trace_files import write_trace
 
 IMITATE_BOUNDED = "I feel jealous and I will imitate rider 9 to keep up with my peers"
 IMITATE_RATIONAL = "Copying the top schedule should raise my order volume and earnings"
