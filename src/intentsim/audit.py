@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import AuditError
-from .trace import FIELD_TYPES, field_error, is_int_key, is_point, start_config
+from .trace import FIELD_TYPES, NUMBER, field_error, is_int_key, is_point, start_config
+from .world import manhattan
 
 # Each later order event and the state it requires.
 _BEFORE = {"assigned": "created", "picked_up": "assigned", "delivered": "picked_up"}
@@ -81,7 +82,7 @@ def audit_trace(events) -> AuditReport:
         raise AuditError("sim_start rider_start does not map rider ids to [x, y] points")
     _same_riders("sim_start rider_start", rider_start, riders)
     for rider_id, point in rider_start.items():
-        riders[int(rider_id)].position = (point[0], point[1])
+        riders[int(rider_id)].position = tuple(point)
     grid = config["grid_size"]
 
     for event in stream:
@@ -120,30 +121,35 @@ def audit_trace(events) -> AuditReport:
                 rider.held -= 1
                 if rider.held < 0:
                     raise AuditError(f"rider {agent} delivered an unheld order {oid}")
+                payment = payload.get("payment")
+                if type(payment) not in NUMBER or payment != order[1]:
+                    raise AuditError(
+                        f"order {oid} delivered with payment {payment!r}, created with {order[1]}"
+                    )
                 rider.earnings += order[1]
                 rider.delivered += 1
                 report.orders_delivered += 1
         elif kind == "position":
             agent = payload["agent"]
             rider = _rider(riders, agent)
-            x, y = payload["x"], payload["y"]
+            position = x, y = payload["x"], payload["y"]
             report.position_events += 1
             if not (0 <= x < grid and 0 <= y < grid):
-                raise AuditError(f"rider {agent} position ({x}, {y}) outside grid")
+                raise AuditError(f"rider {agent} position {position} outside grid")
             if payload["held"] != rider.held:
                 raise AuditError(
                     f"rider {agent} held-count mismatch at tick {event.tick}: "
                     f"event says {payload['held']}, ledger says {rider.held}"
                 )
             if rider.position is not None:
-                moved = abs(x - rider.position[0]) + abs(y - rider.position[1])
+                moved = manhattan(rider.position, position)
                 report.max_displacement = max(report.max_displacement, moved)
                 if moved > config["max_move_per_step"]:
                     raise AuditError(
                         f"rider {agent} moved {moved} > cap {config['max_move_per_step']}"
                     )
                 rider.distance += moved
-            rider.position = (x, y)
+            rider.position = position
             rider.ticks += 1
         elif kind == "cost_accrual":
             agent = payload["agent"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
+from ..world import manhattan
 from .types import (
     DecisionContext,
     OrderSelection,
@@ -143,8 +144,7 @@ def select_greedy_nearest(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple
 
 def select_route_optimizer(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[OrderSelection, ThoughtPair]:
     def route_len(o) -> int:
-        leg = abs(o.pickup[0] - o.dropoff[0]) + abs(o.pickup[1] - o.dropoff[1])
-        return o.pickup_distance + leg
+        return o.pickup_distance + manhattan(o.pickup, o.dropoff)
 
     ranked = sorted(ctx.offered, key=lambda o: (route_len(o), o.id))
     chosen = tuple(o.id for o in ranked[: max(0, ctx.capacity_left)])

@@ -21,6 +21,10 @@ DEFAULT_PEAK_TICKS: tuple[int, ...] = (40, 60, 90)
 # The offer lookup's int64 key is a pickup distance (below 2 * grid_size)
 # times a stride above every order id; this bound leaves room for 2^31 ids.
 MAX_GRID_SIZE = 2**31
+# The largest per-tick order rate. The Poisson draw multiplies uniforms down
+# to exp(-rate), a normal float up to a rate of 708 and 0 past 745, where
+# every draw comes out near 745.
+MAX_ORDER_RATE = 700.0
 
 
 @dataclass(frozen=True)
@@ -81,11 +85,17 @@ class SimConfig:
             raise ConfigError("base_order_rate", "must be >= 0")
         if self.peak_multiplier < 0:
             raise ConfigError("peak_multiplier", "must be >= 0")
+        rate = self.base_order_rate * (max(1.0, self.peak_multiplier) if self.peak_ticks_per_day else 1.0)
+        if rate > MAX_ORDER_RATE:
+            raise ConfigError("base_order_rate", f"gives a largest per-tick rate of {rate:g} "
+                              f"(times peak_multiplier at peaks), above {MAX_ORDER_RATE:g}")
         if self.wage_rate < 0:
             raise ConfigError("wage_rate", "must be >= 0")
         lo, hi = self.payment_range
         if lo < 0 or hi < lo:
             raise ConfigError("payment_range", "need 0 <= min <= max")
+        if round(lo, 2) != lo or round(hi, 2) != hi:  # a payment is rounded to cents
+            raise ConfigError("payment_range", "each bound must be a whole number of cents")
 
     def to_dict(self) -> dict:
         d = asdict(self)

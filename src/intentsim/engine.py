@@ -62,7 +62,7 @@ def working_by_tick(riders: list[RiderState], steps_per_day: int) -> list[list[R
     start) when the shift wraps past midnight; none when start == end."""
     working: list[list[RiderState]] = [[] for _ in range(steps_per_day)]
     for rider in riders:
-        start, end = rider.shift_start, rider.shift_end
+        start, end = rider.shift
         # The first tick t with t * 24 >= hour * steps_per_day, for each end.
         first, stop = -(-start * steps_per_day // 24), -(-end * steps_per_day // 24)
         if start < end:
@@ -95,7 +95,7 @@ def _roll_over_day(world: WorldState) -> DayStats:
         earnings_rank=earnings_rank,
         orders_rank=_rank(orders),
         leader_id=leader.id,
-        leader_shift=(leader.shift_start, leader.shift_end),
+        leader_shift=leader.shift,
     )
 
 
@@ -167,8 +167,8 @@ def _base_context(
     return DecisionContext(
         rider_id=rider.id,
         persona=rider.persona,
-        position=(rider.position.x, rider.position.y),
-        yesterday_shift=(rider.shift_start, rider.shift_end),
+        position=rider.position,
+        yesterday_shift=rider.shift,
         distance_rank=stats.distance_rank[rider.id],
         earnings_rank=stats.earnings_rank[rider.id],
         orders_rank=stats.orders_rank[rider.id],
@@ -193,27 +193,18 @@ def _work_hours_phase(session: SimulationSession) -> None:
             session.fall_back(rider.id, "work_hours", message)
         else:
             decision, pair = outcome
-            rider.shift_start = decision.go_to_work_hour
-            rider.shift_end = decision.get_off_work_hour
+            rider.shift = decision.go_to_work_hour, decision.get_off_work_hour
             session.record_thought(rider.id, "work_hours", pair)
-        session.writer.work_hours(world.tick, agent=rider.id, start=rider.shift_start,
-                                  end=rider.shift_end)
+        start, end = rider.shift
+        session.writer.work_hours(world.tick, agent=rider.id, start=start, end=end)
 
 
 def _offer_for(world: WorldState, rider) -> list[OfferedOrder]:
     book = world.order_book
     offers = []
-    for dist, oid in nearest_pending(world, rider.position.x, rider.position.y, OFFER_LIMIT):
+    for dist, oid in nearest_pending(world, rider.position, OFFER_LIMIT):
         order = book[oid]
-        offers.append(
-            OfferedOrder(
-                id=oid,
-                pickup=(order.pickup.x, order.pickup.y),
-                dropoff=(order.dropoff.x, order.dropoff.y),
-                payment=order.payment,
-                pickup_distance=dist,
-            )
-        )
+        offers.append(OfferedOrder(oid, order.pickup, order.dropoff, order.payment, dist))
     return offers
 
 
@@ -276,8 +267,8 @@ def _movement_phase(session: SimulationSession, working: list[RiderState]) -> No
                 rider.orders_completed += 1
                 rider.held_orders.pop(0)
                 writer.delivered(tick, rider.id, order.id, order.payment)
-        position = rider.position
-        writer.position(tick, rider.id, len(rider.held_orders), position.x, position.y)
+        x, y = rider.position  # not *rider.position: a star call costs 0.1 us more
+        writer.position(tick, rider.id, len(rider.held_orders), x, y)
 
 
 def _accrual_phase(session: SimulationSession, working: list[RiderState]) -> None:
@@ -307,10 +298,9 @@ def step_world(world: WorldState, session: SimulationSession) -> WorldState:
         session.working = working_by_tick(world.riders, config.steps_per_day)
     working = session.working[tick_of_day]
     created = generate_orders(world)
-    for order in created:
-        pickup, dropoff = order.pickup, order.dropoff
-        session.writer.created(world.tick, [dropoff.x, dropoff.y], order.id, order.payment,
-                               [pickup.x, pickup.y])
+    for order in created:  # a trace POINT is a list
+        session.writer.created(world.tick, [*order.dropoff], order.id, order.payment,
+                               [*order.pickup])
     _selection_phase(session, working)
     _movement_phase(session, working)
     _accrual_phase(session, working)
@@ -362,9 +352,7 @@ def run_simulation(
                 "config": config.to_dict(),
                 "backend": backend.describe(),
                 "inspector": inspector,
-                "rider_start": {
-                    str(r.id): [r.position.x, r.position.y] for r in world.riders
-                },
+                "rider_start": {str(r.id): r.position for r in world.riders},
             },
         )
         session = SimulationSession(world, backend, writer, inspector=inspector)
@@ -381,8 +369,8 @@ def run_simulation(
                         "labor_cost": round(r.labor_cost, 6),
                         "orders_completed": r.orders_completed,
                         "distance_ridden": r.distance_ridden,
-                        "x": r.position.x,
-                        "y": r.position.y,
+                        "x": r.position[0],
+                        "y": r.position[1],
                     }
                     for r in world.riders
                 },

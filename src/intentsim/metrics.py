@@ -81,12 +81,15 @@ def fold_events(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals
             totals.delivered[day] += 1
             totals.orders[day, payload["agent"]] += 1
         elif kind == "cost_accrual":
+            if not 0 <= payload["agent"] < riders:
+                raise _unknown_rider(event, riders)
             totals.cost[event.tick // spd] += payload["amount"]
     return totals
 
 
 def _unknown_rider(event, riders: int) -> TraceFormatError:
-    """A position or delivery of none of the run's riders, which one report would count."""
+    """A position, delivery or cost accrual of none of the run's riders,
+    which a report would count."""
     return TraceFormatError(event_line(event.seq), f"rider {event.payload['agent']} is not one of the run's {riders} riders")
 
 

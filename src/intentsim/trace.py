@@ -39,6 +39,7 @@ import math
 import os
 import re
 import secrets
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -74,22 +75,24 @@ EVENT_KINDS = frozenset(
 
 
 # Value types, as the allowed ``type()`` of a JSON value; bool is not an
-# integer here. A POINT is a list of exactly two integers.
+# integer here. A POINT is a list of exactly two integers. A NUMBER is
+# finite: not NaN, and no larger in size than the largest float.
 INT, NUMBER, TEXT, OBJECT, POINT, BOOL = (int,), (int, float), (str,), (dict,), (list,), (bool,)
 _TYPE_NAMES = {INT: "an integer", NUMBER: "a number", TEXT: "a string", OBJECT: "an object",
                POINT: "an [x, y] pair of integers", BOOL: "a boolean"}
 
 # The type of every value that readers index. "event" holds the fields of
 # each event line; the other entries hold the payload keys of one event
-# kind, "created" those of an order event whose event is "created", and
-# "rider_summary" those of each rider in a sim_end (the auditor checks
-# these; the reader does not).
+# kind, "created" and "delivered" those of an order event whose event is
+# that, and "rider_summary" those of each rider in a sim_end (the auditor
+# checks these; the reader does not).
 FIELD_TYPES = {
     "event": {"seq": INT, "tick": INT, "kind": TEXT, "payload": OBJECT},
     "position": {"agent": INT, "x": INT, "y": INT, "held": INT},
     "thought": {"agent": INT, "bounded": TEXT, "rational": TEXT, "missing": BOOL},
     "order_event": {"event": TEXT, "order": INT, "agent": INT},
     "created": {"event": TEXT, "order": INT, "pickup": POINT, "dropoff": POINT, "payment": NUMBER},
+    "delivered": {"event": TEXT, "order": INT, "agent": INT, "payment": NUMBER},
     "cost_accrual": {"agent": INT, "amount": NUMBER, "ticks": INT},
     "rider_summary": {"earnings": NUMBER, "labor_cost": NUMBER, "orders_completed": INT,
                       "distance_ridden": INT},
@@ -114,6 +117,9 @@ def field_error(fields: dict, data: dict) -> str | None:
             if key not in data:
                 return f"has no {key!r}"
             return f"{key!r} is not {_TYPE_NAMES[expected]}"
+        # One comparison for both types: math.isfinite overflows on a long int.
+        if expected is NUMBER and not abs(value) <= sys.float_info.max:
+            return f"{key!r} is not finite"
     return None
 
 
@@ -277,7 +283,8 @@ class TraceEvent(NamedTuple):
 # (``float.__repr__``), and an integer literal in its place is decoded as
 # an integer. Each entry's writer formats a line from the entry's template,
 # and the reader parses a line that matches the entry's regex without
-# decoding JSON; both come from here. The first field is a value.
+# decoding JSON, unless a FLOAT's text is past the largest float (1e400);
+# both come from here. The first field is a value.
 FLOAT = (float,)
 SHAPES = (
     ("position", {"agent": INT, "held": INT, "x": INT, "y": INT}),
@@ -297,7 +304,7 @@ _INT_RE = "(-?(?:0|[1-9][0-9]*))"  # the JSON integer grammar
 _SLOTS = {
     INT: ("%d", (_INT_RE, ""), "int({0})", "type({0}) is int", "{0}"),
     FLOAT: ("%r", ("(-?(?:0|[1-9][0-9]*)(?:\\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))", ""),
-            "float({0})", "type({0}) is float and isfinite({0})", "{0}"),
+            "finite_float({0})", "type({0}) is float and isfinite({0})", "{0}"),
     POINT: ("[%d,%d]", (f"\\[{_INT_RE}", f",{_INT_RE}\\]"), "[int({0}x), int({0}y)]",
             "is_point({0})", "*{0}"),
 }
@@ -358,10 +365,20 @@ def _compile_shape(kind: str, fields: dict, first: int):
         f"({canonical_json(kind)!r}, canonical_json({{{', '.join(writes)}}}), seq, tick))\n"
     )
     scope = {"is_point": is_point, "isfinite": math.isfinite, "canonical_json": canonical_json,
-             "_EVENT_LINE": _EVENT_LINE}
+             "_EVENT_LINE": _EVENT_LINE, "finite_float": _finite_float}
     exec(source, scope)
     seq = first + len(groups) + 1
     return "".join(pattern), (first, first + 1, seq, seq + 1), scope["build"], name, scope[name]
+
+
+def _finite_float(text: bytes) -> float:
+    """A FLOAT slot's value. Its text is never NaN, but one past the
+    largest float raises an ``OverflowError``, so that the reader reads the
+    line as JSON, whose checks name it."""
+    value = float(text)
+    if not abs(value) <= sys.float_info.max:
+        raise OverflowError(text)
+    return value
 
 
 def _compile_shapes(writer_class):
@@ -481,8 +498,8 @@ def _parse_header(line: str) -> TraceHeader:
 
 def _check_payload(event: TraceEvent, line_no: int, digest: str) -> None:
     """Check the payload types and any embedded config of an event."""
-    created = event.kind == "order_event" and event.payload.get("event") == "created"
-    fields = FIELD_TYPES.get("created" if created else event.kind)
+    what = event.payload.get("event") if event.kind == "order_event" else None
+    fields = FIELD_TYPES.get(what if what in ("created", "delivered") else event.kind)
     problem = field_error(fields, event.payload) if fields else None
     if problem is not None:
         raise TraceFormatError(line_no, f"{event.kind} event {problem}")
@@ -539,13 +556,16 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
                         tick_text = text
                 except ValueError as exc:  # an over-long int
                     raise TraceFormatError(line_no, f"malformed event: {exc}") from exc
-                event = new(TraceEvent, (seq, tick, kind, last[1]))
-                if (guard.started and not guard.ended and seq == guard.last_seq + 1
-                        and tick >= guard.last_tick):
-                    guard.last_seq, guard.last_tick = seq, tick
-                    yield event
-                    continue
-            else:
+                except OverflowError:  # an infinite FLOAT, which the JSON path refuses
+                    match = None
+                else:
+                    event = new(TraceEvent, (seq, tick, kind, last[1]))
+                    if (guard.started and not guard.ended and seq == guard.last_seq + 1
+                            and tick >= guard.last_tick):
+                        guard.last_seq, guard.last_tick = seq, tick
+                        yield event
+                        continue
+            if not match:
                 line = _decode(raw, line_no).strip()
                 if not line:
                     raise TraceFormatError(line_no, "blank line inside trace")

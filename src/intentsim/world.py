@@ -28,36 +28,27 @@ PICKED_UP = "picked_up"
 DELIVERED = "delivered"
 
 
-@dataclass(frozen=True)
-class Position:
-    x: int
-    y: int
+def manhattan(a: tuple[int, int], b: tuple[int, int]) -> int:
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def manhattan(a: Position, b: Position) -> int:
-    return abs(a.x - b.x) + abs(a.y - b.y)
-
-
-def move_toward(pos: Position, target: Position, max_dist: int) -> Position:
+def move_toward(pos: tuple[int, int], target: tuple[int, int], max_dist: int) -> tuple[int, int]:
     """Advance from ``pos`` toward ``target`` by at most ``max_dist`` grid units.
 
     Budget is spent along x first, then y; reaches ``target`` exactly whenever
     the Manhattan distance fits in the budget.
     """
-    budget = max_dist
-    dx = target.x - pos.x
-    step_x = max(-budget, min(budget, dx))
-    budget -= abs(step_x)
-    dy = target.y - pos.y
-    step_y = max(-budget, min(budget, dy))
-    return Position(pos.x + step_x, pos.y + step_y)
+    (x, y), (target_x, target_y) = pos, target
+    step_x = max(-max_dist, min(max_dist, target_x - x))
+    budget = max_dist - abs(step_x)
+    return x + step_x, y + max(-budget, min(budget, target_y - y))
 
 
 @dataclass
 class Order:
     id: int
-    pickup: Position
-    dropoff: Position
+    pickup: tuple[int, int]  # (x, y), as every point is
+    dropoff: tuple[int, int]
     payment: float
     created_tick: int
     state: str = PENDING
@@ -69,9 +60,8 @@ class Order:
 class RiderState:
     id: int
     persona: str
-    position: Position
-    shift_start: int
-    shift_end: int
+    position: tuple[int, int]
+    shift: tuple[int, int]  # (start, end) hours, as shift_active takes them
     held_orders: list[int] = field(default_factory=list)
     earnings: float = 0.0
     labor_cost: float = 0.0
@@ -124,18 +114,8 @@ def init_world(config: SimConfig) -> WorldState:
     riders: list[RiderState] = []
     for rider_id in range(config.n_riders):
         persona = personas.make_persona(rider_id, rng)
-        x = rng.randrange(config.grid_size)
-        y = rng.randrange(config.grid_size)
-        start, end = personas.draw_initial_shift(rng)
-        riders.append(
-            RiderState(
-                id=rider_id,
-                persona=persona,
-                position=Position(x, y),
-                shift_start=start,
-                shift_end=end,
-            )
-        )
+        position = (rng.randrange(config.grid_size), rng.randrange(config.grid_size))
+        riders.append(RiderState(rider_id, persona, position, personas.draw_initial_shift(rng)))
     return WorldState(
         config=config,
         tick=0,
@@ -148,8 +128,9 @@ def init_world(config: SimConfig) -> WorldState:
 def add_pending(world: WorldState, order: Order) -> None:
     """Put a pending order in a new last row of the pending columns."""
     world.pending_ids[order.id] = len(world.pending_order)
-    world.pending_x.append(order.pickup.x)
-    world.pending_y.append(order.pickup.y)
+    x, y = order.pickup
+    world.pending_x.append(x)
+    world.pending_y.append(y)
     world.pending_order.append(order.id)
 
 
@@ -162,9 +143,10 @@ def _drop_pending(world: WorldState, order_id: int) -> None:
         world.pending_ids[moved] = row
 
 
-def nearest_pending(world: WorldState, x: int, y: int, limit: int) -> list[tuple[int, int]]:
-    """The ``limit`` pending orders nearest to (x, y), as (distance, id) pairs
-    ordered by the Manhattan distance to the pickup, then by id."""
+def nearest_pending(world: WorldState, point: tuple[int, int], limit: int) -> list[tuple[int, int]]:
+    """The ``limit`` pending orders nearest to ``point``, as (distance, id)
+    pairs ordered by the Manhattan distance to the pickup, then by id."""
+    x, y = point
     # One int64 key per order sorts like (distance, id): every id is below
     # the stride, and SimConfig bounds grid_size so that no key overflows.
     # The buffer views must not outlive this call: a column that exports its
@@ -216,14 +198,8 @@ def generate_orders(world: WorldState) -> list[Order]:
     for _ in range(count):
         order = Order(
             id=world.next_order_id,
-            pickup=Position(
-                world.rng.randrange(config.grid_size),
-                world.rng.randrange(config.grid_size),
-            ),
-            dropoff=Position(
-                world.rng.randrange(config.grid_size),
-                world.rng.randrange(config.grid_size),
-            ),
+            pickup=(world.rng.randrange(config.grid_size), world.rng.randrange(config.grid_size)),
+            dropoff=(world.rng.randrange(config.grid_size), world.rng.randrange(config.grid_size)),
             payment=round(world.rng.uniform(lo, hi), 2),
             created_tick=tick,
         )
@@ -271,13 +247,14 @@ def assign_orders(
 
 
 def world_digest(world: WorldState) -> str:
-    """Content digest of the full world, including the generator state."""
+    """Content digest of the full world, including the generator state; JSON
+    writes each point and shift tuple as a list."""
     riders = [
         {
             "id": r.id,
             "persona": r.persona,
-            "pos": [r.position.x, r.position.y],
-            "shift": [r.shift_start, r.shift_end],
+            "pos": r.position,
+            "shift": r.shift,
             "held": list(r.held_orders),
             "earnings": round(r.earnings, 6),
             "labor_cost": round(r.labor_cost, 6),
@@ -289,8 +266,8 @@ def world_digest(world: WorldState) -> str:
     orders = [
         {
             "id": o.id,
-            "pickup": [o.pickup.x, o.pickup.y],
-            "dropoff": [o.dropoff.x, o.dropoff.y],
+            "pickup": o.pickup,
+            "dropoff": o.dropoff,
             "payment": o.payment,
             "created": o.created_tick,
             "state": o.state,

@@ -4,10 +4,12 @@ span and checked the order rules inline: the oracle of the reader tests.
 Each SHAPES entry's reader takes every group of the line, compares the
 payload's groups after the first as a tuple with the last payload read with
 the same first group, and the order rules are checked by ``OrderGuard`` on
-every line.
+every line. A FLOAT's text past the largest float sends its line to the
+JSON path, which refuses it, as the reader does.
 """
 
 import re
+import sys
 from pathlib import Path
 
 from intentsim.errors import TraceFormatError, TraceHeaderError, TraceOrderError
@@ -30,9 +32,16 @@ from intentsim.trace import (
 INT_RE = "(-?(?:0|[1-9][0-9]*))"
 SLOTS = {
     INT: (INT_RE, "int({0})"),
-    FLOAT: ("(-?(?:0|[1-9][0-9]*)(?:\\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))", "float({0})"),
+    FLOAT: ("(-?(?:0|[1-9][0-9]*)(?:\\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))", "finite_float({0})"),
     POINT: (f"\\[{INT_RE},{INT_RE}\\]", "[int({0}x), int({0}y)]"),
 }
+
+
+def finite_float(text):
+    value = float(text)
+    if not abs(value) <= sys.float_info.max:
+        raise OverflowError(text)
+    return value
 
 
 def compile_shape(kind, fields):
@@ -59,7 +68,7 @@ def compile_shape(kind, fields):
         f"    tick = int(tick)\n"
         f"    return TraceEvent(seq, last_tick if tick == last_tick else tick, {kind!r}, last[1])\n"
     )
-    scope = {"TraceEvent": TraceEvent}
+    scope = {"TraceEvent": TraceEvent, "finite_float": finite_float}
     exec(source, scope)
     return "".join(pattern), len(params) + 2, scope["read"]
 
@@ -98,7 +107,9 @@ def iter_trace(path):
                     event = read(shared[entry], last_tick, *match.group(*groups))
                 except ValueError as exc:
                     raise TraceFormatError(line_no, f"malformed event: {exc}") from exc
-            else:
+                except OverflowError:
+                    match = None
+            if not match:
                 line = _decode(raw, line_no).strip()
                 if not line:
                     raise TraceFormatError(line_no, "blank line inside trace")

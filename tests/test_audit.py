@@ -192,6 +192,8 @@ def test_accrual_mismatch_detected(clean_trace, tmp_path):
          r"order \d+ payment 99.0 outside range \[5.0, 15.0\]"),
         (first("order_event", lambda p: p.update(dropoff=[3, 40]), "created"),
          r"order \d+ endpoint \[3, 40\] outside grid"),
+        (first("order_event", lambda p: p.update(payment=999.5), "delivered"),
+         r"order \d+ delivered with payment 999.5, created with \d+\.\d+"),
         (first("cost_accrual", lambda p: p.update(ticks=p["ticks"] + 1)),
          r"cost accrual covers \d+ ticks but \d+ position events"),
         (first("sim_end", lambda p: p.update(orders_created=p["orders_created"] + 1)),
@@ -206,12 +208,25 @@ def test_accrual_mismatch_detected(clean_trace, tmp_path):
             labor_cost=p["riders"]["2"]["labor_cost"] + 1.0)),
          "rider 2 labor cost .* != wage x at-work ticks"),
     ],
-    ids=["payment", "endpoint", "accrual_ticks", "orders_created", "orders_completed",
+    ids=["payment", "endpoint", "delivered_payment", "accrual_ticks", "orders_created", "orders_completed",
          "distance_ridden", "labor_cost"],
 )
 def test_one_field_tamper_detected(clean_trace, tmp_path, mutate, message):
     with pytest.raises(AuditError, match=message):
         audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)
+
+
+@pytest.mark.parametrize("payment", [{}, {"payment": "9.5"}, {"payment": None}],
+                         ids=["missing", "string", "null"])
+def test_delivered_without_number_payment_refused(clean_trace, payment):
+    # The reader refuses such a line, but the auditor takes any event stream.
+    events = load_trace(clean_trace).events
+    at = next(i for i, event in enumerate(events)
+              if event.kind == "order_event" and event.payload["event"] == "delivered")
+    payload = {key: value for key, value in events[at].payload.items() if key != "payment"}
+    events[at] = events[at]._replace(payload={**payload, **payment})
+    with pytest.raises(AuditError, match=r"order \d+ delivered with payment "):
+        audit_trace(events)
 
 
 def rename_key(summary, key):

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import test_golden
 from intentsim.audit import audit_trace
 from intentsim.cli import EXIT_CODES, main
-from intentsim.errors import AuditError
+from intentsim.errors import AuditError, TraceFormatError
 from intentsim.trace import load_trace
 
 
@@ -245,9 +245,12 @@ def test_missing_trace_exits_3(runner, tmp_path):
         ("wage_rate = inf\n", "'wage_rate': must be finite"),
         ("base_order_rate = nan\n", "'base_order_rate': must be finite"),
         ("peak_multiplier = inf\n", "'peak_multiplier': must be finite"),
+        # A rate the Poisson draw cannot sample used to simulate with exit 0.
+        ("total_steps = 0\nbase_order_rate = 1000\n", "'base_order_rate': gives a largest per-tick rate of 3000 "
+         "(times peak_multiplier at peaks), above 700"),
     ],
     ids=["zero_grid", "unparsable", "one_payment", "no_equals", "duplicate", "negative_peak",
-         "nan_payment", "inf_wage", "nan_rate", "inf_peak"],
+         "nan_payment", "inf_wage", "nan_rate", "inf_peak", "rate_past_bound"],
 )
 def test_bad_config_exits_4(runner, tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -372,19 +375,25 @@ def test_out_of_grid_position_exits_5(runner, tmp_path, x):
     assert f"line {line_no}:" in result.output
 
 
+def first_line_of(lines, event):
+    """The line number of the first event whose order event, or else whose
+    kind, is ``event``."""
+    return next(index for index, line in enumerate(lines[1:], start=2)
+                if (data := json.loads(line))["payload"].get("event", data["kind"]) == event)
+
+
 @pytest.mark.parametrize("agent", [7, -1])
-@pytest.mark.parametrize("event", ["position", "delivered"])
+@pytest.mark.parametrize("event", ["position", "delivered", "cost_accrual"])
 def test_unknown_rider_exits_5(runner, tmp_path, event, agent):
     # A position of a rider the run does not have used to pass: the heat map
-    # counted the visit while the hours tables dropped it. The auditor
-    # refuses the same trace.
+    # counted the visit while the hours tables dropped it. A cost accrual of
+    # one was added to its day's labor cost. The auditor refuses the same
+    # trace.
     cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120, n_riders=3)
     trace = tmp_path / "t.jsonl"
     runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
     lines = trace.read_text().splitlines()
-    line_no = next(index + 1 for index, line in enumerate(lines)
-                   if json.loads(line).get("kind") in ("position", "order_event")
-                   and json.loads(line)["payload"].get("event", "position") == event)
+    line_no = first_line_of(lines, event)
     edited = json.loads(lines[line_no - 1])
     edited["payload"]["agent"] = agent
     lines[line_no - 1] = json.dumps(edited)
@@ -399,6 +408,37 @@ def test_unknown_rider_exits_5(runner, tmp_path, event, agent):
     assert result.exit_code == 5, result.output
     assert result.output == f"error: line {line_no}: {message}\n"
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("event, key, text, problem", [
+    ("cost_accrual", "amount", "NaN", "'amount' is not finite"),
+    ("cost_accrual", "amount", "1e400", "'amount' is not finite"),
+    ("cost_accrual", "amount", "9" * 400, "'amount' is not finite"),
+    ("created", "payment", "-Infinity", "'payment' is not finite"),
+    ("delivered", "payment", "1e400", "'payment' is not finite"),
+    ("delivered", "payment", None, "has no 'payment'"),
+], ids=["nan", "float_overflow", "long_int", "infinity", "delivered_overflow", "no_payment"])
+def test_number_that_is_not_finite_exits_5(runner, tmp_path, event, key, text, problem):
+    # A NaN or 1e400 amount reached the involution report as nan or inf, and
+    # a 400-digit one ended metrics and the auditor in an OverflowError.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120, n_riders=3)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    lines = trace.read_text().splitlines()
+    line_no = first_line_of(lines, event)
+    value = re.compile(f',?"{key}":[^,}}]+')
+    lines[line_no - 1] = value.sub("" if text is None else f',"{key}":{text}', lines[line_no - 1])
+    trace.write_text("\n".join(lines) + "\n")
+    kind = event if event == "cost_accrual" else "order_event"
+    message = f"line {line_no}: {kind} event {problem}"
+    with pytest.raises(TraceFormatError, match=re.escape(message)):
+        audit_trace(load_trace(trace).events)
+    result = runner.invoke(
+        main, ["metrics", "--trace", str(trace), "--out", str(tmp_path / "r"),
+               "--window-ticks", "120"]
+    )
+    assert result.exit_code == 5, result.output
+    assert result.output == f"error: {message}\n"
 
 
 def assert_embedded_config_refused(runner, tmp_path, edit, message):

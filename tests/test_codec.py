@@ -5,9 +5,10 @@ and the reader parses the lines of every entry with a regex. Both must
 agree with the general JSON path on every input: the writer byte for byte
 with ``json.dumps``, the reader event for event, value type for value
 type, and error for error, with ``json.loads`` and ``FIELD_TYPES`` (less
-an object that repeats a key, which the reader refuses). The reader must
-also share payloads and ticks, and refuse a trace, exactly as the reader
-kept in ``reader_oracle`` does.
+an object that repeats a key, which the reader refuses). A typed number
+must be finite on both paths: a float slot's ``1e400`` is refused as JSON's
+``Infinity`` is. The reader must also share payloads and ticks, and refuse a
+trace, exactly as the reader kept in ``reader_oracle`` does.
 """
 
 import enum
@@ -322,8 +323,9 @@ def oracle(line):
         guard.check(event.seq, event.tick, event.kind)
     except TraceOrderError as exc:
         raise TraceOrderError(f"line 3: {exc}") from None
-    created = event.kind == "order_event" and event.payload.get("event") == "created"
-    problem = field_error(FIELD_TYPES.get("created" if created else event.kind, {}), event.payload)
+    what = event.payload.get("event") if event.kind == "order_event" else None
+    fields = FIELD_TYPES.get(what if what in ("created", "delivered") else event.kind, {})
+    problem = field_error(fields, event.payload)
     if problem is not None:
         raise TraceFormatError(3, f"{event.kind} event {problem}")
     return event
@@ -361,6 +363,18 @@ def outcome(read):
               '"payment":15.0,"pickup":[4,5]},"seq":1,"tick":0}')
 @example(line='{"kind":"cost_accrual","payload":{"agent":1,"amount":-0.0,"ticks":3},"seq":1,"tick":0}')
 @example(line='{"kind":"cost_accrual","payload":{"agent":1,"amount":NaN,"ticks":3},"seq":1,"tick":0}')
+@example(line='{"kind":"cost_accrual","payload":{"agent":1,"amount":1e400,"ticks":3},"seq":1,"tick":0}')
+@example(line='{"kind":"cost_accrual","payload":{"agent":1,"amount":1e400,"ticks":3},"seq":5,"tick":0}')
+@example(line='{"kind":"cost_accrual","payload":{"agent":1,"amount":' + "9" * 400 + ',"ticks":3},'
+              '"seq":1,"tick":0}')
+@example(line='{"kind":"order_event","payload":{"agent":1,"event":"delivered","order":2,'
+              '"payment":-1e400},"seq":1,"tick":0}')
+@example(line='{"kind":"order_event","payload":{"agent":1,"event":"delivered","order":2,'
+              '"payment":Infinity},"seq":1,"tick":0}')
+@example(line='{"kind":"order_event","payload":{"agent":1,"event":"delivered","order":2},'
+              '"seq":1,"tick":0}')
+@example(line='{"kind":"order_event","payload":{"dropoff":[1,2],"event":"created","order":3,'
+              '"payment":1e400,"pickup":[4,5]},"seq":1,"tick":0}')
 @example(line='{"kind":"decision","payload":{"agent":1,"decision":"work_hours","end":01,"start":2},'
               '"seq":1,"tick":0}')
 def test_reader_fast_path_matches_json(line):
@@ -478,7 +492,7 @@ def reader_traces(draw):
     writer.emit("sim_end", tick, {})
     lines = stream.getvalue().split("\n")[:-1]
     mutation = draw(st.sampled_from([None, "seq", "tick", "tick", "-0", "before_start",
-                                     "after_end", "long", "delete"]))
+                                     "after_end", "long", "infinite", "delete"]))
     i = draw(st.integers(1, len(lines) - 1))
     if mutation == "seq":
         shift = draw(st.sampled_from([-2, -1, 1, 2]))
@@ -500,6 +514,9 @@ def reader_traces(draw):
         at = draw(st.sampled_from(numbers))
         digits = draw(st.sampled_from(["9" * 5000, "1" * 4301]))
         lines[i] = lines[i][:at.start()] + digits + lines[i][at.end():]
+    elif mutation == "infinite":  # a float slot's text past the largest float
+        lines[i] = re.sub(r"(?<=:)[01]\.5(?=[,}])", draw(st.sampled_from(["1e400", "-1E999"])),
+                          lines[i])
     elif mutation == "delete":
         del lines[i]
     return lines

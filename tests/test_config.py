@@ -59,6 +59,30 @@ def test_float_fields_take_ints():
     assert cfg.base_order_rate == 2 and cfg.payment_range == (5, 15)
 
 
+@pytest.mark.parametrize(
+    "rate, multiplier, peaks, valid",
+    [
+        (700.0, 3.0, (), True),  # no peak: the base rate is the largest
+        (700.0, 0.5, (40,), True),
+        (233.0, 3.0, (40,), True),
+        (701.0, 1.0, (), False),
+        (1000.0, 0.5, (40,), False),  # the ticks away from the peak draw at 1000
+        (250.0, 3.0, (40,), False),
+        (1e308, 10.0, (40,), False),  # the product overflows to inf
+    ],
+)
+def test_order_rate_bound(rate, multiplier, peaks, valid):
+    # SimConfig(base_order_rate=1000.0) was accepted, and every draw of a
+    # rate past the bound came out near 745.
+    make = lambda: SimConfig(base_order_rate=rate, peak_multiplier=multiplier,
+                             peak_ticks_per_day=peaks)
+    if valid:
+        make()
+        return
+    with pytest.raises(ConfigError, match=r"'base_order_rate': gives a largest per-tick rate"):
+        make()
+
+
 def test_peak_tick_bounds_checked():
     with pytest.raises(ConfigError) as err:
         SimConfig(peak_ticks_per_day=(40, 130))
@@ -69,6 +93,15 @@ def test_payment_range_ordering():
     with pytest.raises(ConfigError) as err:
         SimConfig(payment_range=(10.0, 5.0))
     assert err.value.field == "payment_range"
+
+
+@pytest.mark.parametrize("bounds", [(1.125, 1.125), (5.0, 15.001), (0.005, 1.0)])
+def test_payment_range_bounds_are_whole_cents(bounds):
+    # A payment is drawn rounded to cents, so (1.125, 1.125) paid 1.12: a
+    # trace outside its own range, which the auditor refused.
+    with pytest.raises(ConfigError, match="'payment_range': each bound must be a whole number of cents"):
+        SimConfig(payment_range=bounds)
+    SimConfig(payment_range=(0.01, 20.1))
 
 
 def test_order_cap_override_to_five():

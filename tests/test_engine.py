@@ -18,7 +18,6 @@ from intentsim.world import (
     ASSIGNED,
     PICKED_UP,
     Order,
-    Position,
     RiderState,
     init_world,
     shift_active,
@@ -71,23 +70,23 @@ def test_rider_adjacent_to_pickup_picks_up_after_step():
     cfg = small_config(base_order_rate=0.0, n_riders=1)
     world = init_world(cfg)
     rider = world.riders[0]
-    rider.position = Position(5, 5)
-    order = Order(id=0, pickup=Position(6, 5), dropoff=Position(30, 30),
+    rider.position = (5, 5)
+    order = Order(id=0, pickup=(6, 5), dropoff=(30, 30),
                   payment=7.5, created_tick=0, state=ASSIGNED, rider_id=0)
     world.order_book[0] = order
     world.next_order_id = 1
     rider.held_orders.append(0)
     step_world(world, SimulationSession(world, fixed_backend(), NullWriter()))
     assert order.state == PICKED_UP
-    assert rider.position == Position(6, 5)
+    assert rider.position == (6, 5)
 
 
 def test_delivery_credits_exact_payment():
     cfg = small_config(base_order_rate=0.0, n_riders=1)
     world = init_world(cfg)
     rider = world.riders[0]
-    rider.position = Position(5, 5)
-    order = Order(id=0, pickup=Position(5, 5), dropoff=Position(8, 5),
+    rider.position = (5, 5)
+    order = Order(id=0, pickup=(5, 5), dropoff=(8, 5),
                   payment=9.25, created_tick=0, state=PICKED_UP, rider_id=0)
     world.order_book[0] = order
     world.next_order_id = 1
@@ -174,7 +173,7 @@ def test_imitation_converges_on_leader_hours():
     for _ in range(121):  # through the second day's decision point
         step_world(world, session)
     # Day 0 ends with everyone on (10, 13); day 1 widens the leader's hours.
-    assert all((r.shift_start, r.shift_end) == (9, 14) for r in world.riders)
+    assert all(r.shift == (9, 14) for r in world.riders)
 
 
 def test_failing_backend_falls_back_and_logs(tmp_path):
@@ -251,9 +250,9 @@ def test_session_starts_at_a_day_boundary():
 def test_working_by_tick_matches_shift_active(steps_per_day, shifts):
     # The day's working riders, derived once per day, are the riders the
     # per-tick shift_active filter takes on each tick, in rider order.
-    riders = [RiderState(id=i, persona="p", position=Position(0, 0), shift_start=start,
-                         shift_end=end) for i, (start, end) in enumerate(shifts)]
-    expected = [[r.id for r in riders if shift_active(r.shift_start, r.shift_end, t, steps_per_day)]
+    riders = [RiderState(id=i, persona="p", position=(0, 0), shift=shift)
+              for i, shift in enumerate(shifts)]
+    expected = [[r.id for r in riders if shift_active(*r.shift, t, steps_per_day)]
                 for t in range(steps_per_day)]
     assert [[r.id for r in working] for working in working_by_tick(riders, steps_per_day)] == expected
 

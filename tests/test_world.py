@@ -4,11 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intentsim.config import SimConfig
+from intentsim.config import MAX_ORDER_RATE, SimConfig
 from intentsim.world import (
     ASSIGNED,
     PENDING,
-    Position,
     add_pending,
     assign_orders,
     generate_orders,
@@ -33,17 +32,17 @@ def small_config(**overrides):
 # --- move_toward -------------------------------------------------------------
 
 def test_move_toward_identity():
-    p = Position(3, 4)
+    p = (3, 4)
     assert move_toward(p, p, 30) == p
 
 
 def test_move_toward_axis_priority():
     # 10 units spent on x, remaining 20 on y.
-    assert move_toward(Position(0, 0), Position(10, 40), 30) == Position(10, 20)
+    assert move_toward((0, 0), (10, 40), 30) == (10, 20)
 
 
 def test_move_toward_reaches_close_target():
-    assert move_toward(Position(0, 0), Position(5, 5), 30) == Position(5, 5)
+    assert move_toward((0, 0), (5, 5), 30) == (5, 5)
 
 
 coords = st.integers(min_value=0, max_value=199)
@@ -51,10 +50,10 @@ coords = st.integers(min_value=0, max_value=199)
 
 @given(coords, coords, coords, coords, st.integers(min_value=1, max_value=60))
 def test_move_toward_respects_budget_and_bounds(x1, y1, x2, y2, budget):
-    start, target = Position(x1, y1), Position(x2, y2)
+    start, target = (x1, y1), (x2, y2)
     moved = move_toward(start, target, budget)
     assert manhattan(start, moved) <= budget
-    assert 0 <= moved.x < 200 and 0 <= moved.y < 200
+    assert 0 <= moved[0] < 200 and 0 <= moved[1] < 200
     if manhattan(start, target) <= budget:
         assert moved == target
     else:
@@ -68,8 +67,8 @@ def test_init_world_positions_in_grid():
     world = init_world(cfg)
     assert len(world.riders) == 100
     for r in world.riders:
-        assert 0 <= r.position.x < 200
-        assert 0 <= r.position.y < 200
+        assert 0 <= r.position[0] < 200
+        assert 0 <= r.position[1] < 200
         assert r.persona
 
 
@@ -113,8 +112,8 @@ def test_orders_created_pending_in_grid():
     created = generate_orders(world)
     for o in created:
         assert o.state == PENDING
-        assert 0 <= o.pickup.x < 40 and 0 <= o.pickup.y < 40
-        assert 0 <= o.dropoff.x < 40 and 0 <= o.dropoff.y < 40
+        assert 0 <= o.pickup[0] < 40 and 0 <= o.pickup[1] < 40
+        assert 0 <= o.dropoff[0] < 40 and 0 <= o.dropoff[1] < 40
         assert 5.0 <= o.payment <= 15.0
 
 
@@ -146,6 +145,15 @@ def test_poisson_draw_zero_rate():
     assert poisson_draw(rng, 0.0) == 0
 
 
+@pytest.mark.parametrize("rate", [MAX_ORDER_RATE / 2, MAX_ORDER_RATE])
+def test_poisson_draw_samples_every_rate_a_config_allows(rate):
+    # Past the bound exp(-rate) underflows: rates 800 and 5000 both gave a
+    # mean near 745. The mean of 400 draws is within 5 standard errors.
+    rng = random.Random(7)
+    mean = sum(poisson_draw(rng, rate) for _ in range(400)) / 400
+    assert abs(mean - rate) < 5 * (rate / 400) ** 0.5
+
+
 # --- assign_orders -----------------------------------------------------------
 
 def _world_with_pending(n_orders):
@@ -153,7 +161,7 @@ def _world_with_pending(n_orders):
     from intentsim.world import Order
 
     for i in range(n_orders):
-        order = Order(id=i, pickup=Position(i, 0), dropoff=Position(i, 5),
+        order = Order(id=i, pickup=(i, 0), dropoff=(i, 5),
                       payment=6.0, created_tick=0)
         world.order_book[i] = order
         world.next_order_id = i + 1
@@ -213,7 +221,7 @@ def test_nearest_pending_matches_heapq(ops):
         if op[0] == "add":
             for x, y in op[1]:
                 oid = world.next_order_id
-                order = Order(id=oid, pickup=Position(x, y), dropoff=Position(0, 0),
+                order = Order(id=oid, pickup=(x, y), dropoff=(0, 0),
                               payment=6.0, created_tick=0)
                 world.order_book[oid] = order
                 world.next_order_id += 1
@@ -228,16 +236,15 @@ def test_nearest_pending_matches_heapq(ops):
             book = world.order_book
             expected = heapq.nsmallest(
                 OFFER_LIMIT,
-                ((abs(book[oid].pickup.x - x) + abs(book[oid].pickup.y - y), oid) for oid in pending),
+                ((manhattan(book[oid].pickup, (x, y)), oid) for oid in pending),
             )
-            assert nearest_pending(world, x, y, OFFER_LIMIT) == expected
+            assert nearest_pending(world, (x, y), OFFER_LIMIT) == expected
         assert set(world.pending_ids) == pending
         rows = [world.pending_ids[oid] for oid in sorted(pending)]
         assert sorted(rows) == list(range(len(pending)))
         for oid, row in world.pending_ids.items():
             assert world.pending_order[row] == oid
-            assert (world.pending_x[row], world.pending_y[row]) == (
-                world.order_book[oid].pickup.x, world.order_book[oid].pickup.y)
+            assert (world.pending_x[row], world.pending_y[row]) == world.order_book[oid].pickup
 
 
 def test_assign_unknown_rider_raises():
