@@ -19,7 +19,7 @@ from intentsim.config import SimConfig
 from intentsim.engine import run_simulation
 from intentsim.metrics import fold_events, involution_index, write_metrics_reports
 from intentsim.pipeline import AnalysisOptions, analyze_trace_events, write_analysis_outputs
-from intentsim.trace import load_trace
+from intentsim.trace import iter_trace
 
 STUDY_CONFIG = dict(
     grid_size=50,
@@ -38,6 +38,13 @@ SCENARIOS = {
 }
 
 
+def events_of(path: Path):
+    """Stream a trace's events, skipping its header, as the CLI does."""
+    stream = iter_trace(path)
+    next(stream)  # the header
+    return stream
+
+
 def main() -> int:
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("involution_study")
     out.mkdir(parents=True, exist_ok=True)
@@ -51,14 +58,15 @@ def main() -> int:
         trace_path = out / f"{name}.trace.jsonl"
         print(f"simulating scenario '{name}' -> {trace_path}")
         run_simulation(config, backend, trace_path)
-        events = load_trace(trace_path).events
-        series[name] = involution_index(fold_events(events))
-        write_metrics_reports(events, out / f"metrics_{name}", window_ticks=config.steps_per_day)
+        series[name] = involution_index(fold_events(events_of(trace_path)))
+        write_metrics_reports(
+            events_of(trace_path), out / f"metrics_{name}", window_ticks=config.steps_per_day
+        )
 
     print("\nanalyzing the imitation run (intentions, clusters, diagram)")
-    events = load_trace(out / "imitate.trace.jsonl").events
     result = analyze_trace_events(
-        events, AnalysisOptions(k=5, theta=0.8, window_ticks=config.steps_per_day * 4)
+        events_of(out / "imitate.trace.jsonl"),
+        AnalysisOptions(k=5, theta=0.8, window_ticks=config.steps_per_day * 4),
     )
     write_analysis_outputs(result, out / "analysis_imitate")
     print(f"  {len(result.repository)} intentions, {len(result.diagram.points)} emergence points")

@@ -43,6 +43,9 @@ class _Rider:
 
 
 def _rider(riders: dict[int, _Rider], agent: int) -> _Rider:
+    """The ledger of ``agent``; the audit loop looks a rider up itself and
+    calls this only on a miss (a ``_Rider`` is always true), so the refusal
+    has one home."""
     rider = riders.get(agent)
     if rider is None:
         raise AuditError(f"rider {agent} is not one of the run's {len(riders)} riders")
@@ -69,27 +72,56 @@ def audit_trace(events) -> AuditReport:
     config = start_config(start)
     if config is None:
         raise AuditError("trace does not start with a sim_start event carrying the config")
-    report = AuditReport(events=1)
     riders = {agent: _Rider() for agent in range(config["n_riders"])}
     # An order enters only on "created", which is counted, so the states of
     # ``orders`` always add up to ``orders_created``: conservation by construction.
     orders: dict[int, list] = {}  # id -> [state, payment]
     sim_end_payload: dict | None = None
+    grid = config["grid_size"]
     rider_start = start.payload.get("rider_start", {})
     if not isinstance(rider_start, dict) or not all(
         _is_rider_id(rider_id) and is_point(point) for rider_id, point in rider_start.items()
     ):
         raise AuditError("sim_start rider_start does not map rider ids to [x, y] points")
     _same_riders("sim_start rider_start", rider_start, riders)
-    for rider_id, point in rider_start.items():
-        riders[int(rider_id)].position = tuple(point)
-    grid = config["grid_size"]
+    for rider_id, (x, y) in rider_start.items():
+        if not (0 <= x < grid and 0 <= y < grid):
+            raise AuditError(f"rider {rider_id} start [{x}, {y}] outside grid")
+        riders[int(rider_id)].position = (x, y)
 
+    # The loop's counters and config values are locals, stored on the report
+    # once at the end.
+    n_events, created, delivered, moves, max_moved = 1, 0, 0, 0, 0
+    cap, order_cap, wage = config["max_move_per_step"], config["order_cap"], config["wage_rate"]
+    lo, hi = config["payment_range"]
+    get_rider = riders.get
     for event in stream:
-        report.events += 1
+        n_events += 1
         kind = event.kind
         payload = event.payload
-        if kind == "order_event":
+        if kind == "position":
+            agent = payload["agent"]
+            rider = get_rider(agent) or _rider(riders, agent)
+            position = x, y = payload["x"], payload["y"]
+            moves += 1
+            if not (0 <= x < grid and 0 <= y < grid):
+                raise AuditError(f"rider {agent} position {position} outside grid")
+            if payload["held"] != rider.held:
+                raise AuditError(
+                    f"rider {agent} held-count mismatch at tick {event.tick}: "
+                    f"event says {payload['held']}, ledger says {rider.held}"
+                )
+            # An unchanged point adds 0 to the distance and cannot pass the cap.
+            if position != rider.position:
+                moved = manhattan(rider.position, position)
+                if moved > max_moved:
+                    max_moved = moved
+                if moved > cap:
+                    raise AuditError(f"rider {agent} moved {moved} > cap {cap}")
+                rider.distance += moved
+                rider.position = position
+            rider.ticks += 1
+        elif kind == "order_event":
             what = payload["event"]
             oid = payload["order"]
             order = orders.get(oid)
@@ -97,8 +129,7 @@ def audit_trace(events) -> AuditReport:
                 if order is not None:
                     raise AuditError(f"order {oid} created twice")
                 orders[oid] = ["created", payload["payment"]]
-                report.orders_created += 1
-                lo, hi = config["payment_range"]
+                created += 1
                 if not lo <= payload["payment"] <= hi:
                     raise AuditError(
                         f"order {oid} payment {payload['payment']} outside range [{lo}, {hi}]"
@@ -112,10 +143,10 @@ def audit_trace(events) -> AuditReport:
                 raise AuditError(f"order {oid} illegal transition {previous!r} -> {what!r}")
             order[0] = what
             agent = payload["agent"]
-            rider = _rider(riders, agent)
+            rider = get_rider(agent) or _rider(riders, agent)
             if what == "assigned":
                 rider.held += 1
-                if rider.held > config["order_cap"]:
+                if rider.held > order_cap:
                     raise AuditError(f"rider {agent} exceeds order cap at tick {event.tick}")
             elif what == "delivered":
                 rider.held -= 1
@@ -128,32 +159,10 @@ def audit_trace(events) -> AuditReport:
                     )
                 rider.earnings += order[1]
                 rider.delivered += 1
-                report.orders_delivered += 1
-        elif kind == "position":
-            agent = payload["agent"]
-            rider = _rider(riders, agent)
-            position = x, y = payload["x"], payload["y"]
-            report.position_events += 1
-            if not (0 <= x < grid and 0 <= y < grid):
-                raise AuditError(f"rider {agent} position {position} outside grid")
-            if payload["held"] != rider.held:
-                raise AuditError(
-                    f"rider {agent} held-count mismatch at tick {event.tick}: "
-                    f"event says {payload['held']}, ledger says {rider.held}"
-                )
-            if rider.position is not None:
-                moved = manhattan(rider.position, position)
-                report.max_displacement = max(report.max_displacement, moved)
-                if moved > config["max_move_per_step"]:
-                    raise AuditError(
-                        f"rider {agent} moved {moved} > cap {config['max_move_per_step']}"
-                    )
-                rider.distance += moved
-            rider.position = position
-            rider.ticks += 1
+                delivered += 1
         elif kind == "cost_accrual":
             agent = payload["agent"]
-            rider = _rider(riders, agent)
+            rider = get_rider(agent) or _rider(riders, agent)
             rider.accrued += payload["amount"]
             worked = rider.ticks - rider.accrued_ticks
             if payload["ticks"] != worked:
@@ -161,7 +170,7 @@ def audit_trace(events) -> AuditReport:
                     f"rider {agent} cost accrual covers {payload['ticks']} ticks "
                     f"but {worked} position events were seen since the last accrual"
                 )
-            expected = config["wage_rate"] * payload["ticks"]
+            expected = wage * payload["ticks"]
             if not math.isclose(payload["amount"], expected, rel_tol=1e-9, abs_tol=1e-9):
                 raise AuditError(
                     f"rider {agent} accrual amount {payload['amount']} != wage x ticks {expected}"
@@ -169,12 +178,14 @@ def audit_trace(events) -> AuditReport:
             rider.accrued_ticks = rider.ticks
         elif kind == "sim_end":
             sim_end_payload = payload
+    report = AuditReport(events=n_events, orders_created=created, orders_delivered=delivered,
+                         position_events=moves, max_displacement=max_moved)
 
     if sim_end_payload is not None:
-        if sim_end_payload.get("orders_created") != report.orders_created:
+        if sim_end_payload.get("orders_created") != created:
             raise AuditError(
                 f"sim_end reports {sim_end_payload.get('orders_created')} orders, "
-                f"trace contains {report.orders_created}"
+                f"trace contains {created}"
             )
         summaries = sim_end_payload.get("riders")
         if not isinstance(summaries, dict) or not all(map(_is_rider_id, summaries)):

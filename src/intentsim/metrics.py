@@ -32,17 +32,20 @@ class TraceTotals:
 
     A day is ``tick // steps_per_day`` and a heat-map window is
     ``tick // window_ticks``, for the ``window_ticks`` of :func:`fold_events`.
+    A per-rider total is a list of ``n_riders`` counts indexed by rider id,
+    and a cell is ``y * grid_size + x``.
     """
 
     def __init__(self, config: dict):
         self.config = config
+        riders = config["n_riders"]
         self.cost: dict[int, float] = defaultdict(float)  # day -> labor cost
         self.delivered: dict[int, int] = defaultdict(int)  # day -> orders delivered
-        self.worked: dict[tuple[int, int], int] = defaultdict(int)  # (day, agent) -> ticks at work
-        self.holding: dict[tuple[int, int], int] = defaultdict(int)  # (day, agent) -> ticks holding
-        self.orders: dict[tuple[int, int], int] = defaultdict(int)  # (day, agent) -> orders delivered
-        # window -> (y, x) -> position events
-        self.visits: dict[int, dict[tuple[int, int], int]] = defaultdict(lambda: defaultdict(int))
+        self.worked: dict[int, list[int]] = defaultdict(lambda: [0] * riders)  # day -> ticks at work
+        self.holding: dict[int, list[int]] = defaultdict(lambda: [0] * riders)  # day -> ticks holding
+        self.orders: dict[int, list[int]] = defaultdict(lambda: [0] * riders)  # day -> orders delivered
+        # window -> cell -> position events; sparse, so it grows with the cells visited
+        self.visits: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
 
     @property
     def n_days(self) -> int:
@@ -57,33 +60,39 @@ def fold_events(events, window_ticks: int = DEFAULT_WINDOW_TICKS) -> TraceTotals
     if config is None:
         raise TraceFormatError(event_line(0), "the first event is not a sim_start carrying the config")
     totals = TraceTotals(config)
-    spd = totals.config["steps_per_day"]
-    grid = totals.config["grid_size"]
-    riders = totals.config["n_riders"]
+    spd = config["steps_per_day"]
+    grid = config["grid_size"]
+    riders = config["n_riders"]
+    tick = None
     for event in stream:
+        if event.tick != tick:  # the tick's day lists and window dict serve until the next tick
+            tick = event.tick
+            day = tick // spd
+            worked, holding, orders = totals.worked[day], totals.holding[day], totals.orders[day]
+            visits = totals.visits[tick // window_ticks]
         kind = event.kind
         payload = event.payload
         if kind == "position":
             x, y = payload["x"], payload["y"]
             if not (0 <= x < grid and 0 <= y < grid):
                 raise TraceFormatError(event_line(event.seq), f"position ({x}, {y}) is outside the grid")
-            if not 0 <= payload["agent"] < riders:
+            agent = payload["agent"]
+            if not 0 <= agent < riders:  # a negative id would wrap
                 raise _unknown_rider(event, riders)
-            key = (event.tick // spd, payload["agent"])
-            totals.worked[key] += 1
+            worked[agent] += 1
             if payload["held"] > 0:
-                totals.holding[key] += 1
-            totals.visits[event.tick // window_ticks][y, x] += 1
+                holding[agent] += 1
+            visits[y * grid + x] += 1
         elif kind == "order_event" and payload["event"] == "delivered":
-            if not 0 <= payload["agent"] < riders:
+            agent = payload["agent"]
+            if not 0 <= agent < riders:
                 raise _unknown_rider(event, riders)
-            day = event.tick // spd
             totals.delivered[day] += 1
-            totals.orders[day, payload["agent"]] += 1
+            orders[agent] += 1
         elif kind == "cost_accrual":
             if not 0 <= payload["agent"] < riders:
                 raise _unknown_rider(event, riders)
-            totals.cost[event.tick // spd] += payload["amount"]
+            totals.cost[day] += payload["amount"]
     return totals
 
 
@@ -150,7 +159,9 @@ def position_heatmap(totals: TraceTotals, window: int, downsample: int = 1) -> H
     f = downsample
     size = (totals.config["grid_size"] + f - 1) // f
     counts = [[0.0] * size for _ in range(size)]
-    for (y, x), n in totals.visits.get(window, {}).items():
+    grid = totals.config["grid_size"]
+    for cell, n in totals.visits.get(window, {}).items():
+        y, x = divmod(cell, grid)
         counts[y // f][x // f] += n
     if f > 1:
         counts = [[v / (f * f) for v in row] for row in counts]
@@ -168,30 +179,28 @@ class HoursRow:
 def effective_hours(totals: TraceTotals, day: int) -> list[HoursRow]:
     """Per-agent worked vs order-holding hours for one day."""
     to_hours = 24.0 / totals.config["steps_per_day"]
+    zeros = [0] * totals.config["n_riders"]
+    worked, holding, orders = (
+        table.get(day, zeros) for table in (totals.worked, totals.holding, totals.orders)
+    )
     return [
         HoursRow(
             agent_id=agent,
-            total_hours_worked=totals.worked.get((day, agent), 0) * to_hours,
-            effective_hours=totals.holding.get((day, agent), 0) * to_hours,
-            total_orders=totals.orders.get((day, agent), 0),
+            total_hours_worked=ticks * to_hours,
+            effective_hours=held * to_hours,
+            total_orders=delivered,
         )
-        for agent in range(totals.config["n_riders"])
+        for agent, (ticks, held, delivered) in enumerate(zip(worked, holding, orders))
     ]
 
 
 def hours_vs_orders(totals: TraceTotals) -> list[tuple[int, float, int]]:
     """Whole-run (agent, hours worked, orders delivered) totals."""
-    worked: dict[int, int] = defaultdict(int)
-    orders: dict[int, int] = defaultdict(int)
-    for (_, agent), ticks in totals.worked.items():
-        worked[agent] += ticks
-    for (_, agent), count in totals.orders.items():
-        orders[agent] += count
+    zeros = [0] * totals.config["n_riders"]
+    worked = map(sum, zip(zeros, *totals.worked.values()))
+    orders = map(sum, zip(zeros, *totals.orders.values()))
     to_hours = 24.0 / totals.config["steps_per_day"]
-    return [
-        (agent, worked[agent] * to_hours, orders[agent])
-        for agent in range(totals.config["n_riders"])
-    ]
+    return [(agent, ticks * to_hours, count) for agent, (ticks, count) in enumerate(zip(worked, orders))]
 
 
 def hours_vs_orders_csv(rows: list[tuple[int, float, int]]) -> str:

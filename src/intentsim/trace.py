@@ -124,8 +124,11 @@ def field_error(fields: dict, data: dict) -> str | None:
 
 
 # One encoder for every line: ``json.dumps`` with these arguments would build
-# a new encoder on each call.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+# a new encoder on each call. A NaN or an infinity is refused with a
+# ``ValueError``, as the reader refuses it.
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+).encode
 _DECODER = json.JSONDecoder()
 
 
@@ -319,9 +322,10 @@ def _compile_shape(kind: str, fields: dict, first: int):
     builder of its payload from the key and the match; and the name (its
     string value, else its kind) and source-built function of its writer,
     ``write(writer, tick, *values)``. The writer takes the values in key
-    order or by name, advances the guard and calls its check only when a
-    rule could break, and sends a value that does not fit its slot through
-    ``canonical_json``. Source is built as ``namedtuple`` builds methods: a
+    order or by name, sends a value that does not fit its slot through
+    ``canonical_json`` (so a NaN is refused before the event takes a seq),
+    then advances the guard and calls its check only when a rule could
+    break. Source is built as ``namedtuple`` builds methods: a
     loop over the slots on every line would cost what skipping json saves.
     """
     head = f'{{"kind":{canonical_json(kind)},"payload":{{'
@@ -354,15 +358,15 @@ def _compile_shape(kind: str, fields: dict, first: int):
         f"({', '.join(str(first + i) for i in range(2, len(groups) + 1))})\n"
         f"    return {{{', '.join(reads)}}}\n"
         f"def {name}(writer, tick, {', '.join(params)}):\n"
+        f"    text = None if {' and '.join(checks)} else canonical_json({{{', '.join(writes)}}})\n"
         f"    guard = writer._guard\n"
         f"    seq = guard.last_seq + 1\n"
         f"    if guard.started and not guard.ended and type(tick) is int and tick >= guard.last_tick:\n"
         f"        guard.last_seq, guard.last_tick = seq, tick\n"
         f"    else:\n"
         f"        guard.check(seq, tick, {kind!r})\n"
-        f"    writer._fh.write({''.join(template)!r} % ({', '.join(args)}, seq, tick)\n"
-        f"        if {' and '.join(checks)} else _EVENT_LINE % "
-        f"({canonical_json(kind)!r}, canonical_json({{{', '.join(writes)}}}), seq, tick))\n"
+        f"    writer._fh.write({''.join(template)!r} % ({', '.join(args)}, seq, tick) if text is None\n"
+        f"        else _EVENT_LINE % ({canonical_json(kind)!r}, text, seq, tick))\n"
     )
     scope = {"is_point": is_point, "isfinite": math.isfinite, "canonical_json": canonical_json,
              "_EVENT_LINE": _EVENT_LINE, "finite_float": _finite_float}
@@ -460,9 +464,10 @@ class TraceWriter:
 
     def emit(self, kind: str, tick: int, payload: dict) -> None:
         """Write the next event from its payload dict."""
+        text = canonical_json(payload)  # before the guard, so a refused payload takes no seq
         seq = self._guard.last_seq + 1
         self._guard.check(seq, tick, kind)  # so tick is an int
-        self._fh.write(_EVENT_LINE % (canonical_json(kind), canonical_json(payload), seq, tick))
+        self._fh.write(_EVENT_LINE % (canonical_json(kind), text, seq, tick))
         if kind == "sim_end":
             self._fh.flush()
 
@@ -668,7 +673,9 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
     """Map a foreign JSONL log onto numbered thought records.
 
     A text fills both thought slots, folded once; an empty one is missing,
-    and any other JSON value is embedded as its ``canonical_json``.
+    and any other JSON value is embedded as its ``canonical_json``; a row
+    whose text or agent holds NaN or an infinity, which that refuses, is
+    skipped.
     With all-integer agent identifiers one sort numbers the records by
     (tick, agent, line); other identifiers get ids by first appearance in
     (tick, line) order, keyed by their canonical JSON (``1`` and ``"1"`` are
@@ -714,11 +721,17 @@ def ingest_external(path: str | Path, mapping: IngestMapping) -> IngestResult:
                 if tick < 0:  # tick windows and the analysis log start at tick 0
                     warnings.append(f"line {line_no}: tick {tick} is negative")
                     continue
-                text = text if type(text) is str else canonical_json(text)
+                try:  # canonical JSON has no NaN or infinity
+                    text = text if type(text) is str else canonical_json(text)
+                    # An agent other than an int is kept as its canonical JSON, its id's key.
+                    agent = agent if type(agent) is int else canonical_json(agent)
+                except ValueError:
+                    warnings.append(f"line {line_no}: a mapped value holds a number that is not finite")
+                    continue
                 items.append((tick, agent, line_no, text and combine_pair(text, text)))
     if not all(type(item[1]) is int for item in items):  # a bool is not an integer id
         items.sort(key=itemgetter(0, 2))
         ids: dict[str, int] = {}
-        items = [(tick, ids.setdefault(canonical_json(agent), len(ids)), line_no, text)
-                 for tick, agent, line_no, text in items]
+        items = [(tick, ids.setdefault(agent if type(agent) is str else canonical_json(agent), len(ids)),
+                  line_no, text) for tick, agent, line_no, text in items]
     return IngestResult(rows=numbered_records(items), warnings=warnings)

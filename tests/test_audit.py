@@ -4,12 +4,14 @@ import re
 import pytest
 
 from intentsim.audit import audit_trace
-from intentsim.backends.scripted import ScriptedBackend
+from intentsim.backends.scripted import ScriptedBackend, ScriptedPolicy
 from intentsim.config import SimConfig, config_digest
 from intentsim.engine import run_simulation
 from intentsim.errors import AuditError
+from intentsim.metrics import write_metrics_reports
 from intentsim.trace import TraceEvent, TraceHeader, load_trace
 
+import fold_oracle
 from trace_files import write_trace
 
 
@@ -338,3 +340,67 @@ def test_position_of_a_rider_the_run_lacks_rejected(clean_trace, tmp_path):
 def test_rider_the_run_lacks_rejected(clean_trace, tmp_path, mutate, message):
     with pytest.raises(AuditError, match=message):
         audit_trace(load_trace(tamper(clean_trace, tmp_path, mutate)).events)
+
+
+@pytest.mark.parametrize("point, refused", [
+    ([500, -3], True), ([10, 0], True), ([0, 10], True), ([-1, 0], True), ([9, 9], False), ([0, 0], False),
+])
+def test_rider_start_outside_grid_rejected(tmp_path, point, refused):
+    # Only a move was checked, so a rider that never works could start anywhere.
+    cfg = SimConfig(grid_size=10, total_steps=120, steps_per_day=120, n_riders=2,
+                    base_order_rate=0.0, seed=3)
+    path = tmp_path / "idle.jsonl"
+    run_simulation(cfg, ScriptedBackend(ScriptedPolicy("fixed_hours", {"start": 5, "end": 5})), path)
+    events = load_trace(tamper(path, tmp_path, first(
+        "sim_start", lambda p: p["rider_start"].update({"0": point})))).events
+    if refused:
+        with pytest.raises(AuditError, match=re.escape(f"rider 0 start {point} outside grid")):
+            audit_trace(events)
+    else:
+        assert audit_trace(events).position_events == 0
+
+
+def mutations_of(test):
+    """The ``mutate`` values of a test parametrized by ``mutate, message``."""
+    (mark,) = test.pytestmark
+    return [mutate for mutate, _message in mark.args[1]]
+
+
+TAMPERS = [
+    None,  # the clean trace
+    first("position", lambda p: p.update(held=p["held"] + 1)),
+    first("position", lambda p: p.update(x=40)),
+    first("position", lambda p: p.update(x=(p["x"] + 1) % 40)),
+    first("position", lambda p: p.update(agent=-1)),
+    first("order_event", lambda p: p.update(event="delivered", payment=1.0), "picked_up"),
+    first("order_event", lambda p: p.update(agent=7), "delivered"),
+    first("cost_accrual", lambda p: p.update(amount=p["amount"] + 0.5)),
+    first("sim_start", lambda p: p["rider_start"].update({"0": [12.5]})),
+    *mutations_of(test_one_field_tamper_detected),
+    *mutations_of(test_rider_the_run_lacks_rejected),
+]
+
+
+def outcome(fold, events):
+    """What ``fold`` returns for the events, or the type and message of what it raises."""
+    try:
+        return fold(events)
+    except Exception as exc:  # the comparison is of any refusal, whatever its type
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mutate", TAMPERS)
+def test_folds_match_their_oracle(clean_trace, tmp_path, mutate):
+    path = clean_trace if mutate is None else tamper(clean_trace, tmp_path, mutate)
+    events = load_trace(path).events
+    assert outcome(audit_trace, events) == outcome(fold_oracle.audit_trace, events)
+
+    def metrics_bytes(events):
+        paths = write_metrics_reports(events, tmp_path / "metrics", window_ticks=50)
+        return {name: path.read_bytes() for name, path in paths.items()}
+
+    def oracle_bytes(events):
+        texts = fold_oracle.metrics_texts(events, window_ticks=50)
+        return {name: text.encode() for name, text in texts.items()}
+
+    assert outcome(metrics_bytes, events) == outcome(oracle_bytes, events)

@@ -17,6 +17,7 @@ import itertools
 import json
 import re
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -96,8 +97,8 @@ def shape_events(draw):
     return kind, payload
 
 
-def dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+def dumps(obj, allow_nan=True):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=allow_nan)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -129,15 +130,22 @@ def test_writer_matches_json_dumps(start_seq, start_payload, seq, ticks, event):
     kind, payload = event
     events = [TraceEvent(start_seq, ticks[0], "sim_start", start_payload),
               TraceEvent(seq, ticks[1], kind, payload)]
+    expected = [dumps(TraceHeader(1, "digest", 7)._asdict())]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
         with open_output(path) as fh:
             writer = TraceWriter(fh, "digest", 7)
             for event in events:
+                try:
+                    line = dumps(event._asdict(), allow_nan=False)
+                except ValueError:  # a NaN or an infinity, which the reader refuses
+                    with pytest.raises(ValueError, match="not JSON compliant"):
+                        writer.emit(event.kind, event.tick, event.payload)
+                    break
                 writer.emit(event.kind, event.tick, event.payload)
+                expected.append(line)
         lines = path.read_bytes().decode("utf-8").split("\n")
-    assert lines[0] == dumps(TraceHeader(1, "digest", 7)._asdict())
-    assert lines[1:] == [dumps(event._asdict()) for event in events] + [""]
+    assert lines == expected + [""]
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, 1.5])
@@ -189,12 +197,40 @@ def test_shape_writers_match_json_dumps(entry, ticks, by_name):
     writer = TraceWriter(stream, "digest", 7)
     writer.emit("sim_start", ticks[0], {})
     write = getattr(writer, writer_name(kind, fields))
-    if by_name:
-        write(ticks[1], **values)
-    else:
-        write(ticks[1], *values.values())
     payload = {key: slot if type(slot) is str else values[key] for key, slot in fields.items()}
-    assert stream.getvalue().split("\n")[2:] == [dumps(TraceEvent(1, ticks[1], kind, payload)._asdict()), ""]
+    try:
+        expected = [dumps(TraceEvent(1, ticks[1], kind, payload)._asdict(), allow_nan=False)]
+    except ValueError:  # a NaN or an infinity: refused before the event takes a seq
+        expected = []
+    with pytest.raises(ValueError, match="not JSON compliant") if not expected else nullcontext():
+        if by_name:
+            write(ticks[1], **values)
+        else:
+            write(ticks[1], *values.values())
+    writer.emit("sim_end", ticks[1], {})
+    expected.append(dumps(TraceEvent(len(expected) + 1, ticks[1], "sim_end", {})._asdict()))
+    assert stream.getvalue().split("\n")[2:] == [*expected, ""]
+
+
+@pytest.mark.parametrize("amount", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("via_emit", [False, True], ids=["writer", "emit"])
+def test_writer_refuses_a_number_that_is_not_finite(tmp_path, via_emit, amount):
+    # Both write paths wrote NaN, a line the reader refuses. A refused event
+    # takes no seq and writes nothing.
+    path = tmp_path / "t.jsonl"
+    with open_output(path) as fh:
+        writer = TraceWriter(fh, "", 7)
+        writer.emit("sim_start", 0, {})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            if via_emit:
+                writer.emit("cost_accrual", 0, {"agent": 0, "amount": amount, "ticks": 1})
+            else:
+                writer.cost_accrual(0, 0, amount, 1)
+        writer.cost_accrual(0, 0, 1.0, 1)
+        writer.emit("sim_end", 1, {})
+    events = list(iter_trace(path))[1:]
+    assert [(event.seq, event.kind) for event in events] == [
+        (0, "sim_start"), (1, "cost_accrual"), (2, "sim_end")]
 
 
 @pytest.mark.parametrize("kind, fields", SHAPES)

@@ -429,12 +429,25 @@ def test_ingest_strips_only_json_whitespace(tmp_path):
 def test_ingest_embeds_a_non_string_text_as_its_json(tmp_path):
     # str() wrote Python's spelling: {'b': [True, None]} and inf.
     path = tmp_path / "foreign.jsonl"
-    texts = ['{"b": [true, null], "a": "\u00e9"}', "1e400", "-7", "2.50", "false", '"as is"']
+    texts = ['{"b": [true, null], "a": "\u00e9"}', "-7", "2.50", "false", '"as is"']
     path.write_text("".join(f'{{"speaker": 1, "step": {i}, "utterance": {text}}}\n'
                             for i, text in enumerate(texts)))
     result = ingest_external(path, mapping())
     assert [r.text for r in result.rows] == [folded(text) for text in (
-        '{"a":"\u00e9","b":[true,null]}', "Infinity", "-7", "2.5", "false", "as is")]
+        '{"a":"\u00e9","b":[true,null]}', "-7", "2.5", "false", "as is")]
+
+
+def test_ingest_skips_a_row_holding_a_number_that_is_not_finite(tmp_path):
+    # The text 1e400 was embedded as Infinity, which no JSON reader takes back.
+    path = tmp_path / "foreign.jsonl"
+    rows = [('"ok"', "1e400"), ('"ok"', "NaN"), ('"ok"', '{"a": [-Infinity]}'), ("NaN", '"nan agent"'),
+            ('[1e999]', '"inf agent"'), ('"ok"', '"kept"')]
+    path.write_text("".join(f'{{"speaker": {agent}, "step": {i}, "utterance": {text}}}\n'
+                            for i, (agent, text) in enumerate(rows)))
+    result = ingest_external(path, mapping())
+    assert [(r.agent_id, r.text) for r in result.rows] == [(0, folded("kept"))]
+    assert result.warnings == [f"line {n}: a mapped value holds a number that is not finite"
+                               for n in range(1, 6)]
 
 
 @pytest.mark.parametrize("text", [
@@ -544,7 +557,7 @@ def oracle_lookup(record, parts):
 def oracle_ingest(path, mapping):
     """The row-by-row ingest that ingest_external replaced, with the tick
     rule for bools, fractional floats and strings outside the JSON integer
-    grammar applied: the oracle."""
+    grammar and the skip of a NaN or an infinity applied: the oracle."""
     rows, warnings = [], []
     paths = [(target, getattr(mapping, target).split(".")) for target in ("agent", "tick", "text")]
     with open(path, "rb") as fh:
@@ -585,6 +598,11 @@ def oracle_ingest(path, mapping):
                 continue
             if tick < 0:
                 warnings.append(f"line {line_no}: tick {tick} is negative")
+                continue
+            try:  # JSON has no NaN or infinity
+                json.dumps([values["agent"], values["text"]], allow_nan=False)
+            except ValueError:
+                warnings.append(f"line {line_no}: a mapped value holds a number that is not finite")
                 continue
             text = values["text"]
             rows.append({"agent_raw": values["agent"], "tick": tick, "line": line_no,

@@ -7,7 +7,8 @@ wrap past midnight or are empty, an order rate or a payment of 0, and a
 move budget of 1 or past the grid. For each world:
 
 * two runs write the same bytes, and ``replay_simulation`` does too;
-* the streamed trace passes ``audit_trace``;
+* the streamed trace passes ``audit_trace``, and the auditor's report and
+  the ``metrics`` CSVs equal those of the folds kept in ``fold_oracle``;
 * the auditor's report, the trace's own sums, ``sim_end`` and the
   ``metrics`` reports agree on orders created and delivered, earnings and
   labor cost;
@@ -28,6 +29,8 @@ from intentsim.engine import replay_simulation, run_simulation
 from intentsim.metrics import write_metrics_reports
 from intentsim.pipeline import AnalysisOptions, analyze_trace_events, write_analysis_outputs
 from intentsim.trace import iter_trace
+
+import fold_oracle
 
 hours = st.integers(0, 23)
 
@@ -96,6 +99,7 @@ def test_generated_world_runs_clean_and_its_folds_agree(world, k, window_ticks, 
         assert (tmp / "replay.jsonl").read_bytes() == trace
 
         report = audit_trace(events_of(tmp / "a.jsonl"))
+        assert report == fold_oracle.audit_trace(events_of(tmp / "a.jsonl"))
         payments = accrued = 0.0
         for event in events_of(tmp / "a.jsonl"):
             if event.kind == "order_event" and event.payload["event"] == "delivered":
@@ -112,6 +116,9 @@ def test_generated_world_runs_clean_and_its_folds_agree(world, k, window_ticks, 
         assert math.isclose(sum(s["labor_cost"] for s in summaries), accrued, abs_tol=rounding)
 
         reports = write_metrics_reports(events_of(tmp / "a.jsonl"), tmp / "metrics", window_ticks)
+        assert {name: path.read_bytes() for name, path in reports.items()} == {
+            name: text.encode() for name, text in fold_oracle.metrics_texts(
+                events_of(tmp / "a.jsonl"), window_ticks).items()}
         with reports["involution.csv"].open() as fh:
             days = list(csv.DictReader(fh))
         assert len(days) == config.total_steps // config.steps_per_day
