@@ -18,7 +18,7 @@ from importlib import resources
 from ..errors import BackendError, DecisionParseError
 from ..transport import Endpoint, post_json
 from .parsing import parse_reply, read_reply
-from .types import DecisionContext, OrderSelection, ThoughtPair, WorkHoursDecision
+from .types import DecisionContext, ThoughtPair
 
 
 TEMPERATURE = 0.0
@@ -68,8 +68,8 @@ def _format_orders(ctx: DecisionContext) -> str:
     items = [
         {
             "order_id": o.id,
-            "pickup": [o.pickup[0], o.pickup[1]],
-            "delivery": [o.dropoff[0], o.dropoff[1]],
+            "pickup": o.pickup,
+            "delivery": o.dropoff,
             "money": o.payment,
         }
         for o in ctx.offered
@@ -147,7 +147,7 @@ class LlmBackend:
 
     # -- backend interface ---------------------------------------------------
 
-    def decide_work_hours(self, ctx: DecisionContext) -> tuple[WorkHoursDecision, ThoughtPair]:
+    def decide_work_hours(self, ctx: DecisionContext) -> tuple[tuple[int, int], ThoughtPair]:
         prompt = self._work_hours_template.format(
             n_riders=ctx.n_riders,
             distance_rank=ctx.distance_rank,
@@ -169,7 +169,7 @@ class LlmBackend:
         except (BackendError, DecisionParseError) as exc:
             return exc
 
-    def select_orders(self, ctx: DecisionContext) -> tuple[OrderSelection, ThoughtPair]:
+    def select_orders(self, ctx: DecisionContext) -> tuple[tuple[int, ...], ThoughtPair]:
         prompt = self._order_template.format(
             order_list=_format_orders(ctx),
             x=ctx.position[0],

@@ -13,7 +13,6 @@ import re
 
 from ..errors import DecisionParseError
 from ..trace import decode_json
-from .types import OrderSelection, WorkHoursDecision
 
 THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
@@ -91,10 +90,10 @@ def parse_hour(value) -> int:
     return hour
 
 
-def parse_reply(raw: str, schema: str) -> tuple[str, object]:
-    """A backend reply's thought and its decision per ``schema``.
-
-    schema: ``work_hours`` or ``order_selection``.
+def parse_reply(raw: str, schema: str) -> tuple[str, tuple[int, ...]]:
+    """A backend reply's thought and its decision per ``schema``: for
+    ``work_hours`` the ``(start, end)`` hours, for ``order_selection`` the
+    chosen order ids.
     """
     if not raw:
         raise DecisionParseError("empty reply")
@@ -105,10 +104,7 @@ def parse_reply(raw: str, schema: str) -> tuple[str, object]:
         for key in ("go_to_work_time", "get_off_work_time"):
             if key not in payload:
                 raise DecisionParseError(f"missing key {key}")
-        return thought, WorkHoursDecision(
-            go_to_work_hour=parse_hour(payload["go_to_work_time"]),
-            get_off_work_hour=parse_hour(payload["get_off_work_time"]),
-        )
+        return thought, (parse_hour(payload["go_to_work_time"]), parse_hour(payload["get_off_work_time"]))
     if schema == "order_selection":
         if "order_list" not in payload:
             raise DecisionParseError("missing key order_list")
@@ -120,5 +116,5 @@ def parse_reply(raw: str, schema: str) -> tuple[str, object]:
             if isinstance(item, bool) or not isinstance(item, int):
                 raise DecisionParseError(f"order ids must be integers, got {item!r}")
             ids.append(item)
-        return thought, OrderSelection(order_ids=tuple(ids))
+        return thought, tuple(ids)
     raise ValueError(f"unknown schema {schema!r}")

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigError
 from ..world import manhattan
-from .types import (
-    DecisionContext,
-    OrderSelection,
-    ThoughtPair,
-    WorkHoursDecision,
-)
+from .types import DecisionContext, ThoughtPair
 
 @dataclass(frozen=True)
 class ScriptedPolicy:
@@ -55,22 +50,21 @@ def fixed_shift(params: dict) -> tuple[int, int] | None:
     return start, end
 
 
-def decide_hours_fixed(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[WorkHoursDecision, ThoughtPair]:
+def decide_hours_fixed(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[tuple[int, int], ThoughtPair]:
     shift = fixed_shift(policy.params)
     if shift is None:
         shift = ctx.yesterday_shift
         bounded = "I am comfortable with my routine; I will keep my usual working hours."
     else:
         bounded = "I trust my fixed schedule; I will keep the hours I was given."
-    decision = WorkHoursDecision(*shift)
     rational = (
-        f"Keeping the shift {decision.go_to_work_hour}:00-{decision.get_off_work_hour}:00 "
+        f"Keeping the shift {shift[0]}:00-{shift[1]}:00 "
         "holds my workload steady; nothing in the rankings justifies a change."
     )
-    return decision, ThoughtPair(bounded=bounded, rational=rational)
+    return shift, ThoughtPair(bounded=bounded, rational=rational)
 
 
-def decide_hours_imitate(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[WorkHoursDecision, ThoughtPair]:
+def decide_hours_imitate(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[tuple[int, int], ThoughtPair]:
     delta = int(policy.params.get("delta", 1))
     day0 = policy.params.get("day0")
     if ctx.current_tick == 0:
@@ -78,19 +72,17 @@ def decide_hours_imitate(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[
             start, end = int(day0[0]), int(day0[1])
         else:
             start, end = ctx.yesterday_shift
-        decision = WorkHoursDecision(_clamp_hour(start), _clamp_hour(end))
+        shift = _clamp_hour(start), _clamp_hour(end)
         pair = ThoughtPair(
             bounded="First day on the job; I will ride my planned hours and see how others do.",
             rational=(
-                f"No ranking data exists yet, so the shift {decision.go_to_work_hour}:00-"
-                f"{decision.get_off_work_hour}:00 is as good as any other choice."
+                f"No ranking data exists yet, so the shift {shift[0]}:00-{shift[1]}:00 "
+                "is as good as any other choice."
             ),
         )
-        return decision, pair
+        return shift, pair
     leader_start, leader_end = ctx.leader_shift
-    decision = WorkHoursDecision(
-        _clamp_hour(leader_start - delta), _clamp_hour(leader_end + delta)
-    )
+    shift = _clamp_hour(leader_start - delta), _clamp_hour(leader_end + delta)
     if ctx.rider_id == ctx.leader_id:
         pair = ThoughtPair(
             bounded=(
@@ -114,10 +106,10 @@ def decide_hours_imitate(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[
                 "hour(s) on each side should raise my order volume."
             ),
         )
-    return decision, pair
+    return shift, pair
 
 
-def select_greedy_nearest(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[OrderSelection, ThoughtPair]:
+def select_greedy_nearest(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[tuple[int, ...], ThoughtPair]:
     # Value an offer by payment per unit of pickup distance (+1 so zero
     # distance stays finite); ties prefer the lower order id.
     ranked = sorted(
@@ -139,10 +131,10 @@ def select_greedy_nearest(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple
     else:
         bounded = "Nothing worth grabbing right now; I will wait for denser order areas."
         rational = "No offer fits my remaining capacity, so accepting nothing is optimal."
-    return OrderSelection(order_ids=chosen), ThoughtPair(bounded=bounded, rational=rational)
+    return chosen, ThoughtPair(bounded=bounded, rational=rational)
 
 
-def select_route_optimizer(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[OrderSelection, ThoughtPair]:
+def select_route_optimizer(policy: ScriptedPolicy, ctx: DecisionContext) -> tuple[tuple[int, ...], ThoughtPair]:
     def route_len(o) -> int:
         return o.pickup_distance + manhattan(o.pickup, o.dropoff)
 
@@ -160,7 +152,7 @@ def select_route_optimizer(policy: ScriptedPolicy, ctx: DecisionContext) -> tupl
     else:
         bounded = "No short routes on offer; I would rather not ride a long detour."
         rational = "Every candidate route exceeds my remaining capacity, so I take none."
-    return OrderSelection(order_ids=chosen), ThoughtPair(bounded=bounded, rational=rational)
+    return chosen, ThoughtPair(bounded=bounded, rational=rational)
 
 
 _HOURS_DISPATCH = {
@@ -201,13 +193,13 @@ class ScriptedBackend:
             "selection_policy": self.selection_policy.describe(),
         }
 
-    def decide_work_hours(self, ctx: DecisionContext) -> tuple[WorkHoursDecision, ThoughtPair]:
+    def decide_work_hours(self, ctx: DecisionContext) -> tuple[tuple[int, int], ThoughtPair]:
         return _HOURS_DISPATCH[self.hours_policy.kind](self.hours_policy, ctx)
 
-    def decide_work_hours_batch(self, contexts) -> list[tuple[WorkHoursDecision, ThoughtPair]]:
+    def decide_work_hours_batch(self, contexts) -> list[tuple[tuple[int, int], ThoughtPair]]:
         return [self.decide_work_hours(ctx) for ctx in contexts]
 
-    def select_orders(self, ctx: DecisionContext) -> tuple[OrderSelection, ThoughtPair]:
+    def select_orders(self, ctx: DecisionContext) -> tuple[tuple[int, ...], ThoughtPair]:
         return _SELECTION_DISPATCH[self.selection_policy.kind](self.selection_policy, ctx)
 
 

@@ -1,4 +1,5 @@
-"""Shared decision and thought types: backends return them, analysis reads the records."""
+"""Shared context and thought types: backends read the contexts and return
+thought pairs, analysis reads the records."""
 
 from __future__ import annotations
 
@@ -32,22 +33,6 @@ class DecisionContext:
     capacity_left: int = 0
     offered: tuple[OfferedOrder, ...] = ()
     memory: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class WorkHoursDecision:
-    go_to_work_hour: int
-    get_off_work_hour: int
-
-    def __post_init__(self) -> None:
-        for hour in (self.go_to_work_hour, self.get_off_work_hour):
-            if not 0 <= hour <= 23:
-                raise ValueError(f"hour {hour} outside 0..23")
-
-
-@dataclass(frozen=True)
-class OrderSelection:
-    order_ids: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -288,10 +288,14 @@ def render_svg(diagram: EmergenceDiagram) -> str:
     return "\n".join(parts) + "\n"
 
 
+# The XML escapes, and U+FFFD for each character that XML 1.0 forbids even
+# escaped: the C0 controls other than tab, LF and CR, and U+FFFE and U+FFFF.
+_XML_ESCAPES = {**dict.fromkeys([*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], "\ufffd"),
+                ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;", ord('"'): "&quot;"}
+
+
 def _xml_escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-    )
+    return text.translate(_XML_ESCAPES)
 
 
 def render_diagram(diagram: EmergenceDiagram, fmt: str) -> str:

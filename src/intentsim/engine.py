@@ -192,8 +192,7 @@ def _work_hours_phase(session: SimulationSession) -> None:
             message = f"work-hours backend failed: {outcome}; keeping yesterday's hours"
             session.fall_back(rider.id, "work_hours", message)
         else:
-            decision, pair = outcome
-            rider.shift = decision.go_to_work_hour, decision.get_off_work_hour
+            rider.shift, pair = outcome
             session.record_thought(rider.id, "work_hours", pair)
         start, end = rider.shift
         session.writer.work_hours(world.tick, agent=rider.id, start=start, end=end)
@@ -219,13 +218,12 @@ def _selection_phase(session: SimulationSession, working: list[RiderState]) -> N
         offers = _offer_for(world, rider)
         ctx = _base_context(session, rider, session.stats, cap - len(rider.held_orders), tuple(offers))
         try:
-            selection, pair = session.backend.select_orders(ctx)
+            selected, pair = session.backend.select_orders(ctx)
         except (BackendError, DecisionParseError) as exc:
             message = f"order-selection backend failed: {exc}; selecting nothing"
             session.fall_back(rider.id, "order_selection", message)
             continue
         session.record_thought(rider.id, "order_selection", pair)
-        selected = list(selection.order_ids)
         offered = [o.id for o in offers]
         accepted, rejected, truncated = assign_orders(world, rider.id, selected, offered)
         session.emit(
@@ -298,9 +296,8 @@ def step_world(world: WorldState, session: SimulationSession) -> WorldState:
         session.working = working_by_tick(world.riders, config.steps_per_day)
     working = session.working[tick_of_day]
     created = generate_orders(world)
-    for order in created:  # a trace POINT is a list
-        session.writer.created(world.tick, [*order.dropoff], order.id, order.payment,
-                               [*order.pickup])
+    for order in created:
+        session.writer.created(world.tick, order.dropoff, order.id, order.payment, order.pickup)
     _selection_phase(session, working)
     _movement_phase(session, working)
     _accrual_phase(session, working)

@@ -75,18 +75,21 @@ EVENT_KINDS = frozenset(
 
 
 # Value types, as the allowed ``type()`` of a JSON value; bool is not an
-# integer here. A POINT is a list of exactly two integers. A NUMBER is
+# integer here. A POINT is a list of exactly two integers (a writer also
+# takes the world's (x, y) tuple, which JSON never yields). A NUMBER is
 # finite: not NaN, and no larger in size than the largest float.
 INT, NUMBER, TEXT, OBJECT, POINT, BOOL = (int,), (int, float), (str,), (dict,), (list,), (bool,)
+TEXT_OR_NULL = (str, type(None))
 _TYPE_NAMES = {INT: "an integer", NUMBER: "a number", TEXT: "a string", OBJECT: "an object",
-               POINT: "an [x, y] pair of integers", BOOL: "a boolean"}
+               POINT: "an [x, y] pair of integers", BOOL: "a boolean", TEXT_OR_NULL: "a string or null"}
 
-# The type of every value that readers index. "event" holds the fields of
-# each event line; the other entries hold the payload keys of one event
-# kind, "created" and "delivered" those of an order event whose event is
-# that, and "rider_summary" those of each rider in a sim_end (the auditor
-# checks these; the reader does not).
+# The type of every value that readers index. "header" holds the fields of
+# the header line and "event" those of each event line; the other entries
+# hold the payload keys of one event kind, "created" and "delivered" those
+# of an order event whose event is that, and "rider_summary" those of each
+# rider in a sim_end (the auditor checks these; the reader does not).
 FIELD_TYPES = {
+    "header": {"schema_version": INT, "config_digest": TEXT, "seed": INT, "created": TEXT_OR_NULL},
     "event": {"seq": INT, "tick": INT, "kind": TEXT, "payload": OBJECT},
     "position": {"agent": INT, "x": INT, "y": INT, "held": INT},
     "thought": {"agent": INT, "bounded": TEXT, "rational": TEXT, "missing": BOOL},
@@ -100,7 +103,7 @@ FIELD_TYPES = {
 
 
 def is_point(value) -> bool:
-    return type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int
+    return type(value) in (list, tuple) and len(value) == 2 and type(value[0]) is int and type(value[1]) is int
 
 
 def is_int_key(key: str) -> bool:
@@ -130,6 +133,9 @@ canonical_json = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
 ).encode
 _DECODER = json.JSONDecoder()
+_PLAIN_JSON = json.JSONEncoder(ensure_ascii=False).encode  # writes every string as it is
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -153,23 +159,31 @@ def decode_json(text: str, prefix: bool = False, unique_keys: bool = False):
     10,000 one-object rows of a foreign log from 10 to 14 ms, so
     :func:`ingest_external` does not ask for it. A text that is one value with
     at most JSON whitespace after it is read by the scanner alone; any other
-    goes the decoder's whole way, which names a failure as ``json.loads`` does."""
+    goes the decoder's whole way, which names a failure as ``json.loads`` does.
+    A whole text whose strings hold a surrogate that is not half of a pair
+    (``"\\ud800"``, which no UTF-8 file can hold) raises a ``ValueError``
+    too; it is looked for, by one encode of the value, only in a text with a
+    surrogate escape (``\\ud800`` to ``\\udfff``), as an emoji's pair is written."""
     decoder = _UNIQUE_DECODER if unique_keys else _DECODER
     try:
         if prefix:
             return _DECODER.raw_decode(text)
         try:
             value, end = decoder.scan_once(text, 0)
-            if not text[end:].strip(" \t\n\r"):
-                return value
         except (StopIteration, ValueError, RecursionError):
-            pass
-        # Only json.loads names a leading BOM in its error.
-        if text.startswith("\ufeff"):
-            return json.loads(text)
-        return decoder.decode(text)
+            end = None
+        if end is None or text[end:].strip(" \t\n\r"):
+            # Only json.loads names a leading BOM in its error.
+            value = json.loads(text) if text.startswith("\ufeff") else decoder.decode(text)
+        # The decoder joins an escaped pair into one character, so any
+        # surrogate left in a string is a lone one.
+        lone = ("\\" in text and _SURROGATE_ESCAPE.search(text)
+                and _SURROGATE.search(_PLAIN_JSON(value)))
     except RecursionError as exc:
         raise ValueError(f"{exc} (nesting too deep)") from None
+    if lone:
+        raise ValueError(f"a JSON string holds the lone surrogate {lone[0]!a}")
+    return value
 
 
 @contextmanager
@@ -489,16 +503,19 @@ def _parse_header(line: str) -> TraceHeader:
         raise TraceHeaderError(f"unreadable header: {exc}") from exc
     if not isinstance(data, dict) or "schema_version" not in data:
         raise TraceHeaderError("first line is not a trace header")
-    if data["schema_version"] != SCHEMA_VERSION:
-        raise TraceVersionError(
-            f"trace schema_version {data['schema_version']} unsupported (expected {SCHEMA_VERSION})"
-        )
-    return TraceHeader(
-        schema_version=data["schema_version"],
+    version = data["schema_version"]
+    if type(version) is int and version != SCHEMA_VERSION:  # before the fields another version may change
+        raise TraceVersionError(f"trace schema_version {version} unsupported (expected {SCHEMA_VERSION})")
+    header = TraceHeader(
+        schema_version=version,
         config_digest=data.get("config_digest", ""),
         seed=data.get("seed", 0),
         created=data.get("created"),
     )
+    problem = field_error(FIELD_TYPES["header"], header._asdict())
+    if problem is not None:
+        raise TraceHeaderError(f"header {problem}")
+    return header
 
 
 def _check_payload(event: TraceEvent, line_no: int, digest: str) -> None:

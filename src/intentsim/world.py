@@ -213,7 +213,7 @@ def generate_orders(world: WorldState) -> list[Order]:
 def assign_orders(
     world: WorldState,
     rider_id: int,
-    selection: list[int],
+    selection: tuple[int, ...],
     offered_ids: list[int],
 ) -> tuple[list[int], list[int], list[int]]:
     """Apply one rider's order selection, tolerating malformed choices.

@@ -39,6 +39,7 @@ from intentsim.trace import (
 )
 
 from foreign_rows import records_of
+from study_script import load_study
 from trace_files import write_trace
 
 RUNTIME_BUDGET_S = 60.0
@@ -71,38 +72,25 @@ def test_criterion_1_full_scale_determinism(full_scale_runs):
     )
 
 
-INVOLUTION_CONFIG = dict(
-    grid_size=50,
-    total_steps=1320,  # 11 days; day 0 is the pre-imitation baseline
-    steps_per_day=120,
-    n_riders=100,
-    base_order_rate=2.5,
-    peak_multiplier=2.0,
-    wage_rate=1.0,
-    seed=42,
-)
+study = load_study()
 
 
-def _involution_series(tmp_path, imitate: bool):
-    config = SimConfig(**INVOLUTION_CONFIG)
-    if imitate:
-        hours = ScriptedPolicy("imitate_top_ranked", {"delta": 1, "day0": (10, 13)})
-    else:
-        hours = ScriptedPolicy("fixed_hours", {"start": 10, "end": 13})
-    backend = ScriptedBackend(hours_policy=hours,
+def _involution_series(tmp_path, scenario: str):
+    config = SimConfig(**study.STUDY_CONFIG)
+    backend = ScriptedBackend(hours_policy=study.SCENARIOS[scenario],
                               selection_policy=ScriptedPolicy("greedy_nearest"))
-    path = tmp_path / f"involution_{imitate}.jsonl"
+    path = tmp_path / f"involution_{scenario}.jsonl"
     run_simulation(config, backend, path)
-    return involution_index(fold_events(load_trace(path).events))
+    return involution_index(fold_events(study.events_of(path)))
 
 
 def test_criterion_2_involution_trend(tmp_path):
-    ramp = _involution_series(tmp_path, imitate=True).index[1:11]
+    ramp = _involution_series(tmp_path, "imitate").index[1:11]
     assert all(b >= a for a, b in zip(ramp, ramp[1:])), f"index dipped: {ramp}"
     ratio = ramp[-1] / ramp[0]
     assert ratio >= 1.2, f"day-10/day-1 ratio {ratio:.2f} < 1.2"
 
-    flat = _involution_series(tmp_path, imitate=False).index[1:11]
+    flat = _involution_series(tmp_path, "fixed").index[1:11]
     control_ratio = flat[-1] / flat[0]
     assert 0.9 <= control_ratio <= 1.1, f"control ratio {control_ratio:.3f} outside [0.9, 1.1]"
     print(

@@ -1025,3 +1025,117 @@ def test_readme_names_only_real_flags():
     }
     assert "--trace" in named
     assert named <= real, sorted(named - real)
+
+
+# --- lone surrogates, header types and SVG characters -------------------------
+
+LONE = "I will run for mayor \ud800 now"  # json.dumps writes it as a \ud800 escape
+
+
+def analyze_foreign(runner, tmp_path, rows, mapping=None, flags=()):
+    """``analyze --external`` over ``rows`` (each a JSON text) into tmp_path/ext."""
+    log = tmp_path / "foreign.jsonl"
+    log.write_text("\n".join(rows) + "\n")
+    mapping_path = tmp_path / "mapping.json"
+    mapping_path.write_text(json.dumps(mapping or {"agent": "speaker", "tick": "step", "text": "utterance"}))
+    return runner.invoke(main, ["analyze", "--external", str(log), "--mapping", str(mapping_path),
+                                "--out", str(tmp_path / "ext"), "--k", "1", *flags])
+
+
+def test_foreign_row_with_lone_surrogate_is_skipped(runner, tmp_path):
+    # Its text used to reach the bundle, whose UTF-8 write failed: exit 4, no bundle.
+    rows = [json.dumps({"speaker": 1, "step": 5, "utterance": LONE}),
+            json.dumps({"speaker": 2, "step": 6, "utterance": "I will vote for rain"}),
+            json.dumps({"speaker": 3, "step": 7, "utterance": "a valid pair \U0001F600 stays"})]
+    assert "\\ud83d\\ude00" in rows[2]
+    result = analyze_foreign(runner, tmp_path, rows)
+    assert result.exit_code == 0, result.output
+    events = (tmp_path / "ext" / "analysis_events.jsonl").read_text(encoding="utf-8")
+    assert "line 1: malformed record" in events
+    assert "a valid pair \U0001F600 stays" in events
+
+
+def test_trace_line_with_lone_surrogate_exits_5(runner, tmp_path):
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    line_no = edit_first_event(trace, "thought", lambda payload: payload.update(rational=LONE))
+    result = runner.invoke(main, ["analyze", "--trace", str(trace), "--out", str(tmp_path / "an")])
+    assert result.exit_code == 5, result.output
+    assert f"line {line_no}: malformed event: a JSON string holds the lone surrogate '\\ud800'" in result.output
+    assert not (tmp_path / "an").exists()
+
+
+def test_mapping_with_lone_surrogate_exits_4(runner, tmp_path):
+    rows = [json.dumps({"speaker": 1, "step": 5, "utterance": "vote for rain"})]
+    result = analyze_foreign(runner, tmp_path, rows, {"agent": "speaker", "tick": "step", "text": "utter\udc00"})
+    assert result.exit_code == 4, result.output
+    assert "the lone surrogate '\\udc00'" in result.output
+    assert not (tmp_path / "ext").exists()
+
+
+def test_diagram_document_with_lone_surrogate_exits_4(runner, tmp_path):
+    # The SVG's UTF-8 write failed with exit 4 too, but named the codec, not the input.
+    source = tmp_path / "d.json"
+    source.write_text(json.dumps({**ONE_POINT_DIAGRAM, "cluster_labels": {"0": LONE}}))
+    out = tmp_path / "d.svg"
+    result = runner.invoke(main, ["diagram", "--json", str(source), "--format", "svg", "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert "the lone surrogate '\\ud800'" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, problem", [
+    ({"schema_version": True}, "header 'schema_version' is not an integer"),
+    ({"schema_version": 1.0}, "header 'schema_version' is not an integer"),
+    ({"config_digest": "", "created": 5, "seed": "s"}, "header 'seed' is not an integer"),
+    ({"created": 5}, "header 'created' is not a string or null"),
+    ({"config_digest": 7}, "header 'config_digest' is not a string"),
+    # Another version may type its fields otherwise, so it is named first.
+    ({"schema_version": 2, "seed": "s"}, "trace schema_version 2 unsupported (expected 1)"),
+], ids=["bool_version", "float_version", "string_seed", "int_created", "int_digest", "other_version"])
+def test_mistyped_header_exits_5(runner, tmp_path, edit, problem):
+    # Each of these used to be read, a true or 1.0 version as version 1.
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    lines = trace.read_text().splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), **edit}) + "\n"
+    trace.write_text("".join(lines))
+    for command in ("metrics", "analyze"):
+        result = runner.invoke(main, [command, "--trace", str(trace), "--out", str(tmp_path / command)])
+        assert result.exit_code == 5, (command, result.output)
+        assert problem in result.output
+        assert not (tmp_path / command).exists()
+
+
+def test_header_without_optional_fields_keeps_defaults(runner, tmp_path):
+    cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
+    trace = tmp_path / "t.jsonl"
+    runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(trace)])
+    lines = trace.read_text().splitlines(keepends=True)
+    lines[0] = '{"schema_version":1}\n'
+    trace.write_text("".join(lines))
+    assert load_trace(trace).header == (1, "", 0, None)
+    result = runner.invoke(main, ["metrics", "--trace", str(trace), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 0, result.output
+
+
+def test_svg_of_a_control_character_label_is_well_formed(runner, tmp_path):
+    # The C0 control went into the SVG as it was, which no XML parser reads.
+    import xml.etree.ElementTree as ET
+
+    rows = [json.dumps({"speaker": 1, "step": 5, "utterance": "\u0001 run for mayor"})]
+    result = analyze_foreign(runner, tmp_path, rows, flags=["--window-ticks", "40"])
+    assert result.exit_code == 0, result.output
+    bundle = tmp_path / "ext"
+    assert '"bounded: \\u0001 run for mayor' in (bundle / "diagram.json").read_text()
+    for fmt in ("svg", "dot", "json"):
+        out = tmp_path / f"d.{fmt}"
+        result = runner.invoke(main, ["diagram", "--json", str(bundle / "diagram.json"),
+                                      "--format", fmt, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+    assert (tmp_path / "d.json").read_bytes() == (bundle / "diagram.json").read_bytes()
+    assert "\u0001" in (tmp_path / "d.dot").read_text()
+    labels = [node.text for node in ET.parse(tmp_path / "d.svg").iter("{http://www.w3.org/2000/svg}text")]
+    assert "bounded: \ufffd run fo\u2026" in labels

@@ -60,19 +60,19 @@ values = st.recursive(
 )
 # Values that fit each slot of a SHAPES entry, and near misses the writer
 # must hand to the encoder: bools, IntEnums, floats that are not finite,
-# ints where a float belongs, points that are not a list of two ints.
+# ints where a float belongs, points that are not a list or tuple of two ints.
 FITS = {
     INT: ints,
     FLOAT: (st.floats(allow_nan=False, allow_infinity=False)
             | st.sampled_from([15.0, 1e16, -0.0, 5e-324, 0.1, 1e-7])),
-    POINT: st.lists(ints, min_size=2, max_size=2),
+    POINT: st.lists(ints, min_size=2, max_size=2) | st.tuples(ints, ints),  # the world's are tuples
 }
 MISFITS = {
     INT: st.booleans() | st.sampled_from(list(Level)) | floats,
     FLOAT: st.sampled_from([float("nan"), float("inf"), float("-inf"), 12, True]) | ints,
     POINT: (st.lists(ints, max_size=3).filter(lambda xs: len(xs) != 2)
             | st.lists(ints | st.booleans() | floats, min_size=2, max_size=2)
-            | st.tuples(ints, ints) | ints),
+            | st.tuples(ints, floats) | ints),
 }
 KINDS = sorted(EVENT_KINDS - {"sim_start"})
 

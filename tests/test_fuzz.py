@@ -134,6 +134,37 @@ def test_mistyped_value_exits_5(tmp_path, index, key, value):
         assert f"line {index + 2}:" in result.output
 
 
+@pytest.mark.parametrize("old, new, named", [
+    # A UTF-8 file cannot hold a lone surrogate, but a JSON escape can name one.
+    (b"I feel like start early", b"I feel like \\ud800 start early",
+     "line 3: malformed event: a JSON string holds the lone surrogate '\\ud800'"),
+    (b'"seed":4}\n', b'"seed":"4"}\n', "header 'seed' is not an integer"),
+], ids=["lone_surrogate_thought", "string_seed"])
+def test_unusable_text_or_header_exits_5(tmp_path, old, new, named):
+    # The first used to exit 4 from analyze's UTF-8 write; the second was read.
+    assert TRACE.count(old) == 1
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(TRACE.replace(old, new))
+    with pytest.raises(TraceError):
+        load_trace(path)
+    for command in commands(path, tmp_path):
+        result = CliRunner().invoke(main, command)
+        assert result.exit_code == 5, (command[0], result.output, result.exception)
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert named in result.output
+
+
+def test_lone_surrogate_escape_in_a_foreign_row_is_skipped(tmp_path):
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(b'{"who": 1, "at": 0, "said": "go \\ud800 now"}\n{"who": 2, "at": 1, "said": "go"}\n')
+    (tmp_path / "map.json").write_text('{"agent": "who", "tick": "at", "text": "said"}')
+    result = CliRunner().invoke(main, ["analyze", "--external", str(log), "--mapping",
+                                       str(tmp_path / "map.json"), "--out", str(tmp_path / "a")])
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert "ingest skipped 1 record(s)" in result.output
+    assert "line 1: malformed record" in (tmp_path / "a" / "analysis_events.jsonl").read_text()
+
+
 @settings(max_examples=300, deadline=None)
 @given(index=st.integers(0, len(TRACE) - 1), byte=st.integers(0, 255))
 # A position's "y" key becomes a second "x", so the position has no "y".

@@ -123,7 +123,7 @@ def test_work_hours_decision_parsed_from_reply(stub_server):
     ]
     backend = LlmBackend(endpoint_for(stub_server))
     decision, pair = backend.decide_work_hours(make_ctx())
-    assert (decision.go_to_work_hour, decision.get_off_work_hour) == (10, 18)
+    assert decision == (10, 18)
     assert pair.bounded == "Feeling ambitious today."
     assert pair.rational == "Math says widen."
 
@@ -162,7 +162,7 @@ def test_malformed_reply_is_reasked_with_error(stub_server):
     ]
     backend = LlmBackend(endpoint_for(stub_server))
     decision, _ = backend.decide_work_hours(make_ctx())
-    assert decision.go_to_work_hour == 8
+    assert decision[0] == 8
     retry_request = stub_server.requests[-1][1]
     user_turns = [m for m in retry_request["messages"] if m["role"] == "user"]
     assert "minutes must be 00" in user_turns[-1]["content"]
@@ -181,7 +181,7 @@ def test_each_reply_is_scanned_once(stub_server, monkeypatch):
     scan = parsing.last_json_object
     monkeypatch.setattr(parsing, "last_json_object", lambda text: scanned.append(text) or scan(text))
     decision, pair = LlmBackend(endpoint_for(stub_server)).decide_work_hours(make_ctx())
-    assert decision.go_to_work_hour == 8
+    assert decision[0] == 8
     assert pair == ThoughtPair(bounded="go early", rational="widen the shift")
     assert scanned == replies
 
@@ -210,7 +210,7 @@ def test_order_selection_round_trip(stub_server):
         OfferedOrder(id=7, pickup=(3, 3), dropoff=(4, 4), payment=6.0, pickup_distance=6),
     )
     selection, _ = backend.select_orders(make_ctx(capacity_left=2, offered=offers))
-    assert selection.order_ids == (3, 7)
+    assert selection == (3, 7)
     prompt = stub_server.requests[0][1]["messages"][1]["content"]
     assert '"order_id": 3' in prompt
     assert "[28,104]" in prompt
@@ -332,7 +332,10 @@ def test_simulate_falls_back_on_truncated_replies(stub_server, tmp_path):
     # Each of two riders: a bounded ask, then three rational asks.
     ({"chat": '{"a":' + "[" * 100_000}, "unparseable reply after retries", 8),
     ({"chat": '{"go_to_work_time": ' + "9" * 5000}, "unparseable reply after retries", 8),
-], ids=["nested_body", "nested_content", "long_int_content"])
+    # A lone surrogate escape in the body used to reach the trace, whose
+    # UTF-8 write failed: exit 4 and no trace. Each rider: three attempts.
+    ({"chat": "I will run for mayor \ud800 now"}, "the lone surrogate '\\ud800'", 6),
+], ids=["nested_body", "nested_content", "long_int_content", "lone_surrogate_body"])
 def test_simulate_falls_back_on_undecodable_replies(stub_server, tmp_path, reply, failure, requests):
     stub_server.script = [reply] * requests
     simulate_until_fallback(stub_server, tmp_path, failure)

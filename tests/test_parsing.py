@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from intentsim.backends.parsing import last_json_object, parse_reply, read_reply, split_think_blocks
-from intentsim.backends.types import OrderSelection, WorkHoursDecision
 from intentsim.errors import DecisionParseError
 from intentsim.trace import decode_json
 
@@ -19,14 +18,14 @@ def test_parse_work_hours_happy_path():
     decision = parse_decision_payload(
         '{"go_to_work_time":"8:00","get_off_work_time":"17:00"}', "work_hours"
     )
-    assert decision == WorkHoursDecision(8, 17)
+    assert decision == (8, 17)
 
 
 def test_parse_two_digit_hours():
     decision = parse_decision_payload(
         '{"go_to_work_time":"10:00","get_off_work_time":"18:00"}', "work_hours"
     )
-    assert decision == WorkHoursDecision(10, 18)
+    assert decision == (10, 18)
 
 
 def test_parse_rejects_nonzero_minutes():
@@ -53,12 +52,12 @@ def test_parse_missing_key_named():
 
 def test_parse_order_list_with_prose():
     decision = parse_decision_payload('I will take nothing. {"order_list":[]}', "order_selection")
-    assert decision == OrderSelection(order_ids=())
+    assert decision == ()
 
 
 def test_parse_order_list_values():
     decision = parse_decision_payload('{"order_list":[3,7]}', "order_selection")
-    assert decision.order_ids == (3, 7)
+    assert decision == (3, 7)
 
 
 def test_parse_order_list_rejects_non_integers():
@@ -70,17 +69,17 @@ def test_parse_order_list_rejects_non_integers():
 
 def test_parse_uses_last_json_object():
     raw = '{"order_list":[1]} changed my mind {"order_list":[2]}'
-    assert parse_decision_payload(raw, "order_selection").order_ids == (2,)
+    assert parse_decision_payload(raw, "order_selection") == (2,)
 
 
 def test_parse_handles_nested_objects_as_one():
     raw = 'note {"outer": {"inner": 1}, "order_list": [4]}'
-    assert parse_decision_payload(raw, "order_selection").order_ids == (4,)
+    assert parse_decision_payload(raw, "order_selection") == (4,)
 
 
 def test_parse_strips_think_blocks_first():
     raw = '<think>{"order_list":[9]} is tempting</think>{"order_list":[1]}'
-    assert parse_decision_payload(raw, "order_selection").order_ids == (1,)
+    assert parse_decision_payload(raw, "order_selection") == (1,)
 
 
 def test_parse_no_object_is_typed_error():
@@ -107,10 +106,10 @@ def test_strip_think_blocks():
 
 def test_reply_gives_thought_and_decision_together():
     assert parse_reply('take it {"order_list":[1]}', "order_selection") == (
-        "take it", OrderSelection(order_ids=(1,)))
+        "take it", (1,))
     # The first think block is the thought; the payload is read outside every block.
     raw = '<think> near </think>prose<think>{"order_list":[9]}</think>{"order_list":[2]}'
-    assert parse_reply(raw, "order_selection") == ("near", OrderSelection(order_ids=(2,)))
+    assert parse_reply(raw, "order_selection") == ("near", (2,))
 
 
 @given(st.text(max_size=400))
@@ -126,7 +125,7 @@ def test_parser_never_crashes_on_arbitrary_text(raw):
 def test_render_parse_round_trip_hours(start, end):
     raw = f'{{"go_to_work_time":"{start}:00","get_off_work_time":"{end}:00"}}'
     decision = parse_decision_payload(raw, "work_hours")
-    assert (decision.go_to_work_hour, decision.get_off_work_hour) == (start, end)
+    assert decision == (start, end)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), max_size=8))
@@ -135,7 +134,7 @@ def test_render_parse_round_trip_orders(ids):
 
     raw = json.dumps({"order_list": ids})
     decision = parse_decision_payload(raw, "order_selection")
-    assert list(decision.order_ids) == ids
+    assert list(decision) == ids
 
 
 # Replies whose JSON the decoder cannot read: deep nesting used to escape as

@@ -1,11 +1,12 @@
 """Smoke tests for the example scripts, which read the analysis API."""
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from study_script import load_study
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -28,10 +29,7 @@ def test_election_demo_writes_bundle(tmp_path):
 
 
 def test_involution_study_runs(tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("run_involution_study",
-                                                  SCRIPTS / "run_involution_study.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # the __main__ guard keeps main() from running
+    module = load_study()
     assert set(module.SCENARIOS) == {"imitate", "fixed"}
     # A small world over the 11 days the script reads (it prints day 10).
     monkeypatch.setattr(module, "STUDY_CONFIG", dict(

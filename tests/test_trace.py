@@ -476,14 +476,34 @@ def oracle_unique_keys(pairs):
 ORACLE_DECODERS = {False: json.JSONDecoder(), True: json.JSONDecoder(object_pairs_hook=oracle_unique_keys)}
 
 
+def oracle_lone_surrogate(value):
+    """The first surrogate in ``value``'s strings, keys included, in the order
+    JSON writes them; or None."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack.extend(reversed([part for pair in item.items() for part in pair]))
+        elif isinstance(item, list):
+            stack.extend(reversed(item))
+        elif isinstance(item, str):
+            for char in item:
+                if "\ud800" <= char <= "\udfff":
+                    return char
+    return None
+
+
 def oracle_decode_json(text, unique_keys=False):
-    """decode_json as it was before it tried the scanner alone: the oracle."""
+    """decode_json as it was before it tried the scanner alone, with the
+    lone-surrogate rule checked by a walk of the value: the oracle."""
     try:
-        if text.startswith("\ufeff"):
-            return json.loads(text)
-        return ORACLE_DECODERS[unique_keys].decode(text)
+        value = json.loads(text) if text.startswith("\ufeff") else ORACLE_DECODERS[unique_keys].decode(text)
     except RecursionError as exc:
         raise ValueError(f"{exc} (nesting too deep)") from None
+    lone = oracle_lone_surrogate(value)
+    if lone is not None:
+        raise ValueError(f"a JSON string holds the lone surrogate {lone!a}")
+    return value
 
 
 JSON_VALUES = st.recursive(
@@ -497,6 +517,7 @@ JSON_BODIES = (
         '{"a": 1, "a": 2}', '[{"k": [], "k": {}}]', '{"x": {"y": 1, "y": 1}}', '{"a": 1, "b": {"a": 2}}',
         "[" * 100_000, "[" * 3_000 + "]" * 3_000, '{"a":' * 3_000, "1" * 4_301, "-" + "9" * 4_301,
         "NaN", "-Infinity", "[Infinity, NaN]", "nan", "", "tru", '"\\ud800"', '"\\u12"',
+        '{"\\u00e9": ["\\uDBFF", "\\udc00"]}', '"\\ud83d\\ude00 \\ud83d"', '"\\\\ud800"',
     ])
 )
 # JSON whitespace, other Unicode whitespace, a BOM and trailing garbage.
@@ -510,6 +531,9 @@ TAILS = EDGES | st.sampled_from([" x", " 2", "1", "}", "]", ",", "\n{}", " []", 
 @example("", "[]", None, "\u00a0", False)  # Unicode whitespace is not JSON whitespace
 @example("", '"s"', None, "\x0b", True)
 @example(" ", "{}", None, "\n", False)
+@example("", '"\\ud800"', None, "", False)  # a lone surrogate escape
+@example("", '"\\ud83d\\ude00"', None, " ", True)  # an escaped pair is one character
+@example("", '["\\u00e9", "\\uDC00"]', None, "", False)
 def test_decode_json_matches_its_oracle(head, body, cut, tail, unique_keys):
     text = head + (body if cut is None else body[:cut]) + tail
     try:

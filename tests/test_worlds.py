@@ -28,9 +28,9 @@ from intentsim.config import SimConfig
 from intentsim.engine import replay_simulation, run_simulation
 from intentsim.metrics import write_metrics_reports
 from intentsim.pipeline import AnalysisOptions, analyze_trace_events, write_analysis_outputs
-from intentsim.trace import iter_trace
 
 import fold_oracle
+from study_script import load_study
 
 hours = st.integers(0, 23)
 
@@ -68,10 +68,7 @@ def worlds(draw):
     return config, ScriptedBackend(hours_policy, selection), draw(st.booleans())
 
 
-def events_of(path):
-    stream = iter_trace(path)
-    next(stream)  # the header
-    return stream
+events_of = load_study().events_of  # a trace's events, header skipped
 
 
 def analysis_bundle(trace, out, options):
