@@ -18,6 +18,7 @@ from click.core import ParameterSource
 
 from .backends.llm import LlmBackend
 from .backends.scripted import ScriptedBackend, ScriptedPolicy
+from .clustering import SCAN_K_MAX, SCAN_K_MIN
 from .config import SimConfig, load_config
 from .diagram import DEFAULT_WINDOW_TICKS, EmergenceDiagram, render_diagram
 from .engine import run_simulation
@@ -63,6 +64,14 @@ def _refuse_unread(reason: str, *names: str) -> None:
         raise click.UsageError(f"nothing reads {', '.join(given)} {reason}")
 
 
+def _utf8(_ctx, _param, value: str | None) -> str | None:
+    """Refuse, as a usage error, a text option that is not UTF-8: a shell
+    byte that is not UTF-8 reaches Python as a lone surrogate."""
+    if value is not None and any("\ud800" <= char <= "\udfff" for char in value):
+        raise click.BadParameter(f"{ascii(value)} is not UTF-8")
+    return value
+
+
 def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
@@ -96,10 +105,10 @@ def main() -> None:
 @click.option("--imitate-delta", type=int, default=1, show_default=True, help="Hours widened on each side when imitating.")
 @click.option("--fixed-start", type=int, default=None, help="Constant shift start for fixed_hours.")
 @click.option("--fixed-end", type=int, default=None, help="Constant shift end for fixed_hours.")
-@click.option("--llm-url", default=None, help="Chat-completion endpoint URL; decisions go to the chat model instead of the scripted policies.")
-@click.option("--llm-model", default=None, help="Model id sent to the chat endpoint (with --llm-url).")
+@click.option("--llm-url", default=None, callback=_utf8, help="Chat-completion endpoint URL; decisions go to the chat model instead of the scripted policies.")
+@click.option("--llm-model", default=None, callback=_utf8, help="Model id sent to the chat endpoint (with --llm-url).")
 @click.option("--no-inspector", is_flag=True, help="Record single-perspective thoughts only (calculation side).")
-@click.option("--created-at", default=None, help="Timestamp stored in the trace header (omitted by default so reruns are byte-identical).")
+@click.option("--created-at", default=None, callback=_utf8, help="Timestamp stored in the trace header (omitted by default so reruns are byte-identical).")
 @_guarded
 def simulate(
     config_path,
@@ -160,13 +169,13 @@ def simulate(
 @click.option("--theta", type=float, default=DEFAULT_THETA, show_default=True, help="Novelty threshold for the similarity detector.")
 @click.option("--window-ticks", type=int, default=DEFAULT_WINDOW_TICKS, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for embedding/clustering.")
-@click.option("--embed-url", default=None, help="Embedding endpoint URL; thoughts are embedded remotely instead of by token hashing.")
-@click.option("--embed-model", default=None, help="Embedding model id (with --embed-url).")
+@click.option("--embed-url", default=None, callback=_utf8, help="Embedding endpoint URL; thoughts are embedded remotely instead of by token hashing.")
+@click.option("--embed-model", default=None, callback=_utf8, help="Embedding model id (with --embed-url).")
 @click.option("--memory-capacity", type=int, default=DEFAULT_MEMORY_CAPACITY, show_default=True)
-@click.option("--scan-k", is_flag=True, help="Pick k by silhouette scan over 2..10.")
+@click.option("--scan-k", is_flag=True, help=f"Pick k by silhouette scan over {SCAN_K_MIN}..{SCAN_K_MAX}.")
 @click.option("--detector", type=click.Choice(["similarity", "llm"]), default="similarity", show_default=True)
-@click.option("--llm-url", default=None, help="Chat endpoint for --detector llm / --label-llm.")
-@click.option("--llm-model", default=None, help="Model id for --detector llm / --label-llm.")
+@click.option("--llm-url", default=None, callback=_utf8, help="Chat endpoint for --detector llm / --label-llm.")
+@click.option("--llm-model", default=None, callback=_utf8, help="Model id for --detector llm / --label-llm.")
 @click.option("--label-llm", is_flag=True, help="Summarize cluster labels with the chat endpoint instead of the medoid text.")
 @click.option("--similarity-csv", is_flag=True, help="Also export the pairwise similarity matrix as similarity.csv.")
 @click.option("--no-inspector", is_flag=True, help="Drop instinct-side texts before analysis.")
@@ -270,7 +279,7 @@ def diagram(analysis_dir, json_path, fmt, out_path):
     if (analysis_dir is None) == (json_path is None):
         raise click.UsageError("provide exactly one of --analysis or --json")
     source = Path(json_path) if json_path else Path(analysis_dir) / "diagram.json"
-    doc = EmergenceDiagram.from_json_dict(decode_json(source.read_text(encoding="utf-8"), unique_keys=True))
+    doc = EmergenceDiagram.from_json_dict(decode_json(source.read_text(encoding="utf-8")))
     with open_output(out_path) as fh:
         fh.write(render_diagram(doc, fmt))
     click.echo(f"rendered {fmt} diagram -> {out_path}")

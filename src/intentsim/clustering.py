@@ -24,6 +24,7 @@ from .errors import ClusteringError
 MAX_ITER = 100
 TOL = 1e-6  # objective improvement below which a stable labelling has converged
 SAMPLE_CAP = 2000  # scan_k subsamples larger inputs for the O(n^2) silhouette
+SCAN_K_MIN, SCAN_K_MAX = 2, 10
 
 
 @dataclass
@@ -202,8 +203,8 @@ def distinct_rows(points: np.ndarray, limit: int) -> int:
     return len(seen)
 
 
-def scan_k(vectors, seed: int, k_min: int = 2, k_max: int = 10) -> tuple[int | None, dict[int, float]]:
-    """Silhouette sweep over k; returns (best k, score per k).
+def scan_k(vectors, seed: int) -> tuple[int | None, dict[int, float]]:
+    """Silhouette sweep over k from SCAN_K_MIN to SCAN_K_MAX; returns (best k, score per k).
 
     Inputs above ``SAMPLE_CAP`` are subsampled deterministically to keep the
     O(n^2) silhouette affordable. No k above the sample's distinct points is
@@ -217,13 +218,13 @@ def scan_k(vectors, seed: int, k_min: int = 2, k_max: int = 10) -> tuple[int | N
     if n > SAMPLE_CAP:
         rng = random.Random(seed)
         sample = sample[sorted(rng.sample(range(n), SAMPLE_CAP))]
-    distinct = distinct_rows(sample, k_max)
+    distinct = distinct_rows(sample, SCAN_K_MAX)
     if distinct < 2:
         return None, {}
     scores: dict[int, float] = {}
-    upper = min(k_max, sample.shape[0] - 1, distinct)
+    upper = min(SCAN_K_MAX, sample.shape[0] - 1, distinct)
     distances = np.sqrt(_squared_distances(sample, sample))  # one matrix for every k
-    for k in range(k_min, upper + 1):
+    for k in range(SCAN_K_MIN, upper + 1):
         result = kmeans_cluster(sample, k, seed)
         scores[k] = silhouette_score(distances, result.assignments)
     best = max(scores.items(), key=lambda kv: (kv[1], -kv[0]))[0]

@@ -81,10 +81,6 @@ class SimilarityDetector:
 
     theta: float = DEFAULT_THETA
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must be in (0, 1]")
-
     def detect(self, rows: np.ndarray, starts: np.ndarray, first: int) -> np.ndarray:
         """Which of ``rows[first:]`` are emergent, as a bool per row.
 
@@ -172,12 +168,10 @@ def mine_records(
     asked about each in record-id order, which is canonical order, and a
     reply it cannot use leaves the similarity verdict standing.
     """
-    if memory_capacity < 0:
-        raise ValueError(f"memory capacity must be >= 0, got {memory_capacity}")
     present = sorted((r for r in records if not r.missing), key=attrgetter("agent_id", "tick", "record_id"))
     if not present:
         return IntentionRepository()
-    memory_capacity = min(memory_capacity, len(present))  # no memory is longer than that
+    memory_capacity = min(max(memory_capacity, 0), len(present))  # from no thought to every one
     agents = np.array([r.agent_id for r in present])
     # Where each thought's memory begins: at most memory_capacity back, and
     # not before its agent's first thought.

@@ -14,10 +14,9 @@ trace byte-reproducible and lets tests compare whole files.
 
 Every JSON text read from outside the program (a trace, a foreign log, a
 mapping, a diagram, a model's reply) goes through :func:`decode_json`; a
-trace line, a mapping and a diagram document refuse an object that repeats
-a key. Every file the package writes is opened by :func:`open_output`; a
-command that writes a set of files builds them all first, then
-:func:`write_files`.
+whole text refuses an object that repeats a key. Every file the package
+writes is opened by :func:`open_output`; a command that writes a set of
+files builds them all first, then :func:`write_files`.
 Both write under temporary names beside the targets and rename them only
 once everything is written, so a failure leaves the previous files (or
 none) in place; an output path that cannot be written is an
@@ -132,13 +131,12 @@ def field_error(fields: dict, data: dict) -> str | None:
 canonical_json = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
 ).encode
-_DECODER = json.JSONDecoder()
 _PLAIN_JSON = json.JSONEncoder(ensure_ascii=False).encode  # writes every string as it is
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def _unique_keys(pairs: list) -> dict:
+def _distinct_keys(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         repeated = next(key for key, n in Counter(key for key, _value in pairs).items() if n > 1)
@@ -146,35 +144,33 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-_UNIQUE_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_DECODER = json.JSONDecoder(object_pairs_hook=_distinct_keys)
+_PREFIX_DECODER = json.JSONDecoder()  # no hook: a reply's payload is read last-wins
 
 
-def decode_json(text: str, prefix: bool = False, unique_keys: bool = False):
+def decode_json(text: str, prefix: bool = False):
     """The JSON value of ``text``, as ``json.loads`` gives it; or, with
     ``prefix``, the value ``text`` starts with and the length of its JSON.
-    Text that is not JSON, an integer past Python's int-string limit and
-    nesting too deep for the decoder each raise a ``ValueError``; so does,
-    with ``unique_keys``, an object that spells a key twice (otherwise the
-    last copy wins). The check is a Python call per object, which took the
-    10,000 one-object rows of a foreign log from 10 to 14 ms, so
-    :func:`ingest_external` does not ask for it. A text that is one value with
-    at most JSON whitespace after it is read by the scanner alone; any other
-    goes the decoder's whole way, which names a failure as ``json.loads`` does.
-    A whole text whose strings hold a surrogate that is not half of a pair
-    (``"\\ud800"``, which no UTF-8 file can hold) raises a ``ValueError``
-    too; it is looked for, by one encode of the value, only in a text with a
-    surrogate escape (``\\ud800`` to ``\\udfff``), as an emoji's pair is written."""
-    decoder = _UNIQUE_DECODER if unique_keys else _DECODER
+    Text that is not JSON, an integer past Python's int-string limit, nesting
+    too deep for the decoder and an object that spells a key twice each raise
+    a ``ValueError``; in ``prefix`` mode the last copy of a repeated key wins.
+    A text that is one value with at most JSON whitespace after it is read by
+    the scanner alone; any other goes the decoder's whole way, which names a
+    failure as ``json.loads`` does. A whole text whose strings hold a
+    surrogate that is not half of a pair (``"\\ud800"``, which no UTF-8 file
+    can hold) raises a ``ValueError`` too; it is looked for, by one encode of
+    the value, only in a text with a surrogate escape (``\\ud800`` to
+    ``\\udfff``), as an emoji's pair is written."""
     try:
         if prefix:
-            return _DECODER.raw_decode(text)
+            return _PREFIX_DECODER.raw_decode(text)
         try:
-            value, end = decoder.scan_once(text, 0)
+            value, end = _DECODER.scan_once(text, 0)
         except (StopIteration, ValueError, RecursionError):
             end = None
         if end is None or text[end:].strip(" \t\n\r"):
             # Only json.loads names a leading BOM in its error.
-            value = json.loads(text) if text.startswith("\ufeff") else decoder.decode(text)
+            value = json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
         # The decoder joins an escaped pair into one character, so any
         # surrogate left in a string is a lone one.
         lone = ("\\" in text and _SURROGATE_ESCAPE.search(text)
@@ -498,7 +494,7 @@ def _decode(raw: bytes, line_no: int) -> str:
 
 def _parse_header(line: str) -> TraceHeader:
     try:
-        data = decode_json(line, unique_keys=True)
+        data = decode_json(line)
     except ValueError as exc:
         raise TraceHeaderError(f"unreadable header: {exc}") from exc
     if not isinstance(data, dict) or "schema_version" not in data:
@@ -592,7 +588,7 @@ def iter_trace(path: str | Path) -> Iterator[TraceHeader | TraceEvent]:
                 if not line:
                     raise TraceFormatError(line_no, "blank line inside trace")
                 try:
-                    data = decode_json(line, unique_keys=True)
+                    data = decode_json(line)
                 except ValueError as exc:
                     raise TraceFormatError(line_no, f"malformed event: {getattr(exc, 'msg', exc)}") from exc
                 if type(data) is not dict:
@@ -664,7 +660,7 @@ class IngestMapping:
 
     @classmethod
     def load(cls, path: str | Path) -> "IngestMapping":
-        return cls.from_dict(decode_json(Path(path).read_text(encoding="utf-8"), unique_keys=True))
+        return cls.from_dict(decode_json(Path(path).read_text(encoding="utf-8")))
 
 
 def _lookup_path(record: dict, parts: list[str]):

@@ -114,7 +114,7 @@ def iter_trace(path):
                 if not line:
                     raise TraceFormatError(line_no, "blank line inside trace")
                 try:
-                    data = decode_json(line, unique_keys=True)
+                    data = decode_json(line)
                 except ValueError as exc:
                     raise TraceFormatError(line_no, f"malformed event: {getattr(exc, 'msg', exc)}") from exc
                 if type(data) is not dict:

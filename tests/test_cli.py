@@ -557,6 +557,39 @@ def test_external_undecodable_lines_skipped(runner, tmp_path):
     assert "line 2: malformed record" in events and "line 3: malformed record" in events
 
 
+@pytest.mark.parametrize("row", [
+    '{"speaker": 1, "speaker": 2, "step": 5, "utterance": "run for mayor"}',
+    '{"speaker": 1, "step": 5, "utterance": "run for mayor", "meta": {"mood": 1, "mood": 2}}',
+], ids=["top_level", "nested"])
+def test_external_row_that_repeats_a_key_is_skipped(runner, tmp_path, row):
+    # The last copy used to win: the top-level row was an intention of agent 2.
+    log = tmp_path / "foreign.jsonl"
+    log.write_text(row + "\n")
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps({"agent": "speaker", "tick": "step", "text": "utterance"}))
+    out = tmp_path / "ext"
+    result = runner.invoke(main, ["analyze", "--external", str(log), "--mapping", str(mapping), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "ingest skipped 1 record(s)" in result.output
+    assert "0 intentions" in result.output
+    assert "line 1: malformed record" in (out / "analysis_events.jsonl").read_text()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--created-at"), ("simulate", "--llm-url"), ("simulate", "--llm-model"),
+    ("analyze", "--embed-url"), ("analyze", "--embed-model"), ("analyze", "--llm-url"), ("analyze", "--llm-model"),
+])
+def test_a_text_option_that_is_not_utf8_is_a_usage_error(runner, tmp_path, command, flag):
+    # A shell byte that is not UTF-8 (\xff) reaches Python as a lone
+    # surrogate. --created-at used to fail the trace write with exit 4.
+    source = "--config" if command == "simulate" else "--trace"
+    result = runner.invoke(main, [command, source, str(tmp_path / "absent"), "--out", str(tmp_path / "out"),
+                                  flag, "x\udcff"])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{flag}': 'x\\udcff' is not UTF-8" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_memory_capacity_exits_4(runner, tmp_path):
     cfg = write_small_config(tmp_path / "sim.cfg", total_steps=120)
     trace = tmp_path / "t.jsonl"

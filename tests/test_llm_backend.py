@@ -335,7 +335,16 @@ def test_simulate_falls_back_on_truncated_replies(stub_server, tmp_path):
     # A lone surrogate escape in the body used to reach the trace, whose
     # UTF-8 write failed: exit 4 and no trace. Each rider: three attempts.
     ({"chat": "I will run for mayor \ud800 now"}, "the lone surrogate '\\ud800'", 6),
-], ids=["nested_body", "nested_content", "long_int_content", "lone_surrogate_body"])
+    # A body that repeats a key, at the top level or nested, used to keep
+    # the last copy, here a reply that parses. Each rider: three attempts.
+    ({"body": b'{"choices": [], "choices": [{"message": {"content": "{\\"go_to_work_time\\":'
+               b' \\"9:00\\", \\"get_off_work_time\\": \\"17:00\\"}"}}]}'},
+     "a JSON object repeats the key 'choices'", 6),
+    ({"body": b'{"choices": [{"message": {"content": "", "content": "{\\"go_to_work_time\\":'
+               b' \\"9:00\\", \\"get_off_work_time\\": \\"17:00\\"}"}}]}'},
+     "a JSON object repeats the key 'content'", 6),
+], ids=["nested_body", "nested_content", "long_int_content", "lone_surrogate_body",
+        "repeated_key_body", "nested_repeated_key_body"])
 def test_simulate_falls_back_on_undecodable_replies(stub_server, tmp_path, reply, failure, requests):
     stub_server.script = [reply] * requests
     simulate_until_fallback(stub_server, tmp_path, failure)
@@ -457,6 +466,20 @@ def test_analyze_exits_1_on_nested_embedding_reply(stub_server, tmp_path):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert "embedding endpoint failed after retries" in result.output
     assert "nesting too deep" in result.output
+    assert len(stub_server.requests) == transport.ATTEMPTS
+
+
+@pytest.mark.parametrize("body, key", [
+    (b'{"data": [], "data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]}', "data"),
+    (b'{"data": [{"embedding": [], "embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]}', "embedding"),
+], ids=["top_level", "nested"])
+def test_analyze_exits_1_on_an_embedding_reply_with_a_repeated_key(stub_server, tmp_path, body, key):
+    # The last copy used to win, here a reply that holds both rows.
+    stub_server.script = [{"body": body}] * 3
+    result = analyze_external_with_embedder(stub_server, tmp_path)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"embedding endpoint failed after retries: a JSON object repeats the key '{key}'" in result.output
     assert len(stub_server.requests) == transport.ATTEMPTS
 
 

@@ -302,10 +302,20 @@ def test_external_rows_fill_both_slots():
 
 
 def test_theta_bounds_validated():
-    with pytest.raises(ValueError):
-        SimilarityDetector(theta=0.0)
-    with pytest.raises(ValueError):
-        SimilarityDetector(theta=1.5)
+    # AnalysisOptions is the one home of these rules; the detector and
+    # mine_records take its values.
+    for theta in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"theta must be in \(0, 1\]"):
+            AnalysisOptions(theta=theta)
+    with pytest.raises(ValueError, match="memory capacity must be >= 0, got -1"):
+        AnalysisOptions(memory_capacity=-1)
+
+
+def test_mine_records_takes_a_negative_capacity_as_no_memory():
+    records = records_of([{"agent_id": 0, "tick": t, "text": "same words"} for t in range(3)])
+    none, negative = (mine_records(records, SimilarityDetector(), HashingEmbedder(dim=32), capacity)
+                      for capacity in (0, -1))
+    assert [r.record_id for r in negative.records] == [r.record_id for r in none.records] == [0, 1, 2]
 
 
 def test_llm_detector_parses_verdicts():

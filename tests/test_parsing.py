@@ -72,6 +72,13 @@ def test_parse_uses_last_json_object():
     assert parse_decision_payload(raw, "order_selection") == (2,)
 
 
+def test_parse_reads_a_repeated_key_in_a_reply_last_wins():
+    # The payload inside a reply is decoded in prefix mode, which keeps the
+    # last copy of a repeated key; a whole text refuses it.
+    raw = '{"go_to_work_time":"3:00","go_to_work_time":"9:00","get_off_work_time":"17:00"}'
+    assert parse_reply(raw, "work_hours") == ("", (9, 17))
+
+
 def test_parse_handles_nested_objects_as_one():
     raw = 'note {"outer": {"inner": 1}, "order_list": [4]}'
     assert parse_decision_payload(raw, "order_selection") == (4,)

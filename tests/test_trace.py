@@ -426,6 +426,17 @@ def test_ingest_strips_only_json_whitespace(tmp_path):
     assert result.warnings == [f"line {n}: malformed record" for n in (2, 3, 4, 5)]
 
 
+def test_ingest_skips_a_row_that_repeats_a_key(tmp_path):
+    # The last copy used to win: the first row was ingested as agent 2.
+    path = tmp_path / "foreign.jsonl"
+    path.write_text('{"speaker": 1, "speaker": 2, "step": 5, "utterance": "run for mayor"}\n'
+                    '{"speaker": 1, "step": 5, "utterance": "vote", "meta": {"mood": 1, "mood": 2}}\n'
+                    '{"speaker": 3, "step": 6, "utterance": "kept"}\n')
+    result = ingest_external(path, mapping())
+    assert [(r.agent_id, r.text) for r in result.rows] == [(3, folded("kept"))]
+    assert result.warnings == ["line 1: malformed record", "line 2: malformed record"]
+
+
 def test_ingest_embeds_a_non_string_text_as_its_json(tmp_path):
     # str() wrote Python's spelling: {'b': [True, None]} and inf.
     path = tmp_path / "foreign.jsonl"
@@ -465,7 +476,7 @@ def test_decode_json_matches_json_loads(text):
         assert repr(decode_json(text)) == repr(expected)
 
 
-def oracle_unique_keys(pairs):
+def oracle_distinct_keys(pairs):
     obj = dict(pairs)
     if len(obj) < len(pairs):
         repeated = next(key for key, n in Counter(key for key, _value in pairs).items() if n > 1)
@@ -473,7 +484,7 @@ def oracle_unique_keys(pairs):
     return obj
 
 
-ORACLE_DECODERS = {False: json.JSONDecoder(), True: json.JSONDecoder(object_pairs_hook=oracle_unique_keys)}
+ORACLE_DECODER = json.JSONDecoder(object_pairs_hook=oracle_distinct_keys)
 
 
 def oracle_lone_surrogate(value):
@@ -493,11 +504,11 @@ def oracle_lone_surrogate(value):
     return None
 
 
-def oracle_decode_json(text, unique_keys=False):
+def oracle_decode_json(text):
     """decode_json as it was before it tried the scanner alone, with the
     lone-surrogate rule checked by a walk of the value: the oracle."""
     try:
-        value = json.loads(text) if text.startswith("\ufeff") else ORACLE_DECODERS[unique_keys].decode(text)
+        value = json.loads(text) if text.startswith("\ufeff") else ORACLE_DECODER.decode(text)
     except RecursionError as exc:
         raise ValueError(f"{exc} (nesting too deep)") from None
     lone = oracle_lone_surrogate(value)
@@ -525,29 +536,28 @@ EDGES = st.sampled_from(["", " ", "\n", " \t\r\n", "\ufeff", "\ufeff ", "\x0b", 
 TAILS = EDGES | st.sampled_from([" x", " 2", "1", "}", "]", ",", "\n{}", " []", '"'])
 
 
-@given(st.just("") | EDGES, JSON_BODIES, st.none() | st.integers(0, 40), TAILS, st.booleans())
-@example("", '{"a": 1}', None, " x", False)  # {} x
-@example("", "1", None, " 2", True)
-@example("", "[]", None, "\u00a0", False)  # Unicode whitespace is not JSON whitespace
-@example("", '"s"', None, "\x0b", True)
-@example(" ", "{}", None, "\n", False)
-@example("", '"\\ud800"', None, "", False)  # a lone surrogate escape
-@example("", '"\\ud83d\\ude00"', None, " ", True)  # an escaped pair is one character
-@example("", '["\\u00e9", "\\uDC00"]', None, "", False)
-def test_decode_json_matches_its_oracle(head, body, cut, tail, unique_keys):
+@given(st.just("") | EDGES, JSON_BODIES, st.none() | st.integers(0, 40), TAILS)
+@example("", '{"a": 1}', None, " x")  # {} x
+@example("", "1", None, " 2")
+@example("", "[]", None, "\u00a0")  # Unicode whitespace is not JSON whitespace
+@example("", '"s"', None, "\x0b")
+@example(" ", "{}", None, "\n")
+@example("", '"\\ud800"', None, "")  # a lone surrogate escape
+@example("", '"\\ud83d\\ude00"', None, " ")  # an escaped pair is one character
+@example("", '["\\u00e9", "\\uDC00"]', None, "")
+def test_decode_json_matches_its_oracle(head, body, cut, tail):
     text = head + (body if cut is None else body[:cut]) + tail
     try:
-        expected = oracle_decode_json(text, unique_keys)
+        expected = oracle_decode_json(text)
     except ValueError as exc:
         with pytest.raises(ValueError) as caught:
-            decode_json(text, unique_keys=unique_keys)
+            decode_json(text)
         assert str(caught.value) == str(exc)
     else:
-        assert repr(decode_json(text, unique_keys=unique_keys)) == repr(expected)
+        assert repr(decode_json(text)) == repr(expected)
 
 
-@pytest.mark.parametrize("unique_keys", [False, True])
-def test_decode_json_decodes_a_text_with_trailing_whitespace_once(monkeypatch, unique_keys):
+def test_decode_json_decodes_a_text_with_trailing_whitespace_once(monkeypatch):
     # A model's reply body ends in "\n": the scanner's value spans the text
     # but for JSON whitespace, so the text is not decoded a second time.
     calls = []
@@ -556,12 +566,23 @@ def test_decode_json_decodes_a_text_with_trailing_whitespace_once(monkeypatch, u
         calls.append(pairs)
         return dict(pairs)
 
-    monkeypatch.setattr(trace, "_UNIQUE_DECODER" if unique_keys else "_DECODER",
-                        json.JSONDecoder(object_pairs_hook=hook))
-    assert decode_json('{"a": {"b": 1}, "c": [{}]}\n', unique_keys=unique_keys) == {"a": {"b": 1}, "c": [{}]}
+    monkeypatch.setattr(trace, "_DECODER", json.JSONDecoder(object_pairs_hook=hook))
+    assert decode_json('{"a": {"b": 1}, "c": [{}]}\n') == {"a": {"b": 1}, "c": [{}]}
     assert len(calls) == 3
-    assert decode_json('{"a": 1} \r\n\t', unique_keys=unique_keys) == {"a": 1}
+    assert decode_json('{"a": 1} \r\n\t') == {"a": 1}
     assert len(calls) == 4
+
+
+def test_only_trace_decodes_json():
+    # Every JSON text read from outside goes through decode_json and its rules.
+    package = Path(trace.__file__).parent
+    bypasses = [
+        f"{path.relative_to(package)}:{line_no}"
+        for path in sorted(package.rglob("*.py")) if path != Path(trace.__file__)
+        for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if re.search(r"json\.loads|json\.load\(|JSONDecoder|raw_decode", line)
+    ]
+    assert bypasses == []
 
 
 def test_mapping_requires_all_targets():
@@ -581,7 +602,8 @@ def oracle_lookup(record, parts):
 def oracle_ingest(path, mapping):
     """The row-by-row ingest that ingest_external replaced, with the tick
     rule for bools, fractional floats and strings outside the JSON integer
-    grammar and the skip of a NaN or an infinity applied: the oracle."""
+    grammar, the skip of a NaN or an infinity and the skip of a row that
+    repeats a key applied: the oracle."""
     rows, warnings = [], []
     paths = [(target, getattr(mapping, target).split(".")) for target in ("agent", "tick", "text")]
     with open(path, "rb") as fh:
@@ -590,7 +612,7 @@ def oracle_ingest(path, mapping):
                 line = raw.decode("utf-8").strip(" \t\n\r")
                 if not line:
                     continue
-                record = json.loads(line)
+                record = ORACLE_DECODER.decode(line)
             except (ValueError, RecursionError):
                 warnings.append(f"line {line_no}: malformed record")
                 continue
@@ -672,7 +694,8 @@ RECORDS = st.fixed_dictionaries({}, optional={
 # Padding that JSON allows, and Unicode whitespace that it does not.
 PADS = st.sampled_from(["", " ", "\t", "\r", "\u00a0", "\u2028", "\x0b", "\x1f", "\x85"])
 LINES = st.lists(st.tuples(PADS, RECORDS.map(json.dumps), PADS).map("".join)
-                 | st.sampled_from(["", "  ", "\u00a0", "{broken", "[1]", "7", "null", '"s"']),
+                 | st.sampled_from(["", "  ", "\u00a0", "{broken", "[1]", "7", "null", '"s"',
+                                   '{"a": 1, "a": 2, "t": 0, "x": "s"}', '{"a": 1, "t": 0, "n": {"t": 1, "t": 1}}']),
                  max_size=12)
 
 
