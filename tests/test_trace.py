@@ -557,19 +557,25 @@ def test_decode_json_matches_its_oracle(head, body, cut, tail):
         assert repr(decode_json(text)) == repr(expected)
 
 
-def test_decode_json_decodes_a_text_with_trailing_whitespace_once(monkeypatch):
+@pytest.mark.parametrize("prefix", [False, True])
+def test_decode_json_decodes_a_text_with_trailing_whitespace_once(monkeypatch, prefix):
     # A model's reply body ends in "\n": the scanner's value spans the text
-    # but for JSON whitespace, so the text is not decoded a second time.
+    # but for JSON whitespace, so the text is not decoded a second time; in
+    # prefix mode the length stops before the whitespace.
     calls = []
 
     def hook(pairs):
         calls.append(pairs)
         return dict(pairs)
 
-    monkeypatch.setattr(trace, "_DECODER", json.JSONDecoder(object_pairs_hook=hook))
-    assert decode_json('{"a": {"b": 1}, "c": [{}]}\n') == {"a": {"b": 1}, "c": [{}]}
+    monkeypatch.setattr(trace, "_PREFIX_DECODER" if prefix else "_DECODER",
+                        json.JSONDecoder(object_pairs_hook=hook))
+    nested = '{"a": {"b": 1}, "c": [{}]}'
+    value = {"a": {"b": 1}, "c": [{}]}
+    assert decode_json(nested + "\n", prefix=prefix) == ((value, len(nested)) if prefix else value)
     assert len(calls) == 3
-    assert decode_json('{"a": 1} \r\n\t') == {"a": 1}
+    flat = '{"a": 1}'
+    assert decode_json(flat + " \r\n\t", prefix=prefix) == (({"a": 1}, len(flat)) if prefix else {"a": 1})
     assert len(calls) == 4
 
 
